@@ -1,7 +1,7 @@
-"""Hot-path ablation: zero-copy decode -> batch fold, engine x codec sweep.
+"""Hot-path ablation: zero-copy decode -> fold, engine x codec sweep.
 
 The decode->fold loop is where a slave spends its non-retrieval life,
-and this benchmark measures exactly what the hot-path work changed:
+and this benchmark measures it four ways:
 
 * **batch_fold on/off** -- one ``local_reduction_batch`` call per chunk
   versus the per-unit-group Python loop, on the same engine and data;
@@ -11,26 +11,42 @@ and this benchmark measures exactly what the hot-path work changed:
 * **threaded vs process** -- with decode-in-worker, the process engine
   ships encoded frames through shared memory and decompresses on worker
   cores instead of serializing decode in the parent's feeders;
-* **sync vs pipelined** on the process engine -- the regression this PR
-  chases: prefetch must not make the process engine *slower*.
+* **sync vs pipelined** on the process engine -- prefetch must not make
+  the process engine *slower*.
+
+Whole-chunk folding saves Python dispatches, not arithmetic, so it only
+wins while the kernel's working set still fits the cache at chunk size.
+The first batch k-means kernel did not: it held three ``(n, K)`` float
+temporaries plus an ``(n, d)`` int64 index per call, spilled L2 at 2 MB
+chunks, and the committed rows showed the batch fold *slower* than the
+per-group loop on every cell (4.6 vs 2.2 ns/byte on the end-to-end
+suite's ``kmeans-local``).  The kernel now keeps one ``(n, K)`` buffer
+updated in place and one sparse scatter, and whole-chunk folding ties
+or beats the loop; the solo tripwire below keeps it that way.
 
 Writes ``benchmarks/results/BENCH_hotpath.json``: one record per
 (engine, batch_fold, codec) cell with wall-clock (best of ROUNDS),
 ``fold_s``/``fold_ns_per_byte``/``n_fold_calls``/``n_copies``, plus
 sync-vs-pipelined process rows and self-describing workload metadata.
+The sweep uses 16 KB groups to keep the per-group loop honest about its
+dispatch cost; it is a legacy single-host artifact, and the benchmark
+of record is ``benchmarks/suite``.
 
-Speedup assertions are CPU-gated like ``test_engine_comparison``: on a
-single-core host no transport can beat any other on CPU-bound work, so
-there the envelope (not the win) is asserted.  ``HOTPATH_PROFILE=tiny``
+Speedup assertions are CPU-gated like ``test_engine_comparison``: with
+fewer cores than worker processes no transport can beat any other on
+CPU-bound work, so there the envelope (not the win) is asserted.
+``HOTPATH_PROFILE=tiny``
 shrinks the workload for the CI perf-smoke job, which checks only the
-regression tripwires (finite per-byte cost, batch fold not slower than
-1.5x the per-group loop, zero copies on the identity path).
+regression tripwires (finite per-byte cost, batch fold within 1.15x of
+the per-group loop, zero copies on the identity path).
 
 The batch-vs-loop fold tripwire is measured on a dedicated
-single-worker run: ``fold_s`` sums per-worker wall-clock intervals, and
-with several workers timesharing few cores a long GIL-released batch
-kernel absorbs other workers' compute into its interval, so only the
-uncontended measurement reflects the kernel itself.
+single-worker run at the shape that ships -- K=64, d=32, the suite's
+2 MB chunks, the engine's default 1 MB groups: ``fold_s`` sums
+per-worker wall-clock intervals, and with several workers timesharing
+few cores a long GIL-released batch kernel absorbs other workers'
+compute into its interval, so only the uncontended measurement
+reflects the kernel itself.
 """
 
 import math
@@ -58,15 +74,23 @@ K, DIM = 64, 32
 N_POINTS = 30_000 if TINY else 250_000
 N_CHUNKS = 8 if TINY else 16
 GROUP_NBYTES = 16 * 1024  # small groups keep the per-group loop honest
+# The solo tripwire folds what ships: kmeans-local's 2 MB chunks
+# (7813 x 32 float64) in the engine's default groups.  Both profiles
+# fold 32 chunks (~1 s in all): over fewer calls first-call warm-up
+# (BLAS threads, faulting in the score buffer) skews a pure ratio.
+SOLO_CHUNK_UNITS = 7813
+SOLO_CHUNKS = 32
+SOLO_GROUP_NBYTES = EngineOptions().group_nbytes
+SOLO_ROUNDS = 5
 
 
-def build_env(codec):
-    pts = generate_points(N_POINTS, DIM, n_clusters=16, seed=41)
+def build_env(codec, n_points=N_POINTS, chunk_units=N_POINTS // N_CHUNKS):
+    pts = generate_points(n_points, DIM, n_clusters=16, seed=41)
     spec = KMeansSpec(generate_points(K, DIM, seed=42))
     stores = {"local": MemoryStore("local")}
     index = write_dataset(
         pts, spec.fmt, stores["local"], n_files=4,
-        chunk_units=N_POINTS // N_CHUNKS, codec=codec,
+        chunk_units=chunk_units, codec=codec,
     )
     index = distribute_dataset(index, stores, {"local": 1.0}, stores["local"])
     clusters = [ClusterConfig("local", "local", WORKERS, 2)]
@@ -77,8 +101,9 @@ def build_env(codec):
 def run_once(engine, spec, stores, index, clusters, ref, *, rounds=ROUNDS,
              **opt_kwargs):
     best, stats = None, None
+    opt_kwargs.setdefault("group_nbytes", GROUP_NBYTES)
     for _ in range(rounds):
-        opts = EngineOptions(group_nbytes=GROUP_NBYTES, **opt_kwargs)
+        opts = EngineOptions(**opt_kwargs)
         t0 = time.perf_counter()
         rr = make_engine(engine, clusters, stores, options=opts).run(spec, index)
         wall = time.perf_counter() - t0
@@ -117,19 +142,29 @@ def test_hotpath_ablation(benchmark, record_table, write_bench_json):
                         "shm_nbytes": stats.shm_nbytes,
                     })
         # Uncontended kernel tripwire: one worker, so fold_s intervals
-        # never overlap another worker's compute.
-        spec, stores, index, clusters, ref = envs[None]
+        # never overlap another worker's compute.  Rounds alternate
+        # batch and loop so a slow host phase lands on both, and each
+        # side keeps its fastest round.
+        spec, stores, index, _, ref = build_env(
+            None, SOLO_CHUNK_UNITS * SOLO_CHUNKS, SOLO_CHUNK_UNITS
+        )
         solo_clusters = [ClusterConfig("local", "local", 1, 2)]
-        solo = {}
-        for batch_fold in (True, False):
-            _, stats = run_once(
-                "threaded", spec, stores, index, solo_clusters, ref,
-                rounds=max(ROUNDS, 2), batch_fold=batch_fold,
-            )
-            solo[batch_fold] = {
-                "fold_s": round(stats.fold_s, 4),
-                "n_fold_calls": stats.n_fold_calls,
-            }
+        solo_rounds = {True: [], False: []}
+        for _ in range(SOLO_ROUNDS):
+            for batch_fold in (True, False):
+                _, stats = run_once(
+                    "threaded", spec, stores, index, solo_clusters, ref,
+                    rounds=1, batch_fold=batch_fold,
+                    group_nbytes=SOLO_GROUP_NBYTES,
+                )
+                solo_rounds[batch_fold].append({
+                    "fold_ns_per_byte": round(stats.fold_ns_per_byte, 3),
+                    "n_fold_calls": stats.n_fold_calls,
+                })
+        solo = {
+            flag: min(rows, key=lambda r: r["fold_ns_per_byte"])
+            for flag, rows in solo_rounds.items()
+        }
         # Sync vs pipelined on the process engine, default hot path.
         pipe = []
         for prefetch in (False, True):
@@ -172,6 +207,8 @@ def test_hotpath_ablation(benchmark, record_table, write_bench_json):
         "process_pipeline": pipe,
         "solo_fold": {
             "batch": solo[True], "per_group": solo[False], "workers": 1,
+            "chunks": SOLO_CHUNKS, "chunk_units": SOLO_CHUNK_UNITS,
+            "group_nbytes": SOLO_GROUP_NBYTES, "rounds": SOLO_ROUNDS,
         },
     }
     write_bench_json("hotpath", payload, profile="tiny" if TINY else "full")
@@ -182,7 +219,13 @@ def test_hotpath_ablation(benchmark, record_table, write_bench_json):
             f"cpu(s), best of {ROUNDS}",
         )
         + "\n"
-        + format_table(pipe, "process engine: sync vs pipelined"),
+        + format_table(pipe, "process engine: sync vs pipelined")
+        + "\n"
+        + format_table(
+            [{"fold": "batch", **solo[True]}, {"fold": "per_group", **solo[False]}],
+            f"solo fold -- 1 worker, {SOLO_CHUNKS} x 2 MB chunks, "
+            f"{SOLO_GROUP_NBYTES >> 10} KB groups, best of {SOLO_ROUNDS}",
+        ),
     )
 
     # -- regression tripwires (every host, every profile) ---------------------
@@ -194,13 +237,15 @@ def test_hotpath_ablation(benchmark, record_table, write_bench_json):
             # Batch folding must collapse kernel dispatches to 1/chunk.
             assert batch["n_fold_calls"] == N_CHUNKS
             assert loop["n_fold_calls"] > batch["n_fold_calls"]
-    # The batch kernel must never cost more than 1.5x the per-group loop
-    # (it should be faster; the envelope absorbs timer noise).  Asserted
-    # on the uncontended single-worker run -- see the module docstring.
-    assert solo[True]["n_fold_calls"] == N_CHUNKS
-    assert solo[True]["fold_s"] <= 1.5 * solo[False]["fold_s"] + 0.05, (
-        f"solo batch fold {solo[True]['fold_s']}s vs per-group "
-        f"{solo[False]['fold_s']}s"
+    # At the shape that ships the batch kernel must not cost more than
+    # the per-group loop (it should tie or win; 1.15x absorbs timer
+    # noise).  Asserted on the uncontended single-worker run -- see the
+    # module docstring.
+    assert solo[True]["n_fold_calls"] == SOLO_CHUNKS
+    assert solo[False]["n_fold_calls"] > SOLO_CHUNKS
+    assert solo[True]["fold_ns_per_byte"] <= 1.15 * solo[False]["fold_ns_per_byte"], (
+        f"solo batch fold {solo[True]['fold_ns_per_byte']} ns/byte vs "
+        f"per-group {solo[False]['fold_ns_per_byte']} ns/byte"
     )
     # Zero-copy proof: on the identity path no whole-chunk copy survives
     # between wire reassembly and the fold kernels, on either engine.
@@ -221,21 +266,24 @@ def test_hotpath_ablation(benchmark, record_table, write_bench_json):
     piped = next(p for p in pipe if p["prefetch"])["wall_s"]
     if TINY:
         return  # the smoke profile only checks the tripwires above
-    if n_cpus >= 2:
-        # Real cores: folds escape the GIL, so the process engine must
-        # beat threaded on CPU-bound kmeans, and prefetch must not slow
-        # the process engine down.
+    if n_cpus > WORKERS:
+        # A core per worker process and one for the parent: folds escape
+        # the GIL, so the process engine must beat threaded on CPU-bound
+        # kmeans.
         assert proc < thr, f"process {proc}s did not beat threaded {thr}s"
+    else:
+        # Workers timeshare the cores: a speedup is physically
+        # impossible; bound the overhead envelope instead (same policy
+        # as the engine comparison benchmark).
+        assert proc < 1.6 * thr + 0.2, (
+            f"process overhead out of envelope: {proc}s vs threaded {thr}s"
+        )
+    if n_cpus >= 2:
+        # Real cores: prefetch must not slow the process engine down.
         assert piped <= sync * 1.05, (
             f"pipelined {piped}s slower than sync {sync}s on process engine"
         )
     else:
-        # Single core: a speedup is physically impossible; bound the
-        # overhead envelope instead (same policy as the engine
-        # comparison benchmark).
-        assert proc < 1.6 * thr + 0.2, (
-            f"process overhead out of envelope: {proc}s vs threaded {thr}s"
-        )
         assert piped < 1.3 * sync + 0.2, (
             f"pipelined overhead out of envelope: {piped}s vs sync {sync}s"
         )

@@ -51,48 +51,76 @@ def _assign(group: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
     return assign, best
 
 
-def _accumulate(data: np.ndarray, group: np.ndarray, assign: np.ndarray, sq: np.ndarray) -> None:
-    """Scatter-add a group's statistics into the robj array (k, d+2).
-
-    One flattened ``bincount`` over ``assign * d + column`` scatter-adds
-    every coordinate sum at once (a bincount per dimension would walk
-    the assignment array d times).
-    """
-    k, width = data.shape
-    d = width - 2
-    flat = np.bincount(
-        (assign[:, None] * d + np.arange(d)[None, :]).ravel(),
-        weights=np.ascontiguousarray(group, dtype=np.float64).ravel(),
-        minlength=k * d,
-    )
-    data[:, :d] += flat.reshape(k, d)
-    data[:, d] += np.bincount(assign, minlength=k)
-    data[:, d + 1] += np.bincount(assign, weights=sq, minlength=k)
-
-
 class KMeansSpec(GeneralizedReductionSpec):
     """Generalized-reduction k-means (one Lloyd iteration per pass)."""
 
     def __init__(self, centroids: np.ndarray) -> None:
-        centroids = np.asarray(centroids, dtype=np.float64)
+        # A private read-only copy (K x d, tiny): the fold kernel's
+        # operands below are derived from it once, so an in-place update
+        # of the caller's array must not reach this spec.
+        centroids = np.array(centroids, dtype=np.float64)
         if centroids.ndim != 2 or centroids.shape[0] == 0:
             raise ValueError("centroids must be a non-empty (k, d) array")
         self.centroids = centroids
         self.k, self.dim = centroids.shape
         self.fmt = points_format(self.dim)
+        # Exact duplicates tie on every point, and BLAS does not promise
+        # bit-identical products for identical columns, so only the
+        # first copy of each centroid is scored: such ties go to the
+        # lowest index by construction.
+        first = np.sort(np.unique(centroids, axis=0, return_index=True)[1])
+        self._scored = first if len(first) < self.k else None
+        scored = centroids[first]
+        # argmin_c ||x - c||^2 = argmin_c (||c||^2 - 2 x.c): the per-row
+        # constant ||x||^2 cannot change the winner, so the (n, K) score
+        # matrix is one GEMM against -2 C^T plus ||c||^2.
+        self._neg2ct = np.ascontiguousarray(-2.0 * scored.T)
+        self._c2 = np.einsum("ij,ij->i", scored, scored)
+        for arr in (self.centroids, self._neg2ct, self._c2):
+            arr.flags.writeable = False
+        # Imported here, not at module level: nothing else under repro
+        # needs scipy, and ``import repro`` should not pay for it.
+        from scipy.sparse import csc_array
+
+        self._csc_array = csc_array
 
     def create_reduction_object(self) -> ArrayReductionObject:
         # Layout: [:, :d] coordinate sums, [:, d] counts, [:, d+1] sse.
         return ArrayReductionObject((self.k, self.dim + 2), np.float64, "add")
 
     def local_reduction(self, robj: ReductionObject, unit_group: np.ndarray) -> None:
+        """Fold one group of points: one GEMM, one sparse scatter.
+
+        The only (n, K) array is the score matrix, updated in place;
+        ``||x||^2`` is added to the n winning scores alone.  Ties go to
+        the lowest cluster index (``argmin``; duplicate centroids are
+        scored once, see ``__init__``).
+        """
         assert isinstance(robj, ArrayReductionObject)
-        assign, sq = _assign(unit_group, self.centroids)
-        _accumulate(robj.data, unit_group, assign, sq)
+        n, d = len(unit_group), self.dim
+        scores = unit_group @ self._neg2ct
+        scores += self._c2
+        assign = scores.argmin(axis=1)
+        sq = np.take_along_axis(scores, assign[:, None], axis=1)[:, 0]
+        sq += np.einsum("ij,ij->i", unit_group, unit_group)
+        # Numerical cancellation can produce tiny negatives; clamp in place.
+        np.maximum(sq, 0.0, out=sq)
+        if self._scored is not None:
+            assign = self._scored[assign]
+        # Column i of the one-hot CSC matrix selects cluster assign[i], so
+        # its product with the points is every coordinate sum at once.
+        onehot = self._csc_array(
+            (np.ones(n), assign, np.arange(n + 1)), shape=(self.k, n)
+        )
+        data = robj.data
+        data[:, :d] += onehot @ unit_group
+        data[:, d] += np.bincount(assign, minlength=self.k)
+        data[:, d + 1] += np.bincount(assign, weights=sq, minlength=self.k)
 
     def local_reduction_batch(self, robj: ReductionObject, units: np.ndarray) -> None:
-        # The kernel is fully vectorized over any group size (one GEMM +
-        # one flattened bincount), so the whole chunk folds in one call.
+        # The kernel is vectorized over any group size and its one
+        # (n, K) temporary is 4 MB at a 2 MB chunk, so the whole chunk
+        # folds in one call.
         self.local_reduction(robj, units)
 
     def finalize(self, robj: ReductionObject) -> KMeansResult:

@@ -68,6 +68,30 @@ class TestKMeansSpec:
         with pytest.raises(ValueError):
             KMeansSpec(np.zeros((0, 3)))
 
+    def test_caller_mutation_after_construction_is_ignored(self, points, centroids):
+        """The spec folds against the centroids it was built with."""
+        mine = centroids.copy()
+        spec = KMeansSpec(mine)
+        mine += 7.0
+        res = spec.finalize(run_local_pass(spec, iter_unit_groups(points, 111)))
+        ref = lloyd_step(points, centroids)
+        np.testing.assert_array_equal(res.counts, ref.counts)
+        np.testing.assert_allclose(res.centroids, ref.centroids)
+        assert res.sse == pytest.approx(ref.sse)
+        with pytest.raises(ValueError):
+            spec.centroids[0, 0] = 1.0
+
+    def test_duplicate_centroids_go_to_the_lowest_index(self):
+        # d=32 is where BLAS stops giving identical columns identical products.
+        pts = generate_points(500, 32, seed=3)
+        cents = generate_points(6, 32, seed=4)
+        cents[4] = cents[1]
+        spec = KMeansSpec(cents)
+        res = spec.finalize(run_local_pass(spec, iter_unit_groups(pts, 1)))
+        assert res.counts[4] == 0
+        assert res.counts.sum() == len(pts)
+        np.testing.assert_array_equal(res.centroids[4], cents[4])
+
     def test_robj_small(self, points, centroids):
         spec = KMeansSpec(centroids)
         robj = run_local_pass(spec, iter_unit_groups(points, 100))

@@ -1,5 +1,7 @@
 """Engine configuration options: results must be invariant to tuning."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from repro.apps.wordcount import WordCountSpec, wordcount_exact
 from repro.data.dataset import distribute_dataset, write_dataset
 from repro.data.formats import points_format, tokens_format
 from repro.runtime.engine import ClusterConfig, ThreadedEngine
-from repro.runtime.scheduler import StaticScheduler
+from repro.runtime.scheduler import HeadScheduler, StaticScheduler
 
 
 @pytest.fixture
@@ -59,14 +61,43 @@ class TestTuningInvariance:
         assert rr.stats.jobs_stolen == 0
 
     def test_lopsided_worker_counts(self, points, stores, split):
-        # min_part_nbytes=0 keeps split fetches (and their GIL yields)
-        # even for tiny chunks, so the cloud workers reliably start
-        # before the single local worker can drain the whole pool.
-        engine = ThreadedEngine(clusters(local=1, cloud=5), stores, min_part_nbytes=0)
+        # One local worker against five cloud workers.  Which side folds
+        # more is otherwise a thread race (the lone local worker can
+        # drain its half before a cloud thread is scheduled), so local
+        # GETs are held until the head has assigned the cloud cluster a
+        # majority of the pool.  Assignments never move between live
+        # clusters, and the local worker blocks holding one request's
+        # worth of jobs, so the outcome below follows from the gate.
+        cloud_has_majority = threading.Event()
+        majority = len(split.chunks) // 2 + 1
+
+        class AnnouncingScheduler(HeadScheduler):
+            def request_jobs(self, cluster_location, max_jobs):
+                batch = super().request_jobs(cluster_location, max_jobs)
+                if self.assigned_counts.get("cloud", 0) >= majority:
+                    cloud_has_majority.set()
+                return batch
+
+        class HeldLocalStore:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def get(self, *args, **kwargs):
+                assert cloud_has_majority.wait(10), "cloud was never assigned a majority"
+                return self.inner.get(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        held = {"local": HeldLocalStore(stores["local"]), "cloud": stores["cloud"]}
+        engine = ThreadedEngine(
+            clusters(local=1, cloud=5), held, scheduler_factory=AnnouncingScheduler
+        )
         rr = engine.run(KnnSpec(np.zeros(4), 5), split)
         ref = knn_exact(points, np.zeros(4), 5)
         np.testing.assert_allclose([x[0] for x in rr.result], [r[0] for r in ref])
         # The bigger cluster does more of the work.
+        assert rr.stats.jobs_processed == len(split.chunks)
         assert (
             rr.stats.clusters["cloud"].jobs_processed
             > rr.stats.clusters["local"].jobs_processed
