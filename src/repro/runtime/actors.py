@@ -36,6 +36,7 @@ from repro.core.reduction_object import ReductionObject
 from repro.core.serialization import deserialize_robj, serialize_robj
 from repro.data.index import DataIndex
 from repro.data.units import units_per_group
+from repro.runtime.blas_budget import BLAS_BUDGET
 from repro.runtime.core import (
     ClusterConfig,
     EngineBase,
@@ -364,10 +365,11 @@ class ActorEngine(EngineBase):
             )
 
         head.start()
-        for m in masters:
-            m.start()
-        for m in masters:
-            m.join()
+        with BLAS_BUDGET.threads(sum(c.n_workers for c in self.clusters)):
+            for m in masters:
+                m.start()
+            for m in masters:
+                m.join()
         failed = next((m for m in masters if m.error is not None), None)
         if failed is not None:
             # A master died without uploading; release the head actor

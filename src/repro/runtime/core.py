@@ -847,9 +847,10 @@ def rollup_fetcher_stats(
 ) -> None:
     """Close one cluster's fetchers and fold their fault/autotune state.
 
-    Retry counts, giveups, retried bytes, and (when adaptive fetch is
-    on) each path's autotuner snapshot land in :class:`ClusterStats` --
-    identically for every engine.
+    Retry counts, giveups, retried bytes, how many ranges went out as
+    one GET vs split (with each store's observed GET rate, the reason),
+    and (when adaptive fetch is on) each path's autotuner snapshot land
+    in :class:`ClusterStats` -- identically for every engine.
     """
     for loc, f in fetchers.items():
         if close:
@@ -861,6 +862,9 @@ def rollup_fetcher_stats(
         cstats.n_abandoned += f.n_abandoned
         cstats.fragments_wasted_bytes += f.fragments_wasted_bytes
         cstats.fetch_latencies.extend(f.fetch_latencies)
+        cstats.n_single_fetches += f.n_single_fetches
+        cstats.n_split_fetches += f.n_split_fetches
+        cstats.get_s_per_byte[loc] = f.store.stats.s_per_byte
         if f.autotune is not None and f.autotune.n_samples:
             cstats.autotune[loc] = f.autotune.snapshot()
 

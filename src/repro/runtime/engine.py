@@ -58,6 +58,7 @@ from repro.core.api import GeneralizedReductionSpec
 from repro.core.reduction_object import ReductionObject
 from repro.data.index import DataIndex
 from repro.data.units import units_per_group
+from repro.runtime.blas_budget import BLAS_BUDGET
 from repro.runtime.core import (
     ClusterConfig,
     EngineBase,
@@ -155,10 +156,13 @@ class ThreadedEngine(EngineBase):
                     )
                 )
 
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
+        # While the workers fold side by side, each gets its share of
+        # the BLAS threads instead of a full set (restored on the way out).
+        with BLAS_BUDGET.threads(len(threads)):
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
         return finalize_run(
             spec=spec,
             clusters=self.clusters,

@@ -130,6 +130,13 @@ class ClusterStats:
     # autotuners when adaptive fetch is on: location -> snapshot dict
     # (parts, effective_bw, trajectory, ...).
     autotune: dict = field(default_factory=dict)
+    # Fan-out accounting, rolled up from this cluster's fetchers: ranges
+    # fetched with one GET vs split over the range pool, and per data
+    # location the fastest recent GET (seconds per byte, None before any)
+    # that the split decision read -- why a store is fetched unsplit.
+    n_single_fetches: int = 0
+    n_split_fetches: int = 0
+    get_s_per_byte: dict = field(default_factory=dict)
 
     @property
     def n_workers(self) -> int:
@@ -564,7 +571,10 @@ class RunStats:
         compression saved on the wire; ``decode_s`` its CPU cost;
         ``effective_bw``/``parts``/``tuner`` report what the AIMD
         autotuner learned about each path (current fan-out per data
-        location, grow/backoff decision counts).
+        location, grow/backoff decision counts);
+        ``fetches_single``/``fetches_split`` how many ranges went out as
+        one GET vs over the range pool, and ``s_per_byte`` the observed
+        per-store GET rate that decided it.
         """
         rows = []
         for c in self.clusters.values():
@@ -586,6 +596,9 @@ class RunStats:
                     "tuner_backoffs": sum(
                         s.get("n_backoff", 0) for s in c.autotune.values()
                     ),
+                    "fetches_single": c.n_single_fetches,
+                    "fetches_split": c.n_split_fetches,
+                    "s_per_byte": dict(sorted(c.get_s_per_byte.items())) or None,
                 }
             )
         return rows

@@ -53,11 +53,13 @@ from repro.core.api import GeneralizedReductionSpec, supports_batch_fold
 from repro.core.reduction_object import ReductionObject
 from repro.data.index import DataIndex
 from repro.data.units import units_per_group
+from repro.runtime.blas_budget import BLAS_BUDGET
 from repro.runtime.core import (
     ClusterConfig,
     EngineBase,
     EngineOptions,
     MasterPort,
+    RunResult,
     SlaveRuntime,
     finalize_run,
     make_cluster_fetchers,
@@ -249,6 +251,13 @@ class ServiceSlave(SlaveRuntime):
         """Switch this worker's fold context to ``job``'s run."""
         ctx = self._ctxs.get(job.run_id)
         if ctx is None:
+            # A finalized run has no job left anywhere, so this worker
+            # will never switch back to it: drop its reduction object and
+            # stats here, or a long-lived service keeps one per run served.
+            self._ctxs = {
+                rid: c for rid, c in self._ctxs.items()
+                if not c.entry.finalize_enqueued
+            }
             ctx = self.service._open_worker_ctx(job.run_id, self.cluster.name)
             self._ctxs[job.run_id] = ctx
         entry = ctx.entry
@@ -323,6 +332,7 @@ class ServiceSlave(SlaveRuntime):
         while self._resume:
             self._resume = False
             super().run()
+        self._ctxs.clear()
 
 
 class BurstingService(EngineBase):
@@ -382,7 +392,9 @@ class BurstingService(EngineBase):
         self._health = self.make_health()
         # Fleet state (threaded backend).
         self._fleet_started = False
+        self._blas_held = False  # fleet start .. first shutdown()
         self._threads: list[threading.Thread] = []
+        self._slaves: list[ServiceSlave] = []
         self._masters: dict[str, ServiceMaster] = {}
         self._alive_workers = 0
         self._finalize_q: queue.Queue[_RunEntry | None] = queue.Queue()
@@ -533,12 +545,17 @@ class BurstingService(EngineBase):
                     t_start=self._t0,
                     stop=self._stop,
                 )
+                self._slaves.append(slave)
                 self._threads.append(
                     threading.Thread(
                         target=slave.run, name=f"svc-{slave.name}", daemon=True
                     )
                 )
         self._alive_workers = sum(c.n_workers for c in self.clusters)
+        # The fleet's folders share the cores for the service's whole
+        # life; shutdown() gives the BLAS threads back.
+        BLAS_BUDGET.acquire(self._alive_workers)
+        self._blas_held = True
         for th in self._threads:
             th.start()
         self._finalizer = threading.Thread(
@@ -703,9 +720,17 @@ class BurstingService(EngineBase):
             if entry is None:
                 return
             try:
-                self._finalize_entry(entry)
-            except BaseException as exc:  # never kill the finalizer
-                entry.handle._resolve(JobState.FAILED, exc=exc)
+                try:
+                    state, result, exc = self._finalize_entry(entry)
+                except BaseException as err:  # never kill the finalizer
+                    state, result, exc = JobState.FAILED, None, err
+                # The merged object lives on the RunResult: the per-worker
+                # partials and the closed fetchers are garbage the registry
+                # must not pin -- dropped before the caller can see the
+                # job resolved.
+                entry.robjs.clear()
+                entry.fetchers.clear()
+                entry.handle._resolve(state, result=result, exc=exc)
             finally:
                 with self._cond:
                     self._running -= 1
@@ -716,7 +741,10 @@ class BurstingService(EngineBase):
                     self._admit_locked()
                     self._cond.notify_all()
 
-    def _finalize_entry(self, entry: _RunEntry) -> None:
+    def _finalize_entry(
+        self, entry: _RunEntry
+    ) -> tuple[JobState, RunResult | None, BaseException | None]:
+        """Close out one run; returns what its handle resolves to."""
         state = entry.handle.status()
         aborted = (
             state is JobState.CANCELLED
@@ -737,39 +765,27 @@ class BurstingService(EngineBase):
                 entry.stats.breakers = self._health.snapshot()
             entry.stats.total_s = time.monotonic() - entry.t0
             if state is JobState.CANCELLED:
-                entry.handle._resolve(
-                    JobState.CANCELLED,
-                    exc=JobCancelledError(f"{entry.run_id} was cancelled"),
-                )
-            else:
-                exc = (
-                    entry.errors[0]
-                    if entry.errors
-                    else RuntimeError(
-                        f"{entry.run_id} ended with "
-                        f"{entry.scheduler.remaining} unassigned / "
-                        f"{entry.scheduler.outstanding} outstanding chunks "
-                        "and no workers left to recover"
-                    )
-                )
-                entry.handle._resolve(JobState.FAILED, exc=exc)
-            return
-        try:
-            rr = finalize_run(
-                spec=entry.spec,
-                clusters=self.clusters,
-                stats=entry.stats,
-                scheduler=entry.scheduler,
-                fetchers=entry.fetchers,
-                cluster_robjs=entry.robjs,
-                errors=entry.errors,
-                t_start=entry.t0,
-                health=self._health,
+                return state, None, JobCancelledError(f"{entry.run_id} was cancelled")
+            if entry.errors:
+                return JobState.FAILED, None, entry.errors[0]
+            return JobState.FAILED, None, RuntimeError(
+                f"{entry.run_id} ended with "
+                f"{entry.scheduler.remaining} unassigned / "
+                f"{entry.scheduler.outstanding} outstanding chunks "
+                "and no workers left to recover"
             )
-        except BaseException as exc:
-            entry.handle._resolve(JobState.FAILED, exc=exc)
-        else:
-            entry.handle._resolve(JobState.DONE, result=rr)
+        rr = finalize_run(
+            spec=entry.spec,
+            clusters=self.clusters,
+            stats=entry.stats,
+            scheduler=entry.scheduler,
+            fetchers=entry.fetchers,
+            cluster_robjs=entry.robjs,
+            errors=entry.errors,
+            t_start=entry.t0,
+            health=self._health,
+        )
+        return JobState.DONE, rr, None
 
     # -- cancellation / shutdown ---------------------------------------------
 
@@ -821,13 +837,19 @@ class BurstingService(EngineBase):
                 for entry in list(self._order):
                     self._cancel_locked(entry)
             self._cond.notify_all()
-        for entry in list(self._order):
-            entry.handle.wait(timeout)
-        self._stop.set()
-        with self._cond:
-            self._cond.notify_all()
-        for th in self._threads:
-            th.join(timeout)
+        try:
+            for entry in list(self._order):
+                entry.handle.wait(timeout)
+            self._stop.set()
+            with self._cond:
+                self._cond.notify_all()
+            for th in self._threads:
+                th.join(timeout)
+        finally:
+            with self._cond:
+                if self._blas_held:
+                    self._blas_held = False
+                    BLAS_BUDGET.release()
         for th in self._run_threads:
             th.join(timeout)
         if self._finalizer is not None and self._finalizer.is_alive():

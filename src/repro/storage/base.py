@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import abc
 import threading
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, fields
 
 __all__ = ["StorageStats", "StorageBackend"]
 
@@ -34,6 +35,13 @@ class StorageStats:
     # its result discarded.
     n_abandoned: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    # Seconds per byte of the last few GETs the fetch layer timed against
+    # this backend: the evidence its fan-out decision reads.  It lives
+    # here, not on a fetcher, so it outlives a run and is shared by
+    # wrappers that share ``stats``.
+    _get_rates: deque = field(
+        default_factory=lambda: deque(maxlen=8), repr=False, compare=False
+    )
 
     def record_put(self, nbytes: int) -> None:
         with self._lock:
@@ -57,6 +65,34 @@ class StorageStats:
     def record_abandoned(self) -> None:
         with self._lock:
             self.n_abandoned += 1
+
+    def record_get_time(self, nbytes: int, seconds: float) -> None:
+        """One successful GET of ``nbytes`` (> 0) took ``seconds``."""
+        with self._lock:
+            self._get_rates.append(seconds / nbytes)
+
+    @property
+    def s_per_byte(self) -> float | None:
+        """Fastest recent GET in seconds per byte, ``None`` before any.
+
+        The fastest of the window, not its mean: a GIL spike or an
+        injected stall beside seven ordinary GETs must not change what
+        the store is taken to be.
+        """
+        with self._lock:
+            return min(self._get_rates, default=None)
+
+    def snapshot(self) -> dict:
+        """The counters plus the GET-rate evidence, for reports."""
+        with self._lock:
+            snap = {
+                f.name: getattr(self, f.name)
+                for f in fields(self)
+                if not f.name.startswith("_")
+            }
+            snap["s_per_byte"] = min(self._get_rates, default=None)
+            snap["n_rate_samples"] = len(self._get_rates)
+        return snap
 
 
 class StorageBackend(abc.ABC):

@@ -17,6 +17,7 @@ the engines' data pipeline:
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
@@ -176,11 +177,15 @@ class PrefetchHandle:
 
 
 class ParallelFetcher:
-    """Fetch byte ranges from a store with ``n_threads`` connections.
+    """Fetch byte ranges from a store with up to ``n_threads`` connections.
 
-    ``cache`` (a shared :class:`ChunkCache`) short-circuits fetches of
-    ranges already resident; ``prefetch_workers`` sizes the background
-    pool serving :meth:`fetch_async` (lazily created on first use).
+    ``n_threads`` is a ceiling: every store GET is timed into the
+    store's :class:`~repro.storage.base.StorageStats`, and a range is
+    split only while that evidence says splitting pays
+    (:meth:`_plan_parts`).  ``cache`` (a shared :class:`ChunkCache`)
+    short-circuits fetches of ranges already resident;
+    ``prefetch_workers`` sizes the background pool serving
+    :meth:`fetch_async` (lazily created on first use).
 
     ``retry`` (a :class:`~repro.storage.retry.RetryPolicy`) makes every
     store ``get`` -- including each parallel sub-range -- retry
@@ -244,6 +249,9 @@ class ParallelFetcher:
         self.hedge_wins = 0
         self.n_breaker_skips = 0
         self.n_abandoned = 0
+        #: Ranges fetched with one GET / split over the range pool.
+        self.n_single_fetches = 0
+        self.n_split_fetches = 0
         #: Bytes of losing striped fragments that completed anyway
         #: (fetched but unused); fetcher-level only, rolled up after
         #: close() since losers land after their fetch returns.
@@ -264,12 +272,23 @@ class ParallelFetcher:
         self._prefetch_pool: ThreadPoolExecutor | None = None
 
     def _plan_parts(self, nbytes: int) -> int:
-        """Sub-range fan-out for a fetch of ``nbytes`` (adaptive or fixed)."""
+        """Sub-range fan-out for a fetch of ``nbytes``.
+
+        ``n_threads`` is the ceiling.  Below it the range is split only
+        when the store's best recently observed GET rate says the split
+        can save at least one GIL switch interval -- what each hand-off
+        to a pool thread may wait beside a computing thread.  A store
+        nobody has timed yet gets the full fan-out.
+        """
         if self.autotune is not None:
             return self.autotune.parts_for(nbytes)
         n = self.n_threads
         if self.min_part_nbytes > 0 and nbytes > 0:
             n = min(n, max(1, nbytes // self.min_part_nbytes))
+        if n > 1:
+            rate = self.store.stats.s_per_byte
+            if rate is not None and nbytes * rate * (1 - 1 / n) < sys.getswitchinterval():
+                n = 1
         return n
 
     def fetch(self, key: str, offset: int = 0, nbytes: int | None = None) -> Buffer:
@@ -293,7 +312,7 @@ class ParallelFetcher:
             cached = self.cache.get(location, key, offset, nbytes)
             if cached is not None:
                 return cached, True
-        data = self._fetch_direct(key, offset, nbytes)
+        data = self._fetch_parts_into(key, offset, nbytes)
         if self.cache is not None:
             self.cache.put(location, key, offset, nbytes, data)
         return data, False
@@ -798,8 +817,19 @@ class ParallelFetcher:
 
     def _get_with_retry(self, key: str, offset: int, nbytes: int) -> bytes:
         """One store ``get`` under the retry policy, with accounting."""
+
+        def get() -> bytes:
+            # Every successful attempt is one rate sample, unless it is
+            # so small that it is all request overhead; a failed one
+            # raises before it is recorded.
+            t0 = time.monotonic()
+            data = self.store.get(key, offset, nbytes)
+            if nbytes >= max(self.min_part_nbytes, DEFAULT_MIN_PART_NBYTES):
+                self.store.stats.record_get_time(nbytes, time.monotonic() - t0)
+            return data
+
         if self.retry is None:
-            return self.store.get(key, offset, nbytes)
+            return get()
 
         def on_retry(_exc: BaseException, _attempt: int) -> None:
             with self._counter_lock:
@@ -814,10 +844,8 @@ class ParallelFetcher:
 
         try:
             return self.retry.call(
-                lambda: self.store.get(key, offset, nbytes),
-                token=f"{key}@{offset}+{nbytes}",
-                on_retry=on_retry,
-                on_abandon=on_abandon,
+                get, token=f"{key}@{offset}+{nbytes}",
+                on_retry=on_retry, on_abandon=on_abandon,
             )
         except RetryExhausted:
             with self._counter_lock:
@@ -828,53 +856,69 @@ class ParallelFetcher:
             self.store.stats.record_error()
             raise
 
-    def _fetch_direct(self, key: str, offset: int, nbytes: int) -> Buffer:
+    def _fetch_parts_into(
+        self, key: str, offset: int, nbytes: int, view: memoryview | None = None
+    ) -> Buffer:
+        """Fetch one range over as many GETs as :meth:`_plan_parts` allows.
+
+        With ``view`` (a writable byte view) the bytes land there;
+        without it the store's own ``bytes`` are returned for a single
+        GET and a fresh ``bytearray`` for a split one.  Each sub-range
+        GET writes its slice in place, so there is no reassembly
+        ``join`` -- a full extra copy of every parallel fetch.
+        """
         n_parts = self._plan_parts(nbytes)
         t0 = time.monotonic()
         if self._pool is None or n_parts <= 1 or nbytes < n_parts:
-            data = self._get_with_retry(key, offset, nbytes)
-            if self.autotune is not None:
-                self.autotune.record(nbytes, 1, time.monotonic() - t0)
-            return data
-        # Assemble parallel sub-ranges straight into one preallocated
-        # buffer: each part GET writes its slice in place, so the old
-        # reassembly ``join`` -- a full extra copy of every parallel
-        # fetch -- never happens.
-        out = bytearray(nbytes)
-        view = memoryview(out)
-        parts = split_range(offset, nbytes, n_parts, self.min_part_nbytes)
-        futures = [
-            self._pool.submit(
-                self._get_part_into, key, off, n, view[off - offset : off - offset + n]
-            )
-            for off, n in parts
-        ]
-        error: BaseException | None = None
-        # Each sub-range retries transient errors internally (when a
-        # policy is set), so only an *exhausted or non-retryable* part
-        # reaches this collection loop.  Collect in part order so such a
-        # failure surfaces the earliest failing sub-range
-        # deterministically; once one part fails, cancel the queued
-        # siblings and absorb the running ones rather than leaving them
-        # racing against the pool shutdown.
-        for f in futures:
-            if error is not None:
-                f.cancel()
-                continue
-            try:
-                f.result()
-            except BaseException as exc:
-                error = exc
-        if error is not None:
+            n_parts = 1
+            out: Buffer = self._get_with_retry(key, offset, nbytes)
+            if view is not None:
+                view[:nbytes] = out
+        else:
+            out = view
+            if view is None:
+                out = bytearray(nbytes)
+                view = memoryview(out)
+            parts = split_range(offset, nbytes, n_parts, self.min_part_nbytes)
+            n_parts = len(parts)
+            futures = [
+                self._pool.submit(
+                    self._get_part_into, key, off, n,
+                    view[off - offset : off - offset + n],
+                )
+                for off, n in parts
+            ]
+            error: BaseException | None = None
+            # Each sub-range retries transient errors internally (when a
+            # policy is set), so only an *exhausted or non-retryable*
+            # part reaches this collection loop.  Collect in part order
+            # so such a failure surfaces the earliest failing sub-range
+            # deterministically; once one part fails, cancel the queued
+            # siblings and absorb the running ones rather than leaving
+            # them racing against the pool shutdown.
             for f in futures:
-                if not f.cancelled():
-                    try:
-                        f.result()
-                    except BaseException:
-                        pass
-            raise error
+                if error is not None:
+                    f.cancel()
+                    continue
+                try:
+                    f.result()
+                except BaseException as exc:
+                    error = exc
+            if error is not None:
+                for f in futures:
+                    if not f.cancelled():
+                        try:
+                            f.result()
+                        except BaseException:
+                            pass
+                raise error
         if self.autotune is not None:
-            self.autotune.record(nbytes, len(parts), time.monotonic() - t0)
+            self.autotune.record(nbytes, n_parts, time.monotonic() - t0)
+        with self._counter_lock:
+            if n_parts > 1:
+                self.n_split_fetches += 1
+            else:
+                self.n_single_fetches += 1
         return out
 
     def fetch_into(
@@ -898,65 +942,20 @@ class ParallelFetcher:
             raise ValueError(
                 f"buffer of {view.nbytes} bytes cannot hold {nbytes}-byte fetch"
             )
+        info = FetchInfo(bytes_wire=nbytes, bytes_logical=nbytes)
         if self.cache is not None:
-            # Cache interplay: the cached/evictable entry must outlive
-            # the caller's buffer, so reuse the assembled path and copy
-            # once from the (new or cached) entry into ``out``.
-            data, hit = self.fetch_with_info(key, offset, nbytes)
+            data, info.cache_hit = self.fetch_with_info(key, offset, nbytes)
             view[:nbytes] = data
-            info = FetchInfo(
-                cache_hit=hit,
-                bytes_wire=0 if hit else nbytes,
-                bytes_logical=nbytes,
-                n_copies=1,
-            )
-            with self._counter_lock:
-                self.bytes_wire += info.bytes_wire
-                self.bytes_logical += info.bytes_logical
-                self.n_copies += 1
-            return nbytes, info
-        n_parts = self._plan_parts(nbytes)
-        if self._pool is None or n_parts <= 1 or nbytes < n_parts:
-            # Single-connection fetch, still straight into the buffer.
-            t0 = time.monotonic()
-            self._get_part_into(key, offset, nbytes, view[:nbytes])
-            if self.autotune is not None:
-                self.autotune.record(nbytes, 1, time.monotonic() - t0)
-            with self._counter_lock:
-                self.bytes_wire += nbytes
-                self.bytes_logical += nbytes
-            return nbytes, FetchInfo(bytes_wire=nbytes, bytes_logical=nbytes)
-        t0 = time.monotonic()
-        parts = split_range(offset, nbytes, n_parts, self.min_part_nbytes)
-        futures = [
-            self._pool.submit(
-                self._get_part_into, key, off, n, view[off - offset : off - offset + n]
-            )
-            for off, n in parts
-        ]
-        error: BaseException | None = None
-        for f in futures:  # same deterministic collection as _fetch_direct
-            if error is not None:
-                f.cancel()
-                continue
-            try:
-                f.result()
-            except BaseException as exc:
-                error = exc
-        if error is not None:
-            for f in futures:
-                if not f.cancelled():
-                    try:
-                        f.result()
-                    except BaseException:
-                        pass
-            raise error
-        if self.autotune is not None:
-            self.autotune.record(nbytes, len(parts), time.monotonic() - t0)
+            info.n_copies = 1
+            if info.cache_hit:
+                info.bytes_wire = 0
+        else:
+            self._fetch_parts_into(key, offset, nbytes, view)
         with self._counter_lock:
-            self.bytes_wire += nbytes
-            self.bytes_logical += nbytes
-        return nbytes, FetchInfo(bytes_wire=nbytes, bytes_logical=nbytes)
+            self.bytes_wire += info.bytes_wire
+            self.bytes_logical += info.bytes_logical
+            self.n_copies += info.n_copies
+        return nbytes, info
 
     def _get_part_into(self, key: str, offset: int, nbytes: int, dest) -> None:
         dest[:] = self._get_with_retry(key, offset, nbytes)

@@ -366,6 +366,32 @@ class TestShutdownHygiene:
         assert rr.result == ref
         assert svc_threads() == []
 
+    def test_a_long_lived_service_does_not_keep_finished_runs_state(self):
+        """Every run used to leave a reduction object + stats on each
+        worker that served it, and its partials and closed fetchers on
+        the registry entry -- ~0.35 MB per job for the service's life."""
+        stores, index, spec, ref = build_env(n_tokens=1200)
+        service = BurstingService(CLUSTERS, stores)
+        try:
+            most_ctxs = 0
+            window = []
+            for _ in range(200):
+                window.append(service.submit(spec, index))
+                if len(window) == 2:  # two runs in flight, as two clients
+                    assert window.pop(0).result(timeout=30).result == ref
+                most_ctxs = max(
+                    most_ctxs, *(len(s._ctxs) for s in service._slaves)
+                )
+            assert window.pop().result(timeout=30).result == ref
+            # live runs, plus finished ones not yet swept: never one per job
+            assert most_ctxs <= 4
+            entries = list(service._runs.values())
+            assert len(entries) == 200
+            assert all(not e.robjs and not e.fetchers for e in entries)
+        finally:
+            service.shutdown()
+        assert all(not s._ctxs for s in service._slaves)
+
     @pytest.mark.skipif(
         not os.path.isdir("/dev/shm"), reason="no POSIX shm mount"
     )
