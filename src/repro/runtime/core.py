@@ -241,71 +241,6 @@ class EngineBase:
         self.stores = dict(stores)
         self.options = options
 
-    # Backwards-compatible read access to the option fields.
-    @property
-    def batch_size(self) -> int:
-        return self.options.batch_size
-
-    @property
-    def group_nbytes(self) -> int:
-        return self.options.group_nbytes
-
-    @property
-    def scheduler_factory(self) -> Callable[[list[Job]], HeadScheduler]:
-        return self.options.scheduler_factory
-
-    @property
-    def batch_fold(self) -> bool:
-        return self.options.batch_fold
-
-    @property
-    def verify_chunks(self) -> bool:
-        return self.options.verify_chunks
-
-    @property
-    def prefetch(self) -> bool:
-        return self.options.prefetch
-
-    @property
-    def chunk_cache(self) -> ChunkCache | None:
-        return self.options.chunk_cache
-
-    @property
-    def retry(self) -> RetryPolicy | None:
-        return self.options.retry
-
-    @property
-    def crash_plan(self) -> dict[str, int]:
-        return self.options.crash_plan
-
-    @property
-    def adaptive_fetch(self) -> bool:
-        return self.options.adaptive_fetch
-
-    @property
-    def min_part_nbytes(self) -> int:
-        return self.options.min_part_nbytes
-
-    @property
-    def autotune_params(self) -> AutotuneParams | None:
-        return self.options.autotune_params
-
-    @property
-    def hedge(self) -> HedgePolicy | None:
-        return self.options.hedge
-
-    @property
-    def breaker(self) -> BreakerPolicy | None:
-        return self.options.breaker
-
-    @property
-    def pushdown(self) -> str | None:
-        return self.options.pushdown
-
-    @property
-    def stripe(self) -> tuple[int, int] | None:
-        return self.options.stripe
-
     def make_health(self) -> HealthRegistry | None:
         """One shared health registry per run, or ``None`` when neither
         hedging nor breakers are configured (zero overhead path)."""
@@ -697,22 +632,11 @@ class SlaveRuntime:
         w = self.wstats
         w.retrieval_s += stall
         w.overlap_s += max(0.0, pending.fetch_s - stall)
-        w.decode_s += pending.decode_s
-        w.bytes_wire += pending.bytes_wire
-        w.bytes_logical += pending.bytes_logical
-        w.n_failovers += pending.n_failovers
-        w.n_hedges += pending.n_hedges
-        w.hedge_wins += pending.hedge_wins
-        w.n_fragments += pending.n_fragments
-        w.n_parity_decodes += pending.n_parity_decodes
         if ready:
             w.prefetch_hits += 1
         else:
             w.prefetch_misses += 1
-        if pending.cache_hit:
-            w.cache_hits += 1
-        else:
-            w.cache_misses += 1
+        account_fetch_info(w, pending.info)
         return raw
 
     def _process(self, job: Job, raw: bytes) -> None:

@@ -5,11 +5,17 @@ time into **processing**, **data retrieval**, and **sync** (barrier wait
 plus global-reduction exchange), and additionally tracks per-cluster job
 counts (Table I) and idle/global-reduction overheads (Table II).  Both
 execution engines populate these structures.
+
+The counter set is data: :class:`WorkerStats`' field list is its only
+declaration.  Every numeric field rolls up to :class:`ClusterStats` and
+on to :class:`RunStats` without being named again, and the ``*_rows()``
+tables are column lists over those names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable
 
 __all__ = ["WorkerStats", "ClusterStats", "RunStats"]
 
@@ -23,8 +29,45 @@ def _percentile(samples: list, q: float) -> float:
     return ordered[rank]
 
 
+def _counters(cls: Any) -> frozenset[str]:
+    """Names of ``cls``'s ``int``/``float`` fields: the counters that roll up.
+    The timestamp ``finished_at`` is state, not a counter (as is the flag ``failed``)."""
+    return frozenset(
+        f.name
+        for f in fields(cls)
+        if f.type in ("int", "float") and f.name != "finished_at"
+    )
+
+
+class _Ratios:
+    """The derived ratios, written once: every level has these counters."""
+
+    cache_hits: int
+    cache_misses: int
+    bytes_wire: int
+    bytes_logical: int
+    fold_s: float
+    bytes_folded: int
+
+    @property
+    def cache_hit_rate(self) -> float:
+        """Fraction of fetches served by the chunk cache."""
+        total = self.cache_hits + self.cache_misses
+        return self.cache_hits / total if total else 0.0
+
+    @property
+    def compress_ratio(self) -> float:
+        """Wire bytes per logical byte (1.0 = uncompressed, <1 = shrunk)."""
+        return self.bytes_wire / self.bytes_logical if self.bytes_logical else 1.0
+
+    @property
+    def fold_ns_per_byte(self) -> float:
+        """Fold-kernel nanoseconds per unit byte (the per-byte fold cost)."""
+        return self.fold_s * 1e9 / self.bytes_folded if self.bytes_folded else 0.0
+
+
 @dataclass
-class WorkerStats:
+class WorkerStats(_Ratios):
     """Timers accumulated by one worker (one core in the simulator)."""
 
     processing_s: float = 0.0
@@ -97,15 +140,18 @@ class WorkerStats:
     def busy_s(self) -> float:
         return self.processing_s + self.retrieval_s
 
-    @property
-    def fold_ns_per_byte(self) -> float:
-        """Fold-kernel nanoseconds per unit byte (the per-byte fold cost)."""
-        return self.fold_s * 1e9 / self.bytes_folded if self.bytes_folded else 0.0
+
+#: The stacked-bar components: a cluster reports their per-worker *mean*
+#: (Figure 3's bars); every other worker counter is a sum.
+_MEANS = frozenset("processing_s retrieval_s sync_s overlap_s ipc_s ser_s".split())
+_WORKER_COUNTERS = _counters(WorkerStats)
 
 
 @dataclass
-class ClusterStats:
-    """Aggregated view of one cluster's workers."""
+class ClusterStats(_Ratios):
+    """Aggregated view of one cluster's workers: every :class:`WorkerStats`
+    counter reads here under its own name, as the sum over ``workers`` or
+    (``_MEANS``, the stacked-bar timers) the per-worker mean."""
 
     name: str
     location: str
@@ -138,176 +184,41 @@ class ClusterStats:
     n_split_fetches: int = 0
     get_s_per_byte: dict = field(default_factory=dict)
 
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for names that are neither a field nor a property:
+        # the worker counters, rolled up on read.
+        if name not in _WORKER_COUNTERS:
+            raise AttributeError(name)
+        total = sum(getattr(w, name) for w in self.workers)
+        if name in _MEANS:
+            return total / len(self.workers) if self.workers else 0.0
+        return total
+
     @property
     def n_workers(self) -> int:
         return len(self.workers)
 
-    def _mean(self, attr: str) -> float:
-        if not self.workers:
-            return 0.0
-        return sum(getattr(w, attr) for w in self.workers) / len(self.workers)
-
-    @property
-    def processing_s(self) -> float:
-        """Mean per-worker processing time (the stacked-bar component)."""
-        return self._mean("processing_s")
-
-    @property
-    def retrieval_s(self) -> float:
-        return self._mean("retrieval_s")
-
-    @property
-    def sync_s(self) -> float:
-        return self._mean("sync_s")
-
     @property
     def total_s(self) -> float:
         """Stacked-bar total: all per-worker mean components."""
-        return (
-            self.processing_s + self.retrieval_s + self.sync_s
-            + self.ipc_s + self.ser_s
-        )
-
-    @property
-    def jobs_processed(self) -> int:
-        return sum(w.jobs_processed for w in self.workers)
-
-    @property
-    def jobs_stolen(self) -> int:
-        return sum(w.jobs_stolen for w in self.workers)
+        bars = self.processing_s + self.retrieval_s + self.sync_s
+        return bars + self.ipc_s + self.ser_s
 
     @property
     def workers_failed(self) -> int:
         return sum(1 for w in self.workers if w.failed)
 
     @property
-    def overlap_s(self) -> float:
-        """Mean per-worker fetch time hidden under processing."""
-        return self._mean("overlap_s")
-
-    @property
-    def prefetch_hits(self) -> int:
-        return sum(w.prefetch_hits for w in self.workers)
-
-    @property
-    def prefetch_misses(self) -> int:
-        return sum(w.prefetch_misses for w in self.workers)
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(w.cache_hits for w in self.workers)
-
-    @property
-    def cache_misses(self) -> int:
-        return sum(w.cache_misses for w in self.workers)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of this cluster's fetches served by the chunk cache."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    @property
-    def jobs_recovered(self) -> int:
-        return sum(w.jobs_recovered for w in self.workers)
-
-    @property
-    def recovery_s(self) -> float:
-        """Total compute time spent re-executing requeued jobs."""
-        return sum(w.recovery_s for w in self.workers)
-
-    @property
-    def ipc_s(self) -> float:
-        """Mean per-worker cross-process data-movement time."""
-        return self._mean("ipc_s")
-
-    @property
-    def ser_s(self) -> float:
-        """Mean per-worker reduction-object (de)serialization time."""
-        return self._mean("ser_s")
-
-    @property
-    def shm_nbytes(self) -> int:
-        """Total bytes this cluster moved through shared memory."""
-        return sum(w.shm_nbytes for w in self.workers)
-
-    @property
-    def bytes_wire(self) -> int:
-        """Total bytes this cluster's fetches pulled over connections."""
-        return sum(w.bytes_wire for w in self.workers)
-
-    @property
-    def bytes_logical(self) -> int:
-        """Total decoded chunk bytes this cluster's workers consumed."""
-        return sum(w.bytes_logical for w in self.workers)
-
-    @property
-    def compress_ratio(self) -> float:
-        """Wire bytes per logical byte (1.0 = uncompressed, <1 = shrunk)."""
-        return self.bytes_wire / self.bytes_logical if self.bytes_logical else 1.0
-
-    @property
-    def decode_s(self) -> float:
-        """Total codec decode time across this cluster's workers."""
-        return sum(w.decode_s for w in self.workers)
-
-    @property
-    def fold_s(self) -> float:
-        """Total fold-kernel time across this cluster's workers."""
-        return sum(w.fold_s for w in self.workers)
-
-    @property
-    def bytes_folded(self) -> int:
-        return sum(w.bytes_folded for w in self.workers)
-
-    @property
-    def n_fold_calls(self) -> int:
-        return sum(w.n_fold_calls for w in self.workers)
-
-    @property
-    def n_copies(self) -> int:
-        """Total post-reassembly buffer copies across this cluster."""
-        return sum(w.n_copies for w in self.workers)
-
-    @property
-    def fold_ns_per_byte(self) -> float:
-        """Cluster-wide fold-kernel nanoseconds per unit byte."""
-        return self.fold_s * 1e9 / self.bytes_folded if self.bytes_folded else 0.0
-
-    @property
     def effective_bw(self) -> float:
         """Best EWMA path bandwidth (bytes/s) the autotuners measured."""
-        return max(
-            (snap.get("effective_bw", 0.0) for snap in self.autotune.values()),
-            default=0.0,
-        )
-
-    @property
-    def n_failovers(self) -> int:
-        return sum(w.n_failovers for w in self.workers)
-
-    @property
-    def n_hedges(self) -> int:
-        return sum(w.n_hedges for w in self.workers)
-
-    @property
-    def hedge_wins(self) -> int:
-        return sum(w.hedge_wins for w in self.workers)
-
-    @property
-    def n_fragments(self) -> int:
-        return sum(w.n_fragments for w in self.workers)
-
-    @property
-    def n_parity_decodes(self) -> int:
-        return sum(w.n_parity_decodes for w in self.workers)
+        bws = (snap.get("effective_bw", 0.0) for snap in self.autotune.values())
+        return max(bws, default=0.0)
 
     @property
     def wasted_fragment_bytes(self) -> int:
         """Losing-fragment bytes: fetcher rollup plus DES worker counts."""
-        return self.fragments_wasted_bytes + sum(
-            w.fragments_wasted_bytes for w in self.workers
-        )
+        workers = sum(w.fragments_wasted_bytes for w in self.workers)
+        return self.fragments_wasted_bytes + workers
 
     @property
     def fetch_p95_s(self) -> float:
@@ -315,9 +226,14 @@ class ClusterStats:
         return _percentile(self.fetch_latencies, 0.95)
 
 
+_CLUSTER_COUNTERS = _WORKER_COUNTERS | _counters(ClusterStats)
+
+
 @dataclass
-class RunStats:
-    """Complete accounting for one execution."""
+class RunStats(_Ratios):
+    """Complete accounting for one execution: every counter readable on
+    :class:`ClusterStats` (the workers' and its own fetcher-fed ones)
+    reads here under the same name, as the sum over ``clusters``."""
 
     clusters: dict[str, ClusterStats] = field(default_factory=dict)
     total_s: float = 0.0              # wall-clock (sim or real) of the run
@@ -338,74 +254,14 @@ class RunStats:
     bytes_pruned: int = 0
     n_reordered: int = 0
 
-    @property
-    def jobs_processed(self) -> int:
-        return sum(c.jobs_processed for c in self.clusters.values())
-
-    @property
-    def jobs_stolen(self) -> int:
-        return sum(c.jobs_stolen for c in self.clusters.values())
-
-    @property
-    def prefetch_hits(self) -> int:
-        return sum(c.prefetch_hits for c in self.clusters.values())
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(c.cache_hits for c in self.clusters.values())
-
-    @property
-    def cache_misses(self) -> int:
-        return sum(c.cache_misses for c in self.clusters.values())
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    @property
-    def n_retries(self) -> int:
-        return sum(c.n_retries for c in self.clusters.values())
-
-    @property
-    def n_errors(self) -> int:
-        return sum(c.n_errors for c in self.clusters.values())
-
-    @property
-    def bytes_retried(self) -> int:
-        return sum(c.bytes_retried for c in self.clusters.values())
+    def __getattr__(self, name: str) -> Any:
+        if name not in _CLUSTER_COUNTERS:
+            raise AttributeError(name)
+        return sum(getattr(c, name) for c in self.clusters.values())
 
     @property
     def n_failed_workers(self) -> int:
         return sum(c.workers_failed for c in self.clusters.values())
-
-    @property
-    def n_failovers(self) -> int:
-        return sum(c.n_failovers for c in self.clusters.values())
-
-    @property
-    def n_hedges(self) -> int:
-        return sum(c.n_hedges for c in self.clusters.values())
-
-    @property
-    def hedge_wins(self) -> int:
-        return sum(c.hedge_wins for c in self.clusters.values())
-
-    @property
-    def n_breaker_skips(self) -> int:
-        return sum(c.n_breaker_skips for c in self.clusters.values())
-
-    @property
-    def n_abandoned(self) -> int:
-        return sum(c.n_abandoned for c in self.clusters.values())
-
-    @property
-    def n_fragments(self) -> int:
-        return sum(c.n_fragments for c in self.clusters.values())
-
-    @property
-    def n_parity_decodes(self) -> int:
-        return sum(c.n_parity_decodes for c in self.clusters.values())
 
     @property
     def fragments_wasted_bytes(self) -> int:
@@ -414,67 +270,18 @@ class RunStats:
     @property
     def n_breaker_transitions(self) -> int:
         """Total breaker state transitions across every store."""
-        return sum(
-            b.get("n_opened", 0) + b.get("n_half_opened", 0) + b.get("n_closed", 0)
-            for b in self.breakers.values()
-        )
+        keys = ("n_opened", "n_half_opened", "n_closed")
+        return sum(b.get(k, 0) for b in self.breakers.values() for k in keys)
 
     @property
     def fetch_p95_s(self) -> float:
         """Run-wide 95th-percentile successful-fetch latency."""
-        pooled: list = []
-        for c in self.clusters.values():
-            pooled.extend(c.fetch_latencies)
+        pooled = [s for c in self.clusters.values() for s in c.fetch_latencies]
         return _percentile(pooled, 0.95)
 
-    @property
-    def jobs_recovered(self) -> int:
-        return sum(c.jobs_recovered for c in self.clusters.values())
-
-    @property
-    def recovery_s(self) -> float:
-        return sum(c.recovery_s for c in self.clusters.values())
-
-    @property
-    def shm_nbytes(self) -> int:
-        return sum(c.shm_nbytes for c in self.clusters.values())
-
-    @property
-    def bytes_wire(self) -> int:
-        return sum(c.bytes_wire for c in self.clusters.values())
-
-    @property
-    def bytes_logical(self) -> int:
-        return sum(c.bytes_logical for c in self.clusters.values())
-
-    @property
-    def compress_ratio(self) -> float:
-        return self.bytes_wire / self.bytes_logical if self.bytes_logical else 1.0
-
-    @property
-    def decode_s(self) -> float:
-        return sum(c.decode_s for c in self.clusters.values())
-
-    @property
-    def fold_s(self) -> float:
-        return sum(c.fold_s for c in self.clusters.values())
-
-    @property
-    def bytes_folded(self) -> int:
-        return sum(c.bytes_folded for c in self.clusters.values())
-
-    @property
-    def n_fold_calls(self) -> int:
-        return sum(c.n_fold_calls for c in self.clusters.values())
-
-    @property
-    def n_copies(self) -> int:
-        return sum(c.n_copies for c in self.clusters.values())
-
-    @property
-    def fold_ns_per_byte(self) -> float:
-        """Run-wide fold-kernel nanoseconds per unit byte."""
-        return self.fold_s * 1e9 / self.bytes_folded if self.bytes_folded else 0.0
+    def _cluster_rows(self, columns: str) -> list[dict]:
+        clusters = self.clusters.values()
+        return [{"cluster": c.name, **_cells(c, columns)} for c in clusters]
 
     def breakdown_rows(self) -> list[dict]:
         """Rows for the Figure-3-style stacked breakdown.
@@ -484,21 +291,10 @@ class RunStats:
         of fetch, IPC, and compute is visible in one table (both are
         zero for the in-process engines).
         """
-        return [
-            {
-                "cluster": c.name,
-                "processing_s": round(c.processing_s, 4),
-                "retrieval_s": round(c.retrieval_s, 4),
-                "sync_s": round(c.sync_s, 4),
-                "ipc_s": round(c.ipc_s, 4),
-                "ser_s": round(c.ser_s, 4),
-                "total_s": round(c.total_s, 4),
-                "n_retries": c.n_retries,
-                "n_errors": c.n_errors,
-                "bytes_retried": c.bytes_retried,
-            }
-            for c in self.clusters.values()
-        ]
+        return self._cluster_rows(
+            "processing_s retrieval_s sync_s ipc_s ser_s total_s "
+            "n_retries n_errors bytes_retried"
+        )
 
     def ipc_rows(self) -> list[dict]:
         """Rows decomposing cross-process data movement per cluster.
@@ -509,15 +305,7 @@ class RunStats:
         ``shm_nbytes`` the bytes that crossed process boundaries through
         shared segments instead of pipes.
         """
-        return [
-            {
-                "cluster": c.name,
-                "ipc_s": round(c.ipc_s, 4),
-                "ser_s": round(c.ser_s, 4),
-                "shm_nbytes": c.shm_nbytes,
-            }
-            for c in self.clusters.values()
-        ]
+        return self._cluster_rows("ipc_s ser_s shm_nbytes")
 
     def fault_rows(self) -> list[dict]:
         """Rows decomposing fault injection and recovery per cluster.
@@ -537,32 +325,15 @@ class RunStats:
         GF/XOR decode because a data fragment lost its race or store)
         and ``wasted_frag_bytes`` (losing fragments fetched anyway).
         """
-        return [
-            {
-                "cluster": c.name,
-                "n_retries": c.n_retries,
-                "n_errors": c.n_errors,
-                "bytes_retried": c.bytes_retried,
-                "workers_failed": c.workers_failed,
-                "jobs_recovered": c.jobs_recovered,
-                "recovery_s": round(c.recovery_s, 4),
-                "n_failovers": c.n_failovers,
-                "n_hedges": c.n_hedges,
-                "hedge_wins": c.hedge_wins,
-                "n_breaker_skips": c.n_breaker_skips,
-                "n_abandoned": c.n_abandoned,
-                "n_parity_decodes": c.n_parity_decodes,
-                "wasted_frag_bytes": c.wasted_fragment_bytes,
-                "fetch_p95_ms": round(c.fetch_p95_s * 1e3, 3),
-            }
-            for c in self.clusters.values()
-        ]
+        return self._cluster_rows(
+            "n_retries n_errors bytes_retried workers_failed jobs_recovered "
+            "recovery_s n_failovers n_hedges hedge_wins n_breaker_skips "
+            "n_abandoned n_parity_decodes wasted_frag_bytes fetch_p95_ms"
+        )
 
     def breaker_rows(self) -> list[dict]:
         """Rows for the per-store health/breaker snapshot."""
-        return [
-            {"store": loc, **snap} for loc, snap in sorted(self.breakers.items())
-        ]
+        return [{"store": loc, **snap} for loc, snap in sorted(self.breakers.items())]
 
     def transfer_rows(self) -> list[dict]:
         """Rows decomposing the WAN transfer layer per cluster.
@@ -576,32 +347,10 @@ class RunStats:
         one GET vs over the range pool, and ``s_per_byte`` the observed
         per-store GET rate that decided it.
         """
-        rows = []
-        for c in self.clusters.values():
-            parts = {
-                loc: snap.get("parts") for loc, snap in sorted(c.autotune.items())
-            }
-            rows.append(
-                {
-                    "cluster": c.name,
-                    "bytes_logical": c.bytes_logical,
-                    "bytes_wire": c.bytes_wire,
-                    "compress_ratio": round(c.compress_ratio, 4),
-                    "decode_s": round(c.decode_s, 4),
-                    "effective_bw_mbps": round(c.effective_bw / 1e6, 3),
-                    "parts": parts or None,
-                    "tuner_grows": sum(
-                        s.get("n_grow", 0) for s in c.autotune.values()
-                    ),
-                    "tuner_backoffs": sum(
-                        s.get("n_backoff", 0) for s in c.autotune.values()
-                    ),
-                    "fetches_single": c.n_single_fetches,
-                    "fetches_split": c.n_split_fetches,
-                    "s_per_byte": dict(sorted(c.get_s_per_byte.items())) or None,
-                }
-            )
-        return rows
+        return self._cluster_rows(
+            "bytes_logical bytes_wire compress_ratio decode_s effective_bw_mbps "
+            "parts tuner_grows tuner_backoffs fetches_single fetches_split s_per_byte"
+        )
 
     def pushdown_rows(self) -> list[dict]:
         """One row summarizing metadata-first retrieval for the run.
@@ -612,19 +361,8 @@ class RunStats:
         (``bytes_wire + bytes_pruned``).  ``n_reordered`` counts
         surviving jobs the ``priority()`` hint moved off chunk-id order.
         """
-        would_fetch = self.bytes_wire + self.bytes_pruned
-        return [
-            {
-                "mode": self.pushdown_mode or "off",
-                "n_pruned_chunks": self.n_pruned_chunks,
-                "bytes_pruned": self.bytes_pruned,
-                "bytes_wire": self.bytes_wire,
-                "pruned_fraction": (
-                    round(self.bytes_pruned / would_fetch, 4) if would_fetch else 0.0
-                ),
-                "n_reordered": self.n_reordered,
-            }
-        ]
+        columns = "mode n_pruned_chunks bytes_pruned bytes_wire pruned_fraction n_reordered"
+        return [_cells(self, columns)]
 
     def pipeline_rows(self) -> list[dict]:
         """Rows decomposing the prefetch/cache pipeline per cluster.
@@ -637,20 +375,44 @@ class RunStats:
         count (1/chunk on the batch path), and whole-chunk buffer copies
         made after wire reassembly (0 is the zero-copy ideal).
         """
-        return [
-            {
-                "cluster": c.name,
-                "retrieval_s": round(c.retrieval_s, 4),
-                "overlap_s": round(c.overlap_s, 4),
-                "prefetch_hits": c.prefetch_hits,
-                "prefetch_misses": c.prefetch_misses,
-                "cache_hits": c.cache_hits,
-                "cache_misses": c.cache_misses,
-                "cache_hit_rate": round(c.cache_hit_rate, 4),
-                "fold_s": round(c.fold_s, 4),
-                "fold_ns_per_byte": round(c.fold_ns_per_byte, 3),
-                "n_fold_calls": c.n_fold_calls,
-                "n_copies": c.n_copies,
-            }
-            for c in self.clusters.values()
-        ]
+        return self._cluster_rows(
+            "retrieval_s overlap_s prefetch_hits prefetch_misses cache_hits "
+            "cache_misses cache_hit_rate fold_s fold_ns_per_byte n_fold_calls n_copies"
+        )
+
+
+def _tuner_sum(key: str) -> Callable[[Any], int]:
+    return lambda c: sum(snap.get(key, 0) for snap in c.autotune.values())
+
+
+#: Table columns that are not the attribute of the same name.  Every float
+#: cell is rounded to 4 places unless its column rounds tighter here.
+_COMPUTED: dict[str, Callable[[Any], Any]] = {
+    "wasted_frag_bytes": lambda c: c.wasted_fragment_bytes,
+    "fetch_p95_ms": lambda c: round(c.fetch_p95_s * 1e3, 3),
+    "fold_ns_per_byte": lambda c: round(c.fold_ns_per_byte, 3),
+    "effective_bw_mbps": lambda c: round(c.effective_bw / 1e6, 3),
+    "parts": lambda c: {
+        loc: snap.get("parts") for loc, snap in sorted(c.autotune.items())
+    } or None,
+    "tuner_grows": _tuner_sum("n_grow"),
+    "tuner_backoffs": _tuner_sum("n_backoff"),
+    "fetches_single": lambda c: c.n_single_fetches,
+    "fetches_split": lambda c: c.n_split_fetches,
+    "s_per_byte": lambda c: dict(sorted(c.get_s_per_byte.items())) or None,
+    "mode": lambda run: run.pushdown_mode or "off",
+    "pruned_fraction": lambda run: (
+        run.bytes_pruned / (run.bytes_wire + run.bytes_pruned)
+        if run.bytes_pruned else 0.0
+    ),
+}
+
+
+def _cells(source: Any, columns: str) -> dict:
+    """Render the space-separated ``columns`` of one stats object as a row."""
+    row = {}
+    for col in columns.split():
+        compute = _COMPUTED.get(col)
+        value = compute(source) if compute else getattr(source, col)
+        row[col] = round(value, 4) if isinstance(value, float) else value
+    return row

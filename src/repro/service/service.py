@@ -81,6 +81,16 @@ __all__ = ["BurstingService", "ServiceMaster", "ServiceSlave"]
 #: children on locks inherited mid-acquire.
 _RUN_PER_JOB_LOCK = threading.Lock()
 
+#: ``service_rows`` column -> the ``RunStats`` attribute it prints.
+_SERVICE_STATS = {
+    "total_s": "total_s",
+    "stolen": "jobs_stolen",
+    "workers_failed": "n_failed_workers",
+    "recovered": "jobs_recovered",
+    "requeued": "n_requeued_jobs",
+    "retries": "n_retries",
+}
+
 
 @dataclass
 class _RunEntry:
@@ -897,52 +907,26 @@ class BurstingService(EngineBase):
         service-level view -- one line per run (fault isolation visible
         per run) and the fleet totals at the bottom.
         """
-        rows: list[dict[str, Any]] = []
-        totals = {
-            "chunks": 0, "chunks_done": 0, "total_s": 0.0, "stolen": 0,
-            "workers_failed": 0, "recovered": 0, "requeued": 0, "retries": 0,
-        }
         with self._cond:
             entries = list(self._order)
-        for e in entries:
-            s = e.stats
-            row = {
+        rows: list[dict[str, Any]] = [
+            {
                 "job": e.run_id,
                 "tenant": e.tenant,
                 "state": e.handle.status().value,
                 "chunks": e.n_total,
                 "chunks_done": e.n_done,
-                "total_s": round(s.total_s, 4),
-                "stolen": s.jobs_stolen,
-                "workers_failed": s.n_failed_workers,
-                "recovered": s.jobs_recovered,
-                "requeued": s.n_requeued_jobs,
-                "retries": s.n_retries,
+                **{col: getattr(e.stats, attr) for col, attr in _SERVICE_STATS.items()},
             }
-            rows.append(row)
-            totals["chunks"] += e.n_total
-            totals["chunks_done"] += e.n_done
-            totals["total_s"] += s.total_s
-            totals["stolen"] += s.jobs_stolen
-            totals["workers_failed"] += s.n_failed_workers
-            totals["recovered"] += s.jobs_recovered
-            totals["requeued"] += s.n_requeued_jobs
-            totals["retries"] += s.n_retries
+            for e in entries
+        ]
+        summed = ("chunks", "chunks_done", *_SERVICE_STATS)
         rows.append(
-            {
-                "job": "ALL",
-                "tenant": "-",
-                "state": "-",
-                "chunks": totals["chunks"],
-                "chunks_done": totals["chunks_done"],
-                "total_s": round(totals["total_s"], 4),
-                "stolen": totals["stolen"],
-                "workers_failed": totals["workers_failed"],
-                "recovered": totals["recovered"],
-                "requeued": totals["requeued"],
-                "retries": totals["retries"],
-            }
+            {"job": "ALL", "tenant": "-", "state": "-"}
+            | {col: sum(r[col] for r in rows) for col in summed}
         )
+        for row in rows:  # round last, so ALL is the rounded sum (0.0 when empty)
+            row["total_s"] = round(float(row["total_s"]), 4)
         return rows
 
     def tenant_report(self) -> dict[str, dict[str, Any]]:

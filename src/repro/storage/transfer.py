@@ -22,6 +22,7 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.storage.autotune import AimdAutotuner
 from repro.storage.base import StorageBackend
@@ -125,40 +126,25 @@ class FetchInfo:
 class PrefetchHandle:
     """One in-flight asynchronous fetch.
 
-    ``fetch_s`` (wall seconds the fetch spent) and ``cache_hit`` are
-    populated by the background thread and are valid once ``done()``
-    returns True or ``result()`` has returned.  Chunk-aware prefetches
-    (:meth:`ParallelFetcher.fetch_chunk_async`) additionally fill
-    ``decode_s`` (frame-decode time, *separate* from ``fetch_s``) and
-    the wire/logical byte counts.
+    ``info`` is the fetch's own :class:`FetchInfo` -- the same record a
+    synchronous :meth:`ParallelFetcher.fetch_chunk` returns, so a
+    prefetched chunk is accounted exactly like a serial one -- and
+    ``fetch_s`` the wall seconds the background fetch ran, decode
+    excluded (what overlap accounting needs).  Both are written by the
+    background thread and valid once ``done()`` returns True or
+    ``result()`` has returned.
     """
 
-    __slots__ = (
-        "_future",
-        "fetch_s",
-        "cache_hit",
-        "decode_s",
-        "bytes_wire",
-        "bytes_logical",
-        "n_failovers",
-        "n_hedges",
-        "hedge_wins",
-        "n_fragments",
-        "n_parity_decodes",
-    )
+    __slots__ = ("_future", "fetch_s", "info")
 
     def __init__(self) -> None:
         self._future: Future = Future()
         self.fetch_s = 0.0
-        self.cache_hit = False
-        self.decode_s = 0.0
-        self.bytes_wire = 0
-        self.bytes_logical = 0
-        self.n_failovers = 0
-        self.n_hedges = 0
-        self.hedge_wins = 0
-        self.n_fragments = 0
-        self.n_parity_decodes = 0
+        self.info = FetchInfo()
+
+    @property
+    def cache_hit(self) -> bool:
+        return self.info.cache_hit
 
     def done(self) -> bool:
         return self._future.done()
@@ -970,33 +956,22 @@ class ParallelFetcher:
         and whether the cache served it, which the engine uses to
         account overlapped (hidden) retrieval time.
         """
-        if self._prefetch_pool is None:
-            self._prefetch_pool = ThreadPoolExecutor(
-                max_workers=self.prefetch_workers, thread_name_prefix="prefetch"
-            )
-        handle = PrefetchHandle()
 
-        def work() -> None:
-            if not handle._future.set_running_or_notify_cancel():
-                return
-            t0 = time.monotonic()
-            try:
-                data, hit = self.fetch_with_info(key, offset, nbytes)
-            except BaseException as exc:
-                handle.fetch_s = time.monotonic() - t0
-                handle._future.set_exception(exc)
-                return
-            handle.fetch_s = time.monotonic() - t0
-            handle.cache_hit = hit
-            handle._future.set_result(data)
+        def fetch() -> tuple[Buffer, FetchInfo]:
+            data, hit = self.fetch_with_info(key, offset, nbytes)
+            return data, FetchInfo(cache_hit=hit)
 
-        self._prefetch_pool.submit(work)
-        return handle
+        return self._submit_prefetch(fetch)
 
     def fetch_chunk_async(self, chunk) -> PrefetchHandle:
         """Chunk-aware :meth:`fetch_async`: decodes on the background
-        thread and fills the handle's wire/decode accounting, so decode
-        time of prefetched chunks is overlapped (and reported) too."""
+        thread and hands over the fetch's whole :class:`FetchInfo`, so
+        decode time of prefetched chunks is overlapped (and reported) too."""
+        return self._submit_prefetch(lambda: self.fetch_chunk(chunk))
+
+    def _submit_prefetch(
+        self, fetch: Callable[[], tuple[Buffer, FetchInfo]]
+    ) -> PrefetchHandle:
         if self._prefetch_pool is None:
             self._prefetch_pool = ThreadPoolExecutor(
                 max_workers=self.prefetch_workers, thread_name_prefix="prefetch"
@@ -1008,21 +983,13 @@ class ParallelFetcher:
                 return
             t0 = time.monotonic()
             try:
-                data, info = self.fetch_chunk(chunk)
+                data, info = fetch()
             except BaseException as exc:
                 handle.fetch_s = time.monotonic() - t0
                 handle._future.set_exception(exc)
                 return
             handle.fetch_s = time.monotonic() - t0 - info.decode_s
-            handle.cache_hit = info.cache_hit
-            handle.decode_s = info.decode_s
-            handle.bytes_wire = info.bytes_wire
-            handle.bytes_logical = info.bytes_logical
-            handle.n_failovers = info.n_failovers
-            handle.n_hedges = info.n_hedges
-            handle.hedge_wins = info.hedge_wins
-            handle.n_fragments = info.n_fragments
-            handle.n_parity_decodes = info.n_parity_decodes
+            handle.info = info
             handle._future.set_result(data)
 
         self._prefetch_pool.submit(work)

@@ -11,6 +11,7 @@ from repro.apps.wordcount import WordCountSpec, wordcount_exact
 from repro.data.dataset import distribute_dataset, write_dataset
 from repro.data.formats import points_format, tokens_format
 from repro.data.generator import generate_points, generate_tokens
+from repro.runtime import make_engine
 from repro.runtime.engine import ClusterConfig, ThreadedEngine, _Master
 from repro.runtime.jobs import jobs_from_index
 from repro.runtime.scheduler import HeadScheduler
@@ -93,6 +94,34 @@ class TestPrefetchCorrectness:
         assert row["cluster"] == "cloud"
         assert row["prefetch_hits"] + row["prefetch_misses"] > 0
         assert row["cache_misses"] == rr.stats.jobs_processed
+
+    @pytest.mark.parametrize("codec", ["zlib", "shuffle"])
+    @pytest.mark.parametrize("engine", ["threaded", "actor"])
+    def test_n_copies_independent_of_prefetch(self, tokens, engine, codec):
+        """Every coded chunk is inflated exactly once, prefetched or not:
+        the prefetch hop must carry the fetch's whole accounting."""
+        stores = latency_stores(0.0)
+        idx = write_dataset(
+            tokens, tokens_format(), stores["local"], n_files=6,
+            chunk_units=200, codec=codec,
+        )
+        idx = distribute_dataset(
+            idx, stores, {"local": 0.5, "cloud": 0.5}, stores["local"]
+        )
+        clusters = [
+            ClusterConfig("local", "local", 2),
+            ClusterConfig("cloud", "cloud", 1),
+        ]
+        for prefetch in (False, True):
+            rr = make_engine(engine, clusters, stores, prefetch=prefetch).run(
+                WordCountSpec(), idx
+            )
+            assert rr.result == wordcount_exact(tokens)
+            assert rr.stats.jobs_processed == len(idx.chunks)
+            assert rr.stats.n_copies == rr.stats.jobs_processed, (
+                f"{engine}/{codec}/prefetch={prefetch}"
+            )
+            assert rr.stats.bytes_logical == tokens.nbytes
 
 
 class TestChunkCache:
