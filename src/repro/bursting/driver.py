@@ -187,8 +187,8 @@ def run_threaded_bursting(
     ``"threaded"`` (default), ``"process"`` (one OS process per slave,
     shared-memory data handoff), or ``"actor"`` (message-passing over
     explicit channels); every engine accepts every option, as they all
-    run the same shared slave runtime.  ``prefetch`` double-buffers the
-    workers; ``chunk_cache`` (a :class:`~repro.storage.cache.ChunkCache`)
+    run the same shared slave runtime.  ``prefetch`` makes the workers
+    read ahead of their fold; ``chunk_cache`` (a :class:`~repro.storage.cache.ChunkCache`)
     serves repeat fetches from memory.  ``retry`` (a
     :class:`~repro.storage.retry.RetryPolicy`) and ``crash_plan``
     (worker name -> jobs before an injected crash) exercise the fault

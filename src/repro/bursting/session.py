@@ -42,8 +42,8 @@ _MB = 1 << 20
 class BurstingSession:
     """Holds a distributed dataset plus an engine, for repeated passes.
 
-    ``prefetch=True`` double-buffers every worker (fetch of job N+1
-    overlapped with processing of job N); ``cache_mb`` adds a session-
+    ``prefetch=True`` makes every worker read ahead (the next two jobs'
+    fetches overlap the processing of job N); ``cache_mb`` adds a session-
     wide byte-budgeted :class:`ChunkCache`, so an iterative workload
     fetches each remote chunk once and every later pass hits the cache
     (see :attr:`cache` / :meth:`cache_stats`).

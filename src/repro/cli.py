@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of dataset bytes stored locally (0..1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prefetch", action="store_true",
-                   help="pipeline each core: fetch job N+1 under compute of job N")
+                   help="pipeline each core: fetch the next two jobs under compute of job N")
     p.add_argument("--cache-mb", type=float, default=0.0,
                    help="per-cluster chunk-cache budget in MB (0 = no cache)")
     p.add_argument("--iterations", type=int, default=1,
@@ -123,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "options below")
     p.add_argument("--prefetch", action=argparse.BooleanOptionalAction,
                    default=None,
-                   help="double-buffer every worker: fetch job N+1 while "
-                        "processing job N (process engine defaults to on)")
+                   help="every worker reads two jobs ahead of the one it is "
+                        "processing (process engine defaults to on)")
     p.add_argument("--cache-mb", type=float, default=0.0,
                    help="chunk-cache budget in MB shared by all fetchers "
                         "(0 = no cache)")

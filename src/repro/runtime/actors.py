@@ -271,7 +271,7 @@ class _MasterActor(threading.Thread):
                 self.stores,
                 self.cluster,
                 cache=opts.chunk_cache,
-                prefetch_workers=max(1, self.cluster.n_workers),
+                prefetch=opts.prefetch,
                 retry=opts.retry,
                 adaptive_fetch=opts.adaptive_fetch,
                 min_part_nbytes=opts.min_part_nbytes,

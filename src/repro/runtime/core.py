@@ -15,10 +15,11 @@ code, factored so each engine contributes only its control plane:
   process engines) and the channel-based master actor implement it; the
   port owns drain-awareness, so an empty refill is never latched as
   "done" while requeue-able jobs are outstanding.
-* :class:`SlaveRuntime` -- the per-worker loop: synchronous and
-  pipelined-prefetch fetch paths, decode/fold with group iteration, the
-  full :class:`WorkerStats` accounting (retrieval/decode/overlap/stall/
-  cache/prefetch/stolen/recovered), crash injection, and
+* :class:`SlaveRuntime` -- the per-worker loop: synchronous fetch or a
+  read-ahead window of in-flight fetches, decode/fold with group
+  iteration, the full :class:`WorkerStats` accounting (retrieval/
+  decode/overlap/stall/cache/prefetch/stolen/recovered), crash
+  injection, and
   requeue-and-preserve-robj failure containment.  Every engine that
   executes folds in-process runs exactly this loop; the process engine's
   feeder reuses its fetch-accounting steps across the process boundary.
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol
 
@@ -65,6 +67,7 @@ from repro.storage.transfer import (
 )
 
 __all__ = [
+    "READAHEAD",
     "ClusterConfig",
     "RunResult",
     "EngineOptions",
@@ -79,6 +82,16 @@ __all__ = [
     "finalize_timing",
     "finalize_run",
 ]
+
+
+#: Chunk fetches a prefetching worker keeps in flight while it folds.
+#: One (a double buffer) hides retrieval only under a fold that takes
+#: at least as long; a retrieval-bound worker then still idles through
+#: every fetch, one stream at a time.  Two keep the link busy while the
+#: worker waits on the older one; a third measured no faster on the
+#: suite's WAN (the aggregate cap is the floor) and each costs another
+#: decoded chunk of memory per worker.  The DES imports it.
+READAHEAD = 2
 
 
 @dataclass(frozen=True)
@@ -254,7 +267,7 @@ def make_cluster_fetchers(
     cluster: ClusterConfig,
     *,
     cache: ChunkCache | None = None,
-    prefetch_workers: int = 1,
+    prefetch: bool = False,
     retry: RetryPolicy | None = None,
     adaptive_fetch: bool = False,
     min_part_nbytes: int = DEFAULT_MIN_PART_NBYTES,
@@ -263,6 +276,12 @@ def make_cluster_fetchers(
     hedge: HedgePolicy | None = None,
 ) -> dict[str, ParallelFetcher]:
     """One fetcher per data location for one cluster.
+
+    Each fetcher has room for every chunk fetch the cluster's workers
+    can have in flight at once -- one per worker, or :data:`READAHEAD`
+    per worker when they ``prefetch`` -- at ``retrieval_threads``
+    connections each, so neither a sibling worker's fetch nor a
+    worker's own second read-ahead queues behind the first.
 
     With ``adaptive_fetch`` every (cluster, location) path gets its own
     AIMD autotuner replacing the fixed ``retrieval_threads`` fan-out --
@@ -275,6 +294,7 @@ def make_cluster_fetchers(
     :class:`~repro.storage.health.HealthRegistry`) and ``hedge`` flow to
     every fetcher.
     """
+    chunks_in_flight = max(1, cluster.n_workers) * (READAHEAD if prefetch else 1)
     fetchers: dict[str, ParallelFetcher] = {}
     for loc, store in stores.items():
         autotune = None
@@ -287,7 +307,7 @@ def make_cluster_fetchers(
             store,
             cluster.retrieval_threads,
             cache=cache,
-            prefetch_workers=prefetch_workers,
+            chunks_in_flight=chunks_in_flight,
             retry=retry,
             autotune=autotune,
             min_part_nbytes=min_part_nbytes,
@@ -504,16 +524,24 @@ def account_overlap(
 class SlaveRuntime:
     """The per-worker loop, identical for every in-process engine.
 
-    Pulls jobs through a :class:`MasterPort`, fetches chunk bytes
-    (synchronously, or double-buffered when ``options.prefetch``),
+    Pulls jobs through a :class:`MasterPort`, fetches chunk bytes,
     decodes and folds unit groups into this worker's reduction object,
     and accounts every second and byte in :class:`WorkerStats`.
+
+    With ``options.prefetch`` the worker reads ahead: before every fold
+    it reserves jobs (non-blocking) until :data:`READAHEAD` of them have
+    their fetch in flight, folds the current chunk, then waits for the
+    *oldest* reserved one -- so chunks fold in the order they were
+    reserved, and a retrieval-bound worker always has that many streams
+    open instead of idling on one.  The run's first job takes the same
+    route.  Without it the window is empty and each job is fetched on
+    the worker's own thread.
 
     Fault semantics are part of the loop, not the engine: the
     crash-injection plan raises :class:`WorkerCrash` at the configured
     job count, and both injected crashes and retry-exhausted fetches are
-    *contained* -- the worker's in-flight jobs (current and
-    reserved-next) go back to the head through the port, its partially
+    *contained* -- the worker's in-flight jobs (the current one and the
+    whole window) go back to the head through the port, its partially
     folded reduction object is preserved (it holds exactly the jobs it
     completed, so folding it plus re-executing the requeued jobs yields
     each job exactly once), and the run continues on the survivors.
@@ -557,6 +585,8 @@ class SlaveRuntime:
         )
         self._jobs_done = 0
         self._robj: ReductionObject | None = None
+        #: Reserved jobs whose fetch is in flight, oldest first.
+        self._window: deque[tuple[Job, PrefetchHandle]] = deque()
 
     # -- per-run context hooks -----------------------------------------------
     #
@@ -589,20 +619,22 @@ class SlaveRuntime:
     def _before_complete(self, job: Job) -> None:
         """Per-job hook invoked just before the port learns of completion."""
 
-    def _mark_failed(self, inflight: list[Job | None]) -> None:
+    def _stale(self, job: Job, handle: PrefetchHandle) -> bool:
+        """True when the window's oldest job must not be folded after all
+        (the hook has then absorbed ``handle`` and consumed the job)."""
+        del job, handle
+        return False
+
+    def _mark_failed(self, inflight: list[Job]) -> None:
         """Record this worker's death in the stats it was feeding."""
         del inflight
         self.wstats.failed = True
         self.wstats.finished_at = time.monotonic() - self.t_start
 
-    def _on_fatal(
-        self,
-        exc: BaseException,
-        inflight: list[Job | None],
-        pending: PrefetchHandle | None,
-    ) -> None:
+    def _on_fatal(self, exc: BaseException, cur_job: Job | None) -> None:
         """Handle a non-recoverable error (fail the whole run fast)."""
-        del inflight, pending
+        del cur_job
+        self._abandon_window()
         self.errors.append(exc)
         self.stop.set()  # fail fast: abort every other worker promptly
 
@@ -682,26 +714,42 @@ class SlaveRuntime:
             w.jobs_recovered += 1
             w.recovery_s += elapsed
 
-    def _contain_failure(
-        self,
-        inflight: list[Job | None],
-        pending: PrefetchHandle | None,
-    ) -> None:
+    def _read_ahead(self, depth: int) -> None:
+        """Reserve jobs and start their fetches until ``depth`` are in flight."""
+        while len(self._window) < depth:
+            job = self.port.reserve_next()
+            if job is None:
+                return
+            self._start_fetch(job)
+
+    def _start_fetch(self, job: Job) -> None:
+        fetcher = self._fetchers_for(job)[job.location]
+        self._window.append((job, fetcher.fetch_chunk_async(job.chunk)))
+
+    def _abandon_window(self) -> list[Job]:
+        """Empty the window: every fetch cancelled or absorbed, its jobs
+        returned (they are still outstanding at the head)."""
+        jobs = []
+        while self._window:
+            job, handle = self._window.popleft()
+            handle.cancel()
+            jobs.append(job)
+        return jobs
+
+    def _contain_failure(self, cur_job: Job | None) -> None:
         """Absorb this worker's death without aborting the run.
 
-        The worker's in-flight jobs (current and reserved-next) return
-        to the head for reassignment; if it was its cluster's last
-        worker, the master's pooled jobs go back too.  The partially
-        folded reduction object is preserved.
+        The worker's in-flight jobs (the current one and every reserved
+        one) return to the head for reassignment; if it was its
+        cluster's last worker, the master's pooled jobs go back too.
+        The partially folded reduction object is preserved.
         """
-        if pending is not None:
-            pending.cancel()
-        requeue: list[Job] = []
-        for j in inflight:
-            if j is not None and all(j.job_id != q.job_id for q in requeue):
-                requeue.append(j)
-        requeue.extend(self.port.worker_died())
-        self.port.requeue(requeue)
+        inflight = self._abandon_window()
+        # While its fetch is awaited the current job is still the
+        # window's oldest entry: requeue it once.
+        if cur_job is not None and all(j is not cur_job for j in inflight):
+            inflight.insert(0, cur_job)
+        self.port.requeue(inflight + self.port.worker_died())
         self._mark_failed(inflight)
         self._emit_robjs()
 
@@ -709,58 +757,46 @@ class SlaveRuntime:
 
     def run(self) -> None:
         """Process jobs until the run drains, containing recoverable faults."""
-        pending: PrefetchHandle | None = None
-        # Containment bookkeeping: the job being fetched/processed and
-        # the reserved-next job whose prefetch is in flight.  Both are
-        # outstanding at the head until completed, so both must be
-        # requeued if this worker dies.
+        depth = READAHEAD if self.options.prefetch else 0
+        window = self._window
+        # The job being awaited or folded.  It and every job in the
+        # window are outstanding at the head until completed, so all of
+        # them must be requeued if this worker dies.
         cur_job: Job | None = None
-        next_job: Job | None = None
         self._open_run()
         try:
             while not self.stop.is_set():
-                cur_job = self.port.get_job()
-                if cur_job is None:
-                    break
-                if self.options.prefetch:
-                    # Pipelined path: the first fetch is unavoidably
-                    # serial; every later fetch overlaps the previous
-                    # job's compute.  When the reserve runs dry the
-                    # outer loop re-checks the head, so jobs requeued by
-                    # a late failure are still picked up.
-                    self._maybe_crash()
-                    raw = self._fetch_now(cur_job)
-                    while cur_job is not None and not self.stop.is_set():
-                        self._maybe_crash()
-                        next_job = self.port.reserve_next()
-                        if next_job is not None:
-                            pending = self._fetchers_for(next_job)[
-                                next_job.location
-                            ].fetch_chunk_async(next_job.chunk)
-                        self._process(cur_job, raw)
+                if not window:
+                    # Nothing reserved: block at the head, which also
+                    # picks up jobs requeued by a late failure.
+                    cur_job = self.port.get_job()
+                    if cur_job is None:
+                        break
+                    if depth:
+                        self._start_fetch(cur_job)
+                        self._read_ahead(depth)
+                if window:
+                    cur_job, handle = window[0]
+                    if self._stale(cur_job, handle):
+                        window.popleft()
                         cur_job = None
-                        if next_job is None:
-                            break
-                        raw = self._await_prefetch(pending, next_job)
-                        pending = None
-                        cur_job, next_job = next_job, None
+                        continue
+                    raw = self._await_prefetch(handle, cur_job)
+                    window.popleft()
                 else:
-                    # Serial path: fetch then process, one job at a time.
-                    self._maybe_crash()
                     raw = self._fetch_now(cur_job)
-                    self._process(cur_job, raw)
-                    cur_job = None
+                self._read_ahead(depth)
+                self._maybe_crash()
+                self._process(cur_job, raw)
+                cur_job = None
+            self._abandon_window()  # stopped early: the run is over
             self.wstats.finished_at = time.monotonic() - self.t_start
             self._emit_robjs()
         except (WorkerCrash, RetryExhausted):
             # Recoverable: this worker is lost, the run is not.
-            self._contain_failure([cur_job, next_job], pending)
-            pending = None
+            self._contain_failure(cur_job)
         except BaseException as exc:  # surfaced by the engine's run()
-            self._on_fatal(exc, [cur_job, next_job], pending)
-        finally:
-            if pending is not None:
-                pending.cancel()
+            self._on_fatal(exc, cur_job)
 
 
 # -- shared run epilogue ------------------------------------------------------

@@ -6,8 +6,8 @@ shared head scheduler, fetch chunk byte ranges (multi-threaded) from
 whichever store holds them, fold unit groups into per-worker reduction
 objects, and the head performs the final global reduction.
 
-The per-worker loop itself -- synchronous and pipelined-prefetch fetch
-paths, decode/fold, stats accounting, crash injection and containment --
+The per-worker loop itself -- synchronous fetch or a read-ahead window,
+decode/fold, stats accounting, crash injection and containment --
 lives in :class:`repro.runtime.core.SlaveRuntime` and is shared with the
 other engines; this module contributes only the threaded control plane:
 per-cluster :class:`LockMaster` instances refilling worker threads from
@@ -16,10 +16,12 @@ the shared head scheduler under a lock, and the shared
 
 Two data-pipeline optimizations sit on the fetch path:
 
-* **prefetching** (``prefetch=True``): a worker reserves job *N+1* from
-  its master before processing job *N* and retrieves its bytes on a
-  background thread, overlapping data movement with computation (the
-  double-buffered slave of data-cloud engines like Sector/Sphere);
+* **prefetching** (``prefetch=True``): before folding job *N* a worker
+  reserves the next ``READAHEAD`` (two) jobs from its master and
+  retrieves their bytes on background threads, overlapping data
+  movement with computation and -- when retrieval is the bottleneck --
+  keeping the link busy while it waits (the transport of data-cloud
+  engines like Sector/Sphere keeps the pipe full the same way);
 * a **chunk cache** (``chunk_cache=...``): a shared byte-budgeted LRU
   consulted before any store traffic, so iterative workloads re-reading
   the same remote chunks pay the retrieval cost once.
@@ -35,8 +37,9 @@ The engine is fault tolerant on the WAN fetch path:
   a flaky link costs latency, not correctness;
 * **worker-crash containment**: a worker killed by the crash-injection
   plan (``crash_plan``) or whose fetch exhausts its retries no longer
-  aborts the run.  Its in-flight job goes back to the head via
-  :meth:`HeadScheduler.reassign` and is re-executed by a survivor,
+  aborts the run.  Its in-flight jobs (the current one and every one it
+  had reserved) go back to the head via
+  :meth:`HeadScheduler.reassign` and are re-executed by survivors,
   while its partially-folded reduction object -- which already holds
   every job it *completed* -- is preserved and included in the global
   reduction (the cheap robj-checkpoint recovery the Generalized
@@ -111,6 +114,10 @@ class ThreadedEngine(EngineBase):
         fetchers: dict[str, dict[str, ParallelFetcher]] = {}
         errors: list[BaseException] = []
         stop = threading.Event()
+        # Workers pull their first job only once every thread exists: a
+        # worker that starts early fetches without ever blocking, and
+        # could drain a small run before its siblings are created.
+        fleet_up = threading.Event()
 
         for cluster in self.clusters:
             master = LockMaster(
@@ -124,7 +131,7 @@ class ThreadedEngine(EngineBase):
                 self.stores,
                 cluster,
                 cache=opts.chunk_cache,
-                prefetch_workers=max(1, cluster.n_workers),
+                prefetch=opts.prefetch,
                 retry=opts.retry,
                 adaptive_fetch=opts.adaptive_fetch,
                 min_part_nbytes=opts.min_part_nbytes,
@@ -150,10 +157,13 @@ class ThreadedEngine(EngineBase):
                     errors=errors,
                     stop=stop,
                 )
+
+                def work(runtime: SlaveRuntime = runtime) -> None:
+                    fleet_up.wait()
+                    runtime.run()
+
                 threads.append(
-                    threading.Thread(
-                        target=runtime.run, name=runtime.name, daemon=True
-                    )
+                    threading.Thread(target=work, name=runtime.name, daemon=True)
                 )
 
         # While the workers fold side by side, each gets its share of
@@ -161,6 +171,7 @@ class ThreadedEngine(EngineBase):
         with BLAS_BUDGET.threads(len(threads)):
             for th in threads:
                 th.start()
+            fleet_up.set()
             for th in threads:
                 th.join()
         return finalize_run(

@@ -79,8 +79,11 @@ class WorkerStats(_Ratios):
     failed: bool = False        # worker died before the run finished
     # Pipelined-retrieval accounting.  With prefetching, ``retrieval_s``
     # counts only the *stall* (time the worker actually waited for data);
-    # ``overlap_s`` is the fetch time hidden under processing, so
-    # retrieval_s + overlap_s recovers the serial engine's retrieval bar.
+    # ``overlap_s`` is the fetch time that ran hidden -- under processing
+    # or, with more than one fetch in flight, under another fetch: it is
+    # hidden *fetch-seconds* and may exceed wall time.  retrieval_s +
+    # overlap_s recovers the sum of fetch times (the serial engine's
+    # retrieval bar when fetches do not contend).
     overlap_s: float = 0.0
     prefetch_hits: int = 0      # prefetched data ready before it was needed
     prefetch_misses: int = 0    # worker stalled waiting for the prefetch
@@ -367,8 +370,9 @@ class RunStats(_Ratios):
     def pipeline_rows(self) -> list[dict]:
         """Rows decomposing the prefetch/cache pipeline per cluster.
 
-        ``retrieval_s`` is the residual stall, ``overlap_s`` the fetch
-        time hidden under computation; their sum is what a serial
+        ``retrieval_s`` is the residual stall, ``overlap_s`` the
+        fetch-seconds hidden under computation or under each other;
+        their sum is the run's total fetch time, what a serial
         (non-pipelined) run would have shown as its retrieval bar.
         ``fold_ns_per_byte``/``n_fold_calls``/``n_copies`` expose the
         decode-to-fold hot path: per-byte kernel cost, kernel dispatch

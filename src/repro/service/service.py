@@ -311,26 +311,34 @@ class ServiceSlave(SlaveRuntime):
         ctx = self._ctxs[job.run_id]
         ctx.wstats.finished_at = time.monotonic() - ctx.entry.t0
 
-    def _mark_failed(self, inflight: list[Job | None]) -> None:
+    def _stale(self, job: Job, handle: PrefetchHandle) -> bool:
+        # A run cancelled or failed after this worker reserved the job
+        # gets no more folds; the assignment still has to be consumed
+        # (only after the fetch is out of the run's fetchers) so the run
+        # can drain.
+        if self.service._job_live(job):
+            return False
+        handle.cancel()
+        self.service._discard_job(job)
+        return True
+
+    def _mark_failed(self, inflight: list[Job]) -> None:
         # Attribute this worker's death to the run(s) whose assignments
         # it was holding; close out its clock in every run it served.
         for j in inflight:
-            if j is not None:
-                self._ctx(j).wstats.failed = True
+            self._ctx(j).wstats.failed = True
         now = time.monotonic()
         for ctx in self._ctxs.values():
             ctx.wstats.finished_at = now - ctx.entry.t0
 
-    def _on_fatal(
-        self,
-        exc: BaseException,
-        inflight: list[Job | None],
-        pending: PrefetchHandle | None,
-    ) -> None:
-        del pending  # cancelled by the caller's ``finally``
-        self.service._fail_worker_jobs(
-            exc, [j for j in inflight if j is not None]
-        )
+    def _on_fatal(self, exc: BaseException, cur_job: Job | None) -> None:
+        # The error belongs to the job being fetched or folded: fail its
+        # run, and let the stale check drop that run's reserved jobs.
+        # Other runs' entries stay in the window and are folded when the
+        # loop is re-entered.
+        self.service._fail_worker_jobs(exc, [] if cur_job is None else [cur_job])
+        if self._window and self._window[0][0] is cur_job:
+            self._window.popleft()[1].cancel()  # it was the fetch that raised
         self._resume = True  # the worker survives; only the run failed
 
     def run(self) -> None:
@@ -515,7 +523,7 @@ class BurstingService(EngineBase):
                     self.stores,
                     cluster,
                     cache=opts.chunk_cache,
-                    prefetch_workers=max(1, cluster.n_workers),
+                    prefetch=opts.prefetch,
                     retry=opts.retry,
                     adaptive_fetch=opts.adaptive_fetch,
                     min_part_nbytes=opts.min_part_nbytes,

@@ -18,10 +18,10 @@ The accounting mirrors the paper exactly:
 The threaded engine's data-pipeline optimizations are modelled here with
 the same policies and accounting (so sweeps can quantify the win):
 
-* ``prefetch=True`` runs each core pipelined -- the fetch of job *N+1*
-  proceeds as its own simulated flow while job *N* computes, and
-  ``retrieval_s`` records only the residual stall (``overlap_s`` the
-  hidden fetch time);
+* ``prefetch=True`` runs each core pipelined -- the fetches of the
+  next ``READAHEAD`` jobs (the live runtime's constant) proceed as their
+  own simulated flows while job *N* computes, and ``retrieval_s``
+  records only the residual stall (``overlap_s`` the hidden fetch time);
 * ``cache_nbytes``/``caches`` give each cluster a byte-budgeted
   :class:`~repro.storage.cache.ChunkCache` (size-only placeholders): a
   hit skips the storage/WAN links entirely, so a warmed cache makes
@@ -36,6 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.data.index import DataIndex
+from repro.runtime.core import READAHEAD
 from repro.runtime.jobs import Job, jobs_from_index  # noqa: F401 (re-export)
 from repro.runtime.pushdown import plan_jobs
 from repro.runtime.scheduler import HeadScheduler
@@ -531,34 +532,56 @@ def _pipelined_worker_proc(
     stripe: tuple[int, int] | None = None,
     store_stalls: dict | None = None,
 ):
-    """One simulated core with double-buffered prefetching.
+    """One simulated core reading ahead of its compute.
 
-    Mirrors the threaded engine's pipelined worker loop exactly: the
-    core reserves job *N+1* from its master before processing job *N*
-    and runs its fetch as a concurrent simulated process, so the fetch
-    occupies the storage/WAN links while the core occupies its CPU.
-    ``retrieval_s`` records only the residual stall; ``overlap_s`` the
-    fetch time hidden under computation (their sum is the serial
-    engine's retrieval bar).
+    Mirrors the live :class:`~repro.runtime.core.SlaveRuntime` loop: the
+    core reserves jobs from its master until
+    :data:`~repro.runtime.core.READAHEAD` fetches are in flight -- each
+    its own simulated process, occupying the storage/WAN links while
+    the core occupies its CPU -- computes the current job, then waits
+    for the *oldest* reserved fetch.  The first job takes the same
+    route.  ``retrieval_s`` records only the residual stall;
+    ``overlap_s`` the fetch-seconds hidden under computation or under
+    each other.
 
     A finite ``fail_at_s`` kills the core at that instant, matching the
     serial worker's failure semantics: every job it holds uncompleted
-    (the one being computed *and* the reserved, prefetching next job)
+    (the one being computed *and* every reserved, prefetching one)
     returns to the head for reassignment; completed jobs stay folded
     into the preserved reduction object.
     """
+    # Reserved jobs, oldest first: (job, fetch-done event, fetch info).
+    window: deque[tuple[Job, Event, dict]] = deque()
 
-    def die(jobs):
-        requeued = False
+    def die(cur_job: Job | None = None):
+        # The orphaned fetch processes keep draining their links; they
+        # never touch the scheduler, so reassigning their jobs is safe.
+        jobs = [j for j, _, _ in window]
+        if cur_job is not None:
+            jobs.insert(0, cur_job)
         for j in jobs:
-            if j is not None:
-                master.scheduler.reassign(j)
-                requeued = True
-        if requeued:
+            master.scheduler.reassign(j)
+        if jobs:
             for m in master.peers:
                 m.reopen()
         wstats.failed = True
         wstats.finished_at = fail_at_s
+
+    def start_fetch(job: Job) -> None:
+        info: dict = {}
+        done = env.process(
+            _fetch_gen(env, net, topo, cluster, job, cache, wstats, info,
+                       tracer, worker_name, transfer, tuners, stripe,
+                       store_stalls)
+        )
+        window.append((job, done, info))
+
+    def read_ahead():
+        while len(window) < READAHEAD:
+            job = yield from master.get_job()
+            if job is None:
+                return
+            start_fetch(job)
 
     def compute(job: Job):
         """Returns True if the job completed, False if the core died."""
@@ -579,52 +602,33 @@ def _pipelined_worker_proc(
         master.complete(job, wstats, env.now - t0)
         return True
 
-    job = yield from master.get_job()
-    if job is None:
-        wstats.finished_at = env.now
-        return
-    # The first fetch is unavoidably serial.
-    info: dict = {}
-    yield from _fetch_gen(env, net, topo, cluster, job, cache, wstats,
-                          info, tracer, worker_name, transfer, tuners,
-                          stripe, store_stalls)
-    if env.now > fail_at_s:
-        die([job])
-        return
-    wstats.retrieval_s += info["fetch_s"] - info["decode_s"]
     while True:
-        next_job = yield from master.get_job()
-        prefetch_done: Event | None = None
-        next_info: dict = {}
-        if next_job is not None:
-            # The orphaned fetch process keeps draining its links if the
-            # core dies mid-compute; it never touches the scheduler, so
-            # reassigning next_job below stays safe.
-            prefetch_done = env.process(
-                _fetch_gen(env, net, topo, cluster, next_job, cache, wstats,
-                           next_info, tracer, worker_name, transfer, tuners,
-                           stripe, store_stalls)
-            )
-        completed = yield from compute(job)
-        if not completed:
-            die([job, next_job])
-            return
-        if next_job is None:
-            break
-        if prefetch_done.triggered:
+        if not window:
+            job = yield from master.get_job()
+            if job is None:
+                break
+            start_fetch(job)
+            yield from read_ahead()
+        job, fetched, info = window[0]
+        if fetched.triggered:
             wstats.prefetch_hits += 1
             stall = 0.0
         else:
             wstats.prefetch_misses += 1
             t_wait = env.now
-            yield prefetch_done
+            yield fetched
             stall = env.now - t_wait
         if env.now > fail_at_s:
-            die([next_job])
+            die()
             return
+        window.popleft()
         wstats.retrieval_s += stall
-        wstats.overlap_s += max(0.0, next_info["fetch_s"] - stall)
-        job = next_job
+        wstats.overlap_s += max(0.0, info["fetch_s"] - stall)
+        yield from read_ahead()
+        completed = yield from compute(job)
+        if not completed:
+            die(job)
+            return
     wstats.finished_at = env.now
 
 
@@ -703,12 +707,12 @@ def simulate_run(
     :class:`~repro.sim.multisite.MultiSiteTopology`) for other layouts,
     and ``site_sigmas`` to override per-site variability.
 
-    ``prefetch=True`` pipelines every core (double-buffered fetch of job
-    N+1 under the compute of job N); ``cache_nbytes`` gives each cluster
-    a byte-budgeted chunk cache, or pass ``caches`` (e.g. the previous
+    ``prefetch=True`` pipelines every core (the next ``READAHEAD`` jobs'
+    fetches run under the compute of job N); ``cache_nbytes`` gives each
+    cluster a byte-budgeted chunk cache, or pass ``caches`` (e.g. the previous
     iteration's :attr:`SimRunResult.caches`) to start warmed.  Prefetch
-    composes with ``failures`` (a dying pipelined core returns both its
-    current and its reserved-next job to the head, matching the live
+    composes with ``failures`` (a dying pipelined core returns its
+    current and every reserved job to the head, matching the live
     engine's crash containment) and with ``stragglers``; it cannot be
     combined with ``speculation``, because the pipelined worker has no
     backup-copy protocol -- a reserved-next job is owned by exactly one

@@ -11,8 +11,8 @@ the engines' data pipeline:
 * an optional :class:`~repro.storage.cache.ChunkCache` consulted before
   any store traffic (cross-iteration reuse);
 * :meth:`ParallelFetcher.fetch_async`, which runs a whole fetch on a
-  background thread so a worker can overlap the retrieval of its *next*
-  job with the processing of the current one (double buffering).
+  background thread so a worker can overlap the retrieval of the jobs it
+  has reserved with the processing of the current one (read-ahead).
 """
 
 from __future__ import annotations
@@ -165,13 +165,19 @@ class PrefetchHandle:
 class ParallelFetcher:
     """Fetch byte ranges from a store with up to ``n_threads`` connections.
 
-    ``n_threads`` is a ceiling: every store GET is timed into the
-    store's :class:`~repro.storage.base.StorageStats`, and a range is
-    split only while that evidence says splitting pays
+    ``n_threads`` is the ceiling on connections *per fetch*: every store
+    GET is timed into the store's :class:`~repro.storage.base.StorageStats`,
+    and a range is split only while that evidence says splitting pays
     (:meth:`_plan_parts`).  ``cache`` (a shared :class:`ChunkCache`)
-    short-circuits fetches of ranges already resident;
-    ``prefetch_workers`` sizes the background pool serving
-    :meth:`fetch_async` (lazily created on first use).
+    short-circuits fetches of ranges already resident.
+
+    ``chunks_in_flight`` is how many fetches the owner drives at once
+    (workers sharing the fetcher x each worker's read-ahead).  Both
+    pools are sized from it, so one fetch never queues behind another:
+    the background pool serving :meth:`fetch_async` holds that many
+    threads, and the range pool that many x (``n_threads`` - 1) --
+    the thread driving a fetch runs the first sub-range itself.  Both
+    spawn threads on demand, so an idle allowance costs nothing.
 
     ``retry`` (a :class:`~repro.storage.retry.RetryPolicy`) makes every
     store ``get`` -- including each parallel sub-range -- retry
@@ -199,7 +205,7 @@ class ParallelFetcher:
         n_threads: int = 1,
         *,
         cache: ChunkCache | None = None,
-        prefetch_workers: int = 1,
+        chunks_in_flight: int = 1,
         retry: RetryPolicy | None = None,
         autotune: AimdAutotuner | None = None,
         min_part_nbytes: int = DEFAULT_MIN_PART_NBYTES,
@@ -208,12 +214,12 @@ class ParallelFetcher:
     ) -> None:
         if n_threads <= 0:
             raise ValueError("n_threads must be positive")
-        if prefetch_workers <= 0:
-            raise ValueError("prefetch_workers must be positive")
+        if chunks_in_flight <= 0:
+            raise ValueError("chunks_in_flight must be positive")
         self.store = store
         self.n_threads = n_threads
         self.cache = cache
-        self.prefetch_workers = prefetch_workers
+        self.chunks_in_flight = chunks_in_flight
         self.retry = retry
         self.autotune = autotune
         self.min_part_nbytes = min_part_nbytes
@@ -247,12 +253,15 @@ class ParallelFetcher:
         self.fetch_latencies: list[float] = []
         self._counter_lock = threading.Lock()
         self._hedge_pool: ThreadPoolExecutor | None = None
-        pool_workers = n_threads
+        max_parts = n_threads
         if autotune is not None:
-            pool_workers = max(pool_workers, autotune.params.max_parts)
+            max_parts = max(max_parts, autotune.params.max_parts)
         self._pool = (
-            ThreadPoolExecutor(max_workers=pool_workers, thread_name_prefix="fetch")
-            if pool_workers > 1
+            ThreadPoolExecutor(
+                max_workers=chunks_in_flight * (max_parts - 1),
+                thread_name_prefix="fetch",
+            )
+            if max_parts > 1
             else None
         )
         self._prefetch_pool: ThreadPoolExecutor | None = None
@@ -851,7 +860,9 @@ class ParallelFetcher:
         without it the store's own ``bytes`` are returned for a single
         GET and a fresh ``bytearray`` for a split one.  Each sub-range
         GET writes its slice in place, so there is no reassembly
-        ``join`` -- a full extra copy of every parallel fetch.
+        ``join`` -- a full extra copy of every parallel fetch.  The
+        calling thread fetches the first sub-range itself and only the
+        others go to the range pool.
         """
         n_parts = self._plan_parts(nbytes)
         t0 = time.monotonic()
@@ -872,16 +883,22 @@ class ParallelFetcher:
                     self._get_part_into, key, off, n,
                     view[off - offset : off - offset + n],
                 )
-                for off, n in parts
+                for off, n in parts[1:]
             ]
             error: BaseException | None = None
             # Each sub-range retries transient errors internally (when a
             # policy is set), so only an *exhausted or non-retryable*
             # part reaches this collection loop.  Collect in part order
-            # so such a failure surfaces the earliest failing sub-range
-            # deterministically; once one part fails, cancel the queued
-            # siblings and absorb the running ones rather than leaving
-            # them racing against the pool shutdown.
+            # (this thread's own part is the first) so such a failure
+            # surfaces the earliest failing sub-range deterministically;
+            # once one part fails, cancel the queued siblings and absorb
+            # the running ones rather than leaving them racing against
+            # the pool shutdown.
+            off, n = parts[0]
+            try:
+                self._get_part_into(key, off, n, view[:n])
+            except BaseException as exc:
+                error = exc
             for f in futures:
                 if error is not None:
                     f.cancel()
@@ -974,7 +991,7 @@ class ParallelFetcher:
     ) -> PrefetchHandle:
         if self._prefetch_pool is None:
             self._prefetch_pool = ThreadPoolExecutor(
-                max_workers=self.prefetch_workers, thread_name_prefix="prefetch"
+                max_workers=self.chunks_in_flight, thread_name_prefix="prefetch"
             )
         handle = PrefetchHandle()
 

@@ -16,6 +16,7 @@ from repro.bursting.session import BurstingSession
 from repro.data.formats import points_format, tokens_format
 from repro.data.generator import generate_points, generate_tokens
 from repro.data.index import build_index
+from repro.runtime.core import READAHEAD
 from repro.runtime.engine import _Master, ClusterConfig
 from repro.runtime.jobs import jobs_from_index
 from repro.runtime.scheduler import HeadScheduler
@@ -138,8 +139,9 @@ class TestWorkerCrash:
         assert rr.stats.jobs_processed == n_jobs
 
     def test_crash_with_prefetch_requeues_reserved_job(self, points):
-        """A pipelined worker holds two outstanding jobs (current +
-        reserved next); both must come back."""
+        """A pipelined worker holds its current job and a window of
+        reserved ones; all of them must come back, each once
+        (tests/runtime/test_readahead.py scripts the exact interleaving)."""
         clean = make_session(points).run(
             KMeansSpec(generate_points(3, 4, seed=81))
         )
@@ -151,6 +153,8 @@ class TestWorkerCrash:
             rr.result.centroids, clean.result.centroids
         )
         assert rr.stats.n_failed_workers == 1
+        assert 1 <= rr.stats.n_requeued_jobs <= 1 + READAHEAD
+        assert rr.stats.jobs_recovered == rr.stats.n_requeued_jobs
         n_jobs = len(jobs_from_index(session.index))
         assert rr.stats.jobs_processed == n_jobs
 

@@ -4,8 +4,11 @@ import pytest
 
 from repro.bursting.config import EnvironmentConfig
 from repro.bursting.driver import paper_index, simulate_environment
+from repro.runtime.core import READAHEAD
+from repro.sim import simrun
 from repro.sim.calibration import APP_PROFILES, ResourceParams
 from repro.sim.simrun import FailureSpec, StragglerSpec, simulate_run
+from repro.sim.trace import Tracer
 
 
 GB = 1 << 30
@@ -44,8 +47,50 @@ class TestSimPrefetch:
     def test_prefetch_counters(self):
         res = simulate_environment("knn", env(), prefetch=True)
         for c in res.stats.clusters.values():
-            # Each worker pays one serial first fetch; the rest pipeline.
-            assert c.prefetch_hits + c.prefetch_misses == c.jobs_processed - c.n_workers
+            # Every job, each worker's first included, is awaited out of
+            # the window.
+            assert c.prefetch_hits + c.prefetch_misses == c.jobs_processed
+
+    def test_second_readahead_pays_when_wan_bound(self, monkeypatch):
+        """All data behind the WAN, knn's fold a fraction of its fetch:
+        one stream per core leaves the link idle, a second one fills it
+        (the live engine's ``knn-hybrid-wan`` moves the same way).  The
+        compute-bound app gains nothing from the second stream."""
+        wan = env(local=4, cloud=0, frac=0.0)
+
+        def total_s(app, window):
+            monkeypatch.setattr(simrun, "READAHEAD", window)
+            return simulate_environment(app, wan, prefetch=True).total_s
+
+        assert total_s("knn", 2) < 0.75 * total_s("knn", 1)
+        assert total_s("kmeans", 2) == pytest.approx(total_s("kmeans", 1), rel=0.01)
+
+    def test_window_never_exceeds_readahead(self, monkeypatch):
+        """Instrumented fetches: a core never has more than READAHEAD in
+        flight, and consumes them in the order it reserved them."""
+        live: dict[str, int] = {}
+        peak: dict[str, int] = {}
+        started: dict[str, list[int]] = {}
+        real_fetch = simrun._fetch_gen
+
+        def counting_fetch(env_, net, topo, cluster, job, cache, wstats, info,
+                           tracer, worker_name, *rest):
+            live[worker_name] = live.get(worker_name, 0) + 1
+            peak[worker_name] = max(peak.get(worker_name, 0), live[worker_name])
+            started.setdefault(worker_name, []).append(job.job_id)
+            yield from real_fetch(env_, net, topo, cluster, job, cache, wstats,
+                                  info, tracer, worker_name, *rest)
+            live[worker_name] -= 1
+
+        monkeypatch.setattr(simrun, "_fetch_gen", counting_fetch)
+        tracer = Tracer()
+        res = run_sim("knn", env(local=2, cloud=2), prefetch=True, tracer=tracer)
+        assert max(peak.values()) == READAHEAD
+        assert sum(len(ids) for ids in started.values()) == res.stats.jobs_processed
+        for worker, ids in started.items():
+            computed = [s.job_id for s in tracer.spans
+                        if s.worker == worker and s.kind == "compute"]
+            assert computed == ids  # FIFO: fold order == reserve order
 
     def test_prefetch_deterministic(self):
         a = simulate_environment("knn", env(), seed=4, prefetch=True)
@@ -53,8 +98,9 @@ class TestSimPrefetch:
         assert a.total_s == b.total_s
 
     def test_prefetch_composes_with_failures(self):
-        """Pipelined workers die cleanly: their in-flight and prefetched
-        jobs are reassigned and every job still completes exactly once."""
+        """Pipelined workers die cleanly: their in-flight job and their
+        whole window are reassigned and every job still completes
+        exactly once."""
         baseline = run_sim("knn", env())
         res = run_sim(
             "knn", env(), prefetch=True,
@@ -62,8 +108,9 @@ class TestSimPrefetch:
         )
         assert res.stats.jobs_processed == baseline.stats.jobs_processed
         assert res.stats.n_failed_workers == 1
-        assert res.stats.n_requeued_jobs >= 1
-        assert res.stats.jobs_recovered >= 1
+        # the job in hand, if any, plus everything the core had reserved
+        assert 1 <= res.stats.n_requeued_jobs <= 1 + READAHEAD
+        assert res.stats.jobs_recovered == res.stats.n_requeued_jobs
 
     def test_prefetch_failures_deterministic(self):
         kwargs = dict(

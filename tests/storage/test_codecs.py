@@ -1,6 +1,7 @@
 """Chunk codec frames: round-trips, fallbacks, and corruption handling."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -14,6 +15,8 @@ from repro.storage.codecs import (
     CODECS,
     HEADER_NBYTES,
     CodecError,
+    _shuffle_bytes,
+    _unshuffle_bytes,
     decode_chunk,
     encode_chunk,
     frame_info,
@@ -71,6 +74,23 @@ class TestRoundTrip:
         z = encode_chunk(raw, "zlib", fmt.unit_nbytes)
         s = encode_chunk(raw, "shuffle", fmt.unit_nbytes)
         assert len(s) < len(z) < len(raw)
+
+    @pytest.mark.parametrize("transpose", [_shuffle_bytes, _unshuffle_bytes])
+    def test_transposing_whole_units_allocates_one_buffer(self, transpose):
+        """Chunks are whole units: the byte transpose is the only
+        chunk-sized allocation.  Appending the (empty) ragged tail costs
+        nothing only because ``bytes + b""`` returns its left operand;
+        an in-flight chunk's memory is counted on that."""
+        fmt = points_format(32)
+        raw = fmt.encode(units_for(fmt, 4096, seed=2))  # 1 MB
+        tracemalloc.start()
+        try:
+            out = transpose(raw, fmt.unit_nbytes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == len(raw)
+        assert peak <= 1.05 * len(raw)
 
     def test_identity_is_header_plus_raw(self):
         raw = b"x" * 100

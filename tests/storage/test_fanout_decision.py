@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.core import rollup_fetcher_stats
+from repro.runtime.core import ClusterConfig, make_cluster_fetchers, rollup_fetcher_stats
 from repro.runtime.stats import ClusterStats, RunStats
 from repro.storage import transfer
 from repro.storage.autotune import AimdAutotuner, AutotuneParams
@@ -26,6 +26,7 @@ from repro.storage.faults import TransientStorageError
 from repro.storage.local import MemoryStore
 from repro.storage.retry import RetryExhausted, RetryPolicy
 from repro.storage.transfer import ParallelFetcher
+from tests.gated import WAIT_S, GatedStore
 
 MB = 1_000_000
 BLOB = bytes(range(256)) * (2 * MB // 256)  # one 2 MB object, like a k-means chunk
@@ -256,6 +257,53 @@ class TestAccounting:
                 assert info.fetch_s == pytest.approx(get_s) and info.decode_s == 0.0
             assert fetcher.fetch_latencies == pytest.approx([get_s] * 3)
         assert store.stats.snapshot()["n_rate_samples"] == 3
+
+
+class TestPools:
+    """``retrieval_threads`` is connections *per chunk fetch*; the pools
+    hold every fetch the cluster's workers can have in flight."""
+
+    @pytest.mark.parametrize("n_workers,prefetch", [(2, False), (1, True)])
+    def test_two_fetches_of_two_parts_put_four_gets_on_the_wire(
+        self, n_workers, prefetch
+    ):
+        """Whether they are two workers' fetches or one worker's
+        read-ahead.  (One two-thread range pool shared by the whole
+        cluster used to run them two at a time.)"""
+        store = GatedStore()
+        store.put("a", BLOB)
+        store.put("b", BLOB)
+        cluster = ClusterConfig("c", "local", n_workers, retrieval_threads=2)
+        (fetcher,) = make_cluster_fetchers(
+            {"local": store}, cluster, prefetch=prefetch
+        ).values()
+        got = {}
+        if prefetch:
+            handles = {k: fetcher.fetch_async(k) for k in "ab"}
+            fetch = {k: h.result for k, h in handles.items()}
+        else:
+            fetch = {k: (lambda k=k: fetcher.fetch(k)) for k in "ab"}
+        waiters = [
+            threading.Thread(target=lambda k=k: got.update({k: fetch[k]()}))
+            for k in "ab"
+        ]
+        for th in waiters:
+            th.start()
+        assert sorted(store.wait_parked(4)) == ["a", "a", "b", "b"]
+        store.open_all()
+        for th in waiters:
+            th.join(WAIT_S)
+        assert {k: bytes(v) for k, v in got.items()} == {"a": BLOB, "b": BLOB}
+        fetcher.close()
+
+    def test_the_calling_thread_fetches_the_first_part_itself(self, clock):
+        store = wan_store(clock)
+        callers = []
+        get = store.get
+        store.get = lambda *a: (callers.append(threading.current_thread()), get(*a))[1]
+        with ParallelFetcher(store, n_threads=3) as fetcher:
+            assert fetcher.fetch("o") == BLOB
+        assert len(callers) == 3 and callers.count(threading.current_thread()) == 1
 
 
 @settings(max_examples=60, deadline=None)
