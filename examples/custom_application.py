@@ -59,8 +59,10 @@ class ColumnStatsSpec(GeneralizedReductionSpec):
     def global_reduction(self, robjs):
         # Moments merge by addition, extremes by maximum: do both blocks
         # explicitly instead of relying on one elementwise op.
-        result = robjs[0]
-        for other in robjs[1:]:
+        # Into a fresh object: the inputs are the workers' own and are
+        # read again after this call.
+        result = self.create_reduction_object()
+        for other in robjs:
             result.data[:3] += other.data[:3]
             np.maximum(result.data[3:], other.data[3:], out=result.data[3:])
         return result

@@ -77,10 +77,15 @@ class PageRankSpec(GeneralizedReductionSpec):
         self.local_reduction(robj, units)
 
     def finalize(self, robj: ReductionObject) -> np.ndarray:
-        incoming = robj.value()
         dangling = float(self.ranks[self.outdeg == 0].sum())
         n = self.n_pages
-        return (1.0 - self.damping) / n + self.damping * (incoming + dangling / n)
+        # One output buffer, updated in place (``robj`` is not touched):
+        # the object is n_pages floats, and each temporary of that size
+        # is a fresh block of pages to fault in.
+        out = robj.value() + dangling / n
+        out *= self.damping
+        out += (1.0 - self.damping) / n
+        return out
 
     compute_s_per_unit = 8.0e-8  # low-to-medium computation per edge
 

@@ -83,12 +83,13 @@ class GeneralizedReductionSpec(abc.ABC):
         The default pairwise-merge suits any commutative/associative
         ``merge``; applications may override (e.g. to renormalize).
 
-        The merge folds into a *fresh* identity object, never into a
-        caller-owned one: per-worker objects survive the global
-        reduction intact, which the stats and fault-recovery paths rely
-        on (they inspect worker objects afterwards), and which lets
-        process engines merge objects whose payloads alias read-only
-        shared memory.
+        Contract, for the default and for every override: the inputs
+        are **read-only** and the result is a **fresh** object that
+        shares no memory with any of them.  The runtimes hand worker
+        objects in as they are -- no defensive copy, possibly aliasing
+        shared memory that is unlinked right after -- and read them
+        again afterwards (the stats and fault-recovery paths inspect
+        worker objects), and ``RunResult.robj`` outlives them all.
         """
         result = self.create_reduction_object()
         for other in robjs:
@@ -191,46 +192,57 @@ def tree_global_reduction(
     robjs: Sequence[ReductionObject],
     max_workers: int = 4,
 ) -> ReductionObject:
-    """Parallel tree-merge of reduction objects (default merge only).
+    """Tree-merge of reduction objects (default merge only).
 
     Where the sequential left-fold performs ``n-1`` dependent merges,
     the tree performs ``ceil(log2 n)`` rounds of independent pairwise
-    merges, each into a fresh identity object.  Pair merges of one round
-    run concurrently on a thread pool -- the heavy merges are numpy
-    ufuncs that release the GIL, so wide reductions (many workers, large
-    objects) finish in logarithmic critical-path time.  Inputs are never
-    mutated, so objects whose payloads alias (possibly read-only) shared
-    memory merge safely.
+    merges.  The first round merges each pair into a fresh identity
+    object, so the inputs are never mutated (they may alias read-only
+    shared memory) and the result never aliases one of them -- not even
+    for 0 or 1 inputs; every round above it merges into its left
+    operand, which by then is an object this function made.  A large
+    object pays for its pages once: ``n`` inputs cost ``n // 2`` fresh
+    objects, not ``n - 1``.
+
+    A round with several pairs runs them on a thread pool -- the heavy
+    merges are numpy ufuncs that release the GIL; a round with one pair
+    (every round of a two-input merge) runs on the calling thread.
 
     Callers should check :func:`uses_default_global_reduction` first and
     defer to ``spec.global_reduction`` when it is overridden.
     """
     if len(robjs) <= 1:
-        # Fold through a fresh identity even for 0/1 inputs so the
-        # result never aliases a caller-owned (or shared-memory) object.
         result = spec.create_reduction_object()
         for other in robjs:
             result.merge(other)
         return result
 
-    def merge_pair(a: ReductionObject, b: ReductionObject) -> ReductionObject:
-        out = spec.create_reduction_object()
-        out.merge(a)
-        out.merge(b)
-        return out
+    owned = False  # are this round's left operands ours to merge into?
+
+    def merge_pair(pair: Sequence[ReductionObject]) -> ReductionObject:
+        left, right = pair
+        if not owned:
+            fresh = spec.create_reduction_object()
+            fresh.merge(left)
+            left = fresh
+        left.merge(right)
+        return left
 
     from concurrent.futures import ThreadPoolExecutor
 
     level = list(robjs)
+    # The pool starts a thread only when something is submitted to it.
     with ThreadPoolExecutor(
         max_workers=max(1, max_workers), thread_name_prefix="tree-merge"
     ) as pool:
         while len(level) > 1:
-            pairs = [
-                (level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)
-            ]
-            carry = [level[-1]] if len(level) % 2 else []
-            level = list(pool.map(lambda p: merge_pair(*p), pairs)) + carry
+            pairs = [level[i : i + 2] for i in range(0, len(level) - 1, 2)]
+            # The odd one out stays rightmost, so a caller's object is
+            # only ever a right operand.
+            carry = level[2 * len(pairs) :]
+            run_round = pool.map if len(pairs) > 1 else map
+            level = list(run_round(merge_pair, pairs)) + carry
+            owned = True
     return level[0]
 
 

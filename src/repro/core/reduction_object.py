@@ -19,6 +19,7 @@ therefore be commutative and associative over objects produced by
 from __future__ import annotations
 
 import abc
+import copy
 from typing import Any, Callable
 
 import numpy as np
@@ -36,7 +37,13 @@ class ReductionObject(abc.ABC):
 
     @abc.abstractmethod
     def merge(self, other: "ReductionObject") -> None:
-        """Fold ``other`` into ``self`` (in place)."""
+        """Fold ``other`` into ``self`` (in place).
+
+        ``other`` is only read, and ``self`` keeps no reference into its
+        mutable state afterwards (copy what is retained): the runtimes
+        merge worker objects that alias shared memory into the object
+        they hand out, then drop that memory.
+        """
 
     @abc.abstractmethod
     def copy_empty(self) -> "ReductionObject":
@@ -185,7 +192,8 @@ class TopKReductionObject(ReductionObject):
             raise TypeError("can only merge a matching TopKReductionObject")
         if self.k != other.k:
             raise ValueError("cannot merge top-k objects with different k")
-        self.update_batch(other._scores, other._payloads)
+        # Copies: a retained payload must not alias ``other``'s.
+        self.update_batch(other._scores, [copy.copy(p) for p in other._payloads])
 
     def copy_empty(self) -> "TopKReductionObject":
         return TopKReductionObject(self.k, self.largest, self.entry_nbytes)

@@ -44,6 +44,7 @@ from repro.runtime.core import (
     LockMaster,
     RunResult,
     SlaveRuntime,
+    finalize_result,
     finalize_timing,
     make_cluster_fetchers,
     rollup_fetcher_stats,
@@ -404,4 +405,4 @@ class ActorEngine(EngineBase):
                 (w.finished_at for w in cstats.workers), default=0.0
             )
         finalize_timing(stats)
-        return RunResult(spec.finalize(head.final), stats, head.final)
+        return finalize_result(spec, head.final, stats)

@@ -43,9 +43,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol
 
-from repro.core.api import GeneralizedReductionSpec, supports_batch_fold
+from repro.core.api import (
+    GeneralizedReductionSpec,
+    supports_batch_fold,
+    uses_default_global_reduction,
+)
 from repro.core.reduction_object import ReductionObject
-from repro.core.serialization import deserialize_robj, serialize_robj
+from repro.core.serialization import serialized_nbytes
 from repro.data.index import DataIndex
 from repro.data.redundancy import normalize_stripe
 from repro.data.units import iter_unit_groups
@@ -81,6 +85,7 @@ __all__ = [
     "rollup_fetcher_stats",
     "finalize_timing",
     "finalize_run",
+    "finalize_result",
 ]
 
 
@@ -864,11 +869,25 @@ def finalize_run(
 
     Rolls fetcher fault/autotune state into the cluster stats, surfaces
     worker errors and undrained schedulers, performs the per-cluster
-    combine, ships each cluster's reduction object as real serialized
-    bytes (paying the cluster's link latency), runs the global
-    reduction, and fills the idle/sync accounting.  ``combine``
-    overrides the merge (the process engine's parallel tree); the
-    default is the spec's own ``global_reduction``.
+    combine, charges each cluster's upload (its real serialized size
+    and the cluster's link latency), runs the global reduction, fills
+    the idle/sync accounting and times ``spec.finalize``.  ``combine``
+    overrides the merge (the process engine's tree); the default is the
+    spec's own ``global_reduction``.
+
+    What is copied when -- the engines and the head share one address
+    space, so the reduction object is only *moved* where the answer
+    needs it: a cluster whose single surviving worker holds its whole
+    object uploads that object as it is; a cluster of several merges
+    them into one fresh object; the head merges the uploads into one
+    more fresh object, which is the only one handed out.  The upload is
+    sized by streaming the pickle through a counting writer (the bytes a
+    wire would carry, and an unpicklable object still raises here)
+    without materializing it.  Three ownership rules follow: a worker's
+    object is never written to; ``RunResult.robj`` shares no memory with
+    any worker's object (nor with the shared memory behind it); a spec
+    that overrides ``global_reduction`` is called for every cluster and
+    once at the head, exactly as written, and its answer stands.
     """
     for cluster in clusters:
         rollup_fetcher_stats(stats.clusters[cluster.name], fetchers[cluster.name])
@@ -887,6 +906,8 @@ def finalize_run(
         )
     if combine is None:
         combine = spec.global_reduction
+    # Only the default merge is known to be the identity on one input.
+    lone_is_whole = uses_default_global_reduction(spec)
 
     # Per-cluster combination, then inter-cluster global reduction.
     for cstats in stats.clusters.values():
@@ -898,14 +919,15 @@ def finalize_run(
     for cluster in clusters:
         cstats = stats.clusters[cluster.name]
         robjs = cluster_robjs[cluster.name]
-        merged = combine(robjs) if robjs else spec.create_reduction_object()
-        # Ship real serialized bytes, as the wire would carry them.
+        if len(robjs) == 1 and lone_is_whole:
+            merged = robjs[0]
+        else:
+            merged = combine(robjs) if robjs else spec.create_reduction_object()
         t0 = time.monotonic()
-        payload = serialize_robj(merged)
+        cstats.robj_nbytes = serialized_nbytes(merged)
         if cluster.link_latency_s > 0:
             time.sleep(cluster.link_latency_s)
-        uploads.append(deserialize_robj(payload))
-        cstats.robj_nbytes = len(payload)
+        uploads.append(merged)
         cstats.robj_transfer_s = time.monotonic() - t0
     final = combine(uploads)
     t_end = time.monotonic()
@@ -913,4 +935,18 @@ def finalize_run(
     stats.total_s = t_end - t_start
     stats.global_reduction_s = t_end - t_reduce0
     finalize_timing(stats)
-    return RunResult(spec.finalize(final), stats, final)
+    return finalize_result(spec, final, stats)
+
+
+def finalize_result(
+    spec: GeneralizedReductionSpec, final: ReductionObject, stats: RunStats
+) -> RunResult:
+    """Run ``spec.finalize`` on the merged object, timed as ``finalize_s``.
+
+    It runs after ``total_s`` is stamped (the run's wall ends with the
+    global reduction), so this is the only place its cost is recorded.
+    """
+    t0 = time.monotonic()
+    result = spec.finalize(final)
+    stats.finalize_s = time.monotonic() - t0
+    return RunResult(result, stats, final)

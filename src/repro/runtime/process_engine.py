@@ -25,6 +25,16 @@ epilogue -- only the data plane changes:
   worker cores instead of serializing in the parent's feeders.  No
   per-chunk pickle of payloads ever crosses a pipe; the task message is
   a few dozen bytes.
+* **a run reuses its segments.**  A segment whose chunk the worker has
+  acknowledged goes back to the run's :class:`SharedSegmentPool` and
+  carries a later chunk, and a worker maps each segment name once and
+  keeps it mapped: a run creates about one segment per chunk in flight
+  (``shm_segments`` counts them), not one per chunk, so neither side
+  pays an ``shm_open`` + ``mmap`` and a page fault per page for every
+  chunk.  A segment is leased again only when nobody can still read
+  it: after its ``done``, when its worker crashed (a crashed worker
+  skips the job messages still queued for it), or when the run is
+  being abandoned and its result discarded.
 * **one feeder thread per worker** pulls jobs from the master and keeps
   up to two fetches in flight, so data movement overlaps worker compute
   (the double-buffered slave of the shared
@@ -32,20 +42,24 @@ epilogue -- only the data plane changes:
   boundary -- the feeder shares the core's fetch-accounting helpers).
 * **reduction objects return via pickle protocol-5 out-of-band
   buffers** (:func:`~repro.core.serialization.serialize_robj_oob`):
-  the worker sends a tiny metadata pickle, the parent allocates one
+  the worker sends a tiny metadata pickle, the parent leases one
   segment for the payload buffers, the worker copies them in, and the
   parent reconstructs the object aliasing the segment -- numpy-backed
   objects cross the boundary with a single copy, dict-backed ones fall
   back to in-band bytes automatically.
-* **global reduction is a parallel tree-merge**
+* **global reduction is a tree-merge**
   (:func:`~repro.core.api.tree_global_reduction`) instead of a
   sequential left-fold, unless the spec overrides
-  ``global_reduction`` (then its implementation is authoritative).
+  ``global_reduction`` (then its implementation is authoritative).  The
+  shared epilogue only reads the workers' objects (they alias the
+  segments above) and hands out an object of its own, so the segments
+  can go the moment it returns.
 
 Lifecycle: the parent creates *and* unlinks every shared-memory segment
 through one :class:`SharedSegmentPool`; workers only attach and close.
-``run()`` verifies the pool is empty on success and force-releases it on
-every error path, so no ``/dev/shm`` entry outlives a run -- including
+``run()`` verifies nothing is still leased on success and closes the
+pool -- leased and parked segments alike -- on every path, so no
+``/dev/shm`` entry outlives a run -- including
 runs where a worker was killed by the crash-injection plan
 (``crash_plan``, same containment semantics as the threaded engine: the
 partial reduction object is preserved, in-flight jobs are requeued).
@@ -110,7 +124,28 @@ __all__ = ["ProcessEngine"]
 # -- worker-process side ------------------------------------------------------
 
 
-def _ship_robj(task_q, result_q, robj, status: str, crashed_job_id) -> None:
+class _Mappings(dict):
+    """A worker's open mappings, one per segment name it was ever sent.
+
+    The parent recycles its segments within a run, so the same few names
+    come back chunk after chunk: mapping each once saves an ``shm_open``
+    + ``mmap`` + ``munmap`` per chunk and, more to the point, the page
+    faults of reading through a brand-new mapping every time.
+    """
+
+    def __missing__(self, name: str):
+        shm = self[name] = attach_segment(name)
+        return shm
+
+    def close(self) -> None:
+        for shm in self.values():
+            close_quietly(shm)
+        self.clear()
+
+
+def _ship_robj(
+    task_q, result_q, robj, status: str, crashed_job_id, mappings: _Mappings
+) -> None:
     """Send this worker's reduction object to the parent, zero-copy.
 
     Protocol: put the ``("robj", ...)`` header carrying the in-band
@@ -118,7 +153,8 @@ def _ship_robj(task_q, result_q, robj, status: str, crashed_job_id) -> None:
     ``("ship", segment_name | None)``; copy the buffers into the
     segment; acknowledge with ``("shipped", copy_s)``.  Any ``("job",
     ...)`` messages that raced a crash are skipped here -- the parent
-    requeues those jobs, so processing them would break exactly-once.
+    requeues those jobs, so processing them would break exactly-once
+    (and it is what lets the parent reuse their segments at once).
     """
     t0 = time.monotonic()
     meta, buffers = serialize_robj_oob(robj)
@@ -133,12 +169,11 @@ def _ship_robj(task_q, result_q, robj, status: str, crashed_job_id) -> None:
     seg_name = msg[1]
     t0 = time.monotonic()
     if seg_name is not None:
-        shm = attach_segment(seg_name)
+        shm = mappings[seg_name]
         offset = 0
         for buf in buffers:
             shm.buf[offset : offset + buf.nbytes] = buf
             offset += buf.nbytes
-        close_quietly(shm)
     result_q.put(("shipped", time.monotonic() - t0))
 
 
@@ -163,8 +198,8 @@ def _fold_chunk(
 
     Isolated in a function so every view into the mapping (the frame
     payload, the decoded unit array, the last group slice) dies on
-    return, letting the caller close the segment without numpy pinning
-    the pages.
+    return: the parent overwrites the segment with a later chunk once
+    this one is acknowledged, and the mapping must close cleanly at exit.
 
     Returns ``(decode_s, fold_s, bytes_folded, n_fold_calls)``.
     """
@@ -200,33 +235,33 @@ def _worker_main(
     """Slave process: decode shared-memory chunks, fold, ship the robj."""
     robj = spec.create_reduction_object()
     jobs_done = 0
+    mappings = _Mappings()
     try:
         while True:
             msg = task_q.get()
             if msg[0] == "finish":
-                _ship_robj(task_q, result_q, robj, "ok", None)
+                _ship_robj(task_q, result_q, robj, "ok", None, mappings)
                 return
             _, job_id, seg_name, nbytes, encoded = msg
             if crash_after is not None and jobs_done >= crash_after:
                 raise WorkerCrash(
                     f"injected crash in {name} after {jobs_done} jobs", job_id
                 )
-            shm = attach_segment(seg_name)
-            try:
-                decode_s, fold_s, bytes_folded, n_folds = _fold_chunk(
-                    spec, fmt, group_units, robj, shm, nbytes, encoded, batch_fold
-                )
-            finally:
-                close_quietly(shm)
+            decode_s, fold_s, bytes_folded, n_folds = _fold_chunk(
+                spec, fmt, group_units, robj, mappings[seg_name], nbytes,
+                encoded, batch_fold,
+            )
             jobs_done += 1
             result_q.put(
                 ("done", job_id, decode_s, fold_s, bytes_folded, n_folds)
             )
     except WorkerCrash as exc:
         crashed_job_id = exc.args[1] if len(exc.args) > 1 else None
-        _ship_robj(task_q, result_q, robj, "crashed", crashed_job_id)
+        _ship_robj(task_q, result_q, robj, "crashed", crashed_job_id, mappings)
     except BaseException:
         result_q.put(("error", traceback.format_exc()))
+    finally:
+        mappings.close()
 
 
 # -- parent side --------------------------------------------------------------
@@ -262,7 +297,8 @@ class ProcessEngine(EngineBase):
     fetch-then-compute.  ``start_method`` picks the multiprocessing
     start method (default ``fork`` where available -- workers are forked
     before any engine thread starts, so the fork is safe);
-    ``merge_threads`` bounds the parallel tree-merge width.
+    ``merge_threads`` bounds how many pair merges of one tree round run
+    side by side.
     """
 
     def __init__(self, clusters, stores, *, options=None, **kwargs) -> None:
@@ -398,8 +434,8 @@ class ProcessEngine(EngineBase):
                 combine=lambda robjs: self._combine(spec, robjs),
                 health=health,
             )
-            # Every merge folded into fresh objects; the worker robjs
-            # (and their shared-memory backing) are no longer needed.
+            # The result never aliases a worker's object, so the worker
+            # robjs (and their shared-memory backing) can go.
             for entries in cluster_entries.values():
                 for _, seg in entries:
                     if seg is not None:
@@ -421,7 +457,7 @@ class ProcessEngine(EngineBase):
     def _combine(
         self, spec: GeneralizedReductionSpec, robjs: list[ReductionObject]
     ) -> ReductionObject:
-        """Global reduction: parallel tree for the default merge."""
+        """Global reduction: the tree for the default merge."""
         if uses_default_global_reduction(spec):
             return tree_global_reduction(spec, robjs, self.merge_threads)
         return spec.global_reduction(robjs)
@@ -463,7 +499,7 @@ class ProcessEngine(EngineBase):
         segments: SharedSegmentPool,
         port: MasterPort,
     ) -> None:
-        """Consume one completion; release its segment; account it."""
+        """Consume one completion; recycle its segment; account it."""
         msg = self._recv(handle)
         kind = msg[0]
         if kind == "robj":
@@ -512,7 +548,11 @@ class ProcessEngine(EngineBase):
         """Parent half of the out-of-band reduction-object transfer."""
         _, _status, _crashed_job_id, meta, buf_lens, child_ser_s = msg
         total = sum(buf_lens)
-        seg = segments.create(total) if total else None
+        wstats = handle.wstats
+        seg = None
+        if total:
+            seg = segments.create(total)
+            wstats.shm_segments += int(seg.leases == 1)
         handle.task_q.put(("ship", seg.name if seg else None))
         reply = self._recv(handle)
         if reply[0] == "error":
@@ -532,7 +572,6 @@ class ProcessEngine(EngineBase):
             robj = deserialize_robj_oob(meta, views)
         else:
             robj = deserialize_robj_oob(meta, [])
-        wstats = handle.wstats
         wstats.ser_s += child_ser_s + (time.monotonic() - t0)
         wstats.ipc_s += reply[1]  # the worker's copy into the segment
         wstats.shm_nbytes += total
@@ -577,7 +616,9 @@ class ProcessEngine(EngineBase):
                         break
                     try:
                         seg, payload_nbytes, encoded, info, fetch_s = (
-                            self._fetch_segment(job, cluster_fetchers, segments)
+                            self._fetch_segment(
+                                job, cluster_fetchers, segments, wstats
+                            )
                         )
                     except RetryExhausted:
                         failed_job = job
@@ -645,8 +686,9 @@ class ProcessEngine(EngineBase):
         job: Job,
         cluster_fetchers: dict[str, ParallelFetcher],
         segments: SharedSegmentPool,
+        wstats: WorkerStats,
     ) -> tuple[SharedSegment, int, bool, FetchInfo, float]:
-        """Fetch one job's bytes straight into a fresh shared segment.
+        """Fetch one job's bytes straight into a leased shared segment.
 
         Returns ``(segment, payload_nbytes, encoded, info, fetch_s)``.
 
@@ -658,65 +700,41 @@ class ProcessEngine(EngineBase):
         :meth:`ParallelFetcher.fetch_into` (sub-range GETs write into
         the mapping; zero copies on the direct path).
 
-        ``verify_chunks`` forces the parent-decode path -- checksum
-        verification needs the logical bytes here -- so that mode keeps
-        the old one-decode-one-copy behaviour.
+        Two cases ship logical bytes through ``fetch_chunk`` instead
+        (one decode + one copy in this feeder): hedged retrieval races
+        replicas -- and striped retrieval races fragments fastest-k-of-n
+        -- inside ``fetch_chunk``, which cannot write straight into the
+        destination mapping; and ``verify_chunks`` needs the logical
+        bytes here to check them.
         """
         t0 = time.monotonic()
         chunk = job.chunk
-        sources = chunk.sources
-        fetcher = cluster_fetchers[job.location]
-        if chunk.fragments or (
-            self.options.hedge is not None and len(sources) > 1
-        ):
-            # Hedged retrieval races replicas -- and striped retrieval
-            # races fragments fastest-k-of-n -- inside fetch_chunk; ship
-            # logical bytes (one decode + copy in this feeder) -- the
-            # encoded-wire-frame optimization below cannot race because
-            # it writes straight into the destination mapping.
-            data, info = fetcher.fetch_chunk(chunk)
-            seg = segments.create(chunk.nbytes)
-            try:
-                seg.buf[: chunk.nbytes] = data
-                info.n_copies += 1  # the copy into the segment
-                if self.options.verify_chunks:
-                    from repro.data.integrity import verify_chunk_bytes
-
-                    verify_chunk_bytes(chunk, seg.buf)
-            except BaseException:
-                segments.release(seg)
-                raise
-            return seg, chunk.nbytes, False, info, time.monotonic() - t0 - info.decode_s
-        encoded = chunk.codec is not None and not self.options.verify_chunks
-        if encoded:
-            seg = segments.create(chunk.enc_nbytes)
-            try:
-                info = self._fetch_into_any(
-                    cluster_fetchers, job, seg.buf, encoded=True
-                )
-                info.bytes_logical = chunk.nbytes
-            except BaseException:
-                segments.release(seg)
-                raise
-            return seg, chunk.enc_nbytes, True, info, time.monotonic() - t0
-        seg = segments.create(chunk.nbytes)
+        opts = self.options
+        raced = bool(chunk.fragments) or (
+            opts.hedge is not None and len(chunk.sources) > 1
+        )
+        encoded = chunk.codec is not None and not raced and not opts.verify_chunks
+        nbytes = chunk.enc_nbytes if encoded else chunk.nbytes
+        seg = segments.create(nbytes)
+        wstats.shm_segments += int(seg.leases == 1)
         try:
-            if chunk.codec is not None:
-                data, info = fetcher.fetch_chunk(chunk)
-                seg.buf[: chunk.nbytes] = data
+            if raced or (chunk.codec is not None and not encoded):
+                data, info = cluster_fetchers[job.location].fetch_chunk(chunk)
+                seg.buf[:nbytes] = data
                 info.n_copies += 1  # the copy into the segment
             else:
                 info = self._fetch_into_any(
-                    cluster_fetchers, job, seg.buf, encoded=False
+                    cluster_fetchers, job, seg.buf, encoded=encoded
                 )
-            if self.options.verify_chunks:
+                info.bytes_logical = chunk.nbytes
+            if opts.verify_chunks:
                 from repro.data.integrity import verify_chunk_bytes
 
-                verify_chunk_bytes(job.chunk, seg.buf)
+                verify_chunk_bytes(chunk, seg.buf)
         except BaseException:
             segments.release(seg)
             raise
-        return seg, chunk.nbytes, False, info, time.monotonic() - t0 - info.decode_s
+        return seg, nbytes, encoded, info, time.monotonic() - t0 - info.decode_s
 
     @staticmethod
     def _fetch_into_any(

@@ -97,12 +97,15 @@ class WorkerStats(_Ratios):
     # Cross-process accounting (ProcessEngine).  ``ipc_s`` is time spent
     # moving data across the process boundary (copying chunk bytes into
     # shared memory, queue round-trips); ``ser_s`` is reduction-object
-    # serialize/deserialize time; ``shm_nbytes`` counts bytes that
-    # crossed through shared-memory segments.  All zero for in-process
-    # engines.
+    # serialize/deserialize time; ``shm_nbytes`` counts payload bytes
+    # handed over through shared-memory segments and ``shm_segments``
+    # the segments that had to be *created* for them (a run recycles its
+    # segments, so this stays near one per chunk in flight however many
+    # chunks there are).  All zero for in-process engines.
     ipc_s: float = 0.0
     ser_s: float = 0.0
     shm_nbytes: int = 0
+    shm_segments: int = 0
     # Transfer-layer accounting.  ``bytes_wire`` is what this worker's
     # fetches actually pulled over store connections (encoded size for
     # compressed chunks, zero on cache hits); ``bytes_logical`` the
@@ -241,6 +244,7 @@ class RunStats(_Ratios):
     clusters: dict[str, ClusterStats] = field(default_factory=dict)
     total_s: float = 0.0              # wall-clock (sim or real) of the run
     global_reduction_s: float = 0.0   # robj exchange + final merge
+    finalize_s: float = 0.0           # spec.finalize(), run after total_s is stamped
     processing_end_s: float = 0.0     # when the last cluster finished jobs
     n_requeued_jobs: int = 0          # jobs returned to the head by reassign()
     # Per-store health/breaker snapshot at run end (location -> dict of
@@ -282,9 +286,13 @@ class RunStats(_Ratios):
         pooled = [s for c in self.clusters.values() for s in c.fetch_latencies]
         return _percentile(pooled, 0.95)
 
-    def _cluster_rows(self, columns: str) -> list[dict]:
-        clusters = self.clusters.values()
-        return [{"cluster": c.name, **_cells(c, columns)} for c in clusters]
+    def _cluster_rows(self, columns: str, run_columns: str = "") -> list[dict]:
+        """One row per cluster; ``run_columns`` repeat a run-level value."""
+        shared = _cells(self, run_columns)
+        return [
+            {"cluster": c.name, **_cells(c, columns), **shared}
+            for c in self.clusters.values()
+        ]
 
     def breakdown_rows(self) -> list[dict]:
         """Rows for the Figure-3-style stacked breakdown.
@@ -292,11 +300,15 @@ class RunStats(_Ratios):
         ``ipc_s``/``ser_s`` decompose the cross-process overheads of the
         process engine next to processing and retrieval, so the overlap
         of fetch, IPC, and compute is visible in one table (both are
-        zero for the in-process engines).
+        zero for the in-process engines).  ``finalize_s`` is the head's
+        ``spec.finalize()`` call, which every cluster waits through
+        after its bar ends: run-level, so it repeats on each row and is
+        in neither ``total_s`` here nor ``RunStats.total_s``.
         """
         return self._cluster_rows(
             "processing_s retrieval_s sync_s ipc_s ser_s total_s "
-            "n_retries n_errors bytes_retried"
+            "n_retries n_errors bytes_retried",
+            run_columns="finalize_s",
         )
 
     def ipc_rows(self) -> list[dict]:
@@ -304,11 +316,12 @@ class RunStats(_Ratios):
 
         Only the process engine populates these: ``ipc_s`` is shared-
         memory copy plus queue round-trip time, ``ser_s`` the pickle-5
-        out-of-band (de)serialization of reduction objects, and
+        out-of-band (de)serialization of reduction objects,
         ``shm_nbytes`` the bytes that crossed process boundaries through
-        shared segments instead of pipes.
+        shared segments instead of pipes, and ``shm_segments`` how many
+        segments were created to carry them.
         """
-        return self._cluster_rows("ipc_s ser_s shm_nbytes")
+        return self._cluster_rows("ipc_s ser_s shm_nbytes shm_segments")
 
     def fault_rows(self) -> list[dict]:
         """Rows decomposing fault injection and recovery per cluster.

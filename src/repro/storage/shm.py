@@ -19,7 +19,13 @@ Lifecycle discipline -- the part that actually matters:
   name succeeds even while mappings are still open, and the memory is
   returned once the last mapping drops.  :meth:`SharedSegment.release`
   therefore always unlinks, and tolerates a still-exported buffer view
-  by deferring only the local ``close``.
+  by deferring only the local ``close``;
+* **a run reuses its segments.**  The pool parks a released segment and
+  leases it again for the next request it is large enough for, so a run
+  creates about one segment per chunk in flight instead of one per
+  chunk, and both sides write and read pages that are already mapped.
+  The parent still owns every name: workers keep their mapping of a
+  name open for the run and close them all when they exit.
 """
 
 from __future__ import annotations
@@ -70,9 +76,14 @@ def close_quietly(shm: shared_memory.SharedMemory) -> None:
 
 
 class SharedSegment:
-    """One parent-owned shared-memory block."""
+    """One parent-owned shared-memory block.
 
-    __slots__ = ("shm", "nbytes", "_released")
+    ``capacity`` is what was allocated and never changes; ``nbytes`` is
+    what the current holder asked for (a recycled segment may be leased
+    for fewer bytes than it holds) and is all :attr:`buf` exposes.
+    """
+
+    __slots__ = ("shm", "capacity", "nbytes", "leases", "_released")
 
     def __init__(self, nbytes: int) -> None:
         if nbytes <= 0:
@@ -80,7 +91,9 @@ class SharedSegment:
         self.shm = shared_memory.SharedMemory(create=True, size=nbytes)
         # The kernel may round the mapping up to a page; remember the
         # requested size so views never expose trailing slack.
+        self.capacity = nbytes
         self.nbytes = nbytes
+        self.leases = 1  # times handed out; > 1 means it was recycled
         self._released = False
 
     @property
@@ -89,7 +102,7 @@ class SharedSegment:
 
     @property
     def buf(self) -> memoryview:
-        """Writable view of exactly the requested bytes."""
+        """Writable view of exactly the leased bytes."""
         return memoryview(self.shm.buf)[: self.nbytes]
 
     def write(self, data) -> int:
@@ -121,47 +134,97 @@ class SharedSegment:
 
 
 class SharedSegmentPool:
-    """Tracks every live segment of one engine run.
+    """Owns every segment of one engine run, and recycles them.
+
+    A fresh segment costs a ``shm_open`` + ``ftruncate`` + ``mmap`` and
+    then a page fault on every first write (and another in the worker
+    that maps it), so a run does not buy one per chunk: :meth:`release`
+    *parks* a segment instead of unlinking it and :meth:`create` leases
+    the smallest parked one that is large enough, with ``buf`` cut to
+    the new request so a stale tail is never visible.  When none is
+    large enough the smallest is unlinked to make way for the new one,
+    so the pool never holds more segments than were leased at once.
+    The caller must release a segment only once nobody will read it
+    again.
 
     All creation goes through :meth:`create` and all cleanup through
     :meth:`release` / :meth:`close_all`, so the engine can both verify
-    clean teardown (``active_count == 0``) and guarantee it on error
-    paths (``close_all`` in a ``finally``).
+    clean teardown (``active_count == 0``: nothing still *leased*) and
+    guarantee it on error paths (``close_all`` in a ``finally`` unlinks
+    leased and parked alike; a ``release`` arriving after it unlinks at
+    once, as does the release of a segment this pool never issued).
     """
 
     def __init__(self) -> None:
-        self._segments: dict[str, SharedSegment] = {}
+        self._leased: dict[str, SharedSegment] = {}
+        self._parked: dict[str, SharedSegment] = {}
+        self._closed = False
         self._lock = threading.Lock()
-        self.created = 0
-        self.bytes_through = 0
+        self.created = 0        # segments actually allocated
+        self.bytes_through = 0  # bytes leased, recycled or not
 
     def create(self, nbytes: int) -> SharedSegment:
+        """Lease a segment exposing exactly ``nbytes`` writable bytes."""
+        if nbytes <= 0:
+            raise ValueError("nbytes must be positive")
+        too_small = None
+        with self._lock:
+            self.bytes_through += nbytes
+            by_capacity = sorted(self._parked.values(), key=lambda s: s.capacity)
+            seg = next((s for s in by_capacity if s.capacity >= nbytes), None)
+            if seg is not None:
+                del self._parked[seg.name]
+                seg.nbytes = nbytes
+                seg.leases += 1
+                self._leased[seg.name] = seg
+                return seg
+            if by_capacity:
+                # Nothing parked is large enough, so the smallest makes
+                # way: requests that keep growing replace segments, they
+                # do not pile them up, and a run holds at most as many
+                # as it ever had leased at once.
+                too_small = self._parked.pop(by_capacity[0].name)
+        if too_small is not None:
+            too_small.release()
         seg = SharedSegment(nbytes)
         with self._lock:
-            self._segments[seg.name] = seg
+            self._leased[seg.name] = seg
             self.created += 1
-            self.bytes_through += nbytes
         return seg
 
     def release(self, seg: SharedSegment) -> None:
+        """Give ``seg`` back: parked for reuse while the pool is open."""
         with self._lock:
-            self._segments.pop(seg.name, None)
+            if seg.name in self._parked:
+                return  # already given back
+            ours = self._leased.pop(seg.name, None) is not None
+            if ours and not self._closed:
+                self._parked[seg.name] = seg
+                return
         seg.release()
 
     def close_all(self) -> None:
-        """Release everything still live (error-path safety net)."""
+        """Unlink everything, leased or parked; later releases unlink too."""
         with self._lock:
-            leftovers = list(self._segments.values())
-            self._segments.clear()
+            self._closed = True
+            leftovers = [*self._leased.values(), *self._parked.values()]
+            self._leased.clear()
+            self._parked.clear()
         for seg in leftovers:
             seg.release()
 
     @property
     def active_count(self) -> int:
+        """Segments currently leased (parked ones are not live data)."""
         with self._lock:
-            return len(self._segments)
+            return len(self._leased)
 
     @property
     def active_names(self) -> list[str]:
         with self._lock:
-            return sorted(self._segments)
+            return sorted(self._leased)
+
+    @property
+    def parked_names(self) -> list[str]:
+        with self._lock:
+            return sorted(self._parked)

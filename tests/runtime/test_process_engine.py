@@ -31,12 +31,27 @@ def shm_entries() -> set[str]:
         return set()
 
 
-def build_env(units, fmt, local_fraction=0.5, cloud_store=None):
-    stores = {
+def paced(stores, latency_s):
+    """Make every GET take ``latency_s`` (0 leaves the stores alone).  A
+    job handed over through a recycled segment costs so little that the
+    first child to warm up can fold a whole small run while its siblings
+    are still being scheduled; tests that need a *particular* worker to
+    reach its n-th job pace the run with this."""
+    if not latency_s:
+        return stores
+    profile = S3Profile(request_latency_s=latency_s)
+    return {
+        name: SimulatedS3Store(store, profile, location=name)
+        for name, store in stores.items()
+    }
+
+
+def build_env(units, fmt, local_fraction=0.5, cloud_store=None, latency_s=0.0):
+    stores = paced({
         "local": MemoryStore("local"),
         "cloud": cloud_store
         or SimulatedS3Store(profile=S3Profile.unthrottled()),
-    }
+    }, latency_s)
     index = write_dataset(
         units, fmt, stores["local"], n_files=4,
         chunk_units=max(1, len(units) // 12),
@@ -103,7 +118,7 @@ class TestCrashContainment:
     def test_partial_robj_preserved_and_jobs_requeued(self):
         toks = generate_tokens(10000, 250, seed=75)
         spec = WordCountSpec()
-        stores, index, clusters = build_env(toks, spec.fmt)
+        stores, index, clusters = build_env(toks, spec.fmt, latency_s=0.003)
         rr = ProcessEngine(
             clusters, stores, crash_plan={"local-w0": 2}
         ).run(spec, index)
@@ -116,7 +131,7 @@ class TestCrashContainment:
     def test_crash_before_any_job(self):
         toks = generate_tokens(6000, 150, seed=76)
         spec = WordCountSpec()
-        stores, index, clusters = build_env(toks, spec.fmt)
+        stores, index, clusters = build_env(toks, spec.fmt, latency_s=0.003)
         rr = ProcessEngine(
             clusters, stores, crash_plan={"cloud-w1": 0}
         ).run(spec, index)
@@ -126,7 +141,7 @@ class TestCrashContainment:
     def test_whole_cluster_dies_survivors_recover(self):
         toks = generate_tokens(8000, 200, seed=77)
         spec = WordCountSpec()
-        stores, index, clusters = build_env(toks, spec.fmt)
+        stores, index, clusters = build_env(toks, spec.fmt, latency_s=0.003)
         rr = ProcessEngine(
             clusters, stores, crash_plan={"cloud-w0": 0, "cloud-w1": 1}
         ).run(spec, index)
@@ -218,3 +233,241 @@ class TestConfiguration:
         rr = ProcessEngine(clusters, stores, prefetch=False).run(spec, index)
         assert rr.result == wordcount_exact(toks)
         assert rr.stats.jobs_processed == len(index.chunks)
+
+
+# -- segment recycling --------------------------------------------------------
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every ``SharedSegmentPool`` the engine builds, one per run."""
+    import repro.runtime.process_engine as process_mod
+
+    built = []
+
+    class Recorded(process_mod.SharedSegmentPool):
+        def __init__(self):
+            super().__init__()
+            self.names = set()
+            built.append(self)
+
+        def create(self, nbytes):
+            seg = super().create(nbytes)
+            self.names.add(seg.name)
+            return seg
+
+    monkeypatch.setattr(process_mod, "SharedSegmentPool", Recorded)
+    return built
+
+
+def many_chunks_env(
+    units, fmt, workers=(1, 1), n_chunks=32, cloud_store=None, latency_s=0.0
+):
+    stores = paced({
+        "local": MemoryStore("local"),
+        "cloud": cloud_store or MemoryStore("cloud"),
+    }, latency_s)
+    index = write_dataset(
+        units, fmt, stores["local"], n_files=4,
+        chunk_units=-(-len(units) // n_chunks),
+    )
+    index = distribute_dataset(
+        index, stores, {"local": 0.5, "cloud": 0.5}, stores["local"]
+    )
+    clusters = [
+        ClusterConfig("local", "local", workers[0], 2),
+        ClusterConfig("cloud", "cloud", workers[1], 2),
+    ]
+    return stores, index, clusters
+
+
+def no_child_left() -> bool:
+    import multiprocessing
+
+    return multiprocessing.active_children() == []
+
+
+class TestSegmentRecycling:
+    @pytest.mark.parametrize("workers", [(1, 1), (2, 2)], ids=str)
+    @pytest.mark.parametrize("prefetch", [False, True], ids=["serial", "prefetch"])
+    def test_32_chunks_need_a_handful_of_segments(self, pools, workers, prefetch):
+        pts = generate_points(6400, 4, n_clusters=3, seed=90)
+        spec = KMeansSpec(generate_points(3, 4, seed=91))
+        stores, index, clusters = many_chunks_env(pts, spec.fmt, workers)
+        assert len(index.chunks) == 32
+        before = shm_entries()
+        rr = ProcessEngine(clusters, stores, prefetch=prefetch).run(spec, index)
+        np.testing.assert_allclose(
+            rr.result.centroids, lloyd_step(pts, spec.centroids).centroids
+        )
+        (pool,) = pools
+        n_workers = sum(workers)
+        # At most 3 per worker for chunks and 1 per worker for its
+        # reduction object -- not one per chunk.
+        assert rr.stats.shm_segments == pool.created <= 4 * n_workers
+        assert pool.active_count == 0 and pool.parked_names == []
+        robj_bytes = sum(c.robj_nbytes for c in rr.stats.clusters.values())
+        chunk_bytes = sum(c.nbytes for c in index.chunks)
+        # Payload bytes handed over are what they always were.
+        assert chunk_bytes < rr.stats.shm_nbytes <= chunk_bytes + 2 * robj_bytes
+        assert pool.bytes_through == rr.stats.shm_nbytes
+        assert rr.stats.jobs_processed == 32
+        assert shm_entries() - before == set()
+        assert not shm_entries() & {n.lstrip("/") for n in pool.names}
+        assert no_child_left()
+
+    def test_rows_report_the_segments_created(self, pools):
+        toks = generate_tokens(8000, 200, seed=92)
+        spec = WordCountSpec()
+        stores, index, clusters = many_chunks_env(toks, spec.fmt)
+        rr = ProcessEngine(clusters, stores).run(spec, index)
+        rows = rr.stats.ipc_rows()
+        assert sum(r["shm_segments"] for r in rows) == pools[0].created
+        assert all(1 <= r["shm_segments"] <= 3 for r in rows)
+
+    def test_a_segment_is_leased_again_only_after_its_reader_is_done(self, pools):
+        """One worker, two chunks in flight, a fold that waits for the
+        test: while the child sits on chunk A nothing is given back, and
+        the moment it acknowledges A, A's segment carries chunk C."""
+        import multiprocessing
+        import threading
+
+        from tests.gated import WAIT_S, GatedStore
+
+        gate = multiprocessing.get_context("fork").Event()
+
+        class WaitingFold(WordCountSpec):
+            def local_reduction(self, robj, unit_group):
+                assert gate.wait(WAIT_S)
+                super().local_reduction(robj, unit_group)
+
+        toks = generate_tokens(4000, 100, seed=93)
+        spec = WaitingFold()
+        store = GatedStore("local")
+        stores = {"local": store}
+        index = write_dataset(toks, spec.fmt, store, n_files=4, chunk_units=1000)
+        index = distribute_dataset(index, stores, {"local": 1.0}, store)
+        assert len(index.chunks) == 4
+        engine = ProcessEngine(
+            [ClusterConfig("local", "local", 1, 1)], stores,
+            prefetch=True, batch_size=1,
+        )
+        out = {}
+        runner = threading.Thread(
+            target=lambda: out.update(rr=engine.run(spec, index)), daemon=True
+        )
+        before = shm_entries()
+        runner.start()
+        try:
+            (key_a,) = store.wait_parked(1)
+            (pool,) = pools
+            (seg_a,) = pool.active_names
+            store.release(key_a)           # A goes to the child, which waits
+            (key_b,) = store.wait_parked(1)
+            assert pool.created == 2 and pool.parked_names == []
+            store.release(key_b)           # B queued behind it: window full
+            # C cannot be fetched before A is acknowledged, so no third
+            # GET arrives however long the child takes.
+            assert store.n_arrivals == 2 and pool.parked_names == []
+            gate.set()
+            store.wait_parked(1)           # A done -> C is being fetched...
+            assert pool.created == 2       # ...into a recycled segment
+            assert seg_a in pool.active_names
+            store.open_all()
+            runner.join(WAIT_S)
+            assert not runner.is_alive()
+        finally:
+            gate.set()
+            store.open_all()
+            runner.join(WAIT_S)
+        assert out["rr"].result == wordcount_exact(toks)
+        assert out["rr"].stats.shm_segments == pool.created == 2
+        assert shm_entries() - before == set()
+        assert no_child_left()
+
+
+class TestRecyclingUnderFailure:
+    """Requeued jobs travel through recycled segments: the answers must
+    still be the threaded engine's, and nothing may be left behind."""
+
+    def both_engines(self, spec, stores, index, clusters, **opts):
+        from repro.runtime.engine import ThreadedEngine
+
+        before = shm_entries()
+        got = ProcessEngine(clusters, stores, batch_size=2, **opts).run(spec, index)
+        assert shm_entries() - before == set()
+        assert no_child_left()
+        opts.pop("crash_plan", None)
+        want = ThreadedEngine(clusters, stores, batch_size=2, **opts).run(spec, index)
+        return got, want
+
+    @pytest.mark.parametrize("prefetch", [False, True], ids=["serial", "prefetch"])
+    def test_crashed_worker_with_jobs_in_flight(self, pools, prefetch):
+        toks = generate_tokens(16000, 300, seed=94)
+        spec = WordCountSpec()
+        stores, index, clusters = many_chunks_env(
+            toks, spec.fmt, (2, 2), latency_s=0.002
+        )
+        got, want = self.both_engines(
+            spec, stores, index, clusters,
+            prefetch=prefetch, crash_plan={"local-w0": 3, "cloud-w1": 0},
+        )
+        assert got.result == want.result == wordcount_exact(toks)
+        assert got.stats.n_failed_workers == 2
+        assert got.stats.n_requeued_jobs >= 2
+        assert got.stats.jobs_processed == len(index.chunks) == 32
+        assert got.stats.shm_segments == pools[0].created <= 4 * 4
+
+    def test_retry_exhausted_mid_run(self, pools):
+        class FailsOnce(MemoryStore):
+            """The 7th GET fails past the retry policy; all others work."""
+
+            def __init__(self, name):
+                super().__init__(name)
+                self.n_gets = 0
+
+            def get(self, key, offset=0, nbytes=None):
+                self.n_gets += 1
+                if self.n_gets == 7:
+                    raise TransientStorageError("injected transient")
+                return super().get(key, offset, nbytes)
+
+        pts = generate_points(6400, 4, n_clusters=3, seed=95)
+        spec = KMeansSpec(generate_points(3, 4, seed=96))
+        stores, index, clusters = many_chunks_env(
+            pts, spec.fmt, (2, 2), cloud_store=FailsOnce("cloud")
+        )
+        got, want = self.both_engines(
+            spec, stores, index, clusters,
+            retry=RetryPolicy(max_attempts=1, base_delay_s=0.001),
+        )
+        assert got.stats.n_failed_workers == 1
+        assert got.stats.n_requeued_jobs >= 1
+        assert got.stats.jobs_processed == len(index.chunks) == 32
+        np.testing.assert_array_equal(got.result.counts, want.result.counts)
+        np.testing.assert_allclose(got.result.centroids, want.result.centroids)
+        assert got.stats.shm_segments == pools[0].created <= 4 * 4
+
+    def test_failed_run_leaves_nothing_behind(self, pools):
+        class ExplodesLate(WordCountSpec):
+            def __init__(self):
+                super().__init__()
+                self.folds = 0
+
+            def local_reduction(self, robj, unit_group):
+                self.folds += 1
+                if self.folds == 5:
+                    raise RuntimeError("boom")
+                super().local_reduction(robj, unit_group)
+
+        toks = generate_tokens(16000, 300, seed=97)
+        spec = ExplodesLate()
+        stores, index, clusters = many_chunks_env(toks, spec.fmt, (2, 2))
+        before = shm_entries()
+        with pytest.raises(RuntimeError, match="boom"):
+            ProcessEngine(clusters, stores).run(spec, index)
+        (pool,) = pools
+        assert pool.active_count == 0 and pool.parked_names == []
+        assert shm_entries() - before == set()
+        assert not shm_entries() & {n.lstrip("/") for n in pool.names}
+        assert no_child_left()

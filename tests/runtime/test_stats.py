@@ -60,6 +60,7 @@ class TestRunStats:
                 "n_retries": 0,
                 "n_errors": 0,
                 "bytes_retried": 0,
+                "finalize_s": 0.0,
             }
         ]
 
@@ -79,7 +80,8 @@ class TestRunStats:
         assert rs.shm_nbytes == 4000
         assert c.total_s == 19.0 + 0.4 + 0.2
         assert rs.ipc_rows() == [
-            {"cluster": "local", "ipc_s": 0.4, "ser_s": 0.2, "shm_nbytes": 4000}
+            {"cluster": "local", "ipc_s": 0.4, "ser_s": 0.2, "shm_nbytes": 4000,
+             "shm_segments": 0}
         ]
 
     def test_fault_rows_and_aggregates(self):

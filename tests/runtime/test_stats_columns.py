@@ -18,9 +18,9 @@ from repro.storage.local import MemoryStore
 GOLDEN = {
     "breakdown_rows": [
         "cluster", "processing_s", "retrieval_s", "sync_s", "ipc_s", "ser_s",
-        "total_s", "n_retries", "n_errors", "bytes_retried",
+        "total_s", "n_retries", "n_errors", "bytes_retried", "finalize_s",
     ],
-    "ipc_rows": ["cluster", "ipc_s", "ser_s", "shm_nbytes"],
+    "ipc_rows": ["cluster", "ipc_s", "ser_s", "shm_nbytes", "shm_segments"],
     "fault_rows": [
         "cluster", "n_retries", "n_errors", "bytes_retried", "workers_failed",
         "jobs_recovered", "recovery_s", "n_failovers", "n_hedges", "hedge_wins",
@@ -52,8 +52,9 @@ SERVICE_COLUMNS = [
 
 def populated_run() -> RunStats:
     """Two clusters with awkward (unrounded, non-zero) values everywhere."""
-    rs = RunStats(total_s=3.14159265, pushdown_mode="prune",
-                  n_pruned_chunks=3, bytes_pruned=3000, n_reordered=2)
+    rs = RunStats(total_s=3.14159265, finalize_s=0.0123456,
+                  pushdown_mode="prune", n_pruned_chunks=3, bytes_pruned=3000,
+                  n_reordered=2)
     rs.breakers = {"cloud": {"state": "closed", "n_opened": 1}}
     for name, scale in (("local", 1), ("cloud", 3)):
         c = ClusterStats(name, name)
@@ -66,7 +67,8 @@ def populated_run() -> RunStats:
                 jobs_processed=5 * k, jobs_stolen=k, failed=(i == 1),
                 prefetch_hits=2 * k, prefetch_misses=k, cache_hits=k,
                 cache_misses=4 * k, jobs_recovered=k, recovery_s=0.55555555 * k,
-                shm_nbytes=1000 * k, bytes_wire=700 * k, bytes_logical=900 * k,
+                shm_nbytes=1000 * k, shm_segments=k,
+                bytes_wire=700 * k, bytes_logical=900 * k,
                 decode_s=0.66666666 * k, fold_s=0.77777777 * k,
                 bytes_folded=900 * k, n_fold_calls=5 * k, n_copies=5 * k,
                 n_failovers=k, n_hedges=2 * k, hedge_wins=k, n_fragments=4 * k,
@@ -113,9 +115,11 @@ def test_cell_values_and_rounding_are_pinned():
         "cluster": "local", "processing_s": 1.8519, "retrieval_s": 1.4815,
         "sync_s": 0.1667, "ipc_s": 0.5, "ser_s": 0.6667, "total_s": 4.6667,
         "n_retries": 3, "n_errors": 1, "bytes_retried": 300,
+        "finalize_s": 0.0123,
     })
     assert json.dumps(rs.ipc_rows()[0]) == json.dumps({
         "cluster": "local", "ipc_s": 0.5, "ser_s": 0.6667, "shm_nbytes": 3000,
+        "shm_segments": 3,
     })
     assert json.dumps(rs.fault_rows()[0]) == json.dumps({
         "cluster": "local", "n_retries": 3, "n_errors": 1, "bytes_retried": 300,
