@@ -14,9 +14,8 @@ import numpy as np
 
 from repro.apps.base import Application, register_application
 from repro.core.api import GeneralizedReductionSpec
-from repro.core.combiners import get_combiner
 from repro.core.mapreduce_api import MapReduceSpec
-from repro.core.reduction_object import DictReductionObject, ReductionObject
+from repro.core.reduction_object import CounterReductionObject, ReductionObject
 from repro.data.formats import tokens_format
 from repro.data.generator import generate_tokens
 
@@ -24,29 +23,29 @@ __all__ = ["WordCountSpec", "WordCountMapReduceSpec", "wordcount_exact", "WORDCO
 
 
 class WordCountSpec(GeneralizedReductionSpec):
-    """Generalized-reduction wordcount: robj is a sparse token counter."""
+    """Generalized-reduction wordcount: robj is a token counter.
+
+    The fold counts, it does not sort: see
+    :class:`~repro.core.reduction_object.CounterReductionObject` for when
+    a chunk is counted densely and when it falls back to the sort.
+    """
 
     def __init__(self) -> None:
         self.fmt = tokens_format()
 
-    def create_reduction_object(self) -> DictReductionObject:
-        # Module-level combiner so the object stays picklable for the
-        # inter-cluster reduction-object exchange.
-        return DictReductionObject(combiner=get_combiner("sum"), value_nbytes=16)
+    def create_reduction_object(self) -> CounterReductionObject:
+        return CounterReductionObject()
 
     def local_reduction(self, robj: ReductionObject, unit_group: np.ndarray) -> None:
-        assert isinstance(robj, DictReductionObject)
-        # One bincount per group; only unique tokens touch the dict.
-        uniq, counts = np.unique(unit_group, return_counts=True)
-        robj.update_many(uniq, counts)
+        assert isinstance(robj, CounterReductionObject)
+        robj.count(unit_group)
 
     def local_reduction_batch(self, robj: ReductionObject, units: np.ndarray) -> None:
-        # One unique+bincount over the whole chunk: each distinct token
-        # touches the dict once per chunk instead of once per group.
+        # Whole-chunk counting: one bincount per chunk instead of per group.
         self.local_reduction(robj, units)
 
     def finalize(self, robj: ReductionObject) -> dict[int, int]:
-        return {int(k): int(v) for k, v in robj.value().items()}
+        return robj.value()
 
     compute_s_per_unit = 1.5e-8
 

@@ -12,6 +12,7 @@ from repro.core.combiners import COMBINERS, get_combiner, register_combiner
 from repro.core.mapreduce_api import MapReduceSpec
 from repro.core.reduction_object import (
     ArrayReductionObject,
+    CounterReductionObject,
     DictReductionObject,
     ReductionObject,
     TopKReductionObject,
@@ -37,6 +38,7 @@ __all__ = [
     "register_combiner",
     "MapReduceSpec",
     "ArrayReductionObject",
+    "CounterReductionObject",
     "DictReductionObject",
     "ReductionObject",
     "TopKReductionObject",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 import copy
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "ReductionObject",
     "ArrayReductionObject",
     "DictReductionObject",
+    "CounterReductionObject",
     "TopKReductionObject",
 ]
 
@@ -125,15 +126,6 @@ class DictReductionObject(ReductionObject):
         else:
             self.data[key] = value
 
-    def update_many(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Vectorized bulk update: combine duplicate keys first, then fold."""
-        keys = np.asarray(keys)
-        values = np.asarray(values)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        sums = np.bincount(inv, weights=values, minlength=len(uniq))
-        for k, v in zip(uniq.tolist(), sums.tolist()):
-            self.update(k, v)
-
     def merge(self, other: ReductionObject) -> None:
         if not isinstance(other, DictReductionObject):
             raise TypeError("can only merge a DictReductionObject")
@@ -149,6 +141,96 @@ class DictReductionObject(ReductionObject):
 
     def value(self) -> dict:
         return dict(self.data)
+
+
+class CounterReductionObject(ReductionObject):
+    """Occurrence counts of integer ids (wordcount's accumulator).
+
+    Counting over a bounded key range needs no sort: a chunk whose ids
+    are *dense* -- none negative, the largest below the chunk's own
+    length, so the count array cannot outgrow the chunk it summarises --
+    is one ``np.bincount`` added in place to an ``int64`` array indexed
+    by id.  The array grows geometrically to the largest id counted so
+    far; only the used prefix is reported, pickled or merged.  Any other
+    chunk (a negative id, or ids sparse in a huge range) is sorted with
+    ``np.unique`` and folded into a dict held beside the array.  The
+    choice is made per chunk from its observed min/max alone, an id may
+    end up counted in both places, and ``value()`` adds the two.
+
+    Counts are integers end to end (exact up to ``int64``); the dense
+    array is the object's one numpy payload, so it travels out of band
+    through shared memory like an :class:`ArrayReductionObject`.
+    """
+
+    #: what one sparse entry costs on the wire (key + count)
+    SPARSE_ENTRY_NBYTES = 16
+
+    def __init__(self) -> None:
+        self._dense = np.zeros(0, dtype=np.int64)
+        self._n = 0  # ids 0.._n-1 are in use; the rest of _dense is spare
+        self.sparse: dict[int, int] = {}
+
+    def __getstate__(self) -> dict:
+        return {"_dense": self.counts, "sparse": self.sparse}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._n = len(self._dense)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Dense counts, index == id (a view; zeros are ids never seen)."""
+        return self._dense[: self._n]
+
+    def _reserve(self, n: int) -> None:
+        if n > len(self._dense):
+            grown = np.zeros(max(n, 2 * len(self._dense)), dtype=np.int64)
+            grown[: self._n] = self._dense[: self._n]
+            self._dense = grown
+        self._n = max(self._n, n)
+
+    def count(self, ids: np.ndarray) -> None:
+        """Fold a chunk of ids: add one to the count of each occurrence."""
+        if ids.size == 0:
+            return
+        if ids.min() >= 0 and ids.max() < ids.size:
+            # int64 input is counted where it lies; narrower or unsigned
+            # ids are widened once (they are all below ids.size, so it fits)
+            chunk = np.bincount(ids.astype(np.intp, copy=False))
+            self._reserve(len(chunk))
+            self._dense[: len(chunk)] += chunk
+            return
+        uniq, occurrences = np.unique(ids, return_counts=True)
+        self._add_sparse(zip(uniq.tolist(), occurrences.tolist()))
+
+    def _add_sparse(self, counted: Iterable[tuple[int, int]]) -> None:
+        sparse = self.sparse
+        for key, n in counted:
+            sparse[key] = sparse.get(key, 0) + n
+
+    def merge(self, other: ReductionObject) -> None:
+        if not isinstance(other, CounterReductionObject):
+            raise TypeError("can only merge a CounterReductionObject")
+        theirs = other.counts
+        self._reserve(len(theirs))
+        self._dense[: len(theirs)] += theirs
+        self._add_sparse(other.sparse.items())
+
+    def copy_empty(self) -> "CounterReductionObject":
+        return CounterReductionObject()
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.counts.nbytes) + len(self.sparse) * self.SPARSE_ENTRY_NBYTES
+
+    def value(self) -> dict[int, int]:
+        """``{id: count}`` for every id counted at least once."""
+        counts = self.counts
+        seen = np.flatnonzero(counts)
+        out = dict(zip(seen.tolist(), counts[seen].tolist()))
+        for key, n in self.sparse.items():
+            out[key] = out.get(key, 0) + n
+        return out
 
 
 class TopKReductionObject(ReductionObject):

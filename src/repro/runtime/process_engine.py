@@ -562,16 +562,16 @@ class ProcessEngine(EngineBase):
                 f"unexpected message from {handle.name}: {reply[0]!r}"
             )
         t0 = time.monotonic()
-        if seg is not None:
-            base = seg.buf
-            views: list[memoryview] = []
-            offset = 0
-            for n in buf_lens:
-                views.append(base[offset : offset + n])
-                offset += n
-            robj = deserialize_robj_oob(meta, views)
-        else:
-            robj = deserialize_robj_oob(meta, [])
+        # One view per declared length, also when they total 0 bytes and
+        # there is no segment: an empty numpy payload still pickles one
+        # (zero-length) out-of-band buffer.
+        base = seg.buf if seg is not None else memoryview(bytearray())
+        views: list[memoryview] = []
+        offset = 0
+        for n in buf_lens:
+            views.append(base[offset : offset + n])
+            offset += n
+        robj = deserialize_robj_oob(meta, views)
         wstats.ser_s += child_ser_s + (time.monotonic() - t0)
         wstats.ipc_s += reply[1]  # the worker's copy into the segment
         wstats.shm_nbytes += total

@@ -8,7 +8,7 @@ whichever ``k`` arrive first: tail latency becomes the k-th order
 statistic instead of the slowest single source, and storage overhead is
 ``(k + m) / k`` instead of the ``1 + r`` of full replication.
 
-Two code paths, both pure numpy:
+Two code paths, numpy and the standard library only:
 
 * ``m == 1`` -- single XOR parity (RAID-5 style), vectorised with
   ``np.bitwise_xor``;
@@ -18,13 +18,19 @@ Two code paths, both pure numpy:
   (data fragments are verbatim frame slices) and *any* ``k`` rows are
   invertible, which is the MDS property the fastest-k-of-n fetch relies
   on.  Decoding inverts the ``k x k`` submatrix of surviving rows --
-  tiny (``k <= 256``) -- then applies it with table-driven GF
-  multiplies over the full fragment width.
+  tiny (``k <= 256``) -- and applies only the rows of the inverse that
+  belong to *lost* data fragments; the ones that arrived are verbatim
+  frame slices and are copied.
+
+Multiplying a fragment by a GF(256) scalar is one byte-for-byte lookup
+through that scalar's row of a 256 x 256 product table.  How the
+arithmetic is carried out is not part of the code: fragments are
+bit-identical whichever way the products are formed.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -42,6 +48,10 @@ class ErasureError(ValueError):
 
 _EXP = np.zeros(512, dtype=np.uint8)
 _LOG = np.zeros(256, dtype=np.int32)
+#: ``_MUL[a, b] == a * b`` in GF(256); 64 KB.  Row ``c`` is the whole
+#: "multiply by c" map, which is what makes a fragment-wide multiply one
+#: table lookup per byte.
+_MUL = np.zeros((256, 256), dtype=np.uint8)
 
 
 def _build_tables() -> None:
@@ -54,6 +64,8 @@ def _build_tables() -> None:
             x ^= 0x11D
     # Duplicate so exp lookups never need an explicit mod 255.
     _EXP[255:510] = _EXP[:255]
+    # Row and column 0 stay zero: log(0) does not exist.
+    _MUL[1:, 1:] = _EXP[_LOG[1:, None] + _LOG[None, 1:]]
 
 
 _build_tables()
@@ -72,29 +84,33 @@ def _gf_inv(a: int) -> int:
 
 
 def _gf_mul_vec(c: int, vec: np.ndarray) -> np.ndarray:
-    """Multiply every byte of ``vec`` by the GF scalar ``c``."""
+    """Multiply every byte of ``vec`` by the GF scalar ``c``.
+
+    ``bytes.translate`` is the table lookup: it walks the bytes in C and
+    allocates the product only, where ``ndarray.take`` first widens the
+    ``uint8`` indices to ``intp`` -- eight times the fragment -- and
+    runs 3-4x slower for it.  The result is for reading only: it is a
+    read-only array, or ``vec`` itself when ``c == 1``.
+    """
     if c == 0:
         return np.zeros_like(vec)
     if c == 1:
-        return vec.copy()
-    shift = int(_LOG[c])
-    out = _EXP[_LOG[vec.astype(np.int32)] + shift].astype(np.uint8)
-    out[vec == 0] = 0
-    return out
+        return vec
+    return np.frombuffer(vec.tobytes().translate(_MUL[c].tobytes()), dtype=np.uint8)
+
+
+def _gf_dot(coeffs: Sequence[int], rows: Sequence[np.ndarray]) -> np.ndarray:
+    """``XOR_j coeffs[j] * rows[j]``: one row of a GF(256) matrix product."""
+    acc = np.zeros(len(rows[0]), dtype=np.uint8)
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc ^= _gf_mul_vec(int(c), row)
+    return acc
 
 
 def _gf_matmul(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """GF(256) matrix product ``mat @ rows`` (mat r x k, rows k x width)."""
-    out = np.zeros((mat.shape[0], rows.shape[1]), dtype=np.uint8)
-    for i in range(mat.shape[0]):
-        acc = np.zeros(rows.shape[1], dtype=np.uint8)
-        for j in range(mat.shape[1]):
-            c = int(mat[i, j])
-            if c == 0:
-                continue
-            acc ^= _gf_mul_vec(c, rows[j])
-        out[i] = acc
-    return out
+    return np.stack([_gf_dot(coeffs, rows) for coeffs in mat])
 
 
 def _gf_inv_matrix(mat: np.ndarray) -> np.ndarray:
@@ -189,8 +205,9 @@ def stripe_frame(frame: bytes | bytearray | memoryview, k: int, m: int) -> list[
     if m == 1:
         fragments.append(np.bitwise_xor.reduce(data, axis=0).tobytes())
         return fragments
-    parity = _gf_matmul(_generator(k, m)[k:], data)
-    fragments.extend(parity[i].tobytes() for i in range(m))
+    fragments.extend(
+        _gf_dot(coeffs, data).tobytes() for coeffs in _generator(k, m)[k:]
+    )
     return fragments
 
 
@@ -235,32 +252,29 @@ def reassemble(
             f"output buffer is {dst.nbytes} bytes, expected {frame_nbytes}"
         )
 
-    used_parity = use[-1] >= k
-    if not used_parity:
-        # All data fragments present: straight concatenation.
-        pos = 0
-        for i in use:
-            take = min(frag, frame_nbytes - pos)
-            dst[pos : pos + take] = memoryview(fragments[i])[:take]
-            pos += take
+    # Data fragments are verbatim frame slices (systematic code): the
+    # ones that arrived go straight to their place, and only the lost
+    # ones are rebuilt -- into one fragment-sized accumulator each, never
+    # a second copy of the frame.
+    def place(i: int, row) -> None:
+        pos = i * frag
+        end = min(pos + frag, frame_nbytes)
+        if end > pos:  # ragged frames can leave the last fragments all padding
+            dst[pos:end] = row[: end - pos]
+
+    for i in use:
+        if i < k:
+            place(i, memoryview(fragments[i]))
+    lost = [i for i in range(k) if i not in use]
+    if not lost:
         return out, False
 
-    rows = np.empty((k, frag), dtype=np.uint8)
-    for r, i in enumerate(use):
-        rows[r] = np.frombuffer(fragments[i], dtype=np.uint8)
-    missing = [i for i in range(k) if i not in set(use)]
+    rows = [np.frombuffer(fragments[i], dtype=np.uint8) for i in use]
     if m == 1:
         # XOR parity: the one missing data fragment is the XOR of the rest.
-        (lost,) = missing
-        recovered = np.bitwise_xor.reduce(rows, axis=0)
-        data = np.empty((k, frag), dtype=np.uint8)
-        for r, i in enumerate(use):
-            if i < k:
-                data[i] = rows[r]
-        data[lost] = recovered
+        decode = np.ones((k, k), dtype=np.uint8)
     else:
-        sub = _generator(k, m)[use]  # k x k rows of G that we hold
-        data = _gf_matmul(_gf_inv_matrix(sub), rows)
-    flat = data.reshape(-1)[:frame_nbytes]
-    dst[:] = flat.tobytes()
+        decode = _gf_inv_matrix(_generator(k, m)[use])  # held rows -> data rows
+    for i in lost:
+        place(i, _gf_dot(decode[i], rows))
     return out, True

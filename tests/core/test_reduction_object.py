@@ -80,11 +80,6 @@ class TestDictReductionObject:
         d.update("b", 5)
         assert d.value() == {"a": 3, "b": 5}
 
-    def test_update_many_combines_duplicates(self):
-        d = self.make()
-        d.update_many(np.array([1, 2, 1, 1]), np.array([1.0, 1.0, 1.0, 1.0]))
-        assert d.value() == {1: 3.0, 2: 1.0}
-
     def test_merge(self):
         a, b = self.make(), self.make()
         a.update("x", 1)

@@ -27,6 +27,8 @@ from repro.storage.local import MemoryStore
 from repro.storage.retry import RetryPolicy
 from repro.storage.s3 import S3Profile, SimulatedS3Store
 
+from tests.runtime.test_process_engine import paced
+
 ENGINES = ("threaded", "process", "actor")
 
 #: local_fraction -> placement label used in test ids.
@@ -141,13 +143,13 @@ class TestFeatureMatrix:
             opts = dict(FEATURES[feature])
             if "chunk_cache" in opts:
                 opts["chunk_cache"] = ChunkCache(64 << 20)
-            if "crash_plan" in opts:
-                # Split every fetch across retrieval threads: the pool
-                # round-trips yield the GIL so the doomed cloud worker
-                # reliably claims a job before the run drains.
-                opts["min_part_nbytes"] = 0
+            # A crash plan needs the doomed worker to claim a job before
+            # the run drains; the fold is far too quick to rely on, so
+            # every GET takes 3 ms and all four workers hold a batch
+            # before the first one finishes.
+            run_stores = paced(stores, 0.003 if "crash_plan" in opts else 0.0)
             rr = make_engine(
-                name, clusters, stores, batch_size=2, **opts
+                name, clusters, run_stores, batch_size=2, **opts
             ).run(spec, index)
             assert rr.result == ref, f"{name}/{feature} diverged"
             assert rr.stats.jobs_processed == n_jobs, (

@@ -16,7 +16,8 @@ out.  What that must never cost:
 
 The first half drives ``finalize_run`` directly with hand-built worker
 objects of every shipped kind; the second half intercepts it inside real
-threaded and process runs.
+threaded and process runs.  The kinds: array, dict, counter (wordcount's
+dense counts + sort-path dict), top-k.
 """
 
 import pickle
@@ -25,12 +26,15 @@ import time
 import numpy as np
 import pytest
 
+from repro.apps.apriori import AprioriPassSpec, generate_transactions, transactions_format
 from repro.apps.kmeans import KMeansSpec
 from repro.apps.knn import KnnSpec
 from repro.apps.wordcount import WordCountSpec, wordcount_exact
-from repro.core.api import GeneralizedReductionSpec
+from repro.core.api import GeneralizedReductionSpec, run_local_pass
+from repro.core.combiners import get_combiner
 from repro.core.reduction_object import (
     ArrayReductionObject,
+    CounterReductionObject,
     DictReductionObject,
     TopKReductionObject,
 )
@@ -65,11 +69,26 @@ def array_worker(seed: int) -> ArrayReductionObject:
     return robj
 
 
+class DictSpec(ArraySpec):
+    def create_reduction_object(self):
+        return DictReductionObject(get_combiner("sum"), value_nbytes=16)
+
+
 def dict_worker(seed: int) -> DictReductionObject:
-    robj = WordCountSpec().create_reduction_object()
+    robj = DictSpec().create_reduction_object()
     rng = np.random.default_rng(seed)
     for key in rng.integers(0, 40, 25).tolist():
         robj.update(key, float(rng.integers(1, 9)))
+    return robj
+
+
+def counter_worker(seed: int) -> CounterReductionObject:
+    """Dense counts of a different length per worker, plus ids only the
+    sort path can hold (some of them shared with the dense range)."""
+    robj = WordCountSpec().create_reduction_object()
+    rng = np.random.default_rng(seed)
+    robj.count(rng.integers(0, int(rng.integers(1, 40)), 60))
+    robj.count(rng.choice([-3, 5, 2**40, 2**62], 6))
     return robj
 
 
@@ -82,7 +101,8 @@ def topk_worker(seed: int) -> TopKReductionObject:
 
 KINDS = {
     "array": (ArraySpec(), array_worker),
-    "dict": (WordCountSpec(), dict_worker),
+    "dict": (DictSpec(), dict_worker),
+    "counter": (WordCountSpec(), counter_worker),
     "topk": (KnnSpec(np.zeros(3), 5), topk_worker),
 }
 
@@ -96,6 +116,8 @@ def arrays_of(robj) -> list[np.ndarray]:
         return [robj.data]
     if isinstance(robj, TopKReductionObject):
         return [robj._scores, *robj._payloads]
+    if isinstance(robj, CounterReductionObject):
+        return [robj._dense]
     return []
 
 
@@ -154,6 +176,8 @@ class TestOwnership:
         assert not any(shares_memory(rr.robj, w) for w in workers)
         if kind == "dict":
             assert all(rr.robj.data is not w.data for w in workers)
+        if kind == "counter":
+            assert all(rr.robj.sparse is not w.sparse for w in workers)
 
     def test_result_is_the_flat_left_fold(self, kind, shape):
         spec, cluster_robjs = build(kind, shape)
@@ -353,7 +377,16 @@ class TestInsideRealRuns:
         assert int(rr.result.counts.sum()) == len(pts)
 
     def test_dict_object(self, engine, run, watched_epilogue):
+        fmt = transactions_format(6)
+        baskets = generate_transactions(2400, n_items=30, basket_width=6, seed=7)
+        spec = AprioriPassSpec(fmt)
+        rr = self.check(engine, run, spec, baskets, watched_epilogue)
+        assert rr.result == run_local_pass(spec, [baskets]).value()
+
+    def test_counter_object(self, engine, run, watched_epilogue):
         toks = generate_tokens(9000, 120, seed=7)
+        toks[::1300] = -7  # these chunks cannot be counted densely
+        toks[1::1700] = 2**40
         rr = self.check(engine, run, WordCountSpec(), toks, watched_epilogue)
         assert rr.result == wordcount_exact(toks)
 

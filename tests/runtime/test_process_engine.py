@@ -13,7 +13,10 @@ import pytest
 
 from repro.apps.kmeans import KMeansSpec, lloyd_step
 from repro.apps.wordcount import WordCountSpec, wordcount_exact
+from repro.core.api import GeneralizedReductionSpec
+from repro.core.reduction_object import ArrayReductionObject
 from repro.data.dataset import distribute_dataset, write_dataset
+from repro.data.formats import tokens_format
 from repro.data.generator import generate_points, generate_tokens
 from repro.runtime.engine import ClusterConfig
 from repro.runtime.process_engine import ProcessEngine
@@ -137,6 +140,31 @@ class TestCrashContainment:
         ).run(spec, index)
         assert rr.result == wordcount_exact(toks)
         assert rr.stats.n_failed_workers == 1
+
+    @pytest.mark.parametrize("crash_plan", [None, {"cloud-w1": 0}], ids=["run", "crash"])
+    def test_empty_numpy_payload_ships(self, crash_plan):
+        """A zero-length array still pickles one (empty) out-of-band
+        buffer; the parent must hand one back per declared length, also
+        for a worker that dies before its first job."""
+
+        class CountsNothing(GeneralizedReductionSpec):
+            fmt = tokens_format()
+
+            def create_reduction_object(self):
+                return ArrayReductionObject((0,))
+
+            def local_reduction(self, robj, unit_group):
+                pass
+
+        toks = generate_tokens(6000, 150, seed=83)
+        spec = CountsNothing()
+        stores, index, clusters = build_env(toks, spec.fmt, latency_s=0.003)
+        before = shm_entries()
+        rr = ProcessEngine(clusters, stores, crash_plan=crash_plan).run(spec, index)
+        assert rr.robj.data.shape == (0,)
+        assert rr.stats.n_failed_workers == len(crash_plan or {})
+        assert rr.stats.jobs_processed == len(index.chunks)
+        assert shm_entries() - before == set()
 
     def test_whole_cluster_dies_survivors_recover(self):
         toks = generate_tokens(8000, 200, seed=77)
