@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import os
+import sys
 import threading
 from typing import Callable, Iterator
 
@@ -72,6 +73,12 @@ class BlasBudget:
         self._find = find
         self._lock = threading.Lock()
         self._holders = 0
+        #: ``(len(sys.modules), controls)`` of the last scan.  A shared
+        #: object gets mapped by importing something (scipy's OpenBLAS
+        #: arrives with the first ``KMeansSpec``), so the scan -- a full
+        #: read of ``/proc/self/maps`` and a ``dlopen`` per hit -- is
+        #: repeated only once the module table has changed.
+        self._scan: tuple[int, list[Control]] | None = None
         #: per library: its control and its thread count before the first holder
         self._saved: list[tuple[Control, int]] = []
 
@@ -81,7 +88,10 @@ class BlasBudget:
         cap = max(1, usable_cores() // max(1, n_fold_threads))
         with self._lock:
             if self._holders == 0:
-                self._saved = [((get, set_), get()) for get, set_ in self._find()]
+                n_modules = len(sys.modules)
+                if self._scan is None or self._scan[0] != n_modules:
+                    self._scan = (n_modules, self._find())
+                self._saved = [((get, set_), get()) for get, set_ in self._scan[1]]
             self._holders += 1
             for (get, set_), before in self._saved:
                 if get() > cap:

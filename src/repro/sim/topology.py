@@ -68,12 +68,17 @@ class TransferSimModel:
 
     @classmethod
     def for_codec(cls, codec: str) -> "TransferSimModel":
-        """Calibrated defaults per codec (numeric record data).
+        """Calibrated defaults per codec (*integer* record data).
 
         Ratios/decode rates are round numbers from the real codecs on
-        the repro's binary unit files: zlib deflates to roughly half,
-        shuffle+deflate (byte-transposed fixed-stride records) well
-        under half, lz4 trades ratio for a much cheaper decode.
+        the repro's binary unit files of integer records (token ids,
+        edge lists): zlib deflates to roughly half, shuffle+deflate
+        (byte-transposed fixed-stride records) well under half, lz4
+        trades ratio for a much cheaper decode.  They do not describe
+        float64 coordinates, whose mantissa bytes are noise: there the
+        real ``shuffle`` codec reaches ~0.86 and decodes at ~2.7 ns per
+        logical byte (ARCHITECTURE 4b).  The constants stay as they are
+        because the paper's figures are run with them.
         """
         defaults = {
             "identity": cls("identity", 1.0, 0.0),

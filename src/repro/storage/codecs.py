@@ -25,17 +25,22 @@ Registered codecs:
     encoding; decoding an lz4 frame without the package raises
     :class:`CodecError` (the bytes cannot be recovered locally).
 ``shuffle``
-    Format-aware byte shuffle + DEFLATE, Blosc-style: the fixed-stride
-    unit stream (stride = ``RecordFormat.unit_nbytes``) is byte-
-    transposed so that the k-th byte of every unit becomes contiguous,
-    then deflated.  Numeric data (int64 token ids, float64 coordinates)
-    is mostly high-order zero bytes; transposing turns them into long
-    runs that DEFLATE collapses.  This is where chunked numeric data
-    actually compresses.
+    Format-aware byte shuffle + selective DEFLATE, Blosc-style: the
+    fixed-stride unit stream (stride = ``RecordFormat.unit_nbytes``) is
+    byte-transposed so that the k-th byte of every unit becomes one
+    contiguous *plane*, and only the planes that deflate are deflated.
+    The high-order bytes of numeric data (zero bytes of int64 token ids,
+    sign/exponent bytes of float64 coordinates) collapse to a few
+    percent; float mantissa planes are noise that DEFLATE expands, so
+    they cross the wire raw and cost nothing to decode.  Frames written
+    before the planes were chosen one by one (codec id 3: one stream
+    over everything) still decode; nothing writes them any more.
 
-All corruption -- bad magic, unknown codec, truncated payload, size
-mismatch after decode -- surfaces as a clean :class:`CodecError` rather
-than garbage units.
+All corruption -- bad magic, unknown codec, truncated payload, lengths
+that do not add up, size mismatch after decode -- surfaces as a clean
+:class:`CodecError` rather than garbage units, and is found *before*
+anything of the size a header merely claims is allocated: inflating is
+capped at what the frame declares.
 
 Zero-copy contract: both directions accept any bytes-like buffer
 (``bytes``, ``bytearray``, ``memoryview``, shared-memory pages) without
@@ -47,7 +52,9 @@ itself requires (inflate, byte un-transpose).
 
 from __future__ import annotations
 
+import mmap
 import struct
+import sys
 import zlib
 
 import numpy as np
@@ -117,7 +124,10 @@ class Codec:
 
     ``compress``/``decompress`` accept any bytes-like buffer and may
     return a view over it (the identity codec does); only transforms
-    that rewrite bytes are allowed to allocate.
+    that rewrite bytes are allowed to allocate.  ``decompress`` is told
+    the logical size the header declares so it can bound what it
+    allocates *before* it allocates; :func:`decode_chunk` checks the
+    size of what comes back.
     """
 
     name = "identity"
@@ -126,8 +136,39 @@ class Codec:
     def compress(self, raw: Buffer, stride: int) -> Buffer:
         return raw
 
-    def decompress(self, payload: Buffer, stride: int) -> Buffer:
+    def decompress(self, payload: Buffer, stride: int, logical: int) -> Buffer:
         return payload
+
+
+def _inflate(stream: Buffer, nbytes: int, what: str) -> bytes:
+    """Inflate a zlib stream the frame says holds ``nbytes``.
+
+    The inflater is allowed one byte more than that: enough to tell a
+    stream that lies about its size from one that does not, without
+    ever allocating what a hostile stream would like us to (1000:1 is
+    ordinary for DEFLATE).
+    """
+    if nbytes >= sys.maxsize:  # a u64 field can say so; no buffer can
+        raise CodecError(f"frame declares {nbytes} bytes: not addressable here")
+    inflater = zlib.decompressobj()
+    try:
+        out = inflater.decompress(stream, nbytes + 1)
+    except zlib.error as exc:
+        raise CodecError(f"{what} payload corrupt: {exc}") from exc
+    if len(out) > nbytes:
+        raise CodecError(
+            f"{what} payload inflates past the {nbytes} bytes the frame declares"
+        )
+    if not inflater.eof:
+        raise CodecError(f"{what} payload corrupt: deflate stream is truncated")
+    if inflater.unused_data:
+        raise CodecError(f"{what} payload corrupt: bytes after the deflate stream")
+    if len(out) != nbytes:
+        raise CodecError(
+            f"{what} payload inflates to {len(out)} bytes but the frame "
+            f"declares {nbytes}"
+        )
+    return out
 
 
 class _ZlibCodec(Codec):
@@ -137,11 +178,8 @@ class _ZlibCodec(Codec):
     def compress(self, raw: Buffer, stride: int) -> Buffer:
         return zlib.compress(raw, level=6)
 
-    def decompress(self, payload: Buffer, stride: int) -> Buffer:
-        try:
-            return zlib.decompress(payload)
-        except zlib.error as exc:
-            raise CodecError(f"zlib payload corrupt: {exc}") from exc
+    def decompress(self, payload: Buffer, stride: int, logical: int) -> Buffer:
+        return _inflate(payload, logical, "zlib")
 
 
 class _Lz4Codec(Codec):
@@ -153,7 +191,7 @@ class _Lz4Codec(Codec):
             raise CodecError("lz4 codec requires the optional lz4 package")
         return _lz4frame.compress(bytes(raw) if isinstance(raw, memoryview) else raw)
 
-    def decompress(self, payload: Buffer, stride: int) -> Buffer:
+    def decompress(self, payload: Buffer, stride: int, logical: int) -> Buffer:
         if _lz4frame is None:
             raise CodecError(
                 "chunk was encoded with lz4 but the lz4 package is not installed"
@@ -166,30 +204,152 @@ class _Lz4Codec(Codec):
             raise CodecError(f"lz4 payload corrupt: {exc}") from exc
 
 
-class _ShuffleCodec(Codec):
+class _LegacyShuffleCodec(Codec):
+    """Codec id 3: every plane through one DEFLATE stream, tail included.
+
+    What ``shuffle`` wrote before planes were chosen one by one.  Kept
+    decode-only (registered by id, not by name) so frames already in a
+    store stay readable; nothing writes it.
+    """
+
     name = "shuffle"
     codec_id = 3
 
-    def compress(self, raw: Buffer, stride: int) -> Buffer:
-        if stride > 1 and memoryview(raw).nbytes:
-            raw = _shuffle_bytes(raw, stride)
-        return zlib.compress(raw, level=6)
-
-    def decompress(self, payload: Buffer, stride: int) -> Buffer:
-        try:
-            raw = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise CodecError(f"shuffle payload corrupt: {exc}") from exc
+    def decompress(self, payload: Buffer, stride: int, logical: int) -> Buffer:
+        raw = _inflate(payload, logical, "shuffle")
         if stride > 1 and raw:
             return _unshuffle_bytes(raw, stride)
         return raw
+
+
+_U64 = struct.Struct("<Q")
+# Every page of a decoded chunk is written at once, so where the platform
+# can (Linux) have the kernel map them in one call, not a fault per page.
+_MAP_POPULATED = (
+    {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE}
+    if hasattr(mmap, "MAP_POPULATE")
+    else {}
+)
+#: Bytes of each plane the encoder test-deflates, and at what level.
+_SAMPLE_NBYTES, _SAMPLE_LEVEL = 2048, 1
+
+
+class _ShuffleCodec(Codec):
+    """Byte shuffle, then DEFLATE only the planes that deflate.
+
+    Payload, after the frame header (``n_units = logical // stride``)::
+
+        bitmap   ceil(stride / 8) bytes, bit p (LSB first) = plane p deflated
+        n_stream u64, length of the DEFLATE stream (0: no plane deflated)
+        stream   the deflated planes, in plane order, one zlib stream
+        raw      the other planes, in plane order, n_units bytes each
+        tail     logical % stride bytes, as they were
+
+    A plane is deflated when a sample of it shrinks by at least an
+    eighth: the WAN is the scarce resource, so any real saving is taken,
+    and only bytes DEFLATE would *expand* (float mantissas: 1.002) are
+    spared the inflate at the other end.
+    """
+
+    name = "shuffle"
+    codec_id = 4
+
+    def compress(self, raw: Buffer, stride: int) -> Buffer:
+        view = memoryview(raw).cast("B")
+        n_units = view.nbytes // stride
+        head = n_units * stride
+        planes = np.frombuffer(
+            _shuffle_bytes(view[:head], stride), dtype=np.uint8
+        ).reshape(stride, n_units)
+        n_sample = min(n_units, _SAMPLE_NBYTES)
+        deflated = np.fromiter(
+            (
+                8 * len(zlib.compress(plane[:n_sample], _SAMPLE_LEVEL)) <= 7 * n_sample
+                for plane in planes
+            ),
+            dtype=bool,
+            count=stride,
+        )
+        chosen = planes[deflated]
+        stream = zlib.compress(chosen, level=6) if chosen.size else b""
+        if len(stream) >= chosen.size:  # the sample promised more than the plane held
+            deflated[:] = False
+            stream = b""
+        return b"".join((
+            np.packbits(deflated, bitorder="little"),
+            _U64.pack(len(stream)),
+            stream,
+            planes[~deflated],
+            view[head:],
+        ))
+
+    def decompress(self, payload: Buffer, stride: int, logical: int) -> Buffer:
+        # Everything the header and preamble imply is checked against the
+        # payload's real size before anything of that size is allocated.
+        payload = memoryview(payload)
+        if stride == 0:
+            raise CodecError("shuffle payload corrupt: unit stride is 0")
+        n_units, n_tail = divmod(logical, stride)
+        n_bitmap = -(-stride // 8)
+        if payload.nbytes < n_bitmap + _U64.size:
+            raise CodecError(
+                f"shuffle payload corrupt: {payload.nbytes} bytes cannot hold "
+                f"the plane bitmap of stride {stride}"
+            )
+        bits = np.unpackbits(
+            np.frombuffer(payload, dtype=np.uint8, count=n_bitmap), bitorder="little"
+        ).view(bool)
+        if bits[stride:].any():
+            raise CodecError(
+                f"shuffle payload corrupt: bitmap names planes past stride {stride}"
+            )
+        deflated = bits[:stride]
+        n_deflated = int(np.count_nonzero(deflated))
+        (n_stream,) = _U64.unpack_from(payload, n_bitmap)
+        stream_at = n_bitmap + _U64.size
+        raw_at = stream_at + n_stream
+        n_raw = (stride - n_deflated) * n_units
+        if raw_at + n_raw + n_tail != payload.nbytes:
+            raise CodecError(
+                f"shuffle payload corrupt: {payload.nbytes} bytes where the frame "
+                f"declares {logical} logical bytes in {stride - n_deflated} raw "
+                f"planes and a {n_stream}-byte stream"
+            )
+        n_inflated = n_deflated * n_units
+        inflated = np.frombuffer(
+            _inflate(payload[stream_at:raw_at], n_inflated, "shuffle")
+            if n_stream or n_inflated
+            else b"",
+            dtype=np.uint8,
+        ).reshape(n_deflated, n_units)
+        if logical == 0:
+            return b""
+        raw_planes = np.frombuffer(
+            payload, dtype=np.uint8, count=n_raw, offset=raw_at
+        ).reshape(stride - n_deflated, n_units)
+        planes = np.empty((stride, n_units), dtype=np.uint8)
+        planes[deflated] = inflated
+        planes[~deflated] = raw_planes
+        # An anonymous mapping, not a bytes object: it goes back to the OS
+        # when its last view dies instead of being parked in the malloc
+        # arena of whichever pool thread decoded it (ARCHITECTURE 4b).
+        out = mmap.mmap(-1, logical, **_MAP_POPULATED)
+        units = np.frombuffer(out, dtype=np.uint8)
+        np.copyto(units[: n_units * stride].reshape(n_units, stride), planes.T)
+        units[n_units * stride:] = np.frombuffer(
+            payload, dtype=np.uint8, count=n_tail, offset=raw_at + n_raw
+        )
+        return memoryview(out)
 
 
 CODECS: dict[str, Codec] = {
     c.name: c for c in (Codec(), _ZlibCodec(), _Lz4Codec(), _ShuffleCodec())
 }
 CODEC_NAMES = tuple(CODECS)
-_BY_ID: dict[int, Codec] = {c.codec_id: c for c in CODECS.values()}
+#: Decoders by wire id: everything that is written, plus what once was.
+_BY_ID: dict[int, Codec] = {
+    c.codec_id: c for c in (*CODECS.values(), _LegacyShuffleCodec())
+}
 
 
 def resolve_codec(name: str) -> Codec:
@@ -224,8 +384,7 @@ def encode_chunk(raw: Buffer, codec: str | Codec, unit_nbytes: int = 1) -> bytes
     return b"".join((header, payload))
 
 
-def frame_info(frame: Buffer) -> tuple[str, int, int]:
-    """Parse a frame header -> ``(codec_name, unit_stride, logical_nbytes)``."""
+def _parse_header(frame: Buffer) -> tuple[Codec, int, int]:
     if memoryview(frame).nbytes < HEADER_NBYTES:
         raise CodecError(
             f"frame of {memoryview(frame).nbytes} bytes is shorter than "
@@ -239,6 +398,12 @@ def frame_info(frame: Buffer) -> tuple[str, int, int]:
     codec = _BY_ID.get(codec_id)
     if codec is None:
         raise CodecError(f"unknown codec id {codec_id}")
+    return codec, stride, logical
+
+
+def frame_info(frame: Buffer) -> tuple[str, int, int]:
+    """Parse a frame header -> ``(codec_name, unit_stride, logical_nbytes)``."""
+    codec, stride, logical = _parse_header(frame)
     return codec.name, stride, logical
 
 
@@ -249,13 +414,13 @@ def decode_chunk(frame: Buffer) -> Buffer:
     frame as a ``memoryview`` (never re-materialized), and the identity
     codec returns a **read-only view aliasing the input buffer** -- for
     a frame mapped from shared memory the decoded bytes are the mapped
-    pages themselves.  Transforms that must rewrite bytes (zlib, lz4,
-    shuffle) return the one buffer their inflate produces.
+    pages themselves.  Transforms that must rewrite bytes return the one
+    buffer they produce: ``bytes`` (zlib, lz4) or a read-only view that
+    owns its memory (shuffle) and stays valid after ``frame`` is gone.
     """
-    name, stride, logical = frame_info(frame)
-    codec = CODECS[name]
+    codec, stride, logical = _parse_header(frame)
     payload = memoryview(frame).cast("B")[HEADER_NBYTES:]
-    raw = codec.decompress(payload, stride)
+    raw = codec.decompress(payload, stride, logical)
     if isinstance(raw, memoryview):
         raw = raw.toreadonly()
     n = memoryview(raw).nbytes

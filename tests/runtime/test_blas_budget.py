@@ -9,6 +9,7 @@ the last class drives the real one when this interpreter has it.
 
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -176,6 +177,47 @@ class TestDiscovery:
         assert find_openblas() == []
 
 
+class TestScanIsKept:
+    """One pass of an in-process engine is one acquire/release: the scan
+    (0.5-3 ms) is repeated only when something was imported since."""
+
+    def test_a_second_acquire_does_not_reopen_proc_maps(self, monkeypatch):
+        opened = []
+        real_open = open
+
+        def counting_open(path, *args, **kwargs):
+            if path == "/proc/self/maps":
+                opened.append(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        budget = BlasBudget()
+        for _ in range(3):
+            with budget.threads(2):
+                pass
+        assert len(opened) == 1
+
+    def test_a_library_that_arrives_with_an_import_is_picked_up(self, cores8, monkeypatch):
+        libs = [FakeBlas(8)]
+        scans = []
+
+        def find():
+            scans.append(len(libs))
+            return [lib.control for lib in libs]
+
+        budget = BlasBudget(find)
+        for _ in range(2):
+            with budget.threads(2):
+                assert libs[0].get() == 4
+        assert scans == [1]
+        libs.append(FakeBlas(8))  # what importing scipy.linalg does to the process
+        monkeypatch.setitem(sys.modules, "a_late_blas", types.ModuleType("a_late_blas"))
+        with budget.threads(2):
+            assert [lib.get() for lib in libs] == [4, 4]
+        assert scans == [1, 2]
+        assert [lib.get() for lib in libs] == [8, 8]
+
+
 # -- the fleets that hold the budget -------------------------------------------
 
 
@@ -199,6 +241,7 @@ def held(monkeypatch):
     lib = FakeBlas(4)
     monkeypatch.setattr(blas_budget, "usable_cores", lambda: 4)
     monkeypatch.setattr(BLAS_BUDGET, "_find", lambda: [lib.control])
+    monkeypatch.setattr(BLAS_BUDGET, "_scan", None)  # and back to the real scan after
     return lib
 
 

@@ -3,6 +3,7 @@
 import struct
 import tracemalloc
 import zlib
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.formats import edges_format, points_format, tokens_format
+from repro.storage import codecs
 from repro.storage.codecs import (
     CODEC_NAMES,
     CODECS,
@@ -99,6 +101,133 @@ class TestRoundTrip:
         assert frame[HEADER_NBYTES:] == raw
 
 
+def plane_bitmap(frame, stride):
+    """Which byte planes of a new-style shuffle frame went through DEFLATE."""
+    bits = np.frombuffer(frame, np.uint8, -(-stride // 8), HEADER_NBYTES)
+    return np.unpackbits(bits, bitorder="little")[:stride].astype(bool)
+
+
+def knn_points(n, dim=32, seed=0):
+    """The suite's kNN generator: clustered float64 coordinates."""
+    rng = np.random.default_rng(seed)
+    centers = rng.random((8, dim))
+    return rng.normal(0.0, 0.15, (n, dim)) + centers[rng.integers(0, 8, n)]
+
+
+SHUFFLE_DATA = {
+    "float64": lambda n: np.random.default_rng(5).normal(size=n // 8 + 1),
+    "float32": lambda n: np.random.default_rng(6).normal(size=n // 4 + 1).astype(np.float32),
+    "int64": lambda n: np.random.default_rng(7).integers(0, 5000, n // 8 + 1),
+    "uint8": lambda n: np.random.default_rng(8).integers(0, 256, n, dtype=np.uint8),
+}
+
+
+class TestShufflePlanes:
+    """The ``shuffle`` codec decides per byte plane what DEFLATE is worth."""
+
+    @pytest.mark.parametrize("stride", [1, 4, 7, 8, 256, 4096])
+    @pytest.mark.parametrize("kind", sorted(SHUFFLE_DATA))
+    @pytest.mark.parametrize("n_units,n_tail", [(0, 0), (0, 3), (1, 0), (33, 0), (33, 5)])
+    def test_round_trip(self, kind, stride, n_units, n_tail):
+        nbytes = n_units * stride + min(n_tail, stride - 1)
+        raw = SHUFFLE_DATA[kind](nbytes).tobytes()[:nbytes]
+        frame = encode_chunk(raw, "shuffle", stride)
+        assert frame_info(frame) == ("shuffle", stride, nbytes)
+        assert decode_chunk(frame) == raw
+
+    def test_read_only_and_shared_memory_inputs(self):
+        raw = knn_points(500).tobytes()
+        readonly = np.frombuffer(raw, np.uint8)  # not writable
+        frame = encode_chunk(memoryview(readonly), "shuffle", 256)
+        shm = shared_memory.SharedMemory(create=True, size=len(frame))
+        try:
+            shm.buf[: len(frame)] = frame
+            assert encode_chunk(shm.buf[: len(raw) // 2], "shuffle", 256)
+            out = decode_chunk(shm.buf[: len(frame)])
+            assert out == raw
+            del out  # a view over the segment would keep it from closing
+        finally:
+            shm.close()
+            shm.unlink()
+
+    def test_incompressible_planes_stay_raw(self):
+        raw = np.random.default_rng(1).bytes(256 * 3000)
+        frame = encode_chunk(raw, "shuffle", 256)
+        assert not plane_bitmap(frame, 256).any()
+        # bitmap + stream length: the whole price of asking
+        assert len(frame) == len(encode_chunk(raw, "identity")) + 256 // 8 + 8
+        assert decode_chunk(frame) == raw
+
+    def test_all_planes_deflated_is_the_old_stream_plus_a_preamble(self):
+        tokens = np.random.default_rng(2).zipf(1.3, 83_000) % 5000  # int64 word ids
+        raw = tokens.tobytes()
+        frame = encode_chunk(raw, "shuffle", 8)
+        assert plane_bitmap(frame, 8).all()
+        old_stream = zlib.compress(tokens.view(np.uint8).reshape(-1, 8).T.tobytes(), 6)
+        assert 0 < len(frame) - (HEADER_NBYTES + len(old_stream)) <= 16
+        assert decode_chunk(frame) == raw
+
+    def test_float64_coordinates_deflate_their_top_two_planes(self):
+        """Six mantissa bytes of every float64 are noise DEFLATE expands
+        (1.002); the seventh shrinks to ~0.77, sign/exponent to ~0.07."""
+        raw = knn_points(6250).tobytes()  # the suite's chunk: 1.6 MB
+        frame = encode_chunk(raw, "shuffle", 256)
+        expected = np.zeros(256, bool)
+        expected[6::8] = expected[7::8] = True
+        assert plane_bitmap(frame, 256).tolist() == expected.tolist()
+        assert len(frame) / len(raw) <= 0.86
+        assert decode_chunk(frame) == raw
+
+    def test_sample_that_promised_too_much_falls_back_to_raw(self, monkeypatch):
+        """The decision reads the head of each plane; when the rest does
+        not keep the promise the planes are stored, not expanded."""
+        monkeypatch.setattr(codecs, "_SAMPLE_NBYTES", 16)
+        raw = bytes(16) + np.random.default_rng(3).bytes(6000)
+        assert len(zlib.compress(raw, 6)) > len(raw)
+        frame = encode_chunk(raw, "shuffle", 1)
+        assert not plane_bitmap(frame, 1).any()
+        assert len(frame) == HEADER_NBYTES + 1 + 8 + len(raw)
+        assert decode_chunk(frame) == raw
+
+    def test_golden_legacy_frame_still_decodes(self):
+        """Bytes written by ``encode_chunk(raw, "shuffle", 8)`` before this
+        codec chose planes (codec id 3): readable for ever, never written."""
+        frame = bytes.fromhex(
+            "52430103080000000401000000000000789c63a8fd55fea5f05df68bd447f177"
+            "22af055ff03de57ec4719ff50ed34dfa6b349729333030303232313133b3b0b0"
+            "b2b2b1b1b37370707272717173f3f0f0f2f2f1f1330c715092989903003a8013"
+            "bc"
+        )
+        raw = np.arange(0, 4000, 125, dtype=np.int64).tobytes() + b"tail"
+        assert frame_info(frame) == ("shuffle", 8, len(raw))
+        assert decode_chunk(frame) == raw
+        assert encode_chunk(raw, "shuffle", 8)[3] != frame[3] == 3
+
+    def test_result_is_read_only_and_outlives_its_frame(self):
+        raw = knn_points(300).tobytes()
+        frame = bytearray(encode_chunk(raw, "shuffle", 256))
+        out = decode_chunk(frame)
+        frame[:] = bytes(len(frame))
+        del frame
+        assert memoryview(out).readonly
+        with pytest.raises((TypeError, ValueError)):
+            np.frombuffer(out, np.uint8)[0] = 1
+        assert out == raw
+
+    def test_decode_allocates_less_than_the_old_inflate_alone(self):
+        """PR 16 measured 4.5 x logical inside the old decode's inflate."""
+        raw = knn_points(6250).tobytes()
+        frame = encode_chunk(raw, "shuffle", 256)
+        tracemalloc.start()
+        try:
+            out = decode_chunk(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out == raw
+        assert peak < 2.5 * len(raw)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     raw=st.binary(max_size=4096),
@@ -171,6 +300,23 @@ class TestCorruption:
         frame = encode_chunk(b"abcdef", "identity")
         with pytest.raises(CodecError, match="declares"):
             decode_chunk(frame[:-2])
+
+    @pytest.mark.parametrize("codec_id", [1, 3, 4])
+    def test_inflate_is_bounded_by_what_the_header_declares(self, codec_id):
+        """A 97 KB stream of 100 MB of zeros behind a header declaring 10
+        bytes used to be inflated whole (215 MB) before being rejected."""
+        bomb = zlib.compress(bytes(10**8))
+        if codec_id == 4:  # one plane, deflated: bitmap, stream length, stream
+            bomb = b"\x01" + struct.pack("<Q", len(bomb)) + bomb
+        frame = struct.pack("<2sBBIQ", b"RC", 1, codec_id, 1, 10) + bomb
+        tracemalloc.start()
+        try:
+            with pytest.raises(CodecError, match="declares"):
+                decode_chunk(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.skipif(lz4_available(), reason="lz4 installed")
     def test_lz4_frame_without_package_is_codec_error(self):
