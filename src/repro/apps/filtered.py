@@ -195,9 +195,10 @@ class TopKPageRankSpec(PageRankSpec):
         mask = (dst >= self.dst_lo) & (dst <= self.dst_hi)
         if not mask.any():
             return
-        contrib = self._share[unit_group[:, 0][mask]]
-        robj.data += np.bincount(
-            dst[mask] - self.dst_lo, weights=contrib, minlength=self.window
+        # The PageRank fold rule, on the window: scatter, no dense
+        # window-sized temporary per group.
+        np.add.at(
+            robj.data, dst[mask] - self.dst_lo, self._share[unit_group[:, 0][mask]]
         )
 
     def relevant(self, stats: ChunkStats) -> bool:

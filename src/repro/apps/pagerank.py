@@ -65,15 +65,14 @@ class PageRankSpec(GeneralizedReductionSpec):
 
     def local_reduction(self, robj: ReductionObject, unit_group: np.ndarray) -> None:
         assert isinstance(robj, ArrayReductionObject)
-        src = unit_group[:, 0]
-        dst = unit_group[:, 1]
-        contrib = self._share[src]
-        robj.data += np.bincount(dst, weights=contrib, minlength=self.n_pages)
+        # Scatter each edge's share straight into the object: the cost is
+        # per edge, not per page (a dense n_pages temporary per group
+        # would be zeroed, faulted in and added for a few edges), and
+        # one object folding groups in order sums exactly as
+        # ``pagerank_step``'s single bincount does.
+        np.add.at(robj.data, unit_group[:, 1], self._share[unit_group[:, 0]])
 
     def local_reduction_batch(self, robj: ReductionObject, units: np.ndarray) -> None:
-        # One gather + one bincount over the whole chunk's edges; a
-        # bigger batch amortizes the dense n_pages-long accumulate that
-        # dominates small groups.
         self.local_reduction(robj, units)
 
     def finalize(self, robj: ReductionObject) -> np.ndarray:

@@ -89,6 +89,15 @@ class JobHandle:
         self._state = state
         self._result = result
         self._exc = exc
+        # A resolved job reports what it ended with and lets go of the
+        # service: the registry entry points back at this handle, so
+        # keeping the service would make a dropped one -- and the whole
+        # pass it ran -- cyclic garbage.
+        svc = self._service
+        self._stats = svc._run_stats(self.run_id)
+        self._progress = svc._run_progress(self.run_id)
+        self._chunk_times = svc._run_chunk_times(self.run_id)
+        self._service = None
         self._event.set()
 
     # -- caller API ----------------------------------------------------------
@@ -138,23 +147,29 @@ class JobHandle:
         backend cannot interrupt it (the process/actor run-per-job
         backend).
         """
-        return bool(self._service._cancel(self.run_id))
+        svc = self._service
+        return svc is not None and bool(svc._cancel(self.run_id))
 
     # -- introspection -------------------------------------------------------
+    # Each reads the service while the job is live and, once it resolved,
+    # what ``_resolve`` kept (set before ``_service`` is cleared).
 
     @property
     def stats(self) -> RunStats:
         """This job's live (or final) per-run :class:`RunStats`."""
-        return self._service._run_stats(self.run_id)
+        svc = self._service
+        return self._stats if svc is None else svc._run_stats(self.run_id)
 
     def progress(self) -> dict[str, int]:
         """``{"jobs_total": ..., "jobs_done": ...}`` chunk counts."""
-        return self._service._run_progress(self.run_id)
+        svc = self._service
+        return dict(self._progress) if svc is None else svc._run_progress(self.run_id)
 
     def chunk_done_times(self) -> list[float]:
         """Service-clock timestamps of each completed chunk (fairness
         instrumentation for the benchmark suite)."""
-        return self._service._run_chunk_times(self.run_id)
+        svc = self._service
+        return list(self._chunk_times) if svc is None else svc._run_chunk_times(self.run_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -863,6 +863,10 @@ class BurstingService(EngineBase):
                 self._cond.notify_all()
             for th in self._threads:
                 th.join(timeout)
+            # Masters and slaves point back at the service: forget the
+            # joined fleet so a dropped service is freed without a cycle.
+            self._masters.clear()
+            self._slaves.clear()
         finally:
             with self._cond:
                 if self._blas_held:

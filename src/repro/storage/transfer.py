@@ -1021,6 +1021,9 @@ class ParallelFetcher:
             self._hedge_pool = None
         if self._pool is not None:
             self._pool.shutdown(wait=True)
+        # The sibling map holds this fetcher too: drop it, so a closed
+        # fetcher set is freed by reference counting, not left as a cycle.
+        self.siblings = {}
 
     def __enter__(self) -> "ParallelFetcher":
         return self

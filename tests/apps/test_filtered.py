@@ -152,6 +152,40 @@ class TestTopKPageRank:
         got = spec.finalize(run_local_pass(spec, iter_unit_groups(edges, 131)))
         np.testing.assert_allclose(got, full[40:80])
 
+    @pytest.mark.parametrize("pushdown", [None, "prune", "verify"])
+    def test_matches_reference_under_every_pushdown_mode(self, edges, pushdown):
+        from repro.data.dataset import distribute_dataset, write_dataset
+        from repro.data.formats import edges_format
+        from repro.runtime import ClusterConfig, make_engine
+        from repro.storage.local import MemoryStore
+
+        n = 300
+        ranks = np.full(n, 1.0 / n)
+        outdeg = out_degrees(edges, n)
+        # Sorted by destination, so chunks' dst ranges are narrow and prune bites.
+        ordered = edges[np.argsort(edges[:, 1], kind="stable")]
+        stores = {"local": MemoryStore("local"), "cloud": MemoryStore("cloud")}
+        idx = write_dataset(ordered, edges_format(), stores["local"], n_files=4,
+                            chunk_units=250)
+        idx = distribute_dataset(idx, stores, {"local": 0.5, "cloud": 0.5}, stores["local"])
+        clusters = [ClusterConfig("local", "local", 2, 2), ClusterConfig("cloud", "cloud", 2, 2)]
+        spec = TopKPageRankSpec(ranks, outdeg, 100, 149)
+        rr = make_engine("threaded", clusters, stores, pushdown=pushdown).run(spec, idx)
+        ref = topk_pagerank_window_exact(edges, ranks, outdeg, 100, 149)
+        np.testing.assert_allclose(rr.result, ref, rtol=1e-12)
+        if pushdown is not None:
+            assert rr.stats.n_pruned_chunks > 0
+
+    def test_group_missing_the_window_returns_early(self, edges):
+        n = 300
+        ranks = np.full(n, 1.0 / n)
+        spec = TopKPageRankSpec(ranks, out_degrees(edges, n), 100, 149)
+        robj = spec.create_reduction_object()
+        spec._share = None  # any gather or scatter would now raise
+        spec.local_reduction(robj, np.array([[0, 10], [5, 150]]))
+        spec.local_reduction(robj, np.empty((0, 2), dtype=np.int64))
+        assert not robj.value().any()
+
     def test_window_validation(self, edges):
         n = 300
         ranks = np.full(n, 1.0 / n)

@@ -388,9 +388,11 @@ class TestShutdownHygiene:
             entries = list(service._runs.values())
             assert len(entries) == 200
             assert all(not e.robjs and not e.fetchers for e in entries)
+            slaves = list(service._slaves)  # shutdown() forgets the fleet
         finally:
             service.shutdown()
-        assert all(not s._ctxs for s in service._slaves)
+        assert slaves and all(not s._ctxs for s in slaves)
+        assert service._slaves == [] and service._masters == {}
 
     @pytest.mark.skipif(
         not os.path.isdir("/dev/shm"), reason="no POSIX shm mount"
