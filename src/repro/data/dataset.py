@@ -4,11 +4,20 @@ The organizer lays a dataset out as ``n_files`` binary files in one or
 more storage backends, splits each file into chunks sized for worker
 memory, and emits the index that the head node later turns into the job
 pool.
+
+Placement (:func:`distribute_dataset`, :func:`replicate_dataset`,
+:func:`stripe_dataset`) runs its per-object work over up to
+:data:`PLACEMENT_CONNECTIONS` concurrent connections: a store caps each
+stream, so the organizer writes the way slaves read, several objects in
+flight at once.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -20,6 +29,7 @@ from repro.storage.base import StorageBackend
 from repro.storage.codecs import decode_chunk, encode_chunk, resolve_codec
 
 __all__ = [
+    "PLACEMENT_CONNECTIONS",
     "write_dataset",
     "distribute_dataset",
     "replicate_dataset",
@@ -28,6 +38,30 @@ __all__ = [
     "read_chunk",
     "read_all_units",
 ]
+
+#: Placement tasks (one object moved, copied or striped each) in flight
+#: at once; at most this many objects are held in memory.
+PLACEMENT_CONNECTIONS = 8
+
+_T = TypeVar("_T")
+
+
+def _place_each(tasks: list[Callable[[], _T]]) -> list[_T]:
+    """Run placement ``tasks`` concurrently; their results in task order.
+
+    At most :data:`PLACEMENT_CONNECTIONS` run at once.  Every task runs
+    to completion and the pool is joined before anything is returned or
+    raised; a failure re-raises the first error in task order.  With at
+    most one task no thread is started.
+    """
+    if len(tasks) <= 1:
+        return [task() for task in tasks]
+    with ThreadPoolExecutor(
+        max_workers=min(PLACEMENT_CONNECTIONS, len(tasks)),
+        thread_name_prefix="place",
+    ) as pool:
+        futures = [pool.submit(task) for task in tasks]
+    return [f.result() for f in futures]
 
 
 def ordered_placements(
@@ -183,14 +217,22 @@ def distribute_dataset(
     the store its new location demands (per ``fractions``, see
     :meth:`DataIndex.with_placement`) and delete it from the source if it
     moved.  Returns the re-placed index.
+
+    Files move concurrently (see :data:`PLACEMENT_CONNECTIONS`).  A
+    source object is deleted only after its put succeeded, so a failed
+    move loses no file.
     """
     placed = index.with_placement(fractions)
-    for f in placed.files:
-        target = stores[f.location]
-        if target is source:
-            continue
-        target.put(f.key, source.get(f.key))
-        source.delete(f.key)
+
+    def move(key: str, target: StorageBackend) -> None:
+        target.put(key, source.get(key))
+        source.delete(key)
+
+    _place_each([
+        partial(move, f.key, stores[f.location])
+        for f in placed.files
+        if stores[f.location] is not source
+    ])
     return placed
 
 
@@ -211,22 +253,27 @@ def replicate_dataset(
     :class:`~repro.data.chunks.ChunkSource` entries in ``replicas``.
 
     Requires at least ``n_replicas + 1`` distinct stores.  Returns the
-    replica-annotated index; the input index is unchanged.
+    replica-annotated index; the input index is unchanged.  Files are
+    copied concurrently (see :data:`PLACEMENT_CONNECTIONS`).
     """
     if n_replicas <= 0:
         return index
     validate_redundancy(replicas=n_replicas, n_stores=len(stores))
-    replica_locs: dict[int, list[str]] = {}
-    for i, f in enumerate(index.files):
-        # Rotate the start point per file so replicas spread evenly
-        # when there are more candidate stores than replicas.
-        locs = ordered_placements(
+    # Rotate the start point per file so replicas spread evenly when
+    # there are more candidate stores than replicas.
+    replica_locs = {
+        f.file_id: ordered_placements(
             stores, f.location, n_replicas, rotation=i, what="replica"
         )
-        replica_locs[f.file_id] = locs
+        for i, f in enumerate(index.files)
+    }
+
+    def copy(f) -> None:
         data = stores[f.location].get(f.key)
-        for loc in locs:
+        for loc in replica_locs[f.file_id]:
             stores[loc].put(f.key, data)
+
+    _place_each([partial(copy, f) for f in index.files])
     from repro.data.chunks import ChunkSource
 
     new_chunks = [
@@ -272,22 +319,28 @@ def stripe_dataset(
     ``location`` as the scheduler-locality home and gains
     ``fragments``/``stripe`` metadata.  Returns the striped index; the
     input index is unchanged.
+
+    Chunks are striped concurrently (see :data:`PLACEMENT_CONNECTIONS`);
+    the originals are deleted only once every chunk's fragments are
+    written, so a failed stripe leaves every source file in place.
     """
     from repro.data.chunks import ChunkFragment
     from repro.storage.erasure import stripe_frame
 
     k, m = normalize_stripe((k, m))  # canonical wording for shape errors
-    new_chunks = []
-    for c in index.chunks:
-        frame = stores[c.location].get(c.key, c.wire_offset, c.wire_nbytes)
-        locs = ordered_placements(
+    placements = [
+        ordered_placements(
             stores, c.location, k + m,
             rotation=c.chunk_id, include_home=True, distinct=False,
             what="fragment",
         )
-        frags = stripe_frame(frame, k, m)
+        for c in index.chunks
+    ]
+
+    def stripe(c, locs: list[str]):
+        frame = stores[c.location].get(c.key, c.wire_offset, c.wire_nbytes)
         infos = []
-        for j, (loc, data) in enumerate(zip(locs, frags)):
+        for j, (loc, data) in enumerate(zip(locs, stripe_frame(frame, k, m))):
             fkey = f"{c.key}.c{c.chunk_id:06d}.f{j:02d}"
             stores[loc].put(fkey, data)
             infos.append(
@@ -295,7 +348,11 @@ def stripe_dataset(
                     frag_index=j, location=loc, key=fkey, nbytes=len(data)
                 )
             )
-        new_chunks.append(replace(c, fragments=tuple(infos), stripe=(k, m)))
+        return replace(c, fragments=tuple(infos), stripe=(k, m))
+
+    new_chunks = _place_each([
+        partial(stripe, c, locs) for c, locs in zip(index.chunks, placements)
+    ])
     for f in index.files:
         stores[f.location].delete(f.key)
     new_meta = dict(index.meta)

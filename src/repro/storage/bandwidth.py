@@ -1,11 +1,12 @@
 """Bandwidth shaping for the threaded (real-execution) path.
 
-The simulated S3 store throttles reads with two mechanisms that mirror
-the measured behaviour of the real service circa the paper:
+The simulated S3 store throttles reads and writes with two mechanisms
+that mirror the measured behaviour of the real service circa the paper:
 
-* a **per-connection rate cap** -- one GET stream cannot exceed a fixed
-  throughput, which is why slaves retrieve each chunk "using multiple
-  retrieval threads";
+* a **per-connection rate cap** -- one GET or PUT stream cannot exceed
+  a fixed throughput, which is why slaves retrieve each chunk "using
+  multiple retrieval threads" and the organizer places several objects
+  at once (``repro.data.dataset.PLACEMENT_CONNECTIONS``);
 * an **aggregate token bucket** shared by all connections -- total
   service bandwidth is finite, so concurrent readers contend.
 

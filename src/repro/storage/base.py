@@ -99,7 +99,9 @@ class StorageBackend(abc.ABC):
     """Abstract object store holding named byte blobs.
 
     Concrete backends must be safe for concurrent ``get`` from multiple
-    threads (slaves use several retrieval threads per chunk).
+    threads (slaves use several retrieval threads per chunk) and for
+    concurrent ``put``/``delete`` of distinct keys (the organizer places
+    several objects at once).
     """
 
     #: Site label ("local", "cloud", ...) used for locality decisions.

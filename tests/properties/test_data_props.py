@@ -146,3 +146,39 @@ class TestDatasetRoundtripProperties:
         )
         assert np.array_equal(read_all_units(idx, {"local": store}), units)
         assert idx.n_units == n
+
+    @given(
+        n_files=st.integers(1, 20),
+        local_frac=st.floats(0.0, 1.0),
+        stripe=st.sampled_from([None, (2, 1), (4, 2), (3, 3)]),
+        replicas=st.integers(0, 1),
+        codec=st.sampled_from([None, "shuffle"]),
+        seed=st.integers(0, 10),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_concurrent_placement_reads_back_identical(
+        self, n_files, local_frac, stripe, replicas, codec, seed
+    ):
+        """Placement moves, copies and stripes objects concurrently; what
+        it leaves behind reads back as the dataset that was written."""
+        from repro.data.dataset import (
+            distribute_dataset,
+            replicate_dataset,
+            stripe_dataset,
+        )
+
+        units = np.random.default_rng(seed).normal(size=(n_files * 9, 3))
+        stores = {n: MemoryStore(n) for n in ("local", "cloud", "s0", "s1")}
+        idx = write_dataset(
+            units, points_format(3), stores["local"],
+            n_files=n_files, chunk_units=4, codec=codec,
+        )
+        idx = distribute_dataset(
+            idx, stores, {"local": local_frac, "cloud": 1.0 - local_frac},
+            stores["local"],
+        )
+        if stripe is not None:
+            idx = stripe_dataset(idx, stores, k=stripe[0], m=stripe[1])
+        elif replicas:
+            idx = replicate_dataset(idx, stores, n_replicas=replicas)
+        assert np.array_equal(read_all_units(idx, stores), units)
