@@ -33,10 +33,77 @@ def _enc_num(v: int | float | None) -> int | float | str | None:
     return v
 
 
-def _dec_num(v: int | float | str | None) -> int | float | None:
-    if isinstance(v, str):
-        return float(v)
+# Index documents are untrusted JSON: every ``from_dict`` here (and in
+# ``formats``/``index``) reports a malformed one -- a missing key, a wrong
+# type, a list of the wrong length, a negative size -- as ValueError.
+
+
+def _doc(d: object, what: str, keys: frozenset[str]) -> dict:
+    """``d`` if it is a JSON object holding no keys outside ``keys``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what}: expected an object, got {type(d).__name__}")
+    if not d.keys() <= keys:
+        raise ValueError(f"{what}: unknown keys {sorted(map(str, d.keys() - keys))}")
+    return d
+
+
+def _get(d: dict, key: str, what: str, kind: type, *, optional: bool = False):
+    """``d[key]`` checked to be a ``kind`` (``None`` when ``optional`` and
+    it is absent or null); integers go through :func:`_nonneg`."""
+    v = d.get(key)
+    if v is None:
+        if optional:
+            return None
+        raise ValueError(f"{what}: missing {key!r}")
+    if not isinstance(v, kind):
+        raise ValueError(
+            f"{what}: {key!r} must be {kind.__name__}, got {type(v).__name__}"
+        )
     return v
+
+
+def _nonneg(v: object, what: str) -> int:
+    """``v`` if it is a non-negative integer (not a bool)."""
+    if isinstance(v, int) and not isinstance(v, bool) and v >= 0:
+        return v
+    raise ValueError(f"{what}: expected a non-negative integer, got {v!r:.40}")
+
+
+def _size(d: dict, key: str, what: str, *, optional: bool = False) -> int:
+    """``d[key]`` as a non-negative integer (``None`` when optional and
+    absent or null)."""
+    v = d.get(key)
+    return None if v is None and optional else _nonneg(v, f"{what} {key}")
+
+
+def _dec_num(v: object, what: str, *, nullable: bool = False) -> int | float | None:
+    """A stat value from JSON: a number, a non-finite float's string, or
+    (for bounds) ``None``."""
+    if isinstance(v, str):
+        try:
+            return float(v)
+        except ValueError:
+            raise ValueError(f"{what}: non-numeric stat {v!r}") from None
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return v
+    if v is None and nullable:
+        return None
+    raise ValueError(f"{what}: expected a number, got {type(v).__name__}")
+
+
+_NUMBERS = frozenset((int, float))
+_BOUNDS = _NUMBERS | {type(None)}
+
+
+def _dec_nums(
+    vals: object, what: str, n: int, *, nullable: bool = False
+) -> tuple[int | float | None, ...]:
+    """``vals`` as exactly ``n`` stat values, one per field."""
+    if not isinstance(vals, list) or len(vals) != n:
+        raise ValueError(f"{what}: expected a list of {n} values, got {vals!r:.40}")
+    if set(map(type, vals)) <= (_BOUNDS if nullable else _NUMBERS):
+        return tuple(vals)  # plain JSON numbers, the common case
+    return tuple(_dec_num(v, what, nullable=nullable) for v in vals)
 
 
 def _num_eq(a, b) -> bool:
@@ -142,35 +209,108 @@ class ChunkStats:
             "sample": [[_enc_num(v) for v in row] for row in self.sample],
         }
 
+    _KEYS = frozenset(("n_units", "counts", "mins", "maxs", "sums", "sample"))
+
     @classmethod
     def from_dict(cls, d: dict) -> "ChunkStats":
+        what = "chunk stats"
+        d = _doc(d, what, cls._KEYS)
+        n_units = _size(d, "n_units", what)
+        counts = tuple(
+            _nonneg(c, f"{what} counts") for c in _get(d, "counts", what, list)
+        )
+        if any(c > n_units for c in counts):
+            raise ValueError(f"{what}: a count exceeds n_units {n_units}")
+        n = len(counts)
+        rows = _get(d, "sample", what, list, optional=True) or []
         return cls(
-            n_units=d["n_units"],
-            counts=tuple(d["counts"]),
-            mins=tuple(_dec_num(v) for v in d["mins"]),
-            maxs=tuple(_dec_num(v) for v in d["maxs"]),
-            sums=tuple(_dec_num(v) for v in d["sums"]),
-            sample=tuple(
-                tuple(_dec_num(v) for v in row) for row in d.get("sample", ())
-            ),
+            n_units=n_units,
+            counts=counts,
+            mins=_dec_nums(d.get("mins"), f"{what} mins", n, nullable=True),
+            maxs=_dec_nums(d.get("maxs"), f"{what} maxs", n, nullable=True),
+            sums=_dec_nums(d.get("sums"), f"{what} sums", n),
+            sample=tuple(_dec_nums(row, f"{what} sample", n) for row in rows),
         )
 
 
-def _exact_int_sum(col: np.ndarray) -> int:
-    """Exact big-int sum of an integer column (Python ints don't wrap)."""
-    return sum(int(v) for v in col.tolist())
+#: ``(counts, mins, maxs, sums)``, one entry per field.
+_Fields = tuple[
+    list[int], list[int | float | None], list[int | float | None], list[int | float]
+]
+
+
+def _float_fields(flat: np.ndarray, cols: np.ndarray, private: bool) -> _Fields:
+    """``(counts, mins, maxs, sums)`` of the float ``(n, fields)`` array
+    ``flat``, reduced along its field-major copy ``cols``.
+
+    ``fmin``/``fmax`` skip NaN, and a contiguous row sums pairwise exactly
+    as a NaN-zeroed contiguous copy of the column would, so the results
+    are bit-identical to NumPy's NaN-ignoring reductions run column by
+    column.  Only which of ``0.0``/``-0.0`` wins a bound depends on the
+    reduction order, so a bound that is a zero is taken again from the
+    strided column.  A NaN anywhere in a row makes its sum NaN, so the
+    NaN mask and the zero-fill are paid only by a chunk that holds one;
+    ``cols`` is written only when ``private``.
+    """
+    n = cols.shape[1]
+    with np.errstate(invalid="ignore"):
+        mins = np.fmin.reduce(cols, axis=1)
+        maxs = np.fmax.reduce(cols, axis=1)
+        for bounds, ufunc in ((mins, np.fmin), (maxs, np.fmax)):
+            for f in np.flatnonzero(bounds == 0).tolist():
+                bounds[f] = ufunc.reduce(flat[:, f])
+        sums = cols.sum(axis=1)
+        counts: list[int] = [n] * len(sums)
+        if np.isnan(sums).any():
+            mask = np.isnan(cols)
+            counts = (n - mask.sum(axis=1)).tolist()
+            if not private:
+                cols = cols.copy()
+            np.copyto(cols, 0, where=mask)
+            sums = cols.sum(axis=1)
+    known = [c > 0 for c in counts]
+    return (
+        counts,
+        [float(v) if k else None for v, k in zip(mins.tolist(), known)],
+        [float(v) if k else None for v, k in zip(maxs.tolist(), known)],
+        [float(v) if k else 0.0 for v, k in zip(sums.tolist(), known)],
+    )
+
+
+def _int_fields(cols: np.ndarray) -> _Fields:
+    """``(counts, mins, maxs, sums)`` of integer rows ``cols``, sums exact.
+
+    The int64 accumulation can only wrap in a row whose ``n * max|v|``
+    reaches 2**63; only those rows are cross-checked against a float64
+    accumulation, and a row whose two sums diverge (a genuine wrap
+    shifts the value by 2**64, far outside float64 rounding error) is
+    summed again in Python ints, which do not wrap, a block at a time.
+    """
+    n = cols.shape[1]
+    lows = [int(v) for v in cols.min(axis=1).tolist()]
+    highs = [int(v) for v in cols.max(axis=1).tolist()]
+    sums = cols.sum(axis=1, dtype=np.int64).tolist()
+    for f, (lo, hi) in enumerate(zip(lows, highs)):
+        if n * max(-lo, hi) < 2**63:
+            continue
+        check = float(cols[f].sum(dtype=np.float64))
+        if abs(float(sums[f]) - check) > max(1.0, abs(check)) * 1e-6:
+            sums[f] = sum(
+                sum(cols[f, i : i + 4096].tolist()) for i in range(0, n, 4096)
+            )
+    return [n] * len(sums), list(lows), list(highs), sums
 
 
 def compute_chunk_stats(
     units: np.ndarray, *, sample_units: int = SAMPLE_UNITS
 ) -> ChunkStats:
-    """Single-pass per-field statistics over one chunk's data units.
+    """Per-field statistics over one chunk's data units.
 
-    ``units`` is the decoded unit array, shape ``(n, *record_shape)``.
-    Integer sums are overflow-safe: the fast int64 accumulation is
-    cross-checked against a float64 accumulation and falls back to an
-    exact Python-int sum when they diverge (a genuine wrap shifts the
-    value by 2**64, far outside float64 rounding error).
+    ``units`` is the decoded unit array, shape ``(n, *record_shape)``; it
+    is never written.  The work is one field-major copy (free for scalar
+    records) and a fixed number of whole-chunk reductions along it,
+    whatever the field count.  Integer sums are exact past the int64
+    range (see :func:`_int_fields`).
     """
     arr = np.asarray(units)
     n = int(arr.shape[0]) if arr.ndim else 0
@@ -178,39 +318,19 @@ def compute_chunk_stats(
     flat = arr.reshape(n, n_fields)
     is_float = np.issubdtype(flat.dtype, np.floating)
 
-    counts: list[int] = []
-    mins: list[int | float | None] = []
-    maxs: list[int | float | None] = []
-    sums: list[int | float] = []
-    for f in range(n_fields):
-        col = flat[:, f]
+    fields: _Fields
+    if n == 0:
+        zero: int | float = 0.0 if is_float else 0
+        fields = (
+            [0] * n_fields, [None] * n_fields, [None] * n_fields, [zero] * n_fields
+        )
+    else:
+        cols = np.ascontiguousarray(flat.T)
         if is_float:
-            nan_mask = np.isnan(col)
-            cnt = int(n - nan_mask.sum())
-            counts.append(cnt)
-            if cnt == 0:
-                mins.append(None)
-                maxs.append(None)
-                sums.append(0.0)
-            else:
-                with np.errstate(invalid="ignore"):
-                    mins.append(float(np.nanmin(col)))
-                    maxs.append(float(np.nanmax(col)))
-                    sums.append(float(np.nansum(col)))
+            fields = _float_fields(flat, cols, not np.may_share_memory(cols, arr))
         else:
-            counts.append(n)
-            if n == 0:
-                mins.append(None)
-                maxs.append(None)
-                sums.append(0)
-            else:
-                mins.append(int(col.min()))
-                maxs.append(int(col.max()))
-                fast = int(col.sum(dtype=np.int64))
-                check = float(col.sum(dtype=np.float64))
-                if abs(float(fast) - check) > max(1.0, abs(check)) * 1e-6:
-                    fast = _exact_int_sum(col)
-                sums.append(fast)
+            fields = _int_fields(cols)
+    counts, mins, maxs, sums = fields
 
     sample: tuple[tuple[int | float, ...], ...] = ()
     if n > 0 and sample_units > 0:
@@ -219,7 +339,7 @@ def compute_chunk_stats(
         )
         cast = float if is_float else int
         sample = tuple(
-            tuple(cast(v) for v in flat[i]) for i in idx.tolist()
+            tuple(cast(v) for v in row) for row in flat[idx].tolist()
         )
 
     return ChunkStats(
@@ -256,13 +376,17 @@ class ChunkSource:
             d["enc_nbytes"] = self.enc_nbytes
         return d
 
+    _KEYS = frozenset(("location", "key", "enc_offset", "enc_nbytes"))
+
     @classmethod
     def from_dict(cls, d: dict) -> "ChunkSource":
+        what = "chunk source"
+        d = _doc(d, what, cls._KEYS)
         return cls(
-            location=d["location"],
-            key=d["key"],
-            enc_offset=d.get("enc_offset"),
-            enc_nbytes=d.get("enc_nbytes"),
+            location=_get(d, "location", what, str),
+            key=_get(d, "key", what, str),
+            enc_offset=_size(d, "enc_offset", what, optional=True),
+            enc_nbytes=_size(d, "enc_nbytes", what, optional=True),
         )
 
 
@@ -290,13 +414,17 @@ class ChunkFragment:
             "nbytes": self.nbytes,
         }
 
+    _KEYS = frozenset(("frag_index", "location", "key", "nbytes"))
+
     @classmethod
     def from_dict(cls, d: dict) -> "ChunkFragment":
+        what = "chunk fragment"
+        d = _doc(d, what, cls._KEYS)
         return cls(
-            frag_index=d["frag_index"],
-            location=d["location"],
-            key=d["key"],
-            nbytes=d["nbytes"],
+            frag_index=_size(d, "frag_index", what),
+            location=_get(d, "location", what, str),
+            key=_get(d, "key", what, str),
+            nbytes=_size(d, "nbytes", what),
         )
 
 
@@ -392,30 +520,49 @@ class ChunkInfo:
             **({"stats": self.stats.to_dict()} if self.stats is not None else {}),
         }
 
+    _KEYS = frozenset((
+        "chunk_id", "file_id", "key", "offset", "nbytes", "n_units", "location",
+        "crc32", "codec", "enc_offset", "enc_nbytes", "replicas", "fragments",
+        "stripe", "stats",
+    ))
+
     @classmethod
     def from_dict(cls, d: dict) -> "ChunkInfo":
+        what = "chunk"
+        d = _doc(d, what, cls._KEYS)
+        codec = _get(d, "codec", what, str, optional=True)
+        enc_offset = _size(d, "enc_offset", what, optional=True)
+        enc_nbytes = _size(d, "enc_nbytes", what, optional=True)
+        if codec is not None and (enc_offset is None or enc_nbytes is None):
+            raise ValueError(f"{what}: codec {codec!r} without its encoded range")
+        stripe = _get(d, "stripe", what, list, optional=True)
+        if stripe is not None:
+            if len(stripe) != 2:
+                raise ValueError(f"{what}: stripe must be [k, m], got {stripe!r:.40}")
+            stripe = tuple(_nonneg(v, f"{what} stripe") for v in stripe)
+        stats = d.get("stats")
         return cls(
-            **{
-                **d,
-                "crc32": d.get("crc32"),
-                "codec": d.get("codec"),
-                "enc_offset": d.get("enc_offset"),
-                "enc_nbytes": d.get("enc_nbytes"),
-                "replicas": tuple(
-                    ChunkSource.from_dict(r) for r in d.get("replicas", ())
-                ),
-                "fragments": tuple(
-                    ChunkFragment.from_dict(f) for f in d.get("fragments", ())
-                ),
-                "stripe": (
-                    tuple(d["stripe"]) if d.get("stripe") is not None else None
-                ),
-                "stats": (
-                    ChunkStats.from_dict(d["stats"])
-                    if d.get("stats") is not None
-                    else None
-                ),
-            }
+            chunk_id=_size(d, "chunk_id", what),
+            file_id=_size(d, "file_id", what),
+            key=_get(d, "key", what, str),
+            offset=_size(d, "offset", what),
+            nbytes=_size(d, "nbytes", what),
+            n_units=_size(d, "n_units", what),
+            location=_get(d, "location", what, str),
+            crc32=_size(d, "crc32", what, optional=True),
+            codec=codec,
+            enc_offset=enc_offset,
+            enc_nbytes=enc_nbytes,
+            replicas=tuple(
+                ChunkSource.from_dict(r)
+                for r in _get(d, "replicas", what, list, optional=True) or ()
+            ),
+            fragments=tuple(
+                ChunkFragment.from_dict(f)
+                for f in _get(d, "fragments", what, list, optional=True) or ()
+            ),
+            stripe=stripe,
+            stats=None if stats is None else ChunkStats.from_dict(stats),
         )
 
 

@@ -26,7 +26,7 @@ from repro.data.formats import RecordFormat
 from repro.data.index import DataIndex, build_index
 from repro.data.redundancy import normalize_stripe, validate_redundancy
 from repro.storage.base import StorageBackend
-from repro.storage.codecs import decode_chunk, encode_chunk, resolve_codec
+from repro.storage.codecs import Buffer, decode_chunk, encode_chunk, resolve_codec
 
 __all__ = [
     "PLACEMENT_CONNECTIONS",
@@ -112,7 +112,6 @@ def write_dataset(
     key_prefix: str = "part",
     meta: dict | None = None,
     codec: str | None = None,
-    stats: bool = True,
 ) -> DataIndex:
     """Write ``units`` into ``n_files`` files in ``store`` and build the index.
 
@@ -132,11 +131,12 @@ def write_dataset(
     when the optional package is missing; the codec actually used is
     recorded per chunk and in ``index.meta["codec"]``.
 
-    ``stats=True`` (the default) additionally computes per-chunk
-    :class:`~repro.data.chunks.ChunkStats` in this same pass -- over the
-    *decoded* values, so stats are identical with or without a codec and
-    survive :func:`replicate_dataset` unchanged.  They feed the head's
-    predicate pushdown (metadata-first retrieval).
+    Every chunk also gets its :class:`~repro.data.chunks.ChunkStats`,
+    computed on the array that is written -- ``units`` cast once per file
+    to ``fmt.dtype`` -- so they describe exactly the values a reader
+    decodes, are identical with or without a codec and survive
+    :func:`replicate_dataset` unchanged.  They feed the head's predicate
+    pushdown (metadata-first retrieval).
     """
     if n_files <= 0:
         raise ValueError("n_files must be positive")
@@ -153,12 +153,11 @@ def write_dataset(
         cnt = base + (1 if i < extra else 0)
         file_units.append(cnt)
         key = f"{key_prefix}-{i:05d}.bin"
-        run = units[pos : pos + cnt]
-        if stats:
-            chunk_stats[i] = [
-                compute_chunk_stats(run[start : start + chunk_units])
-                for start in range(0, cnt, chunk_units)
-            ]
+        run = np.ascontiguousarray(units[pos : pos + cnt], dtype=fmt.dtype)
+        chunk_stats[i] = [
+            compute_chunk_stats(run[start : start + chunk_units])
+            for start in range(0, cnt, chunk_units)
+        ]
         if codec_obj is None:
             store.put(key, fmt.encode(run))
         else:
@@ -185,19 +184,15 @@ def write_dataset(
         key_prefix=key_prefix,
         meta=meta,
     )
-    if codec_obj is None and not stats:
-        return index
     next_in_file = {f.file_id: 0 for f in index.files}
     new_chunks = []
     for c in index.chunks:
         j = next_in_file[c.file_id]
         next_in_file[c.file_id] = j + 1
-        kw: dict = {}
+        kw: dict = {"stats": chunk_stats[c.file_id][j]}
         if codec_obj is not None:
             enc_off, enc_n = enc_ranges[c.file_id][j]
             kw.update(codec=codec_obj.name, enc_offset=enc_off, enc_nbytes=enc_n)
-        if stats:
-            kw["stats"] = chunk_stats[c.file_id][j]
         new_chunks.append(replace(c, **kw))
     new_meta = dict(index.meta)
     if codec_obj is not None:
@@ -375,6 +370,7 @@ def read_chunk(
     chunk = index.chunks[chunk_id]
     if chunk.chunk_id != chunk_id:  # index must be dense and ordered
         raise ValueError(f"index chunk list is not dense at id {chunk_id}")
+    raw: Buffer
     if chunk.fragments:
         from repro.storage.erasure import reassemble
 

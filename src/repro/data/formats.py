@@ -16,6 +16,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.data.chunks import _doc, _get, _nonneg
+
 __all__ = ["RecordFormat", "points_format", "edges_format", "tokens_format"]
 
 
@@ -110,7 +112,22 @@ class RecordFormat:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RecordFormat":
-        return cls(d["name"], np.dtype(d["dtype"]), tuple(d["record_shape"]))
+        """The format a :meth:`to_dict` document describes; a malformed
+        document raises ValueError."""
+        what = "record format"
+        d = _doc(d, what, frozenset(("name", "dtype", "record_shape")))
+        dtype = _get(d, "dtype", what, str)
+        try:
+            dt = np.dtype(dtype)
+        except (TypeError, ValueError, OverflowError):
+            dt = None
+        if dt is None or dt.kind not in "biufc":
+            raise ValueError(f"{what}: {dtype!r:.40} is not a numeric dtype")
+        shape = _get(d, "record_shape", what, list)
+        return cls(
+            _get(d, "name", what, str), dt,
+            tuple(_nonneg(v, f"{what} record_shape") for v in shape),
+        )
 
 
 def points_format(dim: int, dtype: Any = np.float64) -> RecordFormat:

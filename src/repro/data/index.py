@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.data.chunks import ChunkInfo, plan_file_chunks
+from repro.data.chunks import ChunkInfo, _doc, _get, _size, plan_file_chunks
 from repro.data.formats import RecordFormat
 
 __all__ = ["FileInfo", "DataIndex", "build_index"]
@@ -37,9 +37,19 @@ class FileInfo:
             "location": self.location,
         }
 
+    _KEYS = frozenset(("file_id", "key", "nbytes", "n_units", "location"))
+
     @classmethod
     def from_dict(cls, d: dict) -> "FileInfo":
-        return cls(**d)
+        what = "file"
+        d = _doc(d, what, cls._KEYS)
+        return cls(
+            file_id=_size(d, "file_id", what),
+            key=_get(d, "key", what, str),
+            nbytes=_size(d, "nbytes", what),
+            n_units=_size(d, "n_units", what),
+            location=_get(d, "location", what, str),
+        )
 
 
 @dataclass
@@ -123,11 +133,15 @@ class DataIndex:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DataIndex":
+        """The index a :meth:`to_dict` document describes; a malformed
+        document raises ValueError."""
+        what = "index"
+        d = _doc(d, what, frozenset(("format", "files", "chunks", "meta")))
         return cls(
-            fmt=RecordFormat.from_dict(d["format"]),
-            files=[FileInfo.from_dict(f) for f in d["files"]],
-            chunks=[ChunkInfo.from_dict(c) for c in d["chunks"]],
-            meta=d.get("meta", {}),
+            fmt=RecordFormat.from_dict(_get(d, "format", what, dict)),
+            files=[FileInfo.from_dict(f) for f in _get(d, "files", what, list)],
+            chunks=[ChunkInfo.from_dict(c) for c in _get(d, "chunks", what, list)],
+            meta=_get(d, "meta", what, dict, optional=True) or {},
         )
 
     def to_json(self) -> str:

@@ -61,7 +61,7 @@ def attach_checksums(index: DataIndex, stores: dict[str, StorageBackend]) -> Dat
     return DataIndex(index.fmt, list(index.files), new_chunks, dict(index.meta))
 
 
-def verify_chunk_bytes(chunk: ChunkInfo, raw: bytes) -> None:
+def verify_chunk_bytes(chunk: ChunkInfo, raw: bytes | bytearray | memoryview) -> None:
     """Raise :class:`IntegrityError` if ``raw`` mismatches the checksum.
 
     Chunks without a recorded checksum pass trivially (verification is

@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from repro.data.chunks import SAMPLE_UNITS, ChunkStats, compute_chunk_stats
-from repro.data.dataset import distribute_dataset, replicate_dataset, write_dataset
+from repro.data.dataset import (
+    distribute_dataset,
+    read_chunk,
+    replicate_dataset,
+    write_dataset,
+)
 from repro.data.formats import RecordFormat, points_format, tokens_format
 from repro.data.index import DataIndex
 from repro.storage.local import MemoryStore
@@ -161,12 +166,6 @@ class TestWriteDatasetStats:
         for a, b in zip(plain.chunks, coded.chunks):
             assert a.stats == b.stats
 
-    def test_stats_opt_out(self):
-        toks = np.arange(40)
-        idx = write_dataset(toks, tokens_format(), MemoryStore(),
-                            n_files=2, chunk_units=8, stats=False)
-        assert all(c.stats is None for c in idx.chunks)
-
     def test_stats_survive_placement_replication_and_json(self):
         toks = np.arange(80)
         stores = {"local": MemoryStore("local"), "cloud": MemoryStore("cloud")}
@@ -185,11 +184,69 @@ class TestWriteDatasetStats:
     def test_old_index_without_stats_still_loads(self):
         toks = np.arange(40)
         idx = write_dataset(toks, tokens_format(), MemoryStore(),
-                            n_files=2, chunk_units=8, stats=False)
+                            n_files=2, chunk_units=8)
         d = idx.to_dict()
-        assert all("stats" not in c for f in [d] for c in d["chunks"])
+        for c in d["chunks"]:
+            del c["stats"]
         back = DataIndex.from_json(json.dumps(d))
         assert all(c.stats is None for c in back.chunks)
+        assert "stats" not in back.to_dict()["chunks"][0]
+
+
+def decoded_chunks(idx, store):
+    """``(chunk, decoded units)`` for every chunk, read back from ``store``."""
+    stores = {store.location: store}
+    return [(c, read_chunk(idx, c.chunk_id, stores)) for c in idx.chunks]
+
+
+class TestStatsDescribeWrittenValues:
+    """Stats are computed after the format's cast, on the bytes stored."""
+
+    @pytest.mark.parametrize("codec", [None, "zlib"])
+    def test_float64_input_to_float32_format(self, codec):
+        store = MemoryStore()
+        idx = write_dataset(np.full((8, 1), 0.1), points_format(1, dtype=np.float32),
+                            store, n_files=1, chunk_units=4, codec=codec)
+        for c, units in decoded_chunks(idx, store):
+            assert c.stats == compute_chunk_stats(units)
+            assert c.stats.maxs == (float(np.float32(0.1)),)
+            # The stored value is 0.10000000149...; a range just above the
+            # float64 0.1 must not prune the chunk that holds it.
+            assert c.stats.overlaps(0, 0.1000000005, 1.0)
+
+    @pytest.mark.parametrize("codec", [None, "shuffle"])
+    def test_int64_input_wrapping_in_int32_format(self, codec):
+        toks = np.array([2**31 + 5, 3, 2**31 + 5, -7], dtype=np.int64)
+        store = MemoryStore()
+        idx = write_dataset(toks, tokens_format(np.int32), store,
+                            n_files=1, chunk_units=2, codec=codec)
+        for c, units in decoded_chunks(idx, store):
+            assert c.stats == compute_chunk_stats(units)
+        assert idx.chunks[0].stats.mins == (-(2**31) + 5,)
+
+    def test_pushdown_verify_over_a_cast_dataset(self):
+        from repro.apps.filtered import BoundingBoxKMeansSpec
+        from repro.runtime import ClusterConfig, make_engine
+
+        # Chunk 0 holds 0.05, chunk 1 the float64 0.1 stored as float32.
+        pts = np.repeat([[0.05, 0.05], [0.1, 0.1]], 3, axis=0)
+        store = MemoryStore("local")
+        idx = write_dataset(pts, points_format(2, dtype=np.float32), store,
+                            n_files=2, chunk_units=3)
+        spec = BoundingBoxKMeansSpec(np.array([[0.0, 0.0], [1.0, 1.0]]),
+                                     0.1000000005, 1.0)
+        runs = {
+            mode: make_engine(
+                "threaded", [ClusterConfig("local", "local", 1)],
+                {"local": store}, pushdown=mode,
+            ).run(spec, idx)
+            for mode in ("off", "verify")
+        }
+        assert runs["verify"].stats.n_pruned_chunks == 1
+        assert runs["verify"].result.counts.tolist() == [3, 0]
+        np.testing.assert_array_equal(
+            runs["verify"].result.centroids, runs["off"].result.centroids
+        )
 
 
 class TestOverlapSemantics:

@@ -7,6 +7,8 @@ locality scheduler, the ``verify`` soundness guard, and live/DES
 agreement on bytes saved.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -144,7 +146,8 @@ class TestPlanJobs:
         toks = np.sort(rng.integers(0, 400, size=4000))
         store = MemoryStore()
         idx = write_dataset(toks, tokens_format(), store,
-                            n_files=2, chunk_units=250, stats=False)
+                            n_files=2, chunk_units=250)
+        idx.chunks = [replace(c, stats=None) for c in idx.chunks]
         plan = plan_jobs(idx, FilteredWordCountSpec(0, 10), "prune")
         assert plan.pruned == []
         assert len(plan.jobs) == len(idx.chunks)
