@@ -230,8 +230,46 @@ _MAP_POPULATED = (
     if hasattr(mmap, "MAP_POPULATE")
     else {}
 )
-#: Bytes of each plane the encoder test-deflates, and at what level.
-_SAMPLE_NBYTES, _SAMPLE_LEVEL = 2048, 1
+#: Bytes at the head of each plane whose histogram decides whether it is
+#: worth a DEFLATE block.
+_SAMPLE_NBYTES = 2048
+#: Least a DEFLATE block spends besides its literals: a fixed-code one, 3
+#: header bits and a 7-bit end code; a dynamic-code one, 29 header bits
+#: (block type, three counts, four code-length codes) and about 4 bits
+#: per symbol its code table gives a code.
+_FIXED_BLOCK_BITS, _DYNAMIC_BLOCK_BITS, _TABLE_BITS_PER_SYMBOL = 10, 29, 4
+
+
+def _worth_deflating(sample: np.ndarray) -> np.ndarray:
+    """Which rows of ``sample`` (planes x bytes) might deflate to 7/8.
+
+    A run-length DEFLATE block can absorb a byte equal to its predecessor
+    into a run; every other byte is a literal.  A fixed-code block spends
+    at least 8 bits on a literal.  A dynamic-code block spends no less
+    than the literals' count times their empirical entropy (no prefix
+    code does better), plus its code table.  A plane for which both
+    bounds exceed 7/8 of its bytes is rejected: a bound, not a guess.
+    One histogram over ``(plane << 8) | byte`` keys, repeats sent to one
+    sentinel bin, takes the place of a trial deflate per plane.
+    """
+    n_planes, n = sample.shape
+    keys = sample.astype(np.intp)
+    keys += (np.arange(n_planes, dtype=np.intp) << 8)[:, None]
+    np.copyto(keys[:, 1:], n_planes << 8, where=sample[:, 1:] == sample[:, :-1])
+    counts = np.bincount(keys.ravel(), minlength=(n_planes << 8) + 1)
+    counts = counts[:-1].reshape(n_planes, 256)
+    n_literals = counts.sum(axis=1)
+    # L * H = L log2 L - sum(c log2 c) over the literal counts c, L = sum(c)
+    c = np.arange(n + 1)
+    c_log_c = c * np.log2(np.maximum(c, 1))
+    fixed_bits = 8 * n_literals + _FIXED_BLOCK_BITS
+    dynamic_bits = (
+        c_log_c[n_literals]
+        - c_log_c[counts].sum(axis=1)
+        + _DYNAMIC_BLOCK_BITS
+        + _TABLE_BITS_PER_SYMBOL * np.count_nonzero(counts, axis=1)
+    )
+    return np.minimum(fixed_bits, dynamic_bits) <= 7 * n
 
 
 class _ShuffleCodec(Codec):
@@ -245,10 +283,12 @@ class _ShuffleCodec(Codec):
         raw      the other planes, in plane order, n_units bytes each
         tail     logical % stride bytes, as they were
 
-    A plane is deflated when a sample of it shrinks by at least an
-    eighth: the WAN is the scarce resource, so any real saving is taken,
-    and only bytes DEFLATE would *expand* (float mantissas: 1.002) are
-    spared the inflate at the other end.
+    A plane is deflated unless a lower bound on its coded size, taken
+    from the histogram of a sample (:func:`_worth_deflating`), already
+    exceeds 7/8 of the sample: the WAN is the scarce resource, so any
+    real saving is taken, and only bytes DEFLATE would *expand* (float
+    mantissas) are spared the inflate at the other end.  Each deflated
+    plane is its own run-length block of the one stream.
     """
 
     name = "shuffle"
@@ -261,18 +301,21 @@ class _ShuffleCodec(Codec):
         planes = np.frombuffer(
             _shuffle_bytes(view[:head], stride), dtype=np.uint8
         ).reshape(stride, n_units)
-        n_sample = min(n_units, _SAMPLE_NBYTES)
-        deflated = np.fromiter(
-            (
-                8 * len(zlib.compress(plane[:n_sample], _SAMPLE_LEVEL)) <= 7 * n_sample
-                for plane in planes
-            ),
-            dtype=bool,
-            count=stride,
-        )
-        chosen = planes[deflated]
-        stream = zlib.compress(chosen, level=6) if chosen.size else b""
-        if len(stream) >= chosen.size:  # the sample promised more than the plane held
+        deflated = _worth_deflating(planes[:, :_SAMPLE_NBYTES])
+        chosen = np.flatnonzero(deflated)
+        stream = b""
+        if n_units and chosen.size:
+            # One zlib stream, one run-length block per plane: every plane
+            # gets its own Huffman tables, and one that does not shrink
+            # after all is stored (~5 bytes; inflating it is a memcpy).
+            deflater = zlib.compressobj(6, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
+            blocks = []
+            for p in chosen:
+                blocks.append(deflater.compress(planes[p]))
+                blocks.append(deflater.flush(zlib.Z_BLOCK))
+            blocks.append(deflater.flush())
+            stream = b"".join(blocks)
+        if len(stream) >= chosen.size * n_units:  # the sample promised too much
             deflated[:] = False
             stream = b""
         return b"".join((

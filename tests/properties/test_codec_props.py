@@ -2,10 +2,12 @@
 
 Invariants: every codec is the identity through ``encode_chunk`` /
 ``decode_chunk`` on any record layout; the ``shuffle`` codec's wire size
-never exceeds the raw planes plus its preamble; and a frame that was
-damaged, cut, extended or forged makes ``decode_chunk`` raise
-:class:`CodecError` -- no other exception type -- without allocating
-more than a small multiple of the bytes it was actually handed.
+never exceeds the raw planes plus its preamble, a byte plane its
+histogram bound rejects would not have deflated, and frames its earlier
+encoders wrote still decode; and a frame that was damaged, cut, extended
+or forged makes ``decode_chunk`` raise :class:`CodecError` -- no other
+exception type -- without allocating more than a small multiple of the
+bytes it was actually handed.
 
 What a frame does *not* promise: raw planes and identity payloads carry
 no checksum of their own (``data/integrity.py`` checks the chunk), so a
@@ -24,10 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.codecs import (
+    _SAMPLE_NBYTES,
     CODEC_NAMES,
     HEADER_NBYTES,
     CodecError,
     _shuffle_bytes,
+    _worth_deflating,
     decode_chunk,
     encode_chunk,
     frame_info,
@@ -42,18 +46,38 @@ STRIDES = [1, 2, 3, 4, 7, 8, 16, 256]
 SLACK = 128 << 10
 
 
+PLANE_FAMILIES = ("constant", "noise", "skewed", "ramp", "run", "sparse")
+
+
+def family_plane(family, n, rng):
+    """``n`` bytes shaped like one byte plane of real records."""
+    if family == "constant":
+        return np.full(n, rng.integers(0, 256), np.uint8)
+    if family == "noise":  # uniform over an alphabet of 2..256 symbols
+        return rng.integers(0, rng.integers(2, 257), n).astype(np.uint8)
+    if family == "skewed":  # geometric: a few symbols carry most bytes
+        return (rng.geometric(rng.uniform(0.02, 0.9), n) - 1).astype(np.uint8)
+    if family == "ramp":  # climbing slowly or fast, wrapping at 256
+        return (np.arange(n) * rng.integers(1, 256) // rng.integers(1, 65)).astype(np.uint8)
+    if family == "run":  # random values held for random lengths
+        held = rng.geometric(1 / rng.integers(1, 65), n)
+        return np.repeat(rng.integers(0, 256, n, dtype=np.uint8), held)[:n]
+    # sparse: zeros, with a fraction of random bytes
+    hit = rng.random(n) < rng.uniform(0.01, 0.9)
+    return np.where(hit, rng.integers(0, 256, n), 0).astype(np.uint8)
+
+
 @st.composite
 def records(draw):
-    """``(raw, stride)``: units whose byte planes are a drawn mix of
-    constant, ramp and noise columns (so one frame holds deflated *and*
-    raw planes), plus an optional ragged tail."""
+    """``(raw, stride)``: units whose byte planes are a drawn mix of plane
+    families (so one frame holds deflated *and* raw planes), plus an
+    optional ragged tail."""
     stride = draw(st.sampled_from(STRIDES))
     n_units = draw(st.integers(0, 96))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = rng.integers(0, 3, stride)
-    units = rng.integers(0, 256, (n_units, stride), dtype=np.uint8)
-    units[:, kinds == 0] = rng.integers(0, 256, dtype=np.uint8)
-    units[:, kinds == 1] = np.arange(n_units, dtype=np.uint8)[:, None]
+    units = np.empty((n_units, stride), np.uint8)
+    for p, family in enumerate(rng.choice(PLANE_FAMILIES, stride)):
+        units[:, p] = family_plane(family, n_units, rng)
     tail = draw(st.binary(max_size=stride - 1))
     return units.tobytes() + tail, stride
 
@@ -64,13 +88,46 @@ def legacy_shuffle_frame(raw, stride):
     return HEADER.pack(b"RC", 1, 3, stride, len(raw)) + zlib.compress(body, 6)
 
 
+def trial_deflate_shuffle_frame(raw, stride):
+    """A frame as ``shuffle`` wrote it while it chose planes by trial
+    deflates (id 4, the frame layout of today): the first 2 048 bytes of
+    each plane deflated at level 1, the planes that shrank to 7/8 put
+    through one level-6 stream.  The oracle for old-frame compatibility
+    and for the encoder's speed."""
+    view = memoryview(raw).cast("B")
+    n_units = view.nbytes // stride
+    head = n_units * stride
+    planes = np.frombuffer(_shuffle_bytes(view[:head], stride), np.uint8)
+    planes = planes.reshape(stride, n_units)
+    n_sample = min(n_units, 2048)
+    deflated = np.array(
+        [8 * len(zlib.compress(p[:n_sample], 1)) <= 7 * n_sample for p in planes], bool
+    )
+    chosen = planes[deflated]
+    stream = zlib.compress(chosen, 6) if chosen.size else b""
+    if len(stream) >= chosen.size:
+        deflated[:] = False
+        stream = b""
+    return HEADER.pack(b"RC", 1, 4, stride, len(raw)) + b"".join((
+        np.packbits(deflated, bitorder="little"),
+        struct.pack("<Q", len(stream)),
+        stream,
+        planes[~deflated],
+        view[head:],
+    ))
+
+
+OLD_ENCODERS = {"legacy": legacy_shuffle_frame, "trial-deflate": trial_deflate_shuffle_frame}
+
+
 @st.composite
 def frames(draw):
-    """``(frame, raw)`` over every decoder, the decode-only one included."""
+    """``(frame, raw)`` over every decoder and every encoder, the ones
+    that no longer write included."""
     raw, stride = draw(records())
-    name = draw(st.sampled_from(NAMES + ["legacy"]))
-    if name == "legacy":
-        return legacy_shuffle_frame(raw, stride), raw
+    name = draw(st.sampled_from(NAMES + sorted(OLD_ENCODERS)))
+    if name in OLD_ENCODERS:
+        return OLD_ENCODERS[name](raw, stride), raw
     return encode_chunk(raw, name, stride), raw
 
 
@@ -107,6 +164,12 @@ class TestRoundTrip:
 
     @given(record=records())
     @settings(max_examples=200, deadline=None)
+    def test_trial_deflate_shuffle_frames_decode(self, record):
+        raw, stride = record
+        assert decode_chunk(trial_deflate_shuffle_frame(raw, stride)) == raw
+
+    @given(record=records())
+    @settings(max_examples=200, deadline=None)
     def test_shuffle_never_costs_more_than_its_preamble(self, record):
         raw, stride = record
         frame = encode_chunk(raw, "shuffle", stride)
@@ -126,6 +189,21 @@ class TestRoundTrip:
         ).reshape(-1, 8)
         assert not bitmap[:, :6].any()
         assert decode_chunk(frame) == raw
+
+    @given(
+        family=st.sampled_from(PLANE_FAMILIES),
+        n=st.integers(64, 4096),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_a_rejected_plane_would_not_have_deflated(self, family, n, seed):
+        """The encoder's histogram bound turns a plane away only when a
+        run-length DEFLATE block of its sample stays above 0.85 of it."""
+        sample = family_plane(family, n, np.random.default_rng(seed))[:_SAMPLE_NBYTES]
+        if not _worth_deflating(sample[None, :])[0]:
+            deflater = zlib.compressobj(6, zlib.DEFLATED, -15, 8, zlib.Z_RLE)
+            coded = deflater.compress(sample) + deflater.flush()
+            assert len(coded) >= 0.85 * sample.size
 
 
 class TestFuzz:

@@ -25,6 +25,7 @@ from repro.storage.codecs import (
     lz4_available,
     resolve_codec,
 )
+from tests.properties.test_codec_props import trial_deflate_shuffle_frame
 
 FORMATS = {
     "tokens": tokens_format(),
@@ -158,13 +159,17 @@ class TestShufflePlanes:
         assert len(frame) == len(encode_chunk(raw, "identity")) + 256 // 8 + 8
         assert decode_chunk(frame) == raw
 
-    def test_all_planes_deflated_is_the_old_stream_plus_a_preamble(self):
-        tokens = np.random.default_rng(2).zipf(1.3, 83_000) % 5000  # int64 word ids
+    def test_token_ids_deflate_every_plane_into_less_than_one_stream(self):
+        """A striped-wordcount-sized chunk of int64 word ids: every plane
+        is deflated, and one run-length block per plane comes to no more
+        than the one level-6 stream over all of them that this codec
+        used to write (76 123 against 84 230 bytes)."""
+        tokens = np.random.default_rng(2).zipf(1.3, 83_000) % 5000
         raw = tokens.tobytes()
         frame = encode_chunk(raw, "shuffle", 8)
         assert plane_bitmap(frame, 8).all()
-        old_stream = zlib.compress(tokens.view(np.uint8).reshape(-1, 8).T.tobytes(), 6)
-        assert 0 < len(frame) - (HEADER_NBYTES + len(old_stream)) <= 16
+        one_stream = zlib.compress(tokens.view(np.uint8).reshape(-1, 8).T.tobytes(), 6)
+        assert len(frame) <= HEADER_NBYTES + 1 + 8 + len(one_stream)
         assert decode_chunk(frame) == raw
 
     def test_float64_coordinates_deflate_their_top_two_planes(self):
@@ -202,6 +207,27 @@ class TestShufflePlanes:
         assert frame_info(frame) == ("shuffle", 8, len(raw))
         assert decode_chunk(frame) == raw
         assert encode_chunk(raw, "shuffle", 8)[3] != frame[3] == 3
+
+    def test_golden_trial_deflate_frame_still_decodes(self):
+        """Bytes written by ``encode_chunk(raw, "shuffle", 8)`` while the
+        encoder chose planes by trial deflates and put them through one
+        level-6 stream: the same codec id and frame layout, so readable
+        for ever, but no longer what is written."""
+        frame = bytes.fromhex(
+            "52430104080000000401000000000000f80c00000000000000789c636018dc00"
+            "0000a0000100c58a4f14d99e6328edb2773c01c68b5015da9f6429eeb3783d02"
+            "c78c5116db00e8d1baa38b745d462e1700e9d2baa38c755d462f1800e9d2bba4"
+            "8c755e472f0001030507090b0d0f11131516181a1c1e20222426282a2b2d2f31"
+            "333537393b7461696c"
+        )
+        raw = (np.arange(0, 4000, 125, dtype=np.int64) * 1001).tobytes() + b"tail"
+        assert frame_info(frame) == ("shuffle", 8, len(raw))
+        assert plane_bitmap(frame, 8).tolist() == [False] * 3 + [True] * 5
+        assert trial_deflate_shuffle_frame(raw, 8) == frame  # the oracle is that encoder
+        assert decode_chunk(frame) == raw
+        now = encode_chunk(raw, "shuffle", 8)
+        assert now[3] == frame[3] == 4
+        assert now != frame
 
     def test_result_is_read_only_and_outlives_its_frame(self):
         raw = knn_points(300).tobytes()
