@@ -23,13 +23,13 @@ from repro.bursting.config import (
     paper_environments,
     scalability_environments,
 )
+from repro.bursting.session import place_units, site_clusters
 from repro.core.api import GeneralizedReductionSpec
-from repro.data.dataset import distribute_dataset, write_dataset
 from repro.data.formats import RecordFormat
 from repro.data.index import DataIndex, build_index
 from repro.data.redundancy import validate_redundancy
 from repro.runtime import make_engine
-from repro.runtime.engine import ClusterConfig, RunResult
+from repro.runtime.core import EngineOptions, RunResult
 from repro.sim.calibration import (
     APP_PROFILES,
     PAPER_N_FILES,
@@ -162,52 +162,30 @@ def run_threaded_bursting(
     cloud_workers: int = 2,
     n_files: int = 8,
     chunk_units: int | None = None,
+    # Not EngineOptions' 4, as on BurstingSession (sized in ROADMAP).
     batch_size: int = 2,
     retrieval_threads: int = 2,
-    prefetch: bool | None = None,
-    chunk_cache=None,
-    retry=None,
-    crash_plan: dict[str, int] | None = None,
     codec: str | None = None,
-    adaptive_fetch: bool = False,
-    min_part_nbytes: int | None = None,
-    autotune_params=None,
     replicas: int = 0,
     stripe: tuple[int, int] | None = None,
-    hedge=None,
-    breaker=None,
-    pushdown: str | bool | None = None,
+    **fields: Any,
 ) -> RunResult:
     """Run a real dataset through the middleware, split across sites.
 
     ``stores`` must contain ``"local"`` and ``"cloud"`` backends.  The
     dataset is written to the local store, distributed according to
     ``local_fraction``, and processed by workers at both sites with the
-    full scheduling/stealing protocol.  ``engine`` selects the executor:
-    ``"threaded"`` (default), ``"process"`` (one OS process per slave,
-    shared-memory data handoff), or ``"actor"`` (message-passing over
-    explicit channels); every engine accepts every option, as they all
-    run the same shared slave runtime.  ``prefetch`` makes the workers
-    read ahead of their fold; ``chunk_cache`` (a :class:`~repro.storage.cache.ChunkCache`)
-    serves repeat fetches from memory.  ``retry`` (a
-    :class:`~repro.storage.retry.RetryPolicy`) and ``crash_plan``
-    (worker name -> jobs before an injected crash) exercise the fault
-    tolerance layer; see :class:`~repro.runtime.engine.ThreadedEngine`.
-    ``codec`` writes the dataset pre-compressed so fetches move encoded
-    bytes; ``adaptive_fetch`` swaps the fixed ``retrieval_threads``
-    fan-out for per-path AIMD autotuning
-    (:mod:`repro.storage.autotune`).
+    full scheduling/stealing protocol.  ``engine`` selects the executor
+    (see :data:`repro.runtime.ENGINES`); every other keyword not named
+    here is an :class:`~repro.runtime.core.EngineOptions` field
+    (``prefetch``, ``retry``, ``crash_plan``, ``hedge``, ``breaker``,
+    ``pushdown``, ...; see the field docs there).
 
-    ``replicas`` copies every chunk to that many additional stores
-    after placement, so the fetch path can fail over (and, with
-    ``hedge``, race) replica sources; ``hedge`` (a
-    :class:`~repro.storage.health.HedgePolicy`) launches a backup fetch
-    against a replica when the primary exceeds its adaptive latency
-    threshold; ``breaker`` (a
-    :class:`~repro.storage.health.BreakerPolicy`) tracks per-store
-    health and routes around stores whose circuit is open.
-
-    ``stripe=(k, m)`` erasure-codes every chunk after placement
+    The rest shape the dataset.  ``codec`` writes it pre-compressed so
+    fetches move encoded bytes.  ``replicas`` copies every chunk to that
+    many additional stores after placement, so the fetch path can fail
+    over (and, with ``hedge``, race) replica sources.  ``stripe=(k, m)``
+    erasure-codes every chunk after placement
     (:func:`~repro.data.dataset.stripe_dataset`): the wire frame is
     split into ``k`` data + ``m`` parity fragments spread round-robin
     over *all* the stores (extra spare stores widen the spread), the
@@ -215,28 +193,12 @@ def run_threaded_bursting(
     path races the fragments fastest-k-of-n -- hedging parity fragments
     under the same ``hedge`` policy and masking up to ``m`` lost
     fragments per chunk.  Mutually exclusive with ``replicas``.
-
-    ``pushdown`` enables metadata-first retrieval: ``"prune"`` drops
-    chunks the spec's ``relevant(chunk_stats)`` predicate rules out
-    before any fetch, ``"verify"`` additionally fetches the pruned
-    chunks once and asserts their fold contribution is the identity
-    (soundness audit).  The dataset writer records per-chunk statistics
-    by default, so any spec declaring the hooks benefits immediately.
     """
-    if "local" not in stores or "cloud" not in stores:
-        raise ValueError('stores must provide "local" and "cloud" backends')
-    if chunk_units is None:
-        chunk_units = max(1, len(units) // (n_files * 3))
-    index = write_dataset(
-        units, spec.fmt, stores["local"], n_files=n_files, chunk_units=chunk_units,
-        codec=codec,
+    options = EngineOptions(batch_size=batch_size, **fields)
+    index = place_units(
+        units, spec.fmt, stores, local_fraction=local_fraction, n_files=n_files,
+        chunk_units=chunk_units, codec=codec,
     )
-    fractions: dict[str, float] = {}
-    if local_fraction > 0:
-        fractions["local"] = local_fraction
-    if local_fraction < 1:
-        fractions["cloud"] = 1.0 - local_fraction
-    index = distribute_dataset(index, stores, fractions, stores["local"])
     stripe = validate_redundancy(
         replicas=replicas, stripe=stripe, n_stores=len(stores)
     )
@@ -249,33 +211,7 @@ def run_threaded_bursting(
 
         k, m = stripe
         index = stripe_dataset(index, stores, k=k, m=m)
-    clusters = []
-    if local_workers > 0:
-        clusters.append(
-            ClusterConfig("local", "local", local_workers, retrieval_threads)
-        )
-    if cloud_workers > 0:
-        clusters.append(
-            ClusterConfig("cloud", "cloud", cloud_workers, retrieval_threads)
-        )
-    kwargs: dict[str, Any] = {
-        "batch_size": batch_size,
-        "adaptive_fetch": adaptive_fetch,
-        "autotune_params": autotune_params,
-        "chunk_cache": chunk_cache,
-        "retry": retry,
-        "crash_plan": crash_plan,
-        "hedge": hedge,
-        "breaker": breaker,
-        "stripe": stripe,
-        "pushdown": pushdown,
-    }
-    if prefetch is not None:
-        # None keeps each engine's own default (the process engine
-        # double-buffers its feeders out of the box).
-        kwargs["prefetch"] = prefetch
-    if min_part_nbytes is not None:
-        kwargs["min_part_nbytes"] = min_part_nbytes
+    clusters = site_clusters(local_workers, cloud_workers, retrieval_threads)
     # Dataset preparation is done; fault injectors constructed dormant
     # (``armed=False``) model a store failing after placement -- arm
     # them now so the chaos hits the run's retrieval path only.
@@ -283,4 +219,4 @@ def run_threaded_bursting(
         arm = getattr(store, "arm", None)
         if callable(arm):
             arm()
-    return make_engine(engine, clusters, stores, **kwargs).run(spec, index)
+    return make_engine(engine, clusters, stores, options=options).run(spec, index)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.bursting.config import EnvironmentConfig
 from repro.bursting.driver import (
@@ -39,12 +39,110 @@ from repro.cost.provisioning import (
     tradeoff_curve,
 )
 from repro.sim.calibration import APP_PROFILES
+from repro.storage.cache import ChunkCache
 from repro.storage.codecs import CODEC_NAMES
+from repro.storage.health import BreakerPolicy, HedgePolicy
+from repro.storage.retry import RetryPolicy
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "OPTION_FLAGS"]
 
 PAPER_APPS = tuple(APP_PROFILES)
 CODEC_CHOICES = tuple(CODEC_NAMES)
+
+
+def _cache_from_mb(mb: float) -> ChunkCache | None:
+    if mb < 0:
+        raise ValueError("--cache-mb must be non-negative")
+    return ChunkCache(int(mb * (1 << 20))) if mb else None
+
+
+def _nbytes_from_kb(kb: float) -> int:
+    if kb < 0:
+        raise ValueError("--min-part-kb must be non-negative")
+    return int(kb * 1024)
+
+
+def _crash_plan(specs: list[str]) -> dict[str, int]:
+    plan: dict[str, int] = {}
+    for text in specs:
+        name, _, n_text = text.rpartition(":")
+        if not name:
+            raise ValueError(
+                f"bad --crash-worker spec {text!r} (expected NAME:N, e.g. cloud-w0:2)"
+            )
+        plan[name] = int(n_text)
+    return plan
+
+
+class OptionFlag(NamedTuple):
+    """How one :class:`~repro.runtime.core.EngineOptions` field is spelled
+    on the command line and parsed into the field's value."""
+
+    flag: str
+    parse: Callable[[Any], Any]
+    kwargs: dict[str, Any]  # for ``add_argument``
+
+
+#: Every EngineOptions field the CLI exposes, keyed by field name.  A
+#: flag left unset leaves its field at the EngineOptions default.
+OPTION_FLAGS: dict[str, OptionFlag] = {
+    "prefetch": OptionFlag("--prefetch", bool, dict(
+        action=argparse.BooleanOptionalAction,
+        help="every worker reads two jobs ahead of the one it is processing")),
+    "chunk_cache": OptionFlag("--cache-mb", _cache_from_mb, dict(
+        type=float, metavar="MB",
+        help="chunk-cache budget in MB shared by all fetchers (0 = no cache)")),
+    "retry": OptionFlag("--retry", lambda t: RetryPolicy.parse(t) if t else None, dict(
+        metavar="SPEC",
+        help='retry policy for the fetch path, e.g. "max=5,base=0.01,deadline=30"')),
+    "hedge": OptionFlag("--hedge", HedgePolicy.parse, dict(
+        metavar="SPEC", nargs="?", const="",
+        help="race a replica when a fetch exceeds the store's adaptive "
+             'latency threshold; optional SPEC like "mult=3,min=0.05,max=1" '
+             "(bare --hedge = defaults)")),
+    "breaker": OptionFlag("--breaker", BreakerPolicy.parse, dict(
+        metavar="SPEC", nargs="?", const="",
+        help="per-store circuit breaker: skip stores that keep failing until "
+             'their cooldown elapses; optional SPEC like "fails=3,recovery=1.0,'
+             'probes=1,close=1,error=0.5" (bare --breaker = defaults)')),
+    "crash_plan": OptionFlag("--crash-worker", _crash_plan, dict(
+        action="append", metavar="NAME:N",
+        help="crash worker NAME (e.g. cloud-w0) after it has processed N "
+             "jobs (repeatable); the crash is contained and its in-flight "
+             "job re-executed")),
+    "adaptive_fetch": OptionFlag("--adaptive-fetch", bool, dict(
+        action=argparse.BooleanOptionalAction,
+        help="AIMD-autotune the retrieval fan-out per (cluster, data "
+             "location) path instead of fixed retrieval threads")),
+    "min_part_nbytes": OptionFlag("--min-part-kb", _nbytes_from_kb, dict(
+        type=float, metavar="KB",
+        help="floor on parallel sub-range size in KiB; smaller fetches "
+             "coalesce into fewer GETs (default 4)")),
+    "pushdown": OptionFlag("--pushdown", str, dict(
+        metavar="MODE", nargs="?", const="prune", choices=("prune", "verify"),
+        help="metadata-first retrieval: prune chunks the index statistics "
+             'prove irrelevant before any fetch (bare --pushdown = "prune"; '
+             '"verify" also fetches pruned chunks once and asserts they '
+             "contribute nothing)")),
+}
+
+#: The option flags ``service run`` takes; ``demo`` takes them all.
+SERVICE_OPTION_FLAGS = ("crash_plan", "chunk_cache")
+
+
+def _add_option_flags(parser: argparse.ArgumentParser, fields) -> None:
+    for name in fields:
+        opt = OPTION_FLAGS[name]
+        parser.add_argument(opt.flag, dest=name, default=None, **opt.kwargs)
+
+
+def _option_fields(args, fields) -> dict[str, Any]:
+    """The EngineOptions fields whose flags were given; ValueError on a bad one."""
+    return {
+        name: OPTION_FLAGS[name].parse(value)
+        for name in fields
+        if (value := getattr(args, name)) is not None
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,13 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "process per slave with shared-memory data handoff, "
                         "or message-passing actors; all engines accept all "
                         "options below")
-    p.add_argument("--prefetch", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="every worker reads two jobs ahead of the one it is "
-                        "processing (process engine defaults to on)")
-    p.add_argument("--cache-mb", type=float, default=0.0,
-                   help="chunk-cache budget in MB shared by all fetchers "
-                        "(0 = no cache)")
     p.add_argument("--inject-fault", metavar="SPEC", default=None,
                    help="wrap the cloud store in a deterministic fault injector, "
                         'e.g. "transient:p=0.3,seed=7", "permanent:key=f3", '
@@ -147,47 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spares", type=int, default=0, metavar="N",
                    help="add N extra in-memory spare stores before placement "
                         "so --replicas/--stripe spread over more sites")
-    p.add_argument("--hedge", metavar="SPEC", nargs="?", const="", default=None,
-                   help="race a replica when a fetch exceeds the store's "
-                        "adaptive latency threshold; optional SPEC like "
-                        '"mult=3,min=0.05,max=1" (bare --hedge = defaults)')
-    p.add_argument("--breaker", metavar="SPEC", nargs="?", const="", default=None,
-                   help="per-store circuit breaker: skip stores that keep "
-                        "failing until their cooldown elapses; optional SPEC "
-                        'like "fails=3,recovery=1.0,probes=1,close=1,'
-                        'error=0.5" (bare --breaker = defaults)')
-    p.add_argument("--retry", metavar="SPEC", default=None,
-                   help="retry policy for the fetch path, "
-                        'e.g. "max=5,base=0.01,deadline=30"')
-    p.add_argument("--crash-worker", action="append", default=[],
-                   metavar="NAME:N",
-                   help="crash worker NAME (e.g. cloud-w0) after it has "
-                        "processed N jobs (repeatable); the engine contains "
-                        "the crash and re-executes its in-flight job")
     p.add_argument("--codec", choices=CODEC_CHOICES, default=None,
                    help="write the dataset pre-compressed; fetches move "
                         "encoded bytes and decode after reassembly (lz4 "
                         "falls back to zlib if the package is missing)")
-    p.add_argument("--adaptive-fetch", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="AIMD-autotune the retrieval fan-out per "
-                        "(cluster, data location) path instead of fixed "
-                        "retrieval threads")
-    p.add_argument("--min-part-kb", type=float, default=None,
-                   help="floor on parallel sub-range size in KiB; smaller "
-                        "fetches coalesce into fewer GETs (default 4)")
     p.add_argument("--filter", metavar="LO:HI", default=None,
                    help="count only token ids in the inclusive range LO:HI "
                         "(runs the range-filtered wordcount variant; the "
                         "demo sorts the tokens so chunk min/max statistics "
                         "make pruning effective)")
-    p.add_argument("--pushdown", metavar="MODE", nargs="?", const="prune",
-                   default=None, choices=("prune", "verify"),
-                   help="metadata-first retrieval: prune chunks the index "
-                        "statistics prove irrelevant before any fetch "
-                        '(bare --pushdown = "prune"; "verify" also fetches '
-                        "pruned chunks once and asserts they contribute "
-                        "nothing)")
+    _add_option_flags(p, OPTION_FLAGS)
 
     p = sub.add_parser(
         "service",
@@ -219,12 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--max-inflight", type=int, default=None,
                     help="per-tenant cap on concurrently running jobs "
                          "(excess submissions queue FIFO)")
-    pr.add_argument("--crash-worker", action="append", default=[],
-                    metavar="NAME:N",
-                    help="crash fleet worker NAME after N jobs (repeatable); "
-                         "the service contains the crash per job")
-    pr.add_argument("--cache-mb", type=float, default=0.0,
-                    help="shared chunk-cache budget in MB (0 = no cache)")
+    _add_option_flags(pr, SERVICE_OPTION_FLAGS)
     pr.add_argument("--status-json", default=None, metavar="PATH",
                     help="write the final per-job service rows to PATH "
                          "(readable later with 'repro service status')")
@@ -431,20 +486,14 @@ def _cmd_demo(args) -> int:
     from repro.bursting.driver import run_threaded_bursting
     from repro.data.generator import generate_tokens
     from repro.storage.faults import FaultInjectingStore, FaultSpec
-    from repro.storage.health import BreakerPolicy, HedgePolicy
     from repro.storage.local import MemoryStore
-    from repro.storage.retry import RetryPolicy
     from repro.storage.s3 import SimulatedS3Store
 
     try:
         fault_spec = (
             FaultSpec.parse(args.inject_fault) if args.inject_fault else None
         )
-        retry = RetryPolicy.parse(args.retry) if args.retry else None
-        hedge = HedgePolicy.parse(args.hedge) if args.hedge is not None else None
-        breaker = (
-            BreakerPolicy.parse(args.breaker) if args.breaker is not None else None
-        )
+        fields = _option_fields(args, OPTION_FLAGS)
         if args.replicas < 0:
             raise ValueError("--replicas must be non-negative")
         if args.spares < 0:
@@ -457,25 +506,10 @@ def _cmd_demo(args) -> int:
                     f"bad --stripe spec {args.stripe!r} (expected K:M, e.g. 4:2)"
                 )
             stripe = (int(k_text), int(m_text))
-        crash_plan: dict[str, int] = {}
-        for text in args.crash_worker:
-            name, _, n_text = text.rpartition(":")
-            if not name:
-                raise ValueError(
-                    f"bad --crash-worker spec {text!r} (expected NAME:N, "
-                    f"e.g. cloud-w0:2)"
-                )
-            crash_plan[name] = int(n_text)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.min_part_kb is not None and args.min_part_kb < 0:
-        print("error: --min-part-kb must be non-negative", file=sys.stderr)
-        return 2
-    if args.cache_mb < 0:
-        print("error: --cache-mb must be non-negative", file=sys.stderr)
-        return 2
     token_range: tuple[int, int] | None = None
     if args.filter is not None:
         try:
@@ -502,15 +536,6 @@ def _cmd_demo(args) -> int:
         # Spare sites widen the fragment/replica spread; they hold no
         # primary placement, so workers only fetch from them.
         stores[f"spare{i}"] = MemoryStore(f"spare{i}")
-    extra: dict[str, Any] = {}
-    if args.prefetch is not None:
-        # Unset means each engine keeps its own default (the process
-        # engine's feeders double-buffer out of the box).
-        extra["prefetch"] = args.prefetch
-    if args.cache_mb:
-        from repro.storage.cache import ChunkCache
-
-        extra["chunk_cache"] = ChunkCache(int(args.cache_mb * (1 << 20)))
     if token_range is not None:
         spec: Any = FilteredWordCountSpec(*token_range)
         expected = filtered_wordcount_exact(tokens, *token_range)
@@ -521,17 +546,8 @@ def _cmd_demo(args) -> int:
         what = "wordcount"
     try:
         rr = run_threaded_bursting(
-            spec, tokens, stores, engine=args.engine,
-            local_fraction=0.5, retry=retry, crash_plan=crash_plan or None,
-            codec=args.codec, adaptive_fetch=args.adaptive_fetch,
-            min_part_nbytes=(
-                int(args.min_part_kb * 1024)
-                if args.min_part_kb is not None
-                else None
-            ),
-            replicas=args.replicas, stripe=stripe, hedge=hedge, breaker=breaker,
-            pushdown=args.pushdown,
-            **extra,
+            spec, tokens, stores, engine=args.engine, local_fraction=0.5,
+            codec=args.codec, replicas=args.replicas, stripe=stripe, **fields,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -554,7 +570,7 @@ def _cmd_demo(args) -> int:
         from repro.bursting.report import format_table
 
         print(format_table(rr.stats.transfer_rows(), "transfer layer"))
-    if fault_spec is not None or retry is not None or crash_plan:
+    if fault_spec is not None or fields.get("retry") or fields.get("crash_plan"):
         parts = [
             f"retries: {rr.stats.n_retries}",
             f"giveups: {rr.stats.n_errors}",
@@ -568,7 +584,7 @@ def _cmd_demo(args) -> int:
                 + "/".join(f"{k}={v}" for k, v in sorted(inj.items()))
             )
         print("fault tolerance: " + "   ".join(parts))
-    if args.replicas or stripe is not None or hedge is not None or breaker is not None:
+    if args.replicas or stripe is not None or {"hedge", "breaker"} & fields.keys():
         parts = [
             f"failovers: {rr.stats.n_failovers}",
             f"hedges: {rr.stats.n_hedges}",
@@ -699,32 +715,19 @@ def _cmd_service(args) -> int:
             tenants[name] = TenantConfig(
                 weight=float(w_text), max_inflight=args.max_inflight
             )
-        crash_plan: dict[str, int] = {}
-        for text in args.crash_worker:
-            name, _, n_text = text.rpartition(":")
-            if not name:
-                raise ValueError(
-                    f"bad --crash-worker spec {text!r} (expected NAME:N)"
-                )
-            crash_plan[name] = int(n_text)
+        fields = _option_fields(args, SERVICE_OPTION_FLAGS)
         if args.jobs < 1:
             raise ValueError("--jobs must be >= 1")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    if fields.get("crash_plan"):
+        fields["min_part_nbytes"] = 0
     stores, clusters, apps = _service_env(args)
-    extra: dict[str, Any] = {}
-    if crash_plan:
-        extra["crash_plan"] = crash_plan
-        extra["min_part_nbytes"] = 0
-    if args.cache_mb:
-        from repro.storage.cache import ChunkCache
-
-        extra["chunk_cache"] = ChunkCache(int(args.cache_mb * (1 << 20)))
     service = BurstingService(
         clusters, stores, engine=args.engine, tenants=tenants,
-        batch_size=2, **extra,
+        batch_size=2, **fields,
     )
     tenant_names = list(tenants)
     app_names = list(apps)

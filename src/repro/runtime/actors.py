@@ -267,18 +267,8 @@ class _MasterActor(threading.Thread):
 
     def run(self) -> None:
         try:
-            opts = self.options
             fetchers = make_cluster_fetchers(
-                self.stores,
-                self.cluster,
-                cache=opts.chunk_cache,
-                prefetch=opts.prefetch,
-                retry=opts.retry,
-                adaptive_fetch=opts.adaptive_fetch,
-                min_part_nbytes=opts.min_part_nbytes,
-                autotune_params=opts.autotune_params,
-                health=self.health,
-                hedge=opts.hedge,
+                self.stores, self.cluster, self.options, health=self.health
             )
             robjs: list[ReductionObject] = []
             workers = []
@@ -295,7 +285,7 @@ class _MasterActor(threading.Thread):
                     fetchers=fetchers,
                     wstats=wstats,
                     robjs_out=robjs,
-                    options=opts,
+                    options=self.options,
                     t_start=self.t_start,
                     errors=self.errors,
                     stop=self.stop,

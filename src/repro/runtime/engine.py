@@ -128,16 +128,7 @@ class ThreadedEngine(EngineBase):
             stats.clusters[cluster.name] = cstats
             cluster_robjs[cluster.name] = []
             fetchers[cluster.name] = make_cluster_fetchers(
-                self.stores,
-                cluster,
-                cache=opts.chunk_cache,
-                prefetch=opts.prefetch,
-                retry=opts.retry,
-                adaptive_fetch=opts.adaptive_fetch,
-                min_part_nbytes=opts.min_part_nbytes,
-                autotune_params=opts.autotune_params,
-                health=health,
-                hedge=opts.hedge,
+                self.stores, cluster, opts, health=health
             )
             for wid in range(cluster.n_workers):
                 wstats = WorkerStats()

@@ -5,21 +5,28 @@ import pytest
 
 from repro.apps.kmeans import lloyd_step
 from repro.apps.knn import KnnSpec, knn_exact
+from repro.apps.wordcount import WordCountSpec, wordcount_exact
+from repro.bursting import driver
 from repro.bursting.config import EnvironmentConfig
+from repro.bursting.session import BurstingSession
 from repro.bursting.driver import (
     paper_index,
     run_paper_sweep,
     run_scalability_sweep,
     run_threaded_bursting,
 )
-from repro.data.generator import generate_points
+from repro.data.formats import tokens_format
+from repro.data.generator import generate_points, generate_tokens
 from repro.sim.calibration import (
     APP_PROFILES,
     PAPER_DATASET_NBYTES,
     PAPER_N_FILES,
     PAPER_N_JOBS,
 )
+from repro.storage.cache import ChunkCache
+from repro.storage.health import BreakerPolicy, HedgePolicy
 from repro.storage.local import MemoryStore
+from repro.storage.retry import RetryPolicy
 
 
 class TestPaperIndex:
@@ -90,3 +97,31 @@ class TestThreadedBursting:
             run_threaded_bursting(
                 KnnSpec(np.zeros(4), 3), pts, {"local": MemoryStore("local")}
             )
+
+    def test_same_options_as_the_session(self, monkeypatch):
+        """The driver and the session turn the same field keywords into
+        equal EngineOptions."""
+        fields = dict(
+            prefetch=True, chunk_cache=ChunkCache(1 << 20),
+            retry=RetryPolicy(max_attempts=3), crash_plan={"cloud-w1": 2},
+            hedge=HedgePolicy(), breaker=BreakerPolicy(), adaptive_fetch=True,
+            min_part_nbytes=0, pushdown="prune",
+        )
+        built = []
+        real_make_engine = driver.make_engine
+
+        def spy(name, clusters, stores, *, options):
+            built.append(options)
+            return real_make_engine(name, clusters, stores, options=options)
+
+        monkeypatch.setattr(driver, "make_engine", spy)
+        tokens = generate_tokens(5000, 100, seed=4)
+        stores = {"local": MemoryStore("local"), "cloud": MemoryStore("cloud")}
+        rr = run_threaded_bursting(WordCountSpec(), tokens, stores, **fields)
+        assert rr.result == wordcount_exact(tokens)
+        session = BurstingSession.from_units(
+            tokens, tokens_format(), {"local": MemoryStore("local"),
+                                      "cloud": MemoryStore("cloud")},
+            **fields,
+        )
+        assert built == [session.options]

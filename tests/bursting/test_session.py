@@ -5,9 +5,14 @@ import pytest
 
 from repro.apps.kmeans import KMeansSpec, lloyd_step
 from repro.apps.pagerank import PageRankSpec, out_degrees, pagerank_reference
+from repro.apps.wordcount import WordCountSpec, wordcount_exact
 from repro.bursting.session import BurstingSession
-from repro.data.formats import edges_format, points_format
-from repro.data.generator import generate_edges, generate_points
+from repro.data.dataset import distribute_dataset, replicate_dataset, write_dataset
+from repro.data.formats import edges_format, points_format, tokens_format
+from repro.data.generator import generate_edges, generate_points, generate_tokens
+from repro.runtime import EngineOptions
+from repro.storage.cache import ChunkCache
+from repro.storage.health import BreakerPolicy, HedgePolicy
 from repro.storage.local import MemoryStore
 
 
@@ -154,3 +159,63 @@ class TestSessionPipeline:
         np.testing.assert_allclose(
             serial.result.centroids, pipelined.result.centroids
         )
+
+
+class TestSessionOptions:
+    """Every keyword beyond the session's own is an EngineOptions field."""
+
+    def test_hedge_and_breaker_over_replicas(self):
+        tokens = generate_tokens(20_000, 300, seed=5)
+        stores = make_stores()
+        index = write_dataset(
+            tokens, tokens_format(), stores["local"], n_files=4, chunk_units=1000
+        )
+        index = distribute_dataset(
+            index, stores, {"local": 0.5, "cloud": 0.5}, stores["local"]
+        )
+        index = replicate_dataset(index, stores, n_replicas=1)
+        session = BurstingSession(
+            index, stores, hedge=HedgePolicy(), breaker=BreakerPolicy()
+        )
+        rr = session.run(WordCountSpec())
+        assert rr.result == wordcount_exact(tokens)
+        assert set(rr.stats.breakers) == {"local", "cloud"}
+
+    def test_fields_land_in_options(self):
+        cache = ChunkCache(1 << 20)
+        session = BurstingSession.from_units(
+            generate_points(300, 4, seed=2), points_format(4), make_stores(),
+            prefetch=True, pushdown="prune", min_part_nbytes=0,
+            chunk_cache=cache,
+        )
+        assert session.cache is cache
+        assert session.options == EngineOptions(
+            batch_size=2, prefetch=True, pushdown="prune", min_part_nbytes=0,
+            chunk_cache=cache,
+        )
+
+    def test_cache_mb_and_chunk_cache_conflict(self, points):
+        with pytest.raises(TypeError, match="not both"):
+            BurstingSession.from_units(
+                points, points_format(4), make_stores(),
+                cache_mb=1, chunk_cache=ChunkCache(1 << 20),
+            )
+
+    def test_unknown_field_rejected(self, points):
+        with pytest.raises(TypeError):
+            BurstingSession.from_units(
+                points, points_format(4), make_stores(), no_such_option=1
+            )
+
+    def test_unknown_engine_rejected_at_construction(self, points):
+        with pytest.raises(ValueError, match="unknown engine"):
+            BurstingSession.from_units(
+                points, points_format(4), make_stores(), engine="warp"
+            )
+
+    def test_unknown_crash_worker_rejected_at_construction(self, points):
+        with pytest.raises(ValueError, match="unknown workers"):
+            BurstingSession.from_units(
+                points, points_format(4), make_stores(),
+                crash_plan={"cloud-w9": 1},
+            )

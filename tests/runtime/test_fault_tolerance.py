@@ -48,7 +48,6 @@ def make_session(points, *, fault_spec=None, retry=None, crash_plan=None,
         # setup path is clean and only the run's fetches see faults.
         faulty = FaultInjectingStore(stores["cloud"], fault_spec)
         session.stores["cloud"] = faulty
-        session.engine.stores["cloud"] = faulty
     return session
 
 
@@ -70,7 +69,7 @@ class TestTransientFaults:
         assert rr.stats.n_retries > 0
         assert rr.stats.n_failed_workers == 0
         assert rr.stats.n_requeued_jobs == 0
-        assert session.engine.stores["cloud"].n_transient > 0
+        assert session.stores["cloud"].n_transient > 0
 
     def test_wordcount_exact_under_faults(self):
         """Integer reduction: exact equality through injected faults,
@@ -85,7 +84,6 @@ class TestTransientFaults:
             stores["cloud"], FaultSpec(transient_p=0.3, seed=17)
         )
         session.stores["cloud"] = faulty
-        session.engine.stores["cloud"] = faulty
         rr = session.run(WordCountSpec())
         assert rr.result == wordcount_exact(tokens)
         assert rr.stats.n_retries > 0
@@ -98,7 +96,7 @@ class TestTransientFaults:
                 retry=FAST_RETRY,
             )
             rr = session.run(KMeansSpec(generate_points(3, 4, seed=81)))
-            store = session.engine.stores["cloud"]
+            store = session.stores["cloud"]
             return (rr.stats.n_retries, rr.stats.bytes_retried,
                     rr.stats.n_errors, store.injection_counts())
 
@@ -115,7 +113,7 @@ class TestPermanentFaults:
         )
         with pytest.raises(PermanentStorageError, match="unreadable"):
             session.run(KMeansSpec(generate_points(3, 4, seed=81)))
-        assert session.engine.stores["cloud"].n_permanent >= 1
+        assert session.stores["cloud"].n_permanent >= 1
 
 
 class TestWorkerCrash:
@@ -190,7 +188,6 @@ class TestWorkerCrash:
             stores["cloud"], FaultSpec(fail_nth=(1, 2))
         )
         session.stores["cloud"] = faulty
-        session.engine.stores["cloud"] = faulty
         rr = session.run(WordCountSpec())
         assert rr.result == wordcount_exact(tokens)
         assert 1 <= rr.stats.n_failed_workers <= 2

@@ -71,18 +71,14 @@ class Rig:
         self.scheduler = HeadScheduler(jobs_from_index(self.index))
         self.stop = threading.Event()
         self.threads_before = set(threading.enumerate())
-        self.fetchers = make_cluster_fetchers(
-            {"local": self.store}, self.cluster, prefetch=prefetch, retry=retry
+        options = EngineOptions(
+            prefetch=prefetch, retry=retry,
+            crash_plan={} if crash_after is None else {"local-w0": crash_after},
         )
+        self.fetchers = make_cluster_fetchers({"local": self.store}, self.cluster, options)
         self.robjs, self.errors = [], []
         self.master = self.new_master()
-        self.runtime = self.new_runtime(
-            "local-w0", self.master,
-            EngineOptions(
-                prefetch=prefetch, retry=retry,
-                crash_plan={} if crash_after is None else {"local-w0": crash_after},
-            ),
-        )
+        self.runtime = self.new_runtime("local-w0", self.master, options)
         self.thread = threading.Thread(target=self.runtime.run, daemon=True)
 
     def new_master(self):

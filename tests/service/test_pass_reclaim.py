@@ -90,7 +90,7 @@ class TestNoCyclicGarbage:
         session.run(PageRankSpec(ranks, outdeg))
         with saved_garbage() as garbage:
             eng = make_engine(engine, session._clusters, session.stores,
-                              options=session._options)
+                              options=session.options)
             rr = eng.run(PageRankSpec(ranks, outdeg), session.index)
             del rr, eng
             assert repro_garbage(garbage) == Counter()
@@ -98,7 +98,7 @@ class TestNoCyclicGarbage:
     def test_job_on_a_long_lived_service(self):
         session, ranks, outdeg = edge_session("threaded")
         with BurstingService(session._clusters, session.stores,
-                             options=session._options) as service:
+                             options=session.options) as service:
             service.submit(PageRankSpec(ranks, outdeg), session.index).result(timeout=30)
             with saved_garbage() as garbage:
                 rr = service.submit(PageRankSpec(ranks, outdeg), session.index).result(
@@ -129,7 +129,7 @@ class TestResolvedHandle:
     def test_reports_after_resolve_and_after_shutdown(self, engine):
         session, ranks, outdeg = edge_session(engine)
         service = BurstingService(session._clusters, session.stores, engine=engine,
-                                  options=session._options)
+                                  options=session.options)
         try:
             handle = service.submit(PageRankSpec(ranks, outdeg), session.index)
             rr = handle.result(timeout=30)

@@ -18,7 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.core import ClusterConfig, make_cluster_fetchers, rollup_fetcher_stats
+from repro.runtime.core import (
+    ClusterConfig,
+    EngineOptions,
+    make_cluster_fetchers,
+    rollup_fetcher_stats,
+)
 from repro.runtime.stats import ClusterStats, RunStats
 from repro.storage import transfer
 from repro.storage.autotune import AimdAutotuner, AutotuneParams
@@ -275,7 +280,7 @@ class TestPools:
         store.put("b", BLOB)
         cluster = ClusterConfig("c", "local", n_workers, retrieval_threads=2)
         (fetcher,) = make_cluster_fetchers(
-            {"local": store}, cluster, prefetch=prefetch
+            {"local": store}, cluster, EngineOptions(prefetch=prefetch)
         ).values()
         got = {}
         if prefetch:

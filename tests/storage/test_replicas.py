@@ -15,7 +15,7 @@ from repro.data.dataset import (
     write_dataset,
 )
 from repro.data.formats import RecordFormat
-from repro.runtime.core import ClusterConfig, make_cluster_fetchers
+from repro.runtime.core import ClusterConfig, EngineOptions, make_cluster_fetchers
 from repro.storage.faults import FaultInjectingStore, FaultSpec
 from repro.storage.health import BreakerPolicy, HealthRegistry, HedgePolicy
 from repro.storage.local import MemoryStore
@@ -43,7 +43,7 @@ def make_dataset(stores, *, n=240, n_files=3, local_fraction=0.5, codec=None,
 def make_fetchers(stores, *, health=None, hedge=None, retry=FAST_RETRY):
     cluster = ClusterConfig("local", "local", n_workers=1, retrieval_threads=2)
     return make_cluster_fetchers(
-        stores, cluster, retry=retry, health=health, hedge=hedge
+        stores, cluster, EngineOptions(retry=retry, hedge=hedge), health=health
     )
 
 

@@ -75,7 +75,7 @@ def make_striped(stores, *, n=240, k=4, m=2, codec=None):
 def make_fetchers(stores, *, health=None, hedge=None):
     cluster = ClusterConfig("local", "local", n_workers=1, retrieval_threads=2)
     return make_cluster_fetchers(
-        stores, cluster, retry=FAST_RETRY, health=health, hedge=hedge
+        stores, cluster, EngineOptions(retry=FAST_RETRY, hedge=hedge), health=health
     )
 
 

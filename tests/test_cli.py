@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime import EngineOptions
 
 
 class TestParser:
@@ -134,6 +135,28 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["demo", "--codec", "gzip"])
         assert main(["demo", "--min-part-kb", "-1"]) == 2
+
+    def test_bad_crash_worker_same_error_everywhere(self, capsys):
+        assert main(["demo", "--crash-worker", "bad"]) == 2
+        demo_err = capsys.readouterr().err
+        assert main(["service", "run", "--crash-worker", "bad"]) == 2
+        assert capsys.readouterr().err == demo_err
+        assert "bad --crash-worker spec 'bad'" in demo_err
+
+    def test_option_flags_parse_into_fields(self):
+        from repro.cli import _option_fields
+
+        ns = build_parser().parse_args([
+            "demo", "--cache-mb", "2", "--crash-worker", "cloud-w0:1",
+            "--crash-worker", "local-w1:3", "--min-part-kb", "8", "--hedge",
+        ])
+        fields = _option_fields(ns, ("chunk_cache", "crash_plan",
+                                     "min_part_nbytes", "hedge", "retry"))
+        assert fields["chunk_cache"].capacity_nbytes == 2 << 20
+        assert fields["crash_plan"] == {"cloud-w0": 1, "local-w1": 3}
+        assert fields["min_part_nbytes"] == 8192
+        assert "retry" not in fields  # unset flag: field not given
+        EngineOptions(**fields)  # every parsed value is a valid field value
 
     def test_simulate_with_codec_prints_transfer_table(self, capsys):
         rc = main([
