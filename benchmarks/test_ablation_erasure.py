@@ -14,7 +14,7 @@ schedule:
 * **striping, m stores down + breaker** -- two entire stores dead after
   placement; parity decodes mask the outage with zero failed workers.
 
-Also runs the striped outage on all three engines (results must be
+Also runs the striped outage on both engines (results must be
 bit-identical) and the DES counterpart on the same seeded-stall idea
 (simulated striped run must beat the simulated baseline), so the
 ablation and the simulator agree on the shape of the win.
@@ -135,9 +135,9 @@ def test_erasure_ablation(benchmark, record_table, write_bench_json):
                 "breaker_skips": stats.n_breaker_skips,
                 "injected": injected,
             })
-        # -- engine agreement: striped outage, all three engines ----------
+        # -- engine agreement: striped outage, both engines ---------------
         engine_rows = []
-        for engine in ("threaded", "process", "actor"):
+        for engine in ("threaded", "process"):
             _, rr, _, _ = run_scenario(
                 toks, ref, engine=engine, spares=SPARES, dead=("s1", "s2"),
                 stripe=(K, M), breaker=BREAKER,

@@ -5,7 +5,7 @@ on the filtered field, per-chunk min/max statistics let the head prune
 most of the job pool *before any byte moves* -- the wire traffic drops
 by the pruned fraction while the answer stays bit-identical.  This
 benchmark runs the range-filtered wordcount over sorted tokens through
-all three engines:
+both engines:
 
 * **selectivity** -- a narrow (~5% of the value domain), medium (~25%)
   and full-domain filter; the narrow filter must cut ``bytes_wire`` by
@@ -13,7 +13,7 @@ all three engines:
 * **codec None/shuffle** -- pruning composes with compression: stats
   are computed over decoded values at write time, and ``bytes_pruned``
   accounts *encoded* (wire) bytes for coded chunks;
-* **engine threaded/process/actor** -- the pruning happens at the head,
+* **engine threaded/process** -- the pruning happens at the head,
   before job-pool creation, so all engines see identical plans;
 * **DES agreement** -- the simulator consumes the same planner over the
   same index, so its predicted bytes saved must match the live threaded
@@ -42,7 +42,7 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 TINY = os.environ.get("PUSHDOWN_PROFILE", "").lower() == "tiny"
 
-ENGINES = ("threaded", "process", "actor")
+ENGINES = ("threaded", "process")
 CODECS = (None, "shuffle")
 N_TOKENS = 24_000 if TINY else 200_000
 VOCAB = 1000

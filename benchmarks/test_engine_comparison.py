@@ -37,7 +37,7 @@ from repro.storage.local import MemoryStore
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-ENGINES = ("threaded", "process", "actor")
+ENGINES = ("threaded", "process")
 WORKERS = 4
 ROUNDS = 3
 # Heavy fold per byte: large k keeps the per-group scatter-add loop hot,
@@ -96,7 +96,7 @@ def time_pipelined(name, spec, stores, index, clusters, ref):
     The first pass fills the cache (an iterative workload's iteration
     1); the measured second pass is iteration 2+, where every fetch is
     a cache hit and the prefetcher overlaps what little retrieval
-    remains with folding.  Same ``EngineOptions`` object on all three
+    remains with folding.  Same ``EngineOptions`` object on both
     engines -- that the option set is engine-agnostic is the point.
     """
     cache = ChunkCache(256 << 20)
@@ -160,7 +160,7 @@ def test_engine_comparison(benchmark, record_table, write_bench_json):
     )
 
     # The chunk path really went through shared memory, and the
-    # in-process engines pay no IPC at all.
+    # in-process engine pays no IPC at all.
     assert by["process"]["shm_nbytes"] > 0
     assert by["threaded"]["ipc_s"] == 0.0
     assert by["threaded"]["shm_nbytes"] == 0

@@ -87,8 +87,6 @@ def simulate_environment(
     failures=None,
     codec: str | None = None,
     transfer=None,
-    adaptive_fetch: bool = False,
-    autotune_params=None,
     pushdown=None,
 ) -> SimRunResult:
     """Simulate one application under one environment configuration.
@@ -101,8 +99,7 @@ def simulate_environment(
     kills workers mid-run; the head reassigns their in-flight jobs.
     ``codec`` selects the calibrated transfer model for that codec
     (:meth:`~repro.sim.topology.TransferSimModel.for_codec`), or pass an
-    explicit ``transfer`` model; ``adaptive_fetch`` swaps fixed
-    retrieval threads for per-path AIMD autotuning.  ``pushdown`` (a
+    explicit ``transfer`` model.  ``pushdown`` (a
     spec or query object with ``relevant``/``priority`` hooks) models
     metadata-first pruning -- note :func:`paper_index` carries no chunk
     stats, so this only has an effect on indexes from
@@ -119,8 +116,7 @@ def simulate_environment(
     return simulate_run(
         index, env.clusters(params), profile, params,
         prefetch=prefetch, cache_nbytes=cache_nbytes, caches=caches,
-        failures=failures, transfer=transfer, adaptive_fetch=adaptive_fetch,
-        autotune_params=autotune_params, pushdown=pushdown, **kwargs,
+        failures=failures, transfer=transfer, pushdown=pushdown, **kwargs,
     )
 
 

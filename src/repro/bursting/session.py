@@ -88,11 +88,10 @@ class BurstingSession:
     ``chunk_cache=`` instead to share a cache you own.
 
     ``engine`` selects the execution engine: ``"threaded"`` (default,
-    worker threads), ``"process"`` (one OS process per slave with
+    worker threads) or ``"process"`` (one OS process per slave with
     shared-memory data handoff -- see
-    :class:`~repro.runtime.process_engine.ProcessEngine`), or
-    ``"actor"`` (message-passing over explicit channels).  Every engine
-    accepts every option -- they all run the same
+    :class:`~repro.runtime.process_engine.ProcessEngine`).  Both
+    engines accept every option -- they run the same
     :class:`~repro.runtime.core.SlaveRuntime` worker loop.
     """
 

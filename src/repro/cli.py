@@ -38,6 +38,7 @@ from repro.cost.provisioning import (
     pareto_frontier,
     tradeoff_curve,
 )
+from repro.runtime import ENGINES
 from repro.sim.calibration import APP_PROFILES
 from repro.storage.cache import ChunkCache
 from repro.storage.codecs import CODEC_NAMES
@@ -110,10 +111,6 @@ OPTION_FLAGS: dict[str, OptionFlag] = {
         help="crash worker NAME (e.g. cloud-w0) after it has processed N "
              "jobs (repeatable); the crash is contained and its in-flight "
              "job re-executed")),
-    "adaptive_fetch": OptionFlag("--adaptive-fetch", bool, dict(
-        action=argparse.BooleanOptionalAction,
-        help="AIMD-autotune the retrieval fan-out per (cluster, data "
-             "location) path instead of fixed retrieval threads")),
     "min_part_nbytes": OptionFlag("--min-part-kb", _nbytes_from_kb, dict(
         type=float, metavar="KB",
         help="floor on parallel sub-range size in KiB; smaller fetches "
@@ -179,11 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codec", choices=CODEC_CHOICES, default=None,
                    help="model a pre-compressed dataset: only encoded bytes "
                         "cross the links, each chunk pays its decode cost")
-    p.add_argument("--adaptive-fetch", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="AIMD-autotune the retrieval fan-out per "
-                        "(cluster, data location) path instead of a fixed "
-                        "thread count")
 
     p = sub.add_parser("provision", help="time/cost-aware cloud-core sizing")
     p.add_argument("--app", choices=PAPER_APPS, required=True)
@@ -213,12 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="run the wordcount quickstart")
     p.add_argument("--tokens", type=int, default=100_000)
     p.add_argument("--vocab", type=int, default=2_000)
-    p.add_argument("--engine", choices=("threaded", "process", "actor"),
-                   default="threaded",
-                   help="execution engine: worker threads (default), one OS "
-                        "process per slave with shared-memory data handoff, "
-                        "or message-passing actors; all engines accept all "
-                        "options below")
+    p.add_argument("--engine", choices=sorted(ENGINES), default="threaded",
+                   help="execution engine: worker threads (default) or one "
+                        "OS process per slave with shared-memory data "
+                        "handoff; both engines accept all options below")
     p.add_argument("--inject-fault", metavar="SPEC", default=None,
                    help="wrap the cloud store in a deterministic fault injector, "
                         'e.g. "transient:p=0.3,seed=7", "permanent:key=f3", '
@@ -262,11 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--jobs", type=int, default=4,
                     help="concurrent jobs to submit (alternating apps and "
                          "tenants)")
-    pr.add_argument("--engine", choices=("threaded", "process", "actor"),
-                    default="threaded",
+    pr.add_argument("--engine", choices=sorted(ENGINES), default="threaded",
                     help="threaded interleaves jobs chunk-by-chunk on one "
-                         "fleet; process/actor execute each admitted job "
-                         "whole (admission-level sharing)")
+                         "fleet; process executes each admitted job whole "
+                         "(admission-level sharing)")
     pr.add_argument("--tokens", type=int, default=60_000,
                     help="wordcount dataset size")
     pr.add_argument("--points", type=int, default=12_000,
@@ -290,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--app", choices=("wordcount", "kmeans"),
                     default="wordcount")
     ps.add_argument("--tenant", default="default")
-    ps.add_argument("--engine", choices=("threaded", "process", "actor"),
-                    default="threaded")
+    ps.add_argument("--engine", choices=sorted(ENGINES), default="threaded")
     ps.add_argument("--tokens", type=int, default=60_000)
     ps.add_argument("--points", type=int, default=12_000)
     ps.add_argument("--vocab", type=int, default=1_000)
@@ -369,7 +357,7 @@ def _cmd_simulate(args) -> int:
             args.app, env, seed=args.seed, prefetch=args.prefetch,
             cache_nbytes=cache_nbytes, caches=caches,
             failures=failures or None,
-            codec=args.codec, adaptive_fetch=args.adaptive_fetch,
+            codec=args.codec,
         )
         caches = res.caches
         if args.iterations > 1:
@@ -384,7 +372,7 @@ def _cmd_simulate(args) -> int:
     if args.prefetch or cache_nbytes:
         print()
         print(format_table(res.stats.pipeline_rows(), "pipeline decomposition"))
-    if args.codec or args.adaptive_fetch:
+    if args.codec:
         print()
         print(format_table(res.stats.transfer_rows(), "transfer layer"))
     if failures:
@@ -566,7 +554,7 @@ def _cmd_demo(args) -> int:
         from repro.bursting.report import format_table
 
         print(format_table(rr.stats.ipc_rows(), "cross-process data movement"))
-    if args.codec or args.adaptive_fetch:
+    if args.codec:
         from repro.bursting.report import format_table
 
         print(format_table(rr.stats.transfer_rows(), "transfer layer"))

@@ -1,6 +1,5 @@
 """Runtime: jobs, scheduling policy, stats, and the execution engines."""
 
-from repro.runtime.actors import ActorEngine
 from repro.runtime.core import (
     ClusterConfig,
     EngineOptions,
@@ -11,14 +10,6 @@ from repro.runtime.core import (
 )
 from repro.runtime.engine import ThreadedEngine
 from repro.runtime.jobs import Job, LocalJobPool, jobs_from_index
-from repro.runtime.messages import (
-    AssignJobs,
-    Channel,
-    ReassignJobs,
-    RequestJobs,
-    RobjUpload,
-    Shutdown,
-)
 from repro.runtime.process_engine import ProcessEngine
 from repro.runtime.pushdown import (
     PushdownPlan,
@@ -29,22 +20,19 @@ from repro.runtime.pushdown import (
 from repro.runtime.scheduler import HeadScheduler, RandomScheduler, StaticScheduler
 from repro.runtime.stats import ClusterStats, RunStats, WorkerStats
 
-#: The three execution engines, keyed by their CLI / driver name.
+#: The two execution engines, keyed by their CLI / driver name.
 #:
 #: * ``threaded`` -- worker threads in one process; the reference
 #:   implementation of the head/master/slave protocol.
 #: * ``process`` -- one real OS process per slave; chunk bytes cross via
 #:   shared memory, reduction objects via pickle-5 out-of-band buffers.
-#: * ``actor`` -- message-passing actors over explicit channels; the
-#:   protocol-fidelity engine.
 #:
-#: All three accept the same :class:`EngineOptions` surface and run the
+#: Both accept the same :class:`EngineOptions` surface and run the
 #: same :class:`SlaveRuntime` worker loop; they differ only in how the
 #: control plane is transported.
 ENGINES = {
     "threaded": ThreadedEngine,
     "process": ProcessEngine,
-    "actor": ActorEngine,
 }
 
 
@@ -70,7 +58,6 @@ def make_engine(name: str, clusters, stores, **kwargs):
 
 
 __all__ = [
-    "ActorEngine",
     "ClusterConfig",
     "EngineOptions",
     "LockMaster",
@@ -84,12 +71,6 @@ __all__ = [
     "Job",
     "LocalJobPool",
     "jobs_from_index",
-    "AssignJobs",
-    "Channel",
-    "ReassignJobs",
-    "RequestJobs",
-    "RobjUpload",
-    "Shutdown",
     "PushdownPlan",
     "PushdownSoundnessError",
     "plan_jobs",

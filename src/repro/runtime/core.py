@@ -2,9 +2,9 @@
 
 The paper describes a single protocol -- a head pool, per-cluster
 masters, multi-threaded slaves folding into reduction objects -- and the
-three live engines (threaded, actor, process) are three *transports* for
-that protocol, not three protocols.  This module is the protocol made
-code, factored so each engine contributes only its control plane:
+two live engines (threaded, process) are two *transports* for that
+protocol, not two protocols.  This module is the protocol made code,
+factored so each engine contributes only its control plane:
 
 * :class:`EngineOptions` -- the frozen, validated configuration surface
   shared by every engine, the session, the driver, and the CLI.  One
@@ -12,9 +12,9 @@ code, factored so each engine contributes only its control plane:
   index-vs-stores coverage) replaces the per-engine copies.
 * :class:`MasterPort` -- the small protocol a slave drives to acquire
   and complete jobs.  The lock-based :class:`LockMaster` (threaded and
-  process engines) and the channel-based master actor implement it; the
-  port owns drain-awareness, so an empty refill is never latched as
-  "done" while requeue-able jobs are outstanding.
+  process engines) implements it; the port owns drain-awareness, so an
+  empty refill is never latched as "done" while requeue-able jobs are
+  outstanding.
 * :class:`SlaveRuntime` -- the per-worker loop: synchronous fetch or a
   read-ahead window of in-flight fetches, decode/fold with group
   iteration, the full :class:`WorkerStats` accounting (retrieval/
@@ -24,7 +24,7 @@ code, factored so each engine contributes only its control plane:
   executes folds in-process runs exactly this loop; the process engine's
   feeder reuses its fetch-accounting steps across the process boundary.
 * :func:`finalize_run` -- the shared run epilogue: per-cluster combine,
-  serialized reduction-object shipping, fetcher fault/autotune rollup
+  serialized reduction-object shipping, fetcher fault rollup
   into :class:`ClusterStats`, and idle/sync accounting.
 
 Sector/Sphere-style data clouds take the same shape -- one slave runtime
@@ -57,7 +57,6 @@ from repro.runtime.jobs import Job, LocalJobPool
 from repro.runtime.pushdown import normalize_pushdown
 from repro.runtime.scheduler import HeadScheduler
 from repro.runtime.stats import ClusterStats, RunStats, WorkerStats
-from repro.storage.autotune import AimdAutotuner, AutotuneParams
 from repro.storage.base import StorageBackend
 from repro.storage.cache import ChunkCache
 from repro.storage.faults import WorkerCrash
@@ -125,11 +124,10 @@ class EngineOptions:
 
     The one place an engine option is declared: every execution engine
     accepts every field, and the session, the driver, the service and
-    the CLI pass fields through by name.  ``start_method`` and
-    ``merge_threads`` only have an effect on the process engine
-    (in-process engines have no start method and use the spec's own
-    global reduction); they are accepted -- and validated -- everywhere
-    so one options object can configure any engine.
+    the CLI pass fields through by name.  ``start_method`` only has an
+    effect on the process engine (in-process engines have no start
+    method); it is accepted everywhere so one options object can
+    configure any engine.
     """
 
     batch_size: int = 4
@@ -144,9 +142,7 @@ class EngineOptions:
     chunk_cache: ChunkCache | None = None
     retry: RetryPolicy | None = None
     crash_plan: dict[str, int] = field(default_factory=dict)
-    adaptive_fetch: bool = False
     min_part_nbytes: int = DEFAULT_MIN_PART_NBYTES
-    autotune_params: AutotuneParams | None = None
     # Replica-aware retrieval: hedge duplicate slow fetches against the
     # next replica (HedgePolicy), and/or run every store behind a
     # circuit breaker (BreakerPolicy) that orders/skips replica sources
@@ -167,9 +163,8 @@ class EngineOptions:
     # the identity (the soundness guard -- debug only, spends the bytes
     # pruning saved).
     pushdown: str | bool | None = None
-    # Process-engine transport knobs (no effect on in-process engines).
+    # Process-engine transport knob (no effect on in-process engines).
     start_method: str | None = None
-    merge_threads: int = 4
 
     def __post_init__(self) -> None:
         # Normalize crash_plan=None (the historical kwarg default) to {}.
@@ -182,8 +177,6 @@ class EngineOptions:
             raise ValueError("group_nbytes must be positive")
         if self.min_part_nbytes < 0:
             raise ValueError("min_part_nbytes must be non-negative")
-        if self.merge_threads <= 0:
-            raise ValueError("merge_threads must be positive")
         if any(n < 0 for n in self.crash_plan.values()):
             raise ValueError("crash_plan job counts must be non-negative")
         # One wording for stripe-shape errors everywhere (engine options,
@@ -279,12 +272,8 @@ def make_cluster_fetchers(
     per worker when ``options.prefetch`` -- at ``retrieval_threads``
     connections each, so neither a sibling worker's fetch nor a worker's
     own second read-ahead queues behind the first.  The cache, retry
-    policy, fan-out and hedge come from ``options``.
-
-    With ``adaptive_fetch`` every (cluster, location) path gets its own
-    AIMD autotuner replacing the fixed ``retrieval_threads`` fan-out --
-    the paths differ wildly (local NIC vs WAN vs throttled S3), so each
-    learns its own knee.  Shared by all three live engines.
+    policy, fan-out and hedge come from ``options``.  Shared by both
+    live engines.
 
     Each cluster's fetchers are wired as *siblings* of one another, so a
     chunk carrying replica sources routes each source to the fetcher
@@ -297,19 +286,12 @@ def make_cluster_fetchers(
     )
     fetchers: dict[str, ParallelFetcher] = {}
     for loc, store in stores.items():
-        autotune = None
-        if options.adaptive_fetch:
-            params = options.autotune_params or AutotuneParams(
-                min_part_nbytes=max(1, options.min_part_nbytes)
-            )
-            autotune = AimdAutotuner(params, name=f"{cluster.name}->{loc}")
         fetchers[loc] = ParallelFetcher(
             store,
             cluster.retrieval_threads,
             cache=options.chunk_cache,
             chunks_in_flight=chunks_in_flight,
             retry=options.retry,
-            autotune=autotune,
             min_part_nbytes=options.min_part_nbytes,
             health=health,
             hedge=options.hedge,
@@ -323,9 +305,8 @@ class MasterPort(Protocol):
     """Job-acquisition surface a slave drives, whatever the transport.
 
     The port hides how a cluster's master talks to the head -- a lock
-    around the shared scheduler (:class:`LockMaster`), typed messages
-    over channels (the actor engine's master), or the process engine's
-    in-parent feeder.  Drain-awareness is part of the contract: an empty
+    around the shared scheduler (:class:`LockMaster`), or the process
+    engine's in-parent feeder.  Drain-awareness is part of the contract: an empty
     refill must NOT be treated as end-of-run while the head still has
     outstanding jobs, because a crashed worker may requeue one.
     """
@@ -805,12 +786,12 @@ class SlaveRuntime:
 def rollup_fetcher_stats(
     cstats: ClusterStats, fetchers: dict[str, ParallelFetcher], *, close: bool = True
 ) -> None:
-    """Close one cluster's fetchers and fold their fault/autotune state.
+    """Close one cluster's fetchers and fold their fault state.
 
-    Retry counts, giveups, retried bytes, how many ranges went out as
-    one GET vs split (with each store's observed GET rate, the reason),
-    and (when adaptive fetch is on) each path's autotuner snapshot land
-    in :class:`ClusterStats` -- identically for every engine.
+    Retry counts, giveups, retried bytes, and how many ranges went out
+    as one GET vs split (with each store's observed GET rate, the
+    reason) land in :class:`ClusterStats` -- identically for every
+    engine.
     """
     for loc, f in fetchers.items():
         if close:
@@ -825,8 +806,6 @@ def rollup_fetcher_stats(
         cstats.n_single_fetches += f.n_single_fetches
         cstats.n_split_fetches += f.n_split_fetches
         cstats.get_s_per_byte[loc] = f.store.stats.s_per_byte
-        if f.autotune is not None and f.autotune.n_samples:
-            cstats.autotune[loc] = f.autotune.snapshot()
 
 
 def finalize_timing(stats: RunStats) -> None:
@@ -862,7 +841,7 @@ def finalize_run(
 ) -> RunResult:
     """The shared run epilogue for scheduler-owning engines.
 
-    Rolls fetcher fault/autotune state into the cluster stats, surfaces
+    Rolls fetcher fault state into the cluster stats, surfaces
     worker errors and undrained schedulers, performs the per-cluster
     combine, charges each cluster's upload (its real serialized size
     and the cluster's link latency), runs the global reduction, fills

@@ -297,9 +297,7 @@ class ProcessEngine(EngineBase):
     or runs strictly fetch-then-compute.  ``start_method`` picks the
     multiprocessing start method (default ``fork`` where available --
     workers are forked before any engine thread starts, so the fork is
-    safe);
-    ``merge_threads`` bounds how many pair merges of one tree round run
-    side by side.
+    safe).
     """
 
     @property
@@ -309,10 +307,6 @@ class ProcessEngine(EngineBase):
             methods = multiprocessing.get_all_start_methods()
             sm = "fork" if "fork" in methods else "spawn"
         return sm
-
-    @property
-    def merge_threads(self) -> int:
-        return self.options.merge_threads
 
     # -- top level -----------------------------------------------------------
 
@@ -449,7 +443,7 @@ class ProcessEngine(EngineBase):
     ) -> ReductionObject:
         """Global reduction: the tree for the default merge."""
         if uses_default_global_reduction(spec):
-            return tree_global_reduction(spec, robjs, self.merge_threads)
+            return tree_global_reduction(spec, robjs)
         return spec.global_reduction(robjs)
 
     def _shutdown_workers(self, handles: list[_WorkerHandle]) -> None:

@@ -12,7 +12,7 @@ hint).  This module turns both into the job pool the scheduler sees:
   :class:`~repro.runtime.scheduler.HeadScheduler` composes with its
   locality/contention/breaker ordering.
 
-Pruning happens *before job-pool creation*, identically for all three
+Pruning happens *before job-pool creation*, identically for both
 engines and the simulator, so live runs and the DES agree on bytes
 saved.  ``pushdown="verify"`` is the soundness guard: pruned chunks are
 fetched anyway and their fold contribution is asserted to be the

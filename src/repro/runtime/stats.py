@@ -178,10 +178,6 @@ class ClusterStats(_Ratios):
     # Per-successful-fetch wall seconds (cache hits excluded), pooled
     # from this cluster's fetchers -- the p95 latency sample set.
     fetch_latencies: list = field(default_factory=list)
-    # Transfer-layer state per data location, filled from this cluster's
-    # autotuners when adaptive fetch is on: location -> snapshot dict
-    # (parts, effective_bw, trajectory, ...).
-    autotune: dict = field(default_factory=dict)
     # Fan-out accounting, rolled up from this cluster's fetchers: ranges
     # fetched with one GET vs split over the range pool, and per data
     # location the fastest recent GET (seconds per byte, None before any)
@@ -213,12 +209,6 @@ class ClusterStats(_Ratios):
     @property
     def workers_failed(self) -> int:
         return sum(1 for w in self.workers if w.failed)
-
-    @property
-    def effective_bw(self) -> float:
-        """Best EWMA path bandwidth (bytes/s) the autotuners measured."""
-        bws = (snap.get("effective_bw", 0.0) for snap in self.autotune.values())
-        return max(bws, default=0.0)
 
     @property
     def wasted_fragment_bytes(self) -> int:
@@ -356,16 +346,13 @@ class RunStats(_Ratios):
 
         ``bytes_wire``/``bytes_logical``/``compress_ratio`` show what
         compression saved on the wire; ``decode_s`` its CPU cost;
-        ``effective_bw``/``parts``/``tuner`` report what the AIMD
-        autotuner learned about each path (current fan-out per data
-        location, grow/backoff decision counts);
         ``fetches_single``/``fetches_split`` how many ranges went out as
         one GET vs over the range pool, and ``s_per_byte`` the observed
         per-store GET rate that decided it.
         """
         return self._cluster_rows(
-            "bytes_logical bytes_wire compress_ratio decode_s effective_bw_mbps "
-            "parts tuner_grows tuner_backoffs fetches_single fetches_split s_per_byte"
+            "bytes_logical bytes_wire compress_ratio decode_s fetches_single "
+            "fetches_split s_per_byte"
         )
 
     def pushdown_rows(self) -> list[dict]:
@@ -398,22 +385,12 @@ class RunStats(_Ratios):
         )
 
 
-def _tuner_sum(key: str) -> Callable[[Any], int]:
-    return lambda c: sum(snap.get(key, 0) for snap in c.autotune.values())
-
-
 #: Table columns that are not the attribute of the same name.  Every float
 #: cell is rounded to 4 places unless its column rounds tighter here.
 _COMPUTED: dict[str, Callable[[Any], Any]] = {
     "wasted_frag_bytes": lambda c: c.wasted_fragment_bytes,
     "fetch_p95_ms": lambda c: round(c.fetch_p95_s * 1e3, 3),
     "fold_ns_per_byte": lambda c: round(c.fold_ns_per_byte, 3),
-    "effective_bw_mbps": lambda c: round(c.effective_bw / 1e6, 3),
-    "parts": lambda c: {
-        loc: snap.get("parts") for loc, snap in sorted(c.autotune.items())
-    } or None,
-    "tuner_grows": _tuner_sum("n_grow"),
-    "tuner_backoffs": _tuner_sum("n_backoff"),
     "fetches_single": lambda c: c.n_single_fetches,
     "fetches_split": lambda c: c.n_split_fetches,
     "s_per_byte": lambda c: dict(sorted(c.get_s_per_byte.items())) or None,

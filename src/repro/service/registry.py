@@ -144,8 +144,7 @@ class JobHandle:
         receiving new chunk assignments and resolves as CANCELLED once
         its in-flight chunks drain (their partial reduction state is
         discarded).  Returns False when the job already finished or the
-        backend cannot interrupt it (the process/actor run-per-job
-        backend).
+        backend cannot interrupt it (the process run-per-job backend).
         """
         svc = self._service
         return svc is not None and bool(svc._cancel(self.run_id))

@@ -31,10 +31,9 @@ serves a cluster's batch request (weighted fair-share with per-tenant
 run's own :class:`HeadScheduler` picks *which chunks* (locality,
 stealing, pushdown priority -- the paper's policy, unchanged).
 
-The process and actor engines execute each run whole (their transports
-pin worker state to one spec per process/mailbox), so for
-``engine="process"``/``"actor"`` the service runs one engine per
-admitted run on a background thread, one engine at a time (forking
+The process engine executes each run whole (its transport pins worker
+state to one spec per process), so for ``engine="process"`` the
+service runs one engine per admitted run on a background thread, one engine at a time (forking
 engines from concurrent threads is not fork-safe) -- same
 submit/status/result API, FIFO-in-admission-order execution,
 chunk-level interleaving only on the threaded fleet.
@@ -362,8 +361,8 @@ class BurstingService(EngineBase):
     global ``max_concurrent_runs`` admission cap.  ``engine`` selects
     the execution backend: ``"threaded"`` (default) interleaves all
     admitted runs chunk-by-chunk over one persistent slave fleet;
-    ``"process"``/``"actor"`` execute each admitted run whole on its own
-    engine (admission-level sharing).
+    ``"process"`` executes each admitted run whole on its own engine
+    (admission-level sharing).
 
     Thread-safe: ``submit``/``status``/``cancel``/``shutdown`` may be
     called from any thread; :class:`JobHandle` results are awaitable
@@ -415,7 +414,7 @@ class BurstingService(EngineBase):
         self._finalize_q: queue.Queue[_RunEntry | None] = queue.Queue()
         self._finalizer: threading.Thread | None = None
         self._fleet_errors: list[BaseException] = []
-        # Run-per-job state (process/actor backends).
+        # Run-per-job state (process backend).
         self._run_threads: list[threading.Thread] = []
 
     # -- submission ----------------------------------------------------------
@@ -568,7 +567,7 @@ class BurstingService(EngineBase):
         )
         self._finalizer.start()
 
-    # -- run-per-job backend (process / actor) -------------------------------
+    # -- run-per-job backend (process) ---------------------------------------
 
     def _run_via_engine(self, entry: _RunEntry) -> None:
         from repro.runtime import make_engine

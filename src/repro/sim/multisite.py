@@ -158,16 +158,13 @@ def simulate_multisite(
     seed: int = 0,
     scheduler_factory=HeadScheduler,
     transfer=None,
-    adaptive_fetch: bool = False,
-    autotune_params=None,
 ) -> SimRunResult:
     """Simulate a run over an arbitrary multi-site topology.
 
     ``cores`` maps site name -> core count (sites may hold data without
     compute, and vice versa).  The index's chunk locations must all be
-    sites of the topology.  ``transfer``/``adaptive_fetch``/
-    ``autotune_params`` model the WAN transfer layer exactly as in
-    :func:`~repro.sim.simrun.simulate_run`.
+    sites of the topology.  ``transfer`` models the WAN transfer layer
+    exactly as in :func:`~repro.sim.simrun.simulate_run`.
     """
     params = params or ResourceParams()
     unknown = set(index.locations) - set(topology.sites)
@@ -194,8 +191,6 @@ def simulate_multisite(
         topology=topology,
         site_sigmas=topology.site_sigmas(),
         transfer=transfer,
-        adaptive_fetch=adaptive_fetch,
-        autotune_params=autotune_params,
     )
 
 

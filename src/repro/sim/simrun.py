@@ -46,7 +46,6 @@ from repro.sim.events import Event, SimEnv, all_of
 from repro.sim.flows import FlowNetwork
 from repro.sim.topology import Topology, TransferSimModel
 from repro.sim.variability import VariabilityModel, VariabilityParams
-from repro.storage.autotune import AimdAutotuner, AutotuneParams
 from repro.storage.cache import ChunkCache
 
 __all__ = [
@@ -286,7 +285,6 @@ def _fetch_gen(
     tracer=None,
     worker_name: str = "",
     transfer: TransferSimModel | None = None,
-    tuners: dict | None = None,
     stripe: tuple[int, int] | None = None,
     store_stalls: dict | None = None,
 ):
@@ -302,11 +300,6 @@ def _fetch_gen(
     :class:`~repro.storage.transfer.ParallelFetcher`), and the frame
     decode costs CPU time after the transfer -- on cache hits too, since
     the cache holds frames.  ``info["decode_s"]`` separates that cost.
-
-    ``tuners`` (mapping ``(cluster.name, data_location)`` to an
-    :class:`~repro.storage.autotune.AimdAutotuner`) replaces the fixed
-    ``retrieval_threads`` fan-out with the adaptive controller; each
-    completed transfer's (wire bytes, parts, duration) is fed back.
 
     ``stripe=(k, m)`` models erasure-coded fastest-k-of-n retrieval: the
     wire frame becomes ``k`` fragment flows of ``ceil(wire/k)`` bytes
@@ -331,16 +324,7 @@ def _fetch_gen(
     if hit:
         wstats.cache_hits += 1
     else:
-        tuner = (
-            tuners.get((cluster.name, job.location))
-            if tuners is not None
-            else None
-        )
-        parts = (
-            tuner.parts_for(wire_nbytes)
-            if tuner is not None
-            else cluster.retrieval_threads
-        )
+        parts = cluster.retrieval_threads
         spec = store_stalls.get(job.location) if store_stalls else None
         if stripe is not None:
             k, m = stripe
@@ -385,8 +369,6 @@ def _fetch_gen(
             if path.latency_s > 0:
                 yield path.latency_s
             yield net.transfer(path.links, wire_nbytes, path.per_flow_cap)
-        if tuner is not None:
-            tuner.record(wire_nbytes, parts, env.now - t0)
         if cache is not None:
             # The simulator never materializes bytes: charge the cache
             # at the chunk's *stored* (encoded) size with a placeholder
@@ -426,7 +408,6 @@ def _worker_proc(
     worker_name: str = "",
     cache: ChunkCache | None = None,
     transfer: TransferSimModel | None = None,
-    tuners: dict | None = None,
     stripe: tuple[int, int] | None = None,
     store_stalls: dict | None = None,
 ):
@@ -444,8 +425,8 @@ def _worker_proc(
         # -- retrieval ------------------------------------------------------
         info: dict = {}
         yield from _fetch_gen(env, net, topo, cluster, job, cache, wstats,
-                              info, tracer, worker_name, transfer, tuners,
-                              stripe, store_stalls)
+                              info, tracer, worker_name, transfer, stripe,
+                              store_stalls)
         # Decode time is tracked separately (wstats.decode_s), matching
         # the live engines' retrieval/decode split.
         wstats.retrieval_s += info["fetch_s"] - info["decode_s"]
@@ -528,7 +509,6 @@ def _pipelined_worker_proc(
     worker_name: str = "",
     fail_at_s: float = math.inf,
     transfer: TransferSimModel | None = None,
-    tuners: dict | None = None,
     stripe: tuple[int, int] | None = None,
     store_stalls: dict | None = None,
 ):
@@ -571,8 +551,7 @@ def _pipelined_worker_proc(
         info: dict = {}
         done = env.process(
             _fetch_gen(env, net, topo, cluster, job, cache, wstats, info,
-                       tracer, worker_name, transfer, tuners, stripe,
-                       store_stalls)
+                       tracer, worker_name, transfer, stripe, store_stalls)
         )
         window.append((job, done, info))
 
@@ -691,8 +670,6 @@ def simulate_run(
     cache_nbytes: int = 0,
     caches: dict[str, ChunkCache] | None = None,
     transfer: TransferSimModel | None = None,
-    adaptive_fetch: bool = False,
-    autotune_params: AutotuneParams | None = None,
     pushdown=None,
     stripe: tuple[int, int] | None = None,
     store_stalls: dict | None = None,
@@ -721,11 +698,6 @@ def simulate_run(
     ``transfer`` (a :class:`~repro.sim.topology.TransferSimModel`)
     models a pre-compressed dataset: only encoded bytes cross the links
     and each chunk charges a decode cost on its worker.
-    ``adaptive_fetch=True`` swaps the fixed per-cluster
-    ``retrieval_threads`` for one AIMD autotuner per
-    (cluster, data location) path -- the same controller the live
-    engines use -- whose converged state lands in each cluster's
-    ``stats.autotune``.
 
     ``pushdown`` models metadata-first retrieval: pass the app's
     :class:`~repro.core.api.GeneralizedReductionSpec` (or any object
@@ -783,16 +755,6 @@ def simulate_run(
         index, pushdown, "prune" if pushdown is not None else None
     )
     scheduler = scheduler_factory(pushdown_plan.jobs)
-
-    tuners: dict[tuple[str, str], AimdAutotuner] | None = None
-    if adaptive_fetch:
-        tuners = {
-            (c.name, loc): AimdAutotuner(
-                autotune_params, name=f"{c.name}->{loc}"
-            )
-            for c in clusters
-            for loc in index.locations
-        }
 
     # Map each failure spec to per-worker kill times (first n cores).
     fail_times: dict[str, list[float]] = {}
@@ -858,14 +820,14 @@ def simulate_run(
                     env, net, topo, master, cluster, profile,
                     wstats, speed, varmodel, cache,
                     tracer, f"{cluster.name}/{wid}", fail_at,
-                    transfer, tuners, stripe, store_stalls,
+                    transfer, stripe, store_stalls,
                 )
             else:
                 proc = _worker_proc(
                     env, net, topo, master, cluster, profile,
                     wstats, speed, varmodel, fail_at, spec_ctx,
                     tracer, f"{cluster.name}/{wid}", cache,
-                    transfer, tuners, stripe, store_stalls,
+                    transfer, stripe, store_stalls,
                 )
             worker_events.append(env.process(proc))
         cluster_events.append(
@@ -905,10 +867,6 @@ def simulate_run(
         cstats.idle_s = max(0.0, processing_end - cstats.finished_at)
         for w in cstats.workers:
             w.sync_s = max(0.0, end - w.finished_at)
-    if tuners is not None:
-        for (cname, loc), tuner in tuners.items():
-            if tuner.n_samples:
-                stats.clusters[cname].autotune[loc] = tuner.snapshot()
     return SimRunResult(
         stats=stats, end_time_s=end,
         wasted_executions=spec_ctx.wasted_executions, caches=run_caches,

@@ -1,6 +1,5 @@
 """Storage substrates: local disk/memory stores and a simulated S3."""
 
-from repro.storage.autotune import AimdAutotuner, AutotuneParams
 from repro.storage.base import StorageBackend, StorageStats
 from repro.storage.bandwidth import Clock, RateCap, TokenBucket
 from repro.storage.cache import ChunkCache
@@ -40,8 +39,6 @@ from repro.storage.transfer import (
 )
 
 __all__ = [
-    "AimdAutotuner",
-    "AutotuneParams",
     "StorageBackend",
     "StorageStats",
     "ChunkCache",

@@ -17,10 +17,11 @@ Two code paths, numpy and the standard library only:
   ``G = V @ inv(V[:k])``.  The top ``k`` rows of ``G`` are the identity
   (data fragments are verbatim frame slices) and *any* ``k`` rows are
   invertible, which is the MDS property the fastest-k-of-n fetch relies
-  on.  Decoding inverts the ``k x k`` submatrix of surviving rows --
-  tiny (``k <= 256``) -- and applies only the rows of the inverse that
-  belong to *lost* data fragments; the ones that arrived are verbatim
-  frame slices and are copied.
+  on.  Decoding needs ``inv(G[held])``, which equals
+  ``V[:k] @ inv(V[held])`` -- built from the ``k`` held Vandermonde rows
+  alone, ``k x k`` work whatever ``m`` is -- and applies only the rows
+  that belong to *lost* data fragments; the ones that arrived are
+  verbatim frame slices and are copied.
 
 Multiplying a fragment by a GF(256) scalar is one byte-for-byte lookup
 through that scalar's row of a 256 x 256 product table.  How the
@@ -135,6 +136,17 @@ def _gf_inv_matrix(mat: np.ndarray) -> np.ndarray:
     return aug[:, k:]
 
 
+def _vandermonde(points: Sequence[int], k: int) -> np.ndarray:
+    """Vandermonde rows ``[1, x, x^2, ..., x^(k-1)]``, one per point."""
+    v = np.zeros((len(points), k), dtype=np.uint8)
+    for r, x in enumerate(points):
+        acc = 1
+        for j in range(k):
+            v[r, j] = acc
+            acc = _gf_mul(acc, x)
+    return v
+
+
 def _generator_matrix(k: int, m: int) -> np.ndarray:
     """Systematic MDS generator: ``G = V @ inv(V[:k])`` for Vandermonde V.
 
@@ -142,13 +154,7 @@ def _generator_matrix(k: int, m: int) -> np.ndarray:
     submatrix of V is invertible; right-multiplying by ``inv(V[:k])``
     makes the top k rows the identity while preserving that property.
     """
-    n = k + m
-    v = np.zeros((n, k), dtype=np.uint8)
-    for i in range(n):
-        acc = 1
-        for j in range(k):
-            v[i, j] = acc
-            acc = _gf_mul(acc, i)
+    v = _vandermonde(range(k + m), k)
     top_inv = _gf_inv_matrix(v[:k])
     return _gf_matmul(v, np.ascontiguousarray(top_inv))
 
@@ -272,9 +278,12 @@ def reassemble(
     rows = [np.frombuffer(fragments[i], dtype=np.uint8) for i in use]
     if m == 1:
         # XOR parity: the one missing data fragment is the XOR of the rest.
-        decode = np.ones((k, k), dtype=np.uint8)
+        decode = np.ones((len(lost), k), dtype=np.uint8)
     else:
-        decode = _gf_inv_matrix(_generator(k, m)[use])  # held rows -> data rows
-    for i in lost:
-        place(i, _gf_dot(decode[i], rows))
+        # Held rows -> lost data rows: inv(G[use]) == V[:k] @ inv(V[use]),
+        # so only the k held Vandermonde rows are inverted, whatever m is.
+        held_inv = np.ascontiguousarray(_gf_inv_matrix(_vandermonde(use, k)))
+        decode = _gf_matmul(_vandermonde(lost, k), held_inv)
+    for i, coeffs in zip(lost, decode):
+        place(i, _gf_dot(coeffs, rows))
     return out, True

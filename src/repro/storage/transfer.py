@@ -24,7 +24,6 @@ from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.storage.autotune import AimdAutotuner
 from repro.storage.base import StorageBackend
 from repro.storage.cache import ChunkCache
 from repro.storage.codecs import Buffer, CodecError, decode_chunk
@@ -207,7 +206,6 @@ class ParallelFetcher:
         cache: ChunkCache | None = None,
         chunks_in_flight: int = 1,
         retry: RetryPolicy | None = None,
-        autotune: AimdAutotuner | None = None,
         min_part_nbytes: int = DEFAULT_MIN_PART_NBYTES,
         health: HealthRegistry | None = None,
         hedge: HedgePolicy | None = None,
@@ -221,13 +219,12 @@ class ParallelFetcher:
         self.cache = cache
         self.chunks_in_flight = chunks_in_flight
         self.retry = retry
-        self.autotune = autotune
         self.min_part_nbytes = min_part_nbytes
         self.health = health
         self.hedge = hedge
         #: location -> fetcher for the run's other stores; set by
         #: ``make_cluster_fetchers`` so replica sources route to the
-        #: fetcher that owns their store (with its own pool/autotuner).
+        #: fetcher that owns their store (with its own pool).
         self.siblings: dict[str, "ParallelFetcher"] = {store.location: self}
         self.n_retries = 0
         self.n_giveups = 0
@@ -253,15 +250,12 @@ class ParallelFetcher:
         self.fetch_latencies: list[float] = []
         self._counter_lock = threading.Lock()
         self._hedge_pool: ThreadPoolExecutor | None = None
-        max_parts = n_threads
-        if autotune is not None:
-            max_parts = max(max_parts, autotune.params.max_parts)
         self._pool = (
             ThreadPoolExecutor(
-                max_workers=chunks_in_flight * (max_parts - 1),
+                max_workers=chunks_in_flight * (n_threads - 1),
                 thread_name_prefix="fetch",
             )
-            if max_parts > 1
+            if n_threads > 1
             else None
         )
         self._prefetch_pool: ThreadPoolExecutor | None = None
@@ -275,8 +269,6 @@ class ParallelFetcher:
         to a pool thread may wait beside a computing thread.  A store
         nobody has timed yet gets the full fan-out.
         """
-        if self.autotune is not None:
-            return self.autotune.parts_for(nbytes)
         n = self.n_threads
         if self.min_part_nbytes > 0 and nbytes > 0:
             n = min(n, max(1, nbytes // self.min_part_nbytes))
@@ -865,7 +857,6 @@ class ParallelFetcher:
         others go to the range pool.
         """
         n_parts = self._plan_parts(nbytes)
-        t0 = time.monotonic()
         if self._pool is None or n_parts <= 1 or nbytes < n_parts:
             n_parts = 1
             out: Buffer = self._get_with_retry(key, offset, nbytes)
@@ -915,8 +906,6 @@ class ParallelFetcher:
                         except BaseException:
                             pass
                 raise error
-        if self.autotune is not None:
-            self.autotune.record(nbytes, n_parts, time.monotonic() - t0)
         with self._counter_lock:
             if n_parts > 1:
                 self.n_split_fetches += 1

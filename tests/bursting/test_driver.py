@@ -104,8 +104,8 @@ class TestThreadedBursting:
         fields = dict(
             prefetch=True, chunk_cache=ChunkCache(1 << 20),
             retry=RetryPolicy(max_attempts=3), crash_plan={"cloud-w1": 2},
-            hedge=HedgePolicy(), breaker=BreakerPolicy(), adaptive_fetch=True,
-            min_part_nbytes=0, pushdown="prune",
+            hedge=HedgePolicy(), breaker=BreakerPolicy(), min_part_nbytes=0,
+            pushdown="prune",
         )
         built = []
         real_make_engine = driver.make_engine

@@ -16,13 +16,13 @@ not as an error.
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.storage.erasure import MAX_FRAGMENTS, ErasureError, reassemble, stripe_frame
 
 #: What one call may allocate beyond a small multiple of its inputs: the
-#: GF(256) generator of a small stripe and its inverse, numpy's own state.
+#: ``k x k`` GF(256) decode matrix and its inverse, numpy's own state.
 SLACK = 64 << 10
 
 OUT_OF_RANGE = st.one_of(
@@ -85,6 +85,13 @@ def reassemble_traced(frags, k, m, frame_nbytes, out):
 
 
 @given(args=mangled())
+# A cold wide stripe: decoding from 7 held rows must not build the whole
+# 244 x 7 generator.
+@example(args=(
+    {0: b"\x01n", 1: b"\x9d\x06", 2: b"\xde\xde", 3: b"\xfdQ", 4: b"\x00\x00",
+     5: b"\x00\x00", 7: b"\xbf\xe7", -1: b""},
+    7, 237, 8, None,
+))
 @settings(max_examples=600, deadline=None)
 def test_any_fragment_map_gives_the_frame_length_or_erasure_error(args):
     frags, k, m, frame_nbytes, out = args

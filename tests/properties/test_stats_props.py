@@ -75,10 +75,6 @@ def cluster_stats(draw, name):
     c.fetch_latencies = draw(
         st.lists(st.floats(0.0, 10.0, allow_nan=False), max_size=12)
     )
-    c.autotune = {
-        loc: {"effective_bw": draw(st.floats(0.0, 1e9, allow_nan=False))}
-        for loc in draw(st.sets(st.sampled_from(["local", "cloud"])))
-    }
     return c
 
 
@@ -149,9 +145,6 @@ class TestRollup:
             ))
             assert c.wasted_fragment_bytes == c.fragments_wasted_bytes + sum(
                 w.fragments_wasted_bytes for w in c.workers
-            )
-            assert c.effective_bw == max(
-                (s["effective_bw"] for s in c.autotune.values()), default=0.0
             )
             assert c.fetch_p95_s == p95(c.fetch_latencies)
         clusters = list(rs.clusters.values())

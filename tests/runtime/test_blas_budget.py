@@ -257,20 +257,18 @@ CLUSTERS = [ClusterConfig("local", "local", n_workers=2)]
 
 
 class TestFleetsHoldTheBudget:
-    @pytest.mark.parametrize("engine", ["threaded", "actor"])
-    def test_engine_run_caps_then_restores(self, held, dataset, engine):
+    def test_engine_run_caps_then_restores(self, held, dataset):
         stores, index, expected = dataset
         spec = RecordingSpec(held)
-        rr = make_engine(engine, CLUSTERS, stores).run(spec, index)
+        rr = make_engine("threaded", CLUSTERS, stores).run(spec, index)
         assert rr.result == expected
         assert spec.seen and set(spec.seen) == {2}  # 4 cores // 2 fold threads
         assert held.get() == 4
 
-    @pytest.mark.parametrize("engine", ["threaded", "actor"])
-    def test_engine_run_that_raises_restores(self, held, dataset, engine):
+    def test_engine_run_that_raises_restores(self, held, dataset):
         stores, index, _ = dataset
         with pytest.raises(ValueError, match="fold blew up"):
-            make_engine(engine, CLUSTERS, stores).run(RecordingSpec(held, fail=True), index)
+            make_engine("threaded", CLUSTERS, stores).run(RecordingSpec(held, fail=True), index)
         assert held.get() == 4 and BLAS_BUDGET._holders == 0
 
     def test_session_pass_caps_then_restores(self, held, dataset):

@@ -1,6 +1,6 @@
-"""Engine equivalence: all three executors compute the same answers.
+"""Engine equivalence: both executors compute the same answers.
 
-The threaded, process, and actor engines implement the same
+The threaded and process engines implement the same
 head/master/slave protocol over the same scheduler -- and, since the
 shared-core refactor, the same :class:`SlaveRuntime` worker loop behind
 the same :class:`EngineOptions` surface.  For every application, data
@@ -10,8 +10,6 @@ results and account every job exactly once -- no job lost, none
 double-folded, regardless of which side of the process boundary the
 fold ran on.
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -29,7 +27,7 @@ from repro.storage.s3 import S3Profile, SimulatedS3Store
 
 from tests.runtime.test_process_engine import paced
 
-ENGINES = ("threaded", "process", "actor")
+ENGINES = ("threaded", "process")
 
 #: local_fraction -> placement label used in test ids.
 PLACEMENTS = {"local-only": 1.0, "hybrid": 0.5, "cloud-only": 0.0}
@@ -381,8 +379,7 @@ class TestOptionsValidationParity:
 
 
 class TestVerifyChunksParity:
-    """Every engine honors verify_chunks (the actor engine used to
-    silently ignore it)."""
+    """Every engine honors verify_chunks."""
 
     @pytest.mark.parametrize("name", ENGINES)
     def test_corruption_detected(self, name):
@@ -400,59 +397,3 @@ class TestVerifyChunksParity:
         engine = make_engine(name, clusters, stores, verify_chunks=True)
         with pytest.raises(IntegrityError):
             engine.run(spec, index)
-
-
-class TestActorDrainAwareRefill:
-    """The master actor's refill protocol must not latch "done" on an
-    empty reply while the head still has outstanding jobs (a crashed
-    worker may requeue one -- the pre-refactor engine stranded it)."""
-
-    def _make_master(self):
-        from repro.data.chunks import ChunkInfo
-        from repro.runtime.actors import _MasterActor
-        from repro.runtime.jobs import Job
-        from repro.runtime.messages import Channel
-        from repro.runtime.stats import ClusterStats
-
-        cluster = ClusterConfig("c", "local", 1)
-        master = _MasterActor(
-            cluster, Channel(), Channel(), None, None, {},
-            EngineOptions(batch_size=2), 1,
-            ClusterStats("c", "local"), 0.0, [], threading.Event(),
-        )
-        chunk = ChunkInfo(0, 0, "f0", 0, 8, 1, "local", None)
-        return master, Job(7, chunk)
-
-    def test_empty_reply_with_outstanding_does_not_latch(self):
-        from repro.runtime.messages import AssignJobs
-
-        master, job = self._make_master()
-        master.inbox.send(AssignJobs((), outstanding=3))
-        assert master.get_job(wait=False) is None
-        assert not master._done, "latched done with jobs outstanding"
-        # The head later reassigns the requeued job; the same master
-        # must still be able to pick it up.
-        master.inbox.send(AssignJobs((job,), outstanding=1, requeued=(7,)))
-        got = master.get_job()
-        assert got is job
-        assert master.complete(got) is True  # accounted as a recovery
-
-    def test_empty_reply_with_zero_outstanding_latches(self):
-        from repro.runtime.messages import AssignJobs
-
-        master, _job = self._make_master()
-        master.inbox.send(AssignJobs((), outstanding=0))
-        assert master.get_job() is None
-        assert master._done
-        # Latched: no further head round-trips are made.
-        assert master.get_job() is None
-        assert len(master.head_inbox) == 1
-
-    def test_blocking_get_polls_until_job_arrives(self):
-        from repro.runtime.messages import AssignJobs
-
-        master, job = self._make_master()
-        master.inbox.send(AssignJobs((), outstanding=2))
-        master.inbox.send(AssignJobs((), outstanding=1))
-        master.inbox.send(AssignJobs((job,), outstanding=1))
-        assert master.get_job() is job

@@ -17,7 +17,7 @@ from repro.storage.health import BreakerPolicy, HedgePolicy
 from repro.storage.local import MemoryStore
 from repro.storage.retry import RetryPolicy
 
-ENGINES = ("threaded", "process", "actor")
+ENGINES = ("threaded", "process")
 FAST_RETRY = RetryPolicy(max_attempts=2, base_delay_s=0.0, max_delay_s=0.0)
 
 
@@ -82,7 +82,7 @@ class TestStripedEngines:
                 breaker=BreakerPolicy(fail_threshold=2, recovery_s=60.0),
             )
             results.append(rr.result)
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1]
 
 
 class TestStripedPipelineStats:

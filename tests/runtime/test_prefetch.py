@@ -96,8 +96,7 @@ class TestPrefetchCorrectness:
         assert row["cache_misses"] == rr.stats.jobs_processed
 
     @pytest.mark.parametrize("codec", ["zlib", "shuffle"])
-    @pytest.mark.parametrize("engine", ["threaded", "actor"])
-    def test_n_copies_independent_of_prefetch(self, tokens, engine, codec):
+    def test_n_copies_independent_of_prefetch(self, tokens, codec):
         """Every coded chunk is inflated exactly once, prefetched or not:
         the prefetch hop must carry the fetch's whole accounting."""
         stores = latency_stores(0.0)
@@ -113,13 +112,13 @@ class TestPrefetchCorrectness:
             ClusterConfig("cloud", "cloud", 1),
         ]
         for prefetch in (False, True):
-            rr = make_engine(engine, clusters, stores, prefetch=prefetch).run(
+            rr = make_engine("threaded", clusters, stores, prefetch=prefetch).run(
                 WordCountSpec(), idx
             )
             assert rr.result == wordcount_exact(tokens)
             assert rr.stats.jobs_processed == len(idx.chunks)
             assert rr.stats.n_copies == rr.stats.jobs_processed, (
-                f"{engine}/{codec}/prefetch={prefetch}"
+                f"{codec}/prefetch={prefetch}"
             )
             assert rr.stats.bytes_logical == tokens.nbytes
 

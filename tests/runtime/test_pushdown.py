@@ -33,7 +33,7 @@ from repro.runtime.pushdown import (
 from repro.runtime.scheduler import HeadScheduler
 from repro.storage.local import MemoryStore
 
-ENGINES = ("threaded", "process", "actor")
+ENGINES = ("threaded", "process")
 
 
 def sorted_token_env(n=8000, vocab=400, n_files=4, chunk_units=250):

@@ -30,7 +30,6 @@ GOLDEN = {
     "breaker_rows": ["store", "state", "n_opened"],
     "transfer_rows": [
         "cluster", "bytes_logical", "bytes_wire", "compress_ratio", "decode_s",
-        "effective_bw_mbps", "parts", "tuner_grows", "tuner_backoffs",
         "fetches_single", "fetches_split", "s_per_byte",
     ],
     "pushdown_rows": [
@@ -78,12 +77,6 @@ def populated_run() -> RunStats:
         c.n_breaker_skips, c.n_abandoned = 2 * scale, scale
         c.fragments_wasted_bytes = 50 * scale
         c.fetch_latencies = [0.001234567 * j * scale for j in range(1, 21)]
-        c.autotune = {
-            "cloud": {"parts": 4, "effective_bw": 12345678.9 * scale,
-                      "n_grow": 3, "n_backoff": 1},
-            "local": {"parts": 1, "effective_bw": 99.0, "n_grow": 0,
-                      "n_backoff": 0},
-        }
         c.n_single_fetches, c.n_split_fetches = 7 * scale, 2 * scale
         c.get_s_per_byte = {"local": 1.5e-9, "cloud": None}
         rs.clusters[name] = c
@@ -130,9 +123,8 @@ def test_cell_values_and_rounding_are_pinned():
     })
     assert json.dumps(rs.transfer_rows()[0]) == json.dumps({
         "cluster": "local", "bytes_logical": 2700, "bytes_wire": 2100,
-        "compress_ratio": 0.7778, "decode_s": 2.0, "effective_bw_mbps": 12.346,
-        "parts": {"cloud": 4, "local": 1}, "tuner_grows": 3,
-        "tuner_backoffs": 1, "fetches_single": 7, "fetches_split": 2,
+        "compress_ratio": 0.7778, "decode_s": 2.0, "fetches_single": 7,
+        "fetches_split": 2,
         "s_per_byte": {"cloud": None, "local": 1.5e-9},
     })
     assert json.dumps(rs.pushdown_rows()) == json.dumps([{
@@ -160,9 +152,8 @@ def test_empty_run_renders_zero_rows():
     }])
     assert json.dumps(rs.transfer_rows()) == json.dumps([{
         "cluster": "x", "bytes_logical": 0, "bytes_wire": 0,
-        "compress_ratio": 1.0, "decode_s": 0, "effective_bw_mbps": 0.0,
-        "parts": None, "tuner_grows": 0, "tuner_backoffs": 0,
-        "fetches_single": 0, "fetches_split": 0, "s_per_byte": None,
+        "compress_ratio": 1.0, "decode_s": 0, "fetches_single": 0,
+        "fetches_split": 0, "s_per_byte": None,
     }])
     assert json.dumps(rs.pushdown_rows()) == json.dumps([{
         "mode": "off", "n_pruned_chunks": 0, "bytes_pruned": 0,

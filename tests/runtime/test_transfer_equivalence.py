@@ -2,8 +2,8 @@
 
 Chunks fetched from a pre-compressed dataset decode to bit-identical
 bytes, and every engine produces the same answers across every
-placement, with adaptive fetch on or off -- compression and autotuning
-are transport optimizations, invisible to the reduction.  (Float
+placement -- compression is a transport optimization, invisible to the
+reduction.  (Float
 results are compared allclose: the engines' reduce order depends on
 thread scheduling, never on the codec.)
 """
@@ -20,7 +20,7 @@ from repro.storage.local import MemoryStore
 from repro.storage.s3 import S3Profile, SimulatedS3Store
 from repro.storage.transfer import ParallelFetcher
 
-ENGINES = ("threaded", "process", "actor")
+ENGINES = ("threaded", "process")
 PLACEMENTS = {"local-only": 1.0, "hybrid": 0.5, "cloud-only": 0.0}
 
 
@@ -46,10 +46,8 @@ def build_env(units, fmt, local_fraction, codec):
     return stores, index, clusters
 
 
-def run_engine(name, spec, stores, index, clusters, adaptive=False):
-    return make_engine(
-        name, clusters, stores, batch_size=2, adaptive_fetch=adaptive
-    ).run(spec, index)
+def run_engine(name, spec, stores, index, clusters):
+    return make_engine(name, clusters, stores, batch_size=2).run(spec, index)
 
 
 @pytest.mark.parametrize("placement", PLACEMENTS, ids=PLACEMENTS.keys())
@@ -108,23 +106,7 @@ class TestCompressedEquivalence:
             assert int(res.counts.sum()) == len(pts)
 
 
-class TestAdaptiveFetch:
-    def test_adaptive_preserves_results_and_reports_tuners(self):
-        toks = generate_tokens(9000, 250, seed=74)
-        spec = WordCountSpec()
-        ref = wordcount_exact(toks)
-        for name in ENGINES:
-            stores, index, clusters = build_env(toks, spec.fmt, 0.5, "zlib")
-            rr = run_engine(name, spec, stores, index, clusters, adaptive=True)
-            assert rr.result == ref, f"{name} adaptive diverged"
-            snaps = [
-                snap
-                for c in rr.stats.clusters.values()
-                for snap in c.autotune.values()
-            ]
-            assert snaps, f"{name}: no autotune snapshots recorded"
-            assert all(s["n_samples"] > 0 for s in snaps)
-
+class TestLz4Fallback:
     def test_lz4_request_degrades_gracefully(self):
         """Asking for lz4 works whether or not the package exists (the
         organizer falls back to zlib), and results are unchanged."""

@@ -21,7 +21,7 @@ from repro.service import BurstingService, JobState, TenantConfig
 from repro.storage.local import MemoryStore
 from repro.storage.s3 import S3Profile, SimulatedS3Store
 
-ENGINES = ("threaded", "process", "actor")
+ENGINES = ("threaded", "process")
 
 CLUSTERS = [
     ClusterConfig("local", "local", 2, 2),

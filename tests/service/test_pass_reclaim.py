@@ -31,7 +31,7 @@ from repro.runtime import make_engine
 from repro.service import BurstingService, JobState
 from repro.storage.local import MemoryStore
 
-ENGINES = ("threaded", "process", "actor")
+ENGINES = ("threaded", "process")
 
 
 def edge_session(engine, n_pages=500, n_edges=20_000):

@@ -126,3 +126,27 @@ class TestResourceSensitivity:
         big = simulate_run(idx, clusters, prof, params, seed=0)
         small = simulate_run(idx, clusters, small_prof, params, seed=0)
         assert big.stats.global_reduction_s > small.stats.global_reduction_s
+
+
+class TestFixedFanOut:
+    """Every uncached fetch fans out to the cluster's ``retrieval_threads``
+    connections, the paper's multi-threaded retrieval: one cloud core
+    reading cloud data pays one request latency per chunk plus the bytes
+    at ``threads`` x the per-connection ceiling."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 4, 8, 16])
+    def test_retrieval_is_latency_plus_bytes_over_the_fan_out(self, knn_profile, threads):
+        params = ResourceParams()
+        env = EnvironmentConfig("cloud-solo", 0.0, 0, 1)
+        idx = paper_index(knn_profile, env)
+        res = simulate_run(
+            idx, env.clusters(params, retrieval_threads=threads), knn_profile,
+            params, seed=0,
+        )
+        (cluster,) = res.stats.clusters.values()
+        nbytes = sum(c.nbytes for c in idx.chunks)
+        expected = (
+            len(idx.chunks) * params.s3_request_latency_s
+            + nbytes / (params.s3_per_connection_bw * threads)
+        )
+        assert cluster.retrieval_s == pytest.approx(expected, rel=1e-9)

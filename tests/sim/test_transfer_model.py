@@ -91,22 +91,8 @@ class TestSimulatedCompression:
         )
         assert res.stats.compress_ratio == pytest.approx(0.25, rel=0.01)
 
-    def test_adaptive_fetch_records_snapshots(self):
-        res = simulate_environment(
-            "knn", env5050(), seed=4, codec="shuffle", adaptive_fetch=True
-        )
-        snaps = [
-            snap
-            for c in res.stats.clusters.values()
-            for snap in c.autotune.values()
-        ]
-        assert snaps, "no autotune snapshots in sim stats"
-        assert all(s["n_samples"] > 0 for s in snaps)
-        rows = res.stats.transfer_rows()
-        assert rows and any(r["parts"] for r in rows)
-
-    def test_deterministic_with_transfer_and_adaptive(self):
-        kw = dict(seed=9, codec="shuffle", adaptive_fetch=True)
+    def test_deterministic_with_transfer(self):
+        kw = dict(seed=9, codec="shuffle")
         a = simulate_environment("knn", env5050(), **kw)
         b = simulate_environment("knn", env5050(), **kw)
         assert a.total_s == b.total_s

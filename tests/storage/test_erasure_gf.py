@@ -130,3 +130,71 @@ class TestReassembleInPlace:
         assert peak < 2 * self.FRAME
         # In fact a few fragments: accumulator, one product, its bytes copy.
         assert peak < 4 * -(-self.FRAME // k)
+
+
+#: Wide stripes too: decoding must not depend on how many parity rows exist.
+WIDE = [(k, m) for k in (1, 2, 3, 5, 8, 13) for m in (2, 4, 16, 64)]
+
+
+class TestDecodeFromHeldRows:
+    """``reassemble`` inverts only the ``k`` held Vandermonde rows:
+    ``V[:k] @ inv(V[held])`` is ``inv(G[held])`` for the full generator
+    ``G`` that ``stripe_frame`` encodes with."""
+
+    @pytest.mark.parametrize("k,m", WIDE, ids=str)
+    def test_held_rows_decode_what_the_generator_encoded(self, k, m):
+        generator = erasure._generator_matrix(k, m)
+        data_rows = erasure._vandermonde(range(k), k)
+        frame = random_frame(k * 97 + m, 6 * k + 1)
+        fragments = stripe_frame(frame, k, m)
+        rng = np.random.default_rng(k * 1000 + m)
+        for _ in range(12):
+            held = sorted(rng.choice(k + m, k, replace=False).tolist())
+            decode = erasure._gf_matmul(
+                data_rows,
+                np.ascontiguousarray(erasure._gf_inv_matrix(erasure._vandermonde(held, k))),
+            )
+            np.testing.assert_array_equal(
+                decode, erasure._gf_inv_matrix(generator[held]), err_msg=f"held {held}"
+            )
+            buf, used_parity = reassemble(
+                {i: fragments[i] for i in held}, k, m, len(frame)
+            )
+            assert bytes(buf) == frame, f"held {held}"
+            assert used_parity == (held != list(range(k)))
+
+    @pytest.mark.parametrize("k,m", [(7, 237), (4, 200), (16, 64)], ids=str)
+    def test_decoding_leaves_the_generator_cache_alone(self, k, m, monkeypatch):
+        """Index-supplied geometries must not fill the encoder's cache."""
+        frame = random_frame(k + m, 3 * k)
+        fragments = stripe_frame(frame, k, m)
+        monkeypatch.setattr(erasure, "_GEN_CACHE", {})
+        held = {i: f for i, f in enumerate(fragments) if i >= min(m, k)}
+        buf, used_parity = reassemble(held, k, m, len(frame))
+        assert bytes(buf) == frame and used_parity
+        assert erasure._GEN_CACHE == {}
+
+    @pytest.mark.parametrize("m", [8, 32, 128, 237])
+    def test_cold_decode_allocation_does_not_grow_with_m(self, m, monkeypatch):
+        """k x k work whatever m is: a cold 7-of-244 decode allocates about
+        what a cold 7-of-9 one does, not the whole 244 x 7 generator."""
+
+        def cold_peak(m):
+            k, nbytes = 7, 14
+            frame = random_frame(m, nbytes)
+            fragments = stripe_frame(frame, k, m)
+            held = {i: f for i, f in enumerate(fragments) if i >= min(m, k)}
+            monkeypatch.setattr(erasure, "_GEN_CACHE", {})
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                buf, used_parity = reassemble(held, k, m, nbytes)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert bytes(buf) == frame and used_parity
+            return peak
+
+        cold_peak(2)  # numpy's own first-use state
+        assert cold_peak(m) - cold_peak(2) < 4 << 10

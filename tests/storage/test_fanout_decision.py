@@ -26,7 +26,6 @@ from repro.runtime.core import (
 )
 from repro.runtime.stats import ClusterStats, RunStats
 from repro.storage import transfer
-from repro.storage.autotune import AimdAutotuner, AutotuneParams
 from repro.storage.faults import TransientStorageError
 from repro.storage.local import MemoryStore
 from repro.storage.retry import RetryExhausted, RetryPolicy
@@ -216,12 +215,47 @@ class TestDecision:
             assert second.fetch("o", 0, len(BLOB)) == BLOB
             assert store.stats.n_gets - before == 1
 
-    def test_adaptive_fetch_ignores_the_evidence(self, clock):
-        store = memcpy_store(clock)
-        store.stats.record_get_time(len(BLOB), 1e-4)
-        tuner = AimdAutotuner(AutotuneParams(start_parts=4, min_part_nbytes=1))
-        with ParallelFetcher(store, n_threads=2, autotune=tuner) as fetcher:
-            assert fetcher._plan_parts(len(BLOB)) == tuner.parts_for(len(BLOB)) == 4
+
+#: name -> (n_threads, min_part_nbytes, nbytes, evidence, parts).  Evidence
+#: is the store's fastest observed s/byte: ``None`` (never timed), a
+#: number, or ``(p, factor)`` -- ``factor`` times the rate at which a
+#: ``p``-way split of ``nbytes`` saves exactly one switch interval.
+FANOUT = {
+    "one-thread-is-never-split": (1, 0, 2 * MB, None, 1),
+    "untimed-store-gets-the-ceiling": (4, 0, 2 * MB, None, 4),
+    "untimed-store-gets-a-wide-ceiling": (16, 0, 2 * MB, None, 16),
+    "min-part-caps-the-ceiling": (4, MB, 2 * MB, None, 2),
+    "range-below-min-part-is-one-get": (4, MB, MB // 2, None, 1),
+    "memcpy-store-is-unsplit": (4, 0, 2 * MB, 1e-10, 1),
+    "memcpy-store-is-unsplit-at-any-ceiling": (16, 0, 2 * MB, 1e-10, 1),
+    "wan-store-gets-the-ceiling": (4, 0, 2 * MB, 1e-6, 4),
+    "wan-store-is-capped-by-min-part": (8, MB // 2, 2 * MB, 1e-6, 4),
+    "just-above-break-even-splits": (8, 0, 2 * MB, (8, 1.01), 8),
+    "just-below-break-even-is-unsplit": (8, 0, 2 * MB, (8, 0.99), 1),
+    "break-even-is-judged-at-the-capped-fan-out": (4, MB, 2 * MB, (2, 0.99), 1),
+    "capped-fan-out-above-break-even-splits": (4, MB, 2 * MB, (2, 1.01), 2),
+}
+
+
+@pytest.mark.parametrize(
+    "n_threads, min_part, nbytes, evidence, parts", FANOUT.values(), ids=FANOUT
+)
+def test_the_one_fanout_rule(n_threads, min_part, nbytes, evidence, parts):
+    """``min(n_threads, nbytes // min_part)`` parts, collapsed to one GET
+    when the store's evidence says the split saves under one interval."""
+    store = MemoryStore()
+    blob = (bytes(range(256)) * (nbytes // 256 + 1))[:nbytes]
+    store.put("o", blob)
+    if isinstance(evidence, tuple):
+        p, factor = evidence
+        evidence = factor * sys.getswitchinterval() / (nbytes * (1 - 1 / p))
+    if evidence is not None:
+        store.stats.record_get_time(MB, evidence * MB)
+    with ParallelFetcher(store, n_threads=n_threads, min_part_nbytes=min_part) as f:
+        assert f._plan_parts(nbytes) == parts
+        before = store.stats.n_gets
+        assert f.fetch("o") == blob
+        assert store.stats.n_gets - before == parts
 
 
 class TestAccounting:

@@ -95,10 +95,10 @@ class TestCommands:
         assert rc == 0
         assert "OK" in capsys.readouterr().out
 
-    def test_demo_with_codec_and_adaptive(self, capsys):
+    def test_demo_with_codec_and_min_part(self, capsys):
         rc = main([
             "demo", "--tokens", "5000", "--vocab", "100",
-            "--codec", "shuffle", "--adaptive-fetch", "--min-part-kb", "16",
+            "--codec", "shuffle", "--min-part-kb", "16",
         ])
         assert rc == 0
         out = capsys.readouterr().out
@@ -162,7 +162,7 @@ class TestCommands:
         rc = main([
             "simulate", "--app", "knn",
             "--local-cores", "4", "--cloud-cores", "4",
-            "--codec", "shuffle", "--adaptive-fetch",
+            "--codec", "shuffle",
         ])
         assert rc == 0
         out = capsys.readouterr().out
@@ -171,13 +171,9 @@ class TestCommands:
 
     def test_transfer_flags_parse(self):
         parser = build_parser()
-        ns = parser.parse_args([
-            "demo", "--codec", "zlib", "--no-adaptive-fetch",
-        ])
-        assert ns.codec == "zlib" and ns.adaptive_fetch is False
-        ns = parser.parse_args(["simulate", "--app", "knn",
-                                "--codec", "lz4", "--adaptive-fetch"])
-        assert ns.codec == "lz4" and ns.adaptive_fetch is True
+        assert parser.parse_args(["demo", "--codec", "zlib"]).codec == "zlib"
+        ns = parser.parse_args(["simulate", "--app", "knn", "--codec", "lz4"])
+        assert ns.codec == "lz4"
 
     def test_place_advisor(self, capsys):
         rc = main(["place", "--app", "knn", "--local-cores", "8",
