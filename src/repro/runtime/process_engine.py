@@ -116,7 +116,7 @@ from repro.storage.shm import (
     attach_segment,
     close_quietly,
 )
-from repro.storage.transfer import FAILOVER_ERRORS, FetchInfo, ParallelFetcher
+from repro.storage.transfer import FetchInfo, ParallelFetcher
 
 __all__ = ["ProcessEngine"]
 
@@ -680,14 +680,14 @@ class ProcessEngine(EngineBase):
         frame (``enc_nbytes`` bytes, often far smaller than the chunk)
         and the worker decodes off the mapped pages, so decompression
         runs on the worker's core instead of serializing in this feeder
-        thread.  Unencoded chunks land as logical bytes via
-        :meth:`ParallelFetcher.fetch_into` (sub-range GETs write into
-        the mapping; zero copies on the direct path).
+        thread.  Unencoded chunks land as logical bytes.  Both go
+        through :meth:`ParallelFetcher.fetch_chunk_into` (sub-range GETs
+        write into the mapping; zero copies on the direct path), whose
+        replica race runs one leg at a time into the segment.
 
         Two cases ship logical bytes through ``fetch_chunk`` instead
-        (one decode + one copy in this feeder): hedged retrieval races
-        replicas -- and striped retrieval races fragments fastest-k-of-n
-        -- inside ``fetch_chunk``, which cannot write straight into the
+        (one decode + one copy in this feeder): hedged replicas and
+        striped fragments race concurrent legs, which cannot share one
         destination mapping; and ``verify_chunks`` needs the logical
         bytes here to check them.
         """
@@ -707,10 +707,9 @@ class ProcessEngine(EngineBase):
                 seg.buf[:nbytes] = data
                 info.n_copies += 1  # the copy into the segment
             else:
-                info = self._fetch_into_any(
-                    cluster_fetchers, job, seg.buf, encoded=encoded
+                info = cluster_fetchers[job.location].fetch_chunk_into(
+                    chunk, seg.buf, encoded=encoded
                 )
-                info.bytes_logical = chunk.nbytes
             if opts.verify_chunks:
                 from repro.data.integrity import verify_chunk_bytes
 
@@ -719,54 +718,3 @@ class ProcessEngine(EngineBase):
             segments.release(seg)
             raise
         return seg, nbytes, encoded, info, time.monotonic() - t0 - info.decode_s
-
-    @staticmethod
-    def _fetch_into_any(
-        cluster_fetchers: dict[str, ParallelFetcher],
-        job: Job,
-        buf,
-        *,
-        encoded: bool,
-    ) -> FetchInfo:
-        """``fetch_into`` with replica failover.
-
-        Tries each of the chunk's sources in order, routing every source
-        to the fetcher owning its store, and returns the first success
-        (``info.n_failovers`` counts the sources skipped).  Failures are
-        reported to the shared health registry so breakers open here
-        exactly as they do on the ``fetch_chunk`` path.
-        """
-        chunk = job.chunk
-        sources = chunk.sources
-        last_exc: BaseException | None = None
-        failovers = 0
-        for i, src in enumerate(sources):
-            fetcher = cluster_fetchers.get(src.location)
-            if fetcher is None:
-                raise KeyError(
-                    f"chunk {chunk.key!r} lists source location "
-                    f"{src.location!r} but the cluster has no fetcher for it"
-                )
-            if encoded:
-                offset = (
-                    src.enc_offset if src.enc_offset is not None else chunk.enc_offset
-                )
-                nbytes = (
-                    src.enc_nbytes if src.enc_nbytes is not None else chunk.enc_nbytes
-                )
-            else:
-                offset, nbytes = chunk.offset, chunk.nbytes
-            try:
-                _, info = fetcher.fetch_into(src.key, offset, nbytes, buf)
-            except FAILOVER_ERRORS as exc:
-                last_exc = exc
-                if fetcher.health is not None:
-                    fetcher.health.record_failure(src.location)
-                if i < len(sources) - 1:
-                    failovers += 1
-                    fetcher.n_failovers += 1
-                continue
-            info.n_failovers = failovers
-            return info
-        assert last_exc is not None
-        raise last_exc

@@ -244,6 +244,12 @@ class TestReplicaOutageMatrix:
             assert dead.injection_counts()["permanent"] > 0, (
                 f"{name}: fault injector never fired -- test is vacuous"
             )
+            # Once the breaker opens, failover puts the live replica
+            # first: the dead store must not be tried for every chunk.
+            assert dead.injection_counts()["permanent"] < cloud_chunks, (
+                f"{name}: dead store tried first for all {cloud_chunks} "
+                f"cloud-primary chunks -- breakers ignored on failover"
+            )
 
     def test_hedge_option_accepted_by_every_engine(self):
         """Replicated dataset + hedge policy: identical results on all

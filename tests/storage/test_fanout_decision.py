@@ -318,7 +318,12 @@ class TestPools:
         ).values()
         got = {}
         if prefetch:
-            handles = {k: fetcher.fetch_async(k) for k in "ab"}
+            handles = {
+                k: fetcher.fetch_chunk_async(types.SimpleNamespace(
+                    key=k, offset=0, nbytes=len(BLOB), codec=None, chunk_id=0
+                ))
+                for k in "ab"
+            }
             fetch = {k: h.result for k, h in handles.items()}
         else:
             fetch = {k: (lambda k=k: fetcher.fetch(k)) for k in "ab"}

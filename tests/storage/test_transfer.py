@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.chunks import ChunkInfo
 from repro.storage.bandwidth import FakeClock
 from repro.storage.cache import ChunkCache
 from repro.storage.local import MemoryStore
@@ -251,31 +252,41 @@ class TestFetchInto:
                 fetcher.fetch_into("o", 0, 4, bytearray(2))
 
 
-class TestFetchAsync:
+def chunk_of(key, nbytes):
+    """A single-source, unencoded index chunk covering ``key[0:nbytes]``."""
+    return ChunkInfo(
+        chunk_id=0, file_id=0, key=key, location="local",
+        offset=0, nbytes=nbytes, n_units=nbytes,
+    )
+
+
+class TestFetchChunkAsync:
     def test_result_and_timing(self):
-        store = MemoryStore()
+        store = MemoryStore("local")
         store.put("o", b"p" * 128)
         with ParallelFetcher(store) as fetcher:
-            handle = fetcher.fetch_async("o", 0, 128)
-            assert handle.result() == b"p" * 128
+            handle = fetcher.fetch_chunk_async(chunk_of("o", 128))
+            assert bytes(handle.result()) == b"p" * 128
             assert handle.done()
             assert handle.fetch_s >= 0.0
             assert handle.cache_hit is False
+            assert handle.info.bytes_wire == 128
 
     def test_cache_hit_reported(self):
-        store = MemoryStore()
+        store = MemoryStore("local")
         store.put("o", b"h" * 32)
         cache = ChunkCache(1024)
         with ParallelFetcher(store, cache=cache) as fetcher:
             fetcher.fetch("o", 0, 32)
-            handle = fetcher.fetch_async("o", 0, 32)
-            assert handle.result() == b"h" * 32
+            handle = fetcher.fetch_chunk_async(chunk_of("o", 32))
+            assert bytes(handle.result()) == b"h" * 32
             assert handle.cache_hit is True
+            assert handle.info.bytes_wire == 0
 
     def test_error_propagates_through_result(self):
-        store = MemoryStore()  # "o" never stored
+        store = MemoryStore("local")  # "o" never stored
         with ParallelFetcher(store) as fetcher:
-            handle = fetcher.fetch_async("o", 0, 8)
+            handle = fetcher.fetch_chunk_async(chunk_of("o", 8))
             with pytest.raises(KeyError):
                 handle.result()
 
@@ -288,22 +299,22 @@ class TestFetchAsync:
                 release.wait(timeout=5.0)
                 return super().get(key, offset, nbytes)
 
-        store = SlowStore()
+        store = SlowStore("local")
         store.put("o", b"s" * 8)
         with ParallelFetcher(store) as fetcher:
-            handle = fetcher.fetch_async("o", 0, 8)
+            handle = fetcher.fetch_chunk_async(chunk_of("o", 8))
             assert not handle.done()  # still blocked in the store
             release.set()
-            assert handle.result() == b"s" * 8
+            assert bytes(handle.result()) == b"s" * 8
 
     def test_cancel_absorbs_running_fetch(self):
-        store = MemoryStore()
+        store = MemoryStore("local")
         store.put("o", b"c" * 8)
         with ParallelFetcher(store) as fetcher:
-            handle = fetcher.fetch_async("o", 0, 8)
+            handle = fetcher.fetch_chunk_async(chunk_of("o", 8))
             handle.cancel()  # must not raise regardless of progress
         # close() joined the pool; the handle is settled either way.
-        assert handle.done() or True
+        assert handle.done()
 
 
 class TestSplitRangeProperties:
