@@ -11,7 +11,7 @@ core regardless of which side of a process boundary it runs on -- so
 there the benchmark bounds the process engine's fork/IPC overhead
 instead of asserting a speedup that is physically impossible.
 
-Since every engine now runs the same ``SlaveRuntime`` worker loop, each
+Since every engine accepts the same options with the same semantics, each
 is also timed with the full pipeline on -- ``EngineOptions(prefetch=True,
 chunk_cache=...)``, a warm pass then a measured pass -- so the JSON
 shows what the data pipeline buys per engine, not just per feature.

@@ -25,7 +25,7 @@ from repro.core.api import GeneralizedReductionSpec
 from repro.data.dataset import distribute_dataset, write_dataset
 from repro.data.formats import RecordFormat
 from repro.data.index import DataIndex
-from repro.runtime import _engine_class
+from repro.runtime import _engine_class, make_engine
 from repro.runtime.core import ClusterConfig, EngineOptions, RunResult
 from repro.storage.base import StorageBackend
 from repro.storage.cache import ChunkCache
@@ -91,8 +91,7 @@ class BurstingSession:
     worker threads) or ``"process"`` (one OS process per slave with
     shared-memory data handoff -- see
     :class:`~repro.runtime.process_engine.ProcessEngine`).  Both
-    engines accept every option -- they run the same
-    :class:`~repro.runtime.core.SlaveRuntime` worker loop.
+    engines accept every option.
     """
 
     def __init__(
@@ -160,26 +159,13 @@ class BurstingSession:
     def run(self, spec: GeneralizedReductionSpec) -> RunResult:
         """Execute one pass of ``spec`` over the session's dataset.
 
-        The session is now a thin compatibility wrapper over the
-        multi-tenant :class:`~repro.service.BurstingService`: each pass
-        spins up a one-shot single-tenant service over the session's
-        *live* store map, submits one job, blocks on its result, and
-        shuts the service down -- so per-pass semantics (crash plans,
-        store swaps between passes, the shared chunk cache) are exactly
-        the historical one-shot engine run.
+        Each pass builds a fresh engine over the session's *live* store
+        map, so crash plans, store swaps between passes and the shared
+        chunk cache behave exactly as in a one-shot engine run.
         """
-        from repro.service import BurstingService
-
-        service = BurstingService(
-            self._clusters,
-            self.stores,
-            engine=self.engine_name,
-            options=self.options,
-        )
-        try:
-            result = service.submit(spec, self.index).result()
-        finally:
-            service.shutdown()
+        result = make_engine(
+            self.engine_name, self._clusters, self.stores, options=self.options
+        ).run(spec, self.index)
         self.passes_run += 1
         return result
 

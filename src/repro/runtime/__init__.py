@@ -4,9 +4,7 @@ from repro.runtime.core import (
     ClusterConfig,
     EngineOptions,
     LockMaster,
-    MasterPort,
     RunResult,
-    SlaveRuntime,
 )
 from repro.runtime.engine import ThreadedEngine
 from repro.runtime.jobs import Job, LocalJobPool, jobs_from_index
@@ -22,14 +20,16 @@ from repro.runtime.stats import ClusterStats, RunStats, WorkerStats
 
 #: The two execution engines, keyed by their CLI / driver name.
 #:
-#: * ``threaded`` -- worker threads in one process; the reference
-#:   implementation of the head/master/slave protocol.
+#: * ``threaded`` -- worker threads in one process; each run is one job
+#:   on a one-run :class:`repro.service.BurstingService`, whose fleet
+#:   worker is the reference implementation of the head/master/slave
+#:   protocol.
 #: * ``process`` -- one real OS process per slave; chunk bytes cross via
 #:   shared memory, reduction objects via pickle-5 out-of-band buffers.
 #:
-#: Both accept the same :class:`EngineOptions` surface and run the
-#: same :class:`SlaveRuntime` worker loop; they differ only in how the
-#: control plane is transported.
+#: Both accept the same :class:`EngineOptions` surface and share the
+#: head scheduler, the fold step and the run epilogue; they differ only
+#: in how the control plane is transported.
 ENGINES = {
     "threaded": ThreadedEngine,
     "process": ProcessEngine,
@@ -61,8 +61,6 @@ __all__ = [
     "ClusterConfig",
     "EngineOptions",
     "LockMaster",
-    "MasterPort",
-    "SlaveRuntime",
     "RunResult",
     "ThreadedEngine",
     "ProcessEngine",

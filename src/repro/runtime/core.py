@@ -1,55 +1,44 @@
-"""Shared slave-runtime core: one worker loop for every engine.
+"""Shared runtime core: the pieces both engines are built from.
 
 The paper describes a single protocol -- a head pool, per-cluster
 masters, multi-threaded slaves folding into reduction objects -- and the
 two live engines (threaded, process) are two *transports* for that
-protocol, not two protocols.  This module is the protocol made code,
-factored so each engine contributes only its control plane:
+protocol, not two protocols.  The threaded engine runs every job on a
+one-run :class:`~repro.service.BurstingService`, whose fleet worker is
+the only in-process worker loop; the process engine feeds child
+processes from per-worker feeder threads.  This module holds what the
+two share:
 
 * :class:`EngineOptions` -- the frozen, validated configuration surface
   shared by every engine, the session, the driver, and the CLI.  One
   validation path (cluster-name uniqueness, crash-plan targets,
   index-vs-stores coverage) replaces the per-engine copies.
-* :class:`MasterPort` -- the small protocol a slave drives to acquire
-  and complete jobs.  The lock-based :class:`LockMaster` (threaded and
-  process engines) implements it; the port owns drain-awareness, so an
-  empty refill is never latched as "done" while requeue-able jobs are
-  outstanding.
-* :class:`SlaveRuntime` -- the per-worker loop: synchronous fetch or a
-  read-ahead window of in-flight fetches, decode/fold with group
-  iteration, the full :class:`WorkerStats` accounting (retrieval/
-  decode/overlap/stall/cache/prefetch/stolen/recovered), crash
-  injection, and
-  requeue-and-preserve-robj failure containment.  Every engine that
-  executes folds in-process runs exactly this loop; the process engine's
-  feeder reuses its fetch-accounting steps across the process boundary.
+* :class:`LockMaster` -- the process engine's per-cluster master: a
+  job pool refilled from the head scheduler under a lock.  It owns
+  drain-awareness, so an empty refill is never latched as "done" while
+  requeue-able jobs are outstanding.
+* :func:`decode_and_fold` -- the one fold step (decode a chunk's bytes,
+  fold them into a reduction object, time both), and the fetch
+  accounting helpers that fill :class:`WorkerStats` from a fetch.
 * :func:`finalize_run` -- the shared run epilogue: per-cluster combine,
   serialized reduction-object shipping, fetcher fault rollup
   into :class:`ClusterStats`, and idle/sync accounting.
-
-Sector/Sphere-style data clouds take the same shape -- one slave runtime
-with pluggable transport -- and fault-handling work (coded/redundant
-execution) likewise assumes recovery lives in a shared execution core.
-Consolidating here means prefetching, chunk caching, retries, and
-worker-crash containment land once and every engine has them *by
-construction*.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol
+from typing import Any, Callable
 
 from repro.core.api import (
     GeneralizedReductionSpec,
-    supports_batch_fold,
     uses_default_global_reduction,
 )
 from repro.core.reduction_object import ReductionObject
 from repro.core.serialization import serialized_nbytes
+from repro.data.formats import RecordFormat
 from repro.data.index import DataIndex
 from repro.data.redundancy import normalize_stripe
 from repro.data.units import iter_unit_groups
@@ -59,14 +48,13 @@ from repro.runtime.scheduler import HeadScheduler
 from repro.runtime.stats import ClusterStats, RunStats, WorkerStats
 from repro.storage.base import StorageBackend
 from repro.storage.cache import ChunkCache
-from repro.storage.faults import WorkerCrash
+from repro.storage.codecs import Buffer, decode_chunk
 from repro.storage.health import BreakerPolicy, HealthRegistry, HedgePolicy
-from repro.storage.retry import RetryExhausted, RetryPolicy
+from repro.storage.retry import RetryPolicy
 from repro.storage.transfer import (
     DEFAULT_MIN_PART_NBYTES,
     FetchInfo,
     ParallelFetcher,
-    PrefetchHandle,
 )
 
 __all__ = [
@@ -75,11 +63,10 @@ __all__ = [
     "RunResult",
     "EngineOptions",
     "EngineBase",
-    "MasterPort",
     "LockMaster",
-    "SlaveRuntime",
     "account_fetch_info",
     "account_overlap",
+    "decode_and_fold",
     "make_cluster_fetchers",
     "rollup_fetcher_stats",
     "finalize_timing",
@@ -301,50 +288,12 @@ def make_cluster_fetchers(
     return fetchers
 
 
-class MasterPort(Protocol):
-    """Job-acquisition surface a slave drives, whatever the transport.
-
-    The port hides how a cluster's master talks to the head -- a lock
-    around the shared scheduler (:class:`LockMaster`), or the process
-    engine's in-parent feeder.  Drain-awareness is part of the contract: an empty
-    refill must NOT be treated as end-of-run while the head still has
-    outstanding jobs, because a crashed worker may requeue one.
-    """
-
-    def get_job(self, wait: bool = True) -> Job | None:
-        """Next job, refilling from the head when the pool is depleted.
-
-        Returns ``None`` only when the run is truly drained (no
-        unassigned *and* no outstanding jobs) or the stop event fired.
-        With ``wait=False``, returns ``None`` as soon as nothing is
-        immediately available (the non-blocking reserve path).
-        """
-        ...
-
-    def reserve_next(self) -> Job | None:
-        """Non-blocking reserve of the job after the current one."""
-        ...
-
-    def complete(self, job: Job) -> bool:
-        """Report one job processed; True if it recovered a requeued job."""
-        ...
-
-    def worker_died(self) -> list[Job]:
-        """Mark one worker dead; the last death surrenders pooled jobs."""
-        ...
-
-    def requeue(self, jobs: list[Job]) -> None:
-        """Return assigned-but-unfinished jobs to the head for reassignment."""
-        ...
-
-
 class LockMaster:
     """Cluster-local job pool that refills from the head through a lock.
 
-    The :class:`MasterPort` implementation shared by the threaded and
-    process engines: the head scheduler is invoked directly under a
-    shared lock, with channel latency modelled by sleeping the
-    cluster's master <-> head round-trip.
+    The process engine's master: its feeder threads invoke the head
+    scheduler directly under a shared lock, with channel latency
+    modelled by sleeping the cluster's master <-> head round-trip.
 
     A master never *latches* an empty refill as "done": while the head
     still has outstanding jobs, one of them may yet be requeued by a
@@ -502,282 +451,41 @@ def account_overlap(
             wstats.prefetch_misses += 1
 
 
-class SlaveRuntime:
-    """The per-worker loop, identical for every in-process engine.
+def decode_and_fold(
+    spec: GeneralizedReductionSpec,
+    fmt: RecordFormat,
+    robj: ReductionObject,
+    payload: Buffer,
+    *,
+    group_units: int,
+    batch_fold: bool,
+    encoded: bool = False,
+) -> tuple[float, float, int, int]:
+    """Decode one chunk's bytes and fold them into ``robj``.
 
-    Pulls jobs through a :class:`MasterPort`, fetches chunk bytes,
-    decodes and folds unit groups into this worker's reduction object,
-    and accounts every second and byte in :class:`WorkerStats`.
+    ``encoded`` means ``payload`` is a codec frame, inflated here first.
+    The unit decode is a zero-copy ``np.frombuffer`` view; the fold is
+    one ``local_reduction_batch`` call over the whole chunk when
+    ``batch_fold`` (the spec provides it and the options allow it), else
+    the per-unit-group loop.  Shared by the fleet worker and the process
+    engine's child, which passes a view of its mapped segment.
 
-    With ``options.prefetch`` the worker reads ahead: before every fold
-    it reserves jobs (non-blocking) until :data:`READAHEAD` of them have
-    their fetch in flight, folds the current chunk, then waits for the
-    *oldest* reserved one -- so chunks fold in the order they were
-    reserved, and a retrieval-bound worker always has that many streams
-    open instead of idling on one.  The run's first job takes the same
-    route.  Without it the window is empty and each job is fetched on
-    the worker's own thread.
-
-    Fault semantics are part of the loop, not the engine: the
-    crash-injection plan raises :class:`WorkerCrash` at the configured
-    job count, and both injected crashes and retry-exhausted fetches are
-    *contained* -- the worker's in-flight jobs (the current one and the
-    whole window) go back to the head through the port, its partially
-    folded reduction object is preserved (it holds exactly the jobs it
-    completed, so folding it plus re-executing the requeued jobs yields
-    each job exactly once), and the run continues on the survivors.
-    Non-recoverable errors are appended to ``errors`` and fail the whole
-    run fast via the shared stop event.
+    Returns ``(decode_s, fold_s, bytes_folded, n_fold_calls)``.
     """
-
-    def __init__(
-        self,
-        name: str,
-        *,
-        cluster: ClusterConfig,
-        port: MasterPort,
-        spec: GeneralizedReductionSpec,
-        index: DataIndex,
-        group_units: int,
-        fetchers: dict[str, ParallelFetcher],
-        wstats: WorkerStats,
-        robjs_out: list[ReductionObject],
-        options: EngineOptions,
-        t_start: float,
-        errors: list[BaseException],
-        stop: threading.Event,
-    ) -> None:
-        self.name = name
-        self.cluster = cluster
-        self.port = port
-        self.spec = spec
-        self.index = index
-        self.group_units = group_units
-        self.fetchers = fetchers
-        self.wstats = wstats
-        self.robjs_out = robjs_out
-        self.options = options
-        self.t_start = t_start
-        self.errors = errors
-        self.stop = stop
-        self.crash_after = options.crash_plan.get(name)
-        self._batch_fold = options.batch_fold and (
-            spec is not None and supports_batch_fold(spec)
-        )
-        self._jobs_done = 0
-        self._robj: ReductionObject | None = None
-        #: Reserved jobs whose fetch is in flight, oldest first.
-        self._window: deque[tuple[Job, PrefetchHandle]] = deque()
-
-    # -- per-run context hooks -----------------------------------------------
-    #
-    # The base runtime serves exactly one run: one spec, one fetcher
-    # map, one reduction object per worker.  A multi-run slave (the
-    # bursting service's shared fleet) overrides these hooks to resolve
-    # the context from the job's ``run_id`` instead, while the loop,
-    # accounting, and containment logic stay shared.
-
-    def _open_run(self) -> None:
-        """Prepare per-run worker state at loop entry."""
-        self._robj = self.spec.create_reduction_object()
-
-    def _robj_for(self, job: Job) -> ReductionObject:
-        """The reduction object ``job`` folds into."""
-        del job
-        assert self._robj is not None
-        return self._robj
-
-    def _fetchers_for(self, job: Job) -> dict[str, ParallelFetcher]:
-        """The fetcher map serving ``job``'s run."""
-        del job
-        return self.fetchers
-
-    def _emit_robjs(self) -> None:
-        """Publish this worker's reduction object(s) at loop exit."""
-        if self._robj is not None:
-            self.robjs_out.append(self._robj)
-
-    def _before_complete(self, job: Job) -> None:
-        """Per-job hook invoked just before the port learns of completion."""
-
-    def _stale(self, job: Job, handle: PrefetchHandle) -> bool:
-        """True when the window's oldest job must not be folded after all
-        (the hook has then absorbed ``handle`` and consumed the job)."""
-        del job, handle
-        return False
-
-    def _mark_failed(self, inflight: list[Job]) -> None:
-        """Record this worker's death in the stats it was feeding."""
-        del inflight
-        self.wstats.failed = True
-        self.wstats.finished_at = time.monotonic() - self.t_start
-
-    def _on_fatal(self, exc: BaseException, cur_job: Job | None) -> None:
-        """Handle a non-recoverable error (fail the whole run fast)."""
-        del cur_job
-        self._abandon_window()
-        self.errors.append(exc)
-        self.stop.set()  # fail fast: abort every other worker promptly
-
-    # -- steps ---------------------------------------------------------------
-
-    def _maybe_crash(self) -> None:
-        if self.crash_after is not None and self._jobs_done >= self.crash_after:
-            raise WorkerCrash(
-                f"injected crash in {self.name} after {self._jobs_done} jobs"
-            )
-
-    def _fetch_now(self, job: Job) -> bytes:
-        """Synchronous fetch of one job's bytes, fully accounted as stall."""
-        t0 = time.monotonic()
-        raw, info = self._fetchers_for(job)[job.location].fetch_chunk(job.chunk)
-        self.wstats.retrieval_s += time.monotonic() - t0 - info.decode_s
-        account_fetch_info(self.wstats, info)
-        return raw
-
-    def _await_prefetch(self, pending: PrefetchHandle, job: Job) -> bytes:
-        """Collect an in-flight prefetch, splitting stall from overlap."""
-        del job  # multi-run slaves switch accounting context on it
-        ready = pending.done()
-        t_need = time.monotonic()
-        raw = pending.result()
-        stall = time.monotonic() - t_need
-        w = self.wstats
-        w.retrieval_s += stall
-        w.overlap_s += max(0.0, pending.fetch_s - stall)
-        if ready:
-            w.prefetch_hits += 1
-        else:
-            w.prefetch_misses += 1
-        account_fetch_info(w, pending.info)
-        return raw
-
-    def _process(self, job: Job, raw: bytes) -> None:
-        """Decode, reduce, and complete one job.
-
-        The decode is a zero-copy ``np.frombuffer`` view over the fetch
-        (or cache) buffer; the fold is one ``local_reduction_batch``
-        call over the whole chunk when the spec provides it (and
-        ``options.batch_fold`` allows), else the per-unit-group loop.
-        """
-        robj = self._robj_for(job)
-        if self.options.verify_chunks:
-            from repro.data.integrity import verify_chunk_bytes
-
-            verify_chunk_bytes(job.chunk, raw)
-        t0 = time.monotonic()
-        units = self.index.fmt.decode(raw)
-        t1 = time.monotonic()
-        if self._batch_fold:
-            self.spec.local_reduction_batch(robj, units)
-            n_folds = 1
-        else:
-            n_folds = 0
-            for group in iter_unit_groups(units, self.group_units):
-                self.spec.local_reduction(robj, group)
-                n_folds += 1
-        t2 = time.monotonic()
-        elapsed = t2 - t0
-        w = self.wstats
-        w.processing_s += elapsed
-        w.fold_s += t2 - t1
-        w.bytes_folded += units.nbytes
-        w.n_fold_calls += n_folds
-        w.jobs_processed += 1
-        if job.location != self.cluster.location:
-            w.jobs_stolen += 1
-        self._jobs_done += 1
-        self._before_complete(job)
-        if self.port.complete(job):
-            # This execution replaced one lost to a failed worker; its
-            # compute time is the recovery overhead (the re-fetch is in
-            # retrieval_s like any other fetch).
-            w.jobs_recovered += 1
-            w.recovery_s += elapsed
-
-    def _read_ahead(self, depth: int) -> None:
-        """Reserve jobs and start their fetches until ``depth`` are in flight."""
-        while len(self._window) < depth:
-            job = self.port.reserve_next()
-            if job is None:
-                return
-            self._start_fetch(job)
-
-    def _start_fetch(self, job: Job) -> None:
-        fetcher = self._fetchers_for(job)[job.location]
-        self._window.append((job, fetcher.fetch_chunk_async(job.chunk)))
-
-    def _abandon_window(self) -> list[Job]:
-        """Empty the window: every fetch cancelled or absorbed, its jobs
-        returned (they are still outstanding at the head)."""
-        jobs = []
-        while self._window:
-            job, handle = self._window.popleft()
-            handle.cancel()
-            jobs.append(job)
-        return jobs
-
-    def _contain_failure(self, cur_job: Job | None) -> None:
-        """Absorb this worker's death without aborting the run.
-
-        The worker's in-flight jobs (the current one and every reserved
-        one) return to the head for reassignment; if it was its
-        cluster's last worker, the master's pooled jobs go back too.
-        The partially folded reduction object is preserved.
-        """
-        inflight = self._abandon_window()
-        # While its fetch is awaited the current job is still the
-        # window's oldest entry: requeue it once.
-        if cur_job is not None and all(j is not cur_job for j in inflight):
-            inflight.insert(0, cur_job)
-        self.port.requeue(inflight + self.port.worker_died())
-        self._mark_failed(inflight)
-        self._emit_robjs()
-
-    # -- the loop ------------------------------------------------------------
-
-    def run(self) -> None:
-        """Process jobs until the run drains, containing recoverable faults."""
-        depth = READAHEAD if self.options.prefetch else 0
-        window = self._window
-        # The job being awaited or folded.  It and every job in the
-        # window are outstanding at the head until completed, so all of
-        # them must be requeued if this worker dies.
-        cur_job: Job | None = None
-        self._open_run()
-        try:
-            while not self.stop.is_set():
-                if not window:
-                    # Nothing reserved: block at the head, which also
-                    # picks up jobs requeued by a late failure.
-                    cur_job = self.port.get_job()
-                    if cur_job is None:
-                        break
-                    if depth:
-                        self._start_fetch(cur_job)
-                        self._read_ahead(depth)
-                if window:
-                    cur_job, handle = window[0]
-                    if self._stale(cur_job, handle):
-                        window.popleft()
-                        cur_job = None
-                        continue
-                    raw = self._await_prefetch(handle, cur_job)
-                    window.popleft()
-                else:
-                    raw = self._fetch_now(cur_job)
-                self._read_ahead(depth)
-                self._maybe_crash()
-                self._process(cur_job, raw)
-                cur_job = None
-            self._abandon_window()  # stopped early: the run is over
-            self.wstats.finished_at = time.monotonic() - self.t_start
-            self._emit_robjs()
-        except (WorkerCrash, RetryExhausted):
-            # Recoverable: this worker is lost, the run is not.
-            self._contain_failure(cur_job)
-        except BaseException as exc:  # surfaced by the engine's run()
-            self._on_fatal(exc, cur_job)
+    t0 = time.monotonic()
+    if encoded:
+        payload = decode_chunk(payload)
+    units = fmt.decode(payload)
+    t1 = time.monotonic()
+    if batch_fold:
+        spec.local_reduction_batch(robj, units)
+        n_fold_calls = 1
+    else:
+        n_fold_calls = 0
+        for group in iter_unit_groups(units, group_units):
+            spec.local_reduction(robj, group)
+            n_fold_calls += 1
+    return t1 - t0, time.monotonic() - t1, units.nbytes, n_fold_calls
 
 
 # -- shared run epilogue ------------------------------------------------------

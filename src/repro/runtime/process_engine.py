@@ -8,11 +8,12 @@ processes; this engine restores that: each slave is a real
 ``multiprocessing`` worker process, and the local reduction of N workers
 genuinely occupies N cores.
 
-The policy layer is untouched -- the same :class:`HeadScheduler`, the
-same :class:`~repro.runtime.core.LockMaster` refill protocol (driven
-through the :class:`~repro.runtime.core.MasterPort` surface), the same
-:class:`RunStats`, the same :func:`~repro.runtime.core.finalize_run`
-epilogue -- only the data plane changes:
+The policy layer is untouched -- the same :class:`HeadScheduler`, a
+per-cluster :class:`~repro.runtime.core.LockMaster` refill protocol, the
+same :class:`RunStats`, the same fold step
+(:func:`~repro.runtime.core.decode_and_fold`) and the same
+:func:`~repro.runtime.core.finalize_run` epilogue -- only the data plane
+changes:
 
 * **chunk bytes cross through shared memory.**  The parent (which owns
   the stores, the chunk cache, and the retry policy) fetches each job's
@@ -36,10 +37,9 @@ epilogue -- only the data plane changes:
   skips the job messages still queued for it), or when the run is
   being abandoned and its result discarded.
 * **one feeder thread per worker** pulls jobs from the master and keeps
-  up to two fetches in flight, so data movement overlaps worker compute
-  (the double-buffered slave of the shared
-  :class:`~repro.runtime.core.SlaveRuntime`, now across a process
-  boundary -- the feeder shares the core's fetch-accounting helpers).
+  up to two chunks in flight, so data movement overlaps worker compute
+  (the threaded fleet worker's read-ahead, across a process boundary --
+  the feeder shares the core's fetch-accounting helpers).
 * **reduction objects return via pickle protocol-5 out-of-band
   buffers** (:func:`~repro.core.serialization.serialize_robj_oob`):
   the worker sends a tiny metadata pickle, the parent leases one
@@ -54,6 +54,10 @@ epilogue -- only the data plane changes:
   shared epilogue only reads the workers' objects (they alias the
   segments above) and hands out an object of its own, so the segments
   can go the moment it returns.
+
+Runs execute one at a time per process: a run forks its workers, and a
+fork taken while another run's feeder threads hold locks would hand the
+children those locks mid-acquire.
 
 Lifecycle: the parent creates *and* unlinks every shared-memory segment
 through one :class:`SharedSegmentPool`; workers only attach and close.
@@ -91,16 +95,16 @@ from repro.core.api import (
 from repro.core.reduction_object import ReductionObject
 from repro.core.serialization import deserialize_robj_oob, serialize_robj_oob
 from repro.data.index import DataIndex
-from repro.data.units import iter_unit_groups, units_per_group
+from repro.data.units import units_per_group
 from repro.runtime.core import (
     ClusterConfig,
     EngineBase,
     EngineOptions,
     LockMaster,
-    MasterPort,
     RunResult,
     account_fetch_info,
     account_overlap,
+    decode_and_fold,
     finalize_run,
     make_cluster_fetchers,
 )
@@ -109,7 +113,6 @@ from repro.runtime.pushdown import plan_jobs
 from repro.runtime.stats import RunStats, WorkerStats, ClusterStats
 from repro.storage.faults import WorkerCrash
 from repro.storage.retry import RetryExhausted
-from repro.storage.codecs import decode_chunk
 from repro.storage.shm import (
     SharedSegment,
     SharedSegmentPool,
@@ -119,6 +122,9 @@ from repro.storage.shm import (
 from repro.storage.transfer import FetchInfo, ParallelFetcher
 
 __all__ = ["ProcessEngine"]
+
+#: Held for a whole run: see "Runs execute one at a time" above.
+_FORK_LOCK = threading.Lock()
 
 
 # -- worker-process side ------------------------------------------------------
@@ -177,51 +183,6 @@ def _ship_robj(
     result_q.put(("shipped", time.monotonic() - t0))
 
 
-def _fold_chunk(
-    spec,
-    fmt,
-    group_units: int,
-    robj,
-    shm,
-    nbytes: int,
-    encoded: bool,
-    batch_fold: bool,
-) -> tuple[float, float, int, int]:
-    """Decode a mapped chunk zero-copy and fold it.
-
-    ``encoded`` means the segment holds a codec *frame* (the parent
-    shipped wire bytes); the frame is decoded here, off the mapped
-    pages, so decompression runs on the worker's core instead of
-    serializing in the parent's feeder.  ``batch_fold`` folds the whole
-    chunk with one ``local_reduction_batch`` call instead of the
-    per-unit-group loop.
-
-    Isolated in a function so every view into the mapping (the frame
-    payload, the decoded unit array, the last group slice) dies on
-    return: the parent overwrites the segment with a later chunk once
-    this one is acknowledged, and the mapping must close cleanly at exit.
-
-    Returns ``(decode_s, fold_s, bytes_folded, n_fold_calls)``.
-    """
-    t0 = time.monotonic()
-    payload: Any = memoryview(shm.buf)[:nbytes]
-    if encoded:
-        payload = decode_chunk(payload)
-    units = fmt.decode(payload)
-    decode_s = time.monotonic() - t0
-    bytes_folded = units.nbytes
-    t1 = time.monotonic()
-    if batch_fold:
-        spec.local_reduction_batch(robj, units)
-        n_fold_calls = 1
-    else:
-        n_fold_calls = 0
-        for group in iter_unit_groups(units, group_units):
-            spec.local_reduction(robj, group)
-            n_fold_calls += 1
-    return decode_s, time.monotonic() - t1, bytes_folded, n_fold_calls
-
-
 def _worker_main(
     name: str,
     spec: GeneralizedReductionSpec,
@@ -247,9 +208,14 @@ def _worker_main(
                 raise WorkerCrash(
                     f"injected crash in {name} after {jobs_done} jobs", job_id
                 )
-            decode_s, fold_s, bytes_folded, n_folds = _fold_chunk(
-                spec, fmt, group_units, robj, mappings[seg_name], nbytes,
-                encoded, batch_fold,
+            # The codec frame is decoded here, off the mapped pages, so
+            # decompression runs on this core instead of the parent's
+            # feeder.  No view into the mapping outlives the call: the
+            # parent overwrites the segment with a later chunk once this
+            # one is acknowledged, and the mapping must close cleanly.
+            decode_s, fold_s, bytes_folded, n_folds = decode_and_fold(
+                spec, fmt, robj, memoryview(mappings[seg_name].buf)[:nbytes],
+                group_units=group_units, batch_fold=batch_fold, encoded=encoded,
             )
             jobs_done += 1
             result_q.put(
@@ -312,6 +278,10 @@ class ProcessEngine(EngineBase):
 
     def run(self, spec: GeneralizedReductionSpec, index: DataIndex) -> RunResult:
         """Execute ``spec`` over the dataset described by ``index``."""
+        with _FORK_LOCK:
+            return self._run(spec, index)
+
+    def _run(self, spec: GeneralizedReductionSpec, index: DataIndex) -> RunResult:
         EngineOptions.validate_index(index, self.stores)
         opts = self.options
         ctx = multiprocessing.get_context(self.start_method)
@@ -481,7 +451,7 @@ class ProcessEngine(EngineBase):
         cluster: ClusterConfig,
         handle: _WorkerHandle,
         segments: SharedSegmentPool,
-        port: MasterPort,
+        port: LockMaster,
     ) -> None:
         """Consume one completion; recycle its segment; account it."""
         msg = self._recv(handle)
@@ -561,7 +531,7 @@ class ProcessEngine(EngineBase):
         wstats.shm_nbytes += total
         return robj, seg
 
-    def _requeue(self, jobs: list[Job], port: MasterPort) -> None:
+    def _requeue(self, jobs: list[Job], port: LockMaster) -> None:
         """Return a dead worker's jobs (and its master's pool) to the head."""
         requeue = list(jobs)
         requeue.extend(port.worker_died())
@@ -589,9 +559,7 @@ class ProcessEngine(EngineBase):
                     # Block at the head only when this worker has nothing
                     # in flight: its inflight jobs are outstanding, and
                     # only this feeder can complete them, so a blocking
-                    # wait here would deadlock the tail of the run
-                    # (same contract as the core SlaveRuntime's
-                    # ``reserve_next``).
+                    # wait here would deadlock the tail of the run.
                     job = master.get_job(wait=not handle.inflight)
                     if job is None:
                         if handle.inflight:

@@ -14,15 +14,15 @@ persistent storage+compute nodes serving many user jobs).
 Ownership split:
 
 * **service-lifetime state** -- clusters, stores, options, chunk cache,
-  health registry, the fleet (`ServiceSlave` threads pulling through a
-  per-cluster :class:`ServiceMaster`), the finalizer thread, and the
-  registry of every run ever submitted;
+  health registry, the fleet (:class:`ServiceSlave` threads pulling
+  through a per-cluster :class:`ServiceMaster`), the finalizer thread,
+  and the registry of every run ever submitted;
 * **per-run state** (one :class:`_RunEntry` per submission) -- the
   tagged job pool and its :class:`HeadScheduler`, per-cluster fetchers,
-  per-(worker, run) reduction objects and ``WorkerStats``, an error
-  list, and the run's ``RunStats``.  A finished run is finalized by the
-  *shared* :func:`~repro.runtime.core.finalize_run` epilogue, so
-  per-run stats have full parity with single-run engine results.
+  one ``WorkerStats`` per fleet worker, per-(worker, run) reduction
+  objects, an error list, and the run's ``RunStats``.  A finished run
+  is finalized by the *shared* :func:`~repro.runtime.core.finalize_run`
+  epilogue, so per-run stats have full parity with the process engine's.
 
 Scheduling is two-level: the tenant-aware
 :class:`~repro.service.scheduler.MultiJobScheduler` picks *which run*
@@ -31,12 +31,14 @@ serves a cluster's batch request (weighted fair-share with per-tenant
 run's own :class:`HeadScheduler` picks *which chunks* (locality,
 stealing, pushdown priority -- the paper's policy, unchanged).
 
-The process engine executes each run whole (its transport pins worker
-state to one spec per process), so for ``engine="process"`` the
-service runs one engine per admitted run on a background thread, one engine at a time (forking
-engines from concurrent threads is not fork-safe) -- same
-submit/status/result API, FIFO-in-admission-order execution,
-chunk-level interleaving only on the threaded fleet.
+The threaded engine is this service with one run: it submits one job
+and shuts the service down.  The process engine executes each run
+whole (its transport pins worker state to one spec per process), so for
+``engine="process"`` the service runs one engine per admitted run on a
+background thread (the engine itself runs one at a time, since forking
+from concurrent threads is not fork-safe) -- same submit/status/result
+API, FIFO-in-admission-order execution, chunk-level interleaving only
+on the threaded fleet.
 """
 
 from __future__ import annotations
@@ -54,12 +56,13 @@ from repro.data.index import DataIndex
 from repro.data.units import units_per_group
 from repro.runtime.blas_budget import BLAS_BUDGET
 from repro.runtime.core import (
+    READAHEAD,
     ClusterConfig,
     EngineBase,
     EngineOptions,
-    MasterPort,
     RunResult,
-    SlaveRuntime,
+    account_fetch_info,
+    decode_and_fold,
     finalize_run,
     make_cluster_fetchers,
     rollup_fetcher_stats,
@@ -71,14 +74,12 @@ from repro.runtime.stats import ClusterStats, RunStats, WorkerStats
 from repro.service.registry import JobCancelledError, JobHandle, JobState
 from repro.service.scheduler import MultiJobScheduler, TenantConfig
 from repro.storage.base import StorageBackend
+from repro.storage.codecs import Buffer
+from repro.storage.faults import WorkerCrash
+from repro.storage.retry import RetryExhausted
 from repro.storage.transfer import ParallelFetcher, PrefetchHandle
 
 __all__ = ["BurstingService", "ServiceMaster", "ServiceSlave"]
-
-#: Process-wide guard for the run-per-job backends: the process engine
-#: forks, and forking concurrently from several run threads can deadlock
-#: children on locks inherited mid-acquire.
-_RUN_PER_JOB_LOCK = threading.Lock()
 
 #: ``service_rows`` column -> the ``RunStats`` attribute it prints.
 _SERVICE_STATS = {
@@ -120,18 +121,18 @@ class _RunEntry:
 
 @dataclass
 class _WorkerCtx:
-    """One worker's per-run fold context (reduction object + stats)."""
+    """One worker's per-run fold context."""
 
     entry: _RunEntry
+    fetchers: dict[str, ParallelFetcher]  # its cluster's, by location
     wstats: WorkerStats
     robj: ReductionObject
 
 
-class ServiceMaster(MasterPort):
+class ServiceMaster:
     """Per-cluster job pool refilling from the service's multi-run head.
 
-    The long-lived sibling of :class:`~repro.runtime.core.LockMaster`:
-    instead of latching "drained" when the one run ends, it parks idle
+    Instead of latching "drained" when one run ends, it parks idle
     workers on the service condition variable until a submission,
     requeue, or shutdown gives them something to do.  All refills go
     through the tenant-aware multi-job scheduler under the service's
@@ -153,14 +154,20 @@ class ServiceMaster(MasterPort):
         self._alive_lock = threading.Lock()
 
     def get_job(self, wait: bool = True) -> Job | None:
+        """Next live job for a worker, refilling from the head.
+
+        Returns ``None`` only at shutdown, or -- with ``wait=False``, the
+        read-ahead reserve path -- as soon as nothing is assignable.
+        """
         svc = self.service
         while True:
             job = self.pool.try_get()
             if job is None:
                 if svc._stop.is_set():
                     return None
-                # Pay the master <-> head round-trip outside the lock,
-                # as LockMaster does.
+                # Pay the master <-> head round-trip outside the lock:
+                # concurrent requesters overlap their RTTs instead of
+                # queueing a full round-trip each behind one refiller.
                 if self.cluster.link_latency_s > 0:
                     time.sleep(self.cluster.link_latency_s)
                 with svc._cond:
@@ -194,15 +201,19 @@ class ServiceMaster(MasterPort):
             svc._discard_job(job)
 
     def reserve_next(self) -> Job | None:
+        """Non-blocking reserve of the job after the current one."""
         return self.get_job(wait=False)
 
     def complete(self, job: Job) -> bool:
+        """Report one job processed; True if it recovered a requeued job."""
         return self.service._complete(job)
 
     def requeue(self, jobs: list[Job]) -> None:
+        """Return assigned-but-unfinished jobs to their runs' heads."""
         self.service._requeue(jobs)
 
     def worker_died(self) -> list[Job]:
+        """Mark one worker dead; the last death surrenders pooled jobs."""
         with self._alive_lock:
             self._alive -= 1
             last = self._alive <= 0
@@ -214,50 +225,59 @@ class ServiceMaster(MasterPort):
         return drained
 
 
-class ServiceSlave(SlaveRuntime):
-    """A fleet worker folding into whichever run its assignment names.
+class ServiceSlave:
+    """One fleet worker: the only in-process worker loop.
 
-    The loop, fetch paths, accounting, and crash containment are the
-    shared :class:`SlaveRuntime`; this subclass only swaps the per-run
-    context hooks: the job's ``run_id`` resolves the spec, index,
-    fetchers, per-(worker, run) ``WorkerStats``, and reduction object.
-    Reduction objects are registered with their run at creation, so a
-    crashed worker's partial folds are preserved exactly as in the
-    single-run engines.
+    Pulls jobs through its cluster's :class:`ServiceMaster`, fetches
+    chunk bytes, decodes and folds them, and accounts every second and
+    byte in :class:`WorkerStats`.  Each job's ``run_id`` selects the fold
+    context: the run's spec, index and fetchers, this worker's
+    ``WorkerStats`` in that run (registered with the run at submission)
+    and its reduction object there (created on the worker's first job of
+    the run and registered with the run at once), so concurrent runs
+    interleave chunk by chunk over the same workers.
+
+    With ``options.prefetch`` the worker reads ahead: before every fold
+    it reserves jobs (non-blocking) until :data:`READAHEAD` of them have
+    their fetch in flight, folds the current chunk, then waits for the
+    *oldest* reserved one -- so chunks fold in the order they were
+    reserved, and a retrieval-bound worker always has that many streams
+    open instead of idling on one.  The run's first job takes the same
+    route.  Without it the window is empty and each job is fetched on
+    the worker's own thread.  A window entry whose run was cancelled or
+    failed after it was reserved is dropped unfolded.
+
+    Fault semantics: the crash-injection plan raises :class:`WorkerCrash`
+    at the configured job count, and both injected crashes and
+    retry-exhausted fetches are *contained* -- the worker's in-flight
+    jobs (the current one and the whole window) go back to their runs'
+    heads, its partially folded reduction objects stay with their runs
+    (each holds exactly the jobs it completed, so folding it plus
+    re-executing the requeued jobs yields each job exactly once), and
+    the worker exits.  Any other error fails the run of the job being
+    fetched or folded; the worker lives on and serves everyone else.
     """
 
     def __init__(
         self,
-        name: str,
-        *,
         service: "BurstingService",
         cluster: ClusterConfig,
-        port: MasterPort,
-        options: EngineOptions,
-        t_start: float,
-        stop: threading.Event,
+        wid: int,
+        master: ServiceMaster,
     ) -> None:
-        super().__init__(
-            name,
-            cluster=cluster,
-            port=port,
-            spec=None,  # resolved per assignment from the run registry
-            index=None,
-            group_units=1,
-            fetchers={},
-            wstats=WorkerStats(),  # scratch; swapped per assignment
-            robjs_out=[],
-            options=options,
-            t_start=t_start,
-            errors=service._fleet_errors,
-            stop=stop,
-        )
+        self.name = f"{cluster.name}-w{wid}"
         self.service = service
+        self.cluster = cluster
+        self.wid = wid
+        self.master = master
+        self.crash_after = service.options.crash_plan.get(self.name)
+        self._jobs_done = 0
         self._ctxs: dict[str, _WorkerCtx] = {}
-        self._resume = False
+        #: Reserved jobs whose fetch is in flight, oldest first.
+        self._window: deque[tuple[Job, PrefetchHandle]] = deque()
 
     def _ctx(self, job: Job) -> _WorkerCtx:
-        """Switch this worker's fold context to ``job``'s run."""
+        """This worker's fold context in ``job``'s run."""
         ctx = self._ctxs.get(job.run_id)
         if ctx is None:
             # A finalized run has no job left anywhere, so this worker
@@ -267,89 +287,177 @@ class ServiceSlave(SlaveRuntime):
                 rid: c for rid, c in self._ctxs.items()
                 if not c.entry.finalize_enqueued
             }
-            ctx = self.service._open_worker_ctx(job.run_id, self.cluster.name)
+            ctx = self.service._open_worker_ctx(job.run_id, self.cluster.name, self.wid)
             self._ctxs[job.run_id] = ctx
-        entry = ctx.entry
-        self.wstats = ctx.wstats
-        self.spec = entry.spec
-        self.index = entry.index
-        self.group_units = entry.group_units
-        self._batch_fold = entry.batch_fold
         return ctx
 
-    # -- per-run context hooks ----------------------------------------------
+    # -- steps ---------------------------------------------------------------
 
-    def _open_run(self) -> None:
-        pass  # reduction objects are created per (worker, run) on demand
+    def _maybe_crash(self) -> None:
+        if self.crash_after is not None and self._jobs_done >= self.crash_after:
+            raise WorkerCrash(
+                f"injected crash in {self.name} after {self._jobs_done} jobs"
+            )
 
-    def _emit_robjs(self) -> None:
-        pass  # robjs are registered with their run at creation
+    def _fetch_now(self, job: Job) -> Buffer:
+        """Synchronous fetch of one job's bytes, fully accounted as stall."""
+        ctx = self._ctx(job)
+        t0 = time.monotonic()
+        raw, info = ctx.fetchers[job.location].fetch_chunk(job.chunk)
+        ctx.wstats.retrieval_s += time.monotonic() - t0 - info.decode_s
+        account_fetch_info(ctx.wstats, info)
+        return raw
 
-    def _robj_for(self, job: Job) -> ReductionObject:
-        return self._ctxs[job.run_id].robj
+    def _await_prefetch(self, job: Job, pending: PrefetchHandle) -> Buffer:
+        """Collect an in-flight prefetch, splitting stall from overlap."""
+        w = self._ctx(job).wstats
+        ready = pending.done()
+        t_need = time.monotonic()
+        raw = pending.result()
+        stall = time.monotonic() - t_need
+        w.retrieval_s += stall
+        w.overlap_s += max(0.0, pending.fetch_s - stall)
+        if ready:
+            w.prefetch_hits += 1
+        else:
+            w.prefetch_misses += 1
+        account_fetch_info(w, pending.info)
+        return raw
 
-    def _fetchers_for(self, job: Job) -> dict[str, ParallelFetcher]:
-        return self._ctx(job).entry.fetchers[self.cluster.name]
+    def _process(self, job: Job, raw: Buffer) -> None:
+        """Decode, reduce, and complete one job."""
+        ctx = self._ctx(job)
+        entry, w = ctx.entry, ctx.wstats
+        if self.service.options.verify_chunks:
+            from repro.data.integrity import verify_chunk_bytes
 
-    def _await_prefetch(self, pending: PrefetchHandle, job: Job) -> bytes:
-        self._ctx(job)  # account the collect into the job's run
-        return super()._await_prefetch(pending, job)
+            verify_chunk_bytes(job.chunk, raw)
+        decode_s, fold_s, nbytes, n_folds = decode_and_fold(
+            entry.spec, entry.index.fmt, ctx.robj, raw,
+            group_units=entry.group_units, batch_fold=entry.batch_fold,
+        )
+        elapsed = decode_s + fold_s
+        w.processing_s += elapsed
+        w.fold_s += fold_s
+        w.bytes_folded += nbytes
+        w.n_fold_calls += n_folds
+        w.jobs_processed += 1
+        if job.location != self.cluster.location:
+            w.jobs_stolen += 1
+        self._jobs_done += 1
+        # Stamp the finish time before the head can observe the
+        # completion (the finalizer may run the instant it lands).
+        w.finished_at = time.monotonic() - entry.t0
+        if self.master.complete(job):
+            # This execution replaced one lost to a failed worker; its
+            # compute time is the recovery overhead (the re-fetch is in
+            # retrieval_s like any other fetch).
+            w.jobs_recovered += 1
+            w.recovery_s += elapsed
 
-    def _process(self, job: Job, raw: bytes) -> None:
-        self._ctx(job)
-        try:
-            super()._process(job, raw)
-        except Exception as exc:
-            # A fold/decode/verify error is fatal for *that run only*:
-            # the fleet keeps serving everyone else.
-            self.service._fail_worker_jobs(exc, [job])
+    def _read_ahead(self, depth: int) -> None:
+        """Reserve jobs and start their fetches until ``depth`` are in flight."""
+        while len(self._window) < depth:
+            job = self.master.reserve_next()
+            if job is None:
+                return
+            self._start_fetch(job)
 
-    def _before_complete(self, job: Job) -> None:
-        # Stamp the per-run finish time before the head can observe the
-        # completion (the finalizer may run the instant complete lands).
-        ctx = self._ctxs[job.run_id]
-        ctx.wstats.finished_at = time.monotonic() - ctx.entry.t0
+    def _start_fetch(self, job: Job) -> None:
+        fetcher = self._ctx(job).fetchers[job.location]
+        self._window.append((job, fetcher.fetch_chunk_async(job.chunk)))
 
-    def _stale(self, job: Job, handle: PrefetchHandle) -> bool:
-        # A run cancelled or failed after this worker reserved the job
-        # gets no more folds; the assignment still has to be consumed
-        # (only after the fetch is out of the run's fetchers) so the run
-        # can drain.
-        if self.service._job_live(job):
-            return False
-        handle.cancel()
-        self.service._discard_job(job)
-        return True
+    def _abandon_window(self) -> list[Job]:
+        """Empty the window: every fetch cancelled or absorbed, its jobs
+        returned (they are still outstanding at their heads)."""
+        jobs = []
+        while self._window:
+            job, handle = self._window.popleft()
+            handle.cancel()
+            jobs.append(job)
+        return jobs
 
-    def _mark_failed(self, inflight: list[Job]) -> None:
-        # Attribute this worker's death to the run(s) whose assignments
-        # it was holding; close out its clock in every run it served.
+    def _contain_failure(self, cur_job: Job | None) -> None:
+        """Absorb this worker's death without aborting any run.
+
+        The worker's in-flight jobs (the current one and every reserved
+        one) return to their heads for reassignment; if it was its
+        cluster's last worker, the master's pooled jobs go back too.
+        The partially folded reduction objects stay with their runs.
+        """
+        inflight = self._abandon_window()
+        # While its fetch is awaited the current job is still the
+        # window's oldest entry: requeue it once.
+        if cur_job is not None and all(j is not cur_job for j in inflight):
+            inflight.insert(0, cur_job)
+        # The death shows in the run(s) whose assignments it was
+        # holding; its clock closes in every run it served.
         for j in inflight:
             self._ctx(j).wstats.failed = True
         now = time.monotonic()
         for ctx in self._ctxs.values():
             ctx.wstats.finished_at = now - ctx.entry.t0
+        self.master.requeue(inflight + self.master.worker_died())
 
-    def _on_fatal(self, exc: BaseException, cur_job: Job | None) -> None:
-        # The error belongs to the job being fetched or folded: fail its
-        # run, and let the stale check drop that run's reserved jobs.
-        # Other runs' entries stay in the window and are folded when the
-        # loop is re-entered.
-        self.service._fail_worker_jobs(exc, [] if cur_job is None else [cur_job])
-        if self._window and self._window[0][0] is cur_job:
-            self._window.popleft()[1].cancel()  # it was the fetch that raised
-        self._resume = True  # the worker survives; only the run failed
+    # -- the loop ------------------------------------------------------------
 
     def run(self) -> None:
-        # A fatal error fails one run, not the worker: re-enter the
-        # shared loop after per-run failure handling.  Crash containment
-        # (WorkerCrash/RetryExhausted) does NOT set the resume flag --
-        # a contained worker stays dead, exactly as in the engines.
-        self._resume = True
-        while self._resume:
-            self._resume = False
-            super().run()
+        """Serve jobs until shutdown or a contained crash."""
+        while self._serve():
+            pass
+        self._abandon_window()
         self._ctxs.clear()
+
+    def _serve(self) -> bool:
+        """The loop proper; True when it failed a run and must resume."""
+        depth = READAHEAD if self.service.options.prefetch else 0
+        window = self._window
+        # The job being awaited or folded.  It and every job in the
+        # window are outstanding at their heads until completed, so all
+        # of them must be requeued if this worker dies.
+        cur_job: Job | None = None
+        try:
+            while not self.service._stop.is_set():
+                if not window:
+                    # Nothing reserved: block at the head, which also
+                    # picks up jobs requeued by a late failure.
+                    cur_job = self.master.get_job()
+                    if cur_job is None:
+                        break
+                    if depth:
+                        self._start_fetch(cur_job)
+                        self._read_ahead(depth)
+                if window:
+                    cur_job, handle = window[0]
+                    if not self.service._job_live(cur_job):
+                        # Its run was cancelled or failed after the
+                        # reserve: consume the assignment unfolded, once
+                        # the fetch is out of the run's fetchers.
+                        window.popleft()
+                        handle.cancel()
+                        self.service._discard_job(cur_job)
+                        cur_job = None
+                        continue
+                    raw = self._await_prefetch(cur_job, handle)
+                    window.popleft()
+                else:
+                    raw = self._fetch_now(cur_job)
+                self._read_ahead(depth)
+                self._maybe_crash()
+                self._process(cur_job, raw)
+                cur_job = None
+        except (WorkerCrash, RetryExhausted):
+            # Recoverable: this worker is lost, its runs are not.
+            self._contain_failure(cur_job)
+        except BaseException as exc:
+            # The error belongs to the job being fetched or folded: fail
+            # its run, and let the liveness check drop that run's
+            # reserved jobs.  Other runs' entries stay in the window.
+            self.service._fail_worker_jobs(exc, [] if cur_job is None else [cur_job])
+            if window and window[0][0] is cur_job:
+                window.popleft()[1].cancel()  # it was the fetch that raised
+            return True
+        return False
 
 
 class BurstingService(EngineBase):
@@ -413,7 +521,6 @@ class BurstingService(EngineBase):
         self._alive_workers = 0
         self._finalize_q: queue.Queue[_RunEntry | None] = queue.Queue()
         self._finalizer: threading.Thread | None = None
-        self._fleet_errors: list[BaseException] = []
         # Run-per-job state (process backend).
         self._run_threads: list[threading.Thread] = []
 
@@ -454,8 +561,12 @@ class BurstingService(EngineBase):
             stats = RunStats()
             plan.apply_to(stats)
             for cluster in self.clusters:
+                # One per fleet worker, also for workers that never fold
+                # a chunk of this run: every entry point reports the
+                # same worker set.
                 stats.clusters[cluster.name] = ClusterStats(
-                    cluster.name, cluster.location
+                    cluster.name, cluster.location,
+                    [WorkerStats() for _ in range(cluster.n_workers)],
                 )
             handle = JobHandle(run_id, tenant, seq, self)
             entry = _RunEntry(
@@ -540,15 +651,7 @@ class BurstingService(EngineBase):
             )
             self._masters[cluster.name] = master
             for wid in range(cluster.n_workers):
-                slave = ServiceSlave(
-                    f"{cluster.name}-w{wid}",
-                    service=self,
-                    cluster=cluster,
-                    port=master,
-                    options=self.options,
-                    t_start=self._t0,
-                    stop=self._stop,
-                )
+                slave = ServiceSlave(self, cluster, wid, master)
                 self._slaves.append(slave)
                 self._threads.append(
                     threading.Thread(
@@ -573,19 +676,10 @@ class BurstingService(EngineBase):
         from repro.runtime import make_engine
 
         try:
-            # Serialize engine execution: the process engine forks, and
-            # forking from two run threads at once lets each child
-            # inherit the other engine's queue locks mid-acquire (a
-            # deadlock).  Admission stays concurrent; on these backends
-            # execution is FIFO in admission order.
-            with _RUN_PER_JOB_LOCK:
-                eng = make_engine(
-                    self.engine_name,
-                    self.clusters,
-                    self.stores,
-                    options=self.options,
-                )
-                rr = eng.run(entry.spec, entry.index)
+            eng = make_engine(
+                self.engine_name, self.clusters, self.stores, options=self.options
+            )
+            rr = eng.run(entry.spec, entry.index)
         except BaseException as exc:
             entry.errors.append(exc)
             entry.handle._resolve(JobState.FAILED, exc=exc)
@@ -690,20 +784,22 @@ class BurstingService(EngineBase):
                 self._pending.clear()
             self._cond.notify_all()
 
-    def _open_worker_ctx(self, run_id: str, cluster_name: str) -> _WorkerCtx:
-        """Create one worker's fold context for ``run_id``.
+    def _open_worker_ctx(self, run_id: str, cluster_name: str, wid: int) -> _WorkerCtx:
+        """Create worker ``wid``'s fold context for ``run_id``.
 
-        The reduction object and ``WorkerStats`` are registered with the
-        run immediately, so a later worker crash preserves the partial
-        folds exactly as the single-run engines do.
+        The reduction object is registered with the run immediately, so
+        a later worker crash preserves the partial folds.
         """
         with self._cond:
             entry = self._runs[run_id]
-            wstats = WorkerStats()
-            entry.stats.clusters[cluster_name].workers.append(wstats)
             robj = entry.spec.create_reduction_object()
             entry.robjs[cluster_name].append(robj)
-            return _WorkerCtx(entry, wstats, robj)
+            return _WorkerCtx(
+                entry,
+                entry.fetchers[cluster_name],
+                entry.stats.clusters[cluster_name].workers[wid],
+                robj,
+            )
 
     # -- finalization --------------------------------------------------------
 
@@ -714,6 +810,13 @@ class BurstingService(EngineBase):
             return
         force = self._fleet_started and self._alive_workers <= 0
         if entry.scheduler.all_done or force:
+            # A worker that folded nothing of this run ran out of its work
+            # now, not at the run's start (that would book the whole run
+            # as its sync time).
+            drained_at = time.monotonic() - entry.t0
+            for cstats in entry.stats.clusters.values():
+                for w in cstats.workers:
+                    w.finished_at = w.finished_at or drained_at
             entry.finalize_enqueued = True
             entry.live = False
             self._finalize_q.put(entry)

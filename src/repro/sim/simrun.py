@@ -514,7 +514,7 @@ def _pipelined_worker_proc(
 ):
     """One simulated core reading ahead of its compute.
 
-    Mirrors the live :class:`~repro.runtime.core.SlaveRuntime` loop: the
+    Mirrors the live :class:`~repro.service.service.ServiceSlave` loop: the
     core reserves jobs from its master until
     :data:`~repro.runtime.core.READAHEAD` fetches are in flight -- each
     its own simulated process, occupying the storage/WAN links while

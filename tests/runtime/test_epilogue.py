@@ -334,8 +334,8 @@ def watched_epilogue(monkeypatch):
         }
         return rr
 
-    import repro.runtime.engine as threaded_mod
     import repro.runtime.process_engine as process_mod
+    import repro.service.service as threaded_mod  # the threaded engine's runs
 
     assert threaded_mod.finalize_run is finalize_run
     monkeypatch.setattr(threaded_mod, "finalize_run", watching)

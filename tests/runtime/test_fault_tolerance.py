@@ -16,8 +16,8 @@ from repro.bursting.session import BurstingSession
 from repro.data.formats import points_format, tokens_format
 from repro.data.generator import generate_points, generate_tokens
 from repro.data.index import build_index
-from repro.runtime.core import READAHEAD
-from repro.runtime.engine import _Master, ClusterConfig
+from repro.runtime.core import READAHEAD, LockMaster
+from repro.runtime.engine import ClusterConfig
 from repro.runtime.jobs import jobs_from_index
 from repro.runtime.scheduler import HeadScheduler
 from repro.storage.faults import (
@@ -27,6 +27,7 @@ from repro.storage.faults import (
 )
 from repro.storage.local import MemoryStore
 from repro.storage.retry import RetryPolicy
+from tests.masters import MASTERS, make_master
 
 FAST_RETRY = RetryPolicy(max_attempts=5, base_delay_s=0.0, max_delay_s=0.0)
 
@@ -203,13 +204,16 @@ class TestMasterRequeue:
         idx = build_index(tokens_format(), [12] * 2, chunk_units=3)
         scheduler = HeadScheduler(jobs_from_index(idx))
         cluster = ClusterConfig("local", "local", 2)
-        master = _Master(
+        master = LockMaster(
             cluster, scheduler, threading.Lock(), batch_size=4, n_workers=2
         )
         return master, scheduler
 
-    def test_waiting_get_job_picks_up_requeued_job(self):
-        master, scheduler = self.make_master()
+    @pytest.mark.parametrize("kind", MASTERS)
+    def test_waiting_get_job_picks_up_requeued_job(self, kind):
+        idx = build_index(tokens_format(), [12] * 2, chunk_units=3)
+        cluster = ClusterConfig("local", "local", 2)
+        master, scheduler = make_master(kind, cluster, idx, batch_size=4)
         held = []
         while (j := master.get_job(wait=False)) is not None:
             held.append(j)
@@ -219,16 +223,16 @@ class TestMasterRequeue:
         waiter = threading.Thread(target=lambda: got.append(master.get_job()))
         waiter.start()
         waiter.join(0.05)
-        assert waiter.is_alive()  # polling: outstanding jobs remain
-        with master.scheduler_lock:
-            scheduler.reassign(victim)
+        assert waiter.is_alive()  # waiting: outstanding jobs remain
+        master.requeue([victim])
         waiter.join(2.0)
         assert not waiter.is_alive()
         assert got and got[0].job_id == victim.job_id
         for j in held + got:
-            with master.scheduler_lock:
-                scheduler.complete(j)
-        assert master.get_job() is None  # drained for real now
+            master.complete(j)
+        # Drained for real now.  The service master has nothing for
+        # anyone; a blocking call would park until shutdown.
+        assert master.get_job(wait=kind == "lock") is None
         assert scheduler.all_done
 
     def test_stop_event_aborts_waiter(self):

@@ -12,12 +12,11 @@ from repro.data.dataset import distribute_dataset, write_dataset
 from repro.data.formats import points_format, tokens_format
 from repro.data.generator import generate_points, generate_tokens
 from repro.runtime import make_engine
-from repro.runtime.engine import ClusterConfig, ThreadedEngine, _Master
-from repro.runtime.jobs import jobs_from_index
-from repro.runtime.scheduler import HeadScheduler
+from repro.runtime.engine import ClusterConfig, ThreadedEngine
 from repro.storage.cache import ChunkCache
 from repro.storage.local import MemoryStore
 from repro.storage.s3 import S3Profile, SimulatedS3Store
+from tests.masters import MASTERS, make_master
 
 
 def split_dataset(units, fmt, stores, local_frac=0.5, n_files=6, chunk_units=200):
@@ -202,16 +201,14 @@ class TestFailFast:
 
 
 class TestMasterRefill:
-    def test_concurrent_requesters_overlap_link_latency(self, tokens, stores):
+    @pytest.mark.parametrize("kind", MASTERS)
+    def test_concurrent_requesters_overlap_link_latency(self, tokens, stores, kind):
         """The head RTT is paid outside the refill lock, so two workers
         asking simultaneously wait ~1 RTT, not 2."""
         idx = split_dataset(tokens, tokens_format(), stores, local_frac=1.0)
         latency = 0.15
         cluster = ClusterConfig("local", "local", 2, link_latency_s=latency)
-        master = _Master(
-            cluster, HeadScheduler(jobs_from_index(idx)), threading.Lock(),
-            batch_size=4,
-        )
+        master, _ = make_master(kind, cluster, idx, batch_size=4)
         results = []
 
         def ask():

@@ -1,31 +1,23 @@
-"""The worker loop's read-ahead window, one interleaving at a time.
+"""The fleet worker's read-ahead window, one interleaving at a time.
 
-A real :class:`SlaveRuntime` over a real ``LockMaster``/``HeadScheduler``
-and real ``ParallelFetcher``s; only the store is a double
+A real fleet worker of a real :class:`BurstingService` (one run, one
+cluster) with real ``ParallelFetcher``s; only the store is a double
 (:class:`tests.gated.GatedStore`), so the test decides which fetch
 finishes when.  One chunk per object, one connection per fetch: a parked
 GET *is* a chunk fetch in flight.
 """
 
 import threading
-import time
 
 import numpy as np
+import pytest
 
+import repro.service.service as service_mod
 from repro.apps.wordcount import WordCountSpec, wordcount_exact
 from repro.data.dataset import write_dataset
 from repro.data.generator import generate_tokens
-from repro.runtime.core import (
-    READAHEAD,
-    ClusterConfig,
-    EngineOptions,
-    LockMaster,
-    SlaveRuntime,
-    make_cluster_fetchers,
-)
-from repro.runtime.jobs import jobs_from_index
-from repro.runtime.scheduler import HeadScheduler
-from repro.runtime.stats import WorkerStats
+from repro.runtime.core import READAHEAD, ClusterConfig
+from repro.service.service import BurstingService, ServiceMaster
 from repro.storage.retry import RetryPolicy
 from tests.gated import WAIT_S, GatedStore
 
@@ -33,14 +25,22 @@ N_JOBS = 7
 NO_RETRY = RetryPolicy(max_attempts=1)
 
 
-class RecordingMaster(LockMaster):
-    """Notes the order jobs were handed out, completed and requeued."""
+class RecordingMaster(ServiceMaster):
+    """Notes the order jobs were handed out, completed and requeued.
+
+    Every worker but ``local-w0`` waits for :attr:`survivor_go` before
+    it asks for anything, so a second worker can stand by until the
+    first one has died.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.handed, self.completed, self.requeued = [], [], []
+        self.survivor_go = threading.Event()
 
     def get_job(self, wait=True):
+        if threading.current_thread().name != "svc-local-w0":
+            self.survivor_go.wait()
         job = super().get_job(wait)
         if job is not None:
             self.handed.append(job.job_id)
@@ -56,10 +56,15 @@ class RecordingMaster(LockMaster):
 
 
 class Rig:
-    """One single-worker cluster over a gated store."""
+    """One run on a one-cluster service over a gated store.
 
-    def __init__(self, *, prefetch=True, gated=True, crash_after=None, retry=None,
-                 spec=None):
+    ``survivor`` adds a second worker that stands by until
+    :meth:`TestContainment.drain` lets it in.
+    """
+
+    def __init__(self, monkeypatch, *, prefetch=True, gated=True, crash_after=None,
+                 retry=None, spec=None, survivor=False):
+        monkeypatch.setattr(service_mod, "ServiceMaster", RecordingMaster)
         self.tokens = generate_tokens(N_JOBS * 300, 50, seed=21)
         self.store = GatedStore(gated=gated)
         self.spec = spec or WordCountSpec()
@@ -67,36 +72,34 @@ class Rig:
             self.tokens, self.spec.fmt, self.store, n_files=N_JOBS, chunk_units=300
         )
         assert len(self.index.chunks) == N_JOBS
-        self.cluster = ClusterConfig("local", "local", 1, retrieval_threads=1)
-        self.scheduler = HeadScheduler(jobs_from_index(self.index))
-        self.stop = threading.Event()
         self.threads_before = set(threading.enumerate())
-        options = EngineOptions(
-            prefetch=prefetch, retry=retry,
-            crash_plan={} if crash_after is None else {"local-w0": crash_after},
-        )
-        self.fetchers = make_cluster_fetchers({"local": self.store}, self.cluster, options)
-        self.robjs, self.errors = [], []
-        self.master = self.new_master()
-        self.runtime = self.new_runtime("local-w0", self.master, options)
-        self.thread = threading.Thread(target=self.runtime.run, daemon=True)
-
-    def new_master(self):
+        cluster = ClusterConfig("local", "local", 1 + survivor, retrieval_threads=1)
         # batch_size=1: nothing pooled, so a requeue is exactly what the
         # worker itself was holding.
-        return RecordingMaster(
-            self.cluster, self.scheduler, threading.Lock(), 1, stop=self.stop
+        self.service = BurstingService(
+            [cluster], {"local": self.store}, batch_size=1, prefetch=prefetch,
+            retry=retry,
+            crash_plan={} if crash_after is None else {"local-w0": crash_after},
         )
 
-    def new_runtime(self, name, master, options):
-        return SlaveRuntime(
-            name, cluster=self.cluster, port=master, spec=self.spec,
-            index=self.index, group_units=1 << 20, fetchers=self.fetchers,
-            wstats=WorkerStats(), robjs_out=self.robjs, options=options,
-            t_start=time.monotonic(), errors=self.errors, stop=self.stop,
-        )
+    def start(self):
+        self.handle = self.service.submit(self.spec, self.index)
+        self.entry = self.service._runs[self.handle.run_id]
+        self.scheduler = self.entry.scheduler
+        self.errors = self.entry.errors
+        self.fetchers = self.entry.fetchers["local"]
+        self.master = self.service._masters["local"]
+        self.worker = self.service._slaves[0]
+        self.thread = self.service._threads[0]
+
+    def wstats(self, wid):
+        return self.entry.stats.clusters["local"].workers[wid]
+
+    def result(self):
+        return self.handle.result(timeout=WAIT_S)
 
     def join(self):
+        """Wait for worker 0 to exit (it has died)."""
         self.thread.join(WAIT_S)
         assert not self.thread.is_alive()
 
@@ -107,22 +110,23 @@ class Rig:
         )
 
     def close(self):
-        for f in self.fetchers.values():
-            f.close()
-        leaked = set(threading.enumerate()) - self.threads_before - {self.thread}
+        self.master.survivor_go.set()
+        self.service.shutdown()
+        leaked = set(threading.enumerate()) - self.threads_before
         assert not leaked, leaked
-        assert not self.runtime._window
+        assert not self.worker._window
 
 
 def folded(rig):
-    (robj,) = rig.robjs
+    """Worker 0's reduction object, read before the run is finalized."""
+    (robj,) = rig.entry.robjs["local"]
     return rig.spec.finalize(robj)
 
 
 class TestWindow:
-    def test_retrieval_bound_worker_keeps_readahead_fetches_in_flight(self):
-        rig = Rig()
-        rig.thread.start()
+    def test_retrieval_bound_worker_keeps_readahead_fetches_in_flight(self, monkeypatch):
+        rig = Rig(monkeypatch)
+        rig.start()
         remaining = N_JOBS
         while remaining:
             expect = min(READAHEAD, remaining)
@@ -132,33 +136,33 @@ class TestWindow:
             # the queue.
             rig.store.release(*reversed(parked))
             remaining -= expect
-        rig.join()
-        w = rig.runtime.wstats
+        rr = rig.result()
+        w = rig.wstats(0)
         assert rig.store.max_parked == READAHEAD
         assert rig.master.completed == rig.master.handed  # fold order == reserve order
         assert len(rig.master.handed) == w.jobs_processed == N_JOBS
         assert w.prefetch_hits + w.prefetch_misses == N_JOBS  # every await counted
-        assert folded(rig) == wordcount_exact(rig.tokens)
+        assert rr.result == wordcount_exact(rig.tokens)
         assert rig.scheduler.all_done and not rig.errors
         rig.close()
 
-    def test_compute_bound_worker_finds_every_chunk_waiting(self):
+    def test_compute_bound_worker_finds_every_chunk_waiting(self, monkeypatch):
         """A fold that outlasts the fetches in flight: nothing is awaited
         twice, nothing beyond the window is ever reserved."""
 
         class SlowFold(WordCountSpec):
             def local_reduction_batch(self, robj, units):
-                window = list(rig.runtime._window)
+                window = list(rig.service._slaves[0]._window)
                 sizes.append(len(window))
                 for _, handle in window:
                     handle.result()  # the fold takes at least this long
                 super().local_reduction_batch(robj, units)
 
         sizes = []
-        rig = Rig(gated=False, spec=SlowFold())
-        rig.thread.start()
-        rig.join()
-        w = rig.runtime.wstats
+        rig = Rig(monkeypatch, gated=False, spec=SlowFold())
+        rig.start()
+        rr = rig.result()
+        w = rig.wstats(0)
         # Only the run's very first await can find its fetch unfinished.
         assert w.prefetch_hits >= N_JOBS - 1
         assert w.prefetch_hits + w.prefetch_misses == N_JOBS
@@ -167,19 +171,19 @@ class TestWindow:
         assert sizes == [READAHEAD] * (N_JOBS - READAHEAD) + tail
         assert rig.store.max_parked <= READAHEAD
         assert rig.master.completed == rig.master.handed
-        assert folded(rig) == wordcount_exact(rig.tokens)
+        assert rr.result == wordcount_exact(rig.tokens)
         rig.close()
 
-    def test_without_prefetch_nothing_is_fetched_in_the_background(self):
-        rig = Rig(prefetch=False, gated=False)
-        rig.thread.start()
-        rig.join()
-        w = rig.runtime.wstats
+    def test_without_prefetch_nothing_is_fetched_in_the_background(self, monkeypatch):
+        rig = Rig(monkeypatch, prefetch=False, gated=False)
+        rig.start()
+        rr = rig.result()
+        w = rig.wstats(0)
         assert rig.store.max_parked == 1
         assert (w.prefetch_hits, w.prefetch_misses, w.overlap_s) == (0, 0, 0.0)
         assert w.jobs_processed == N_JOBS
         assert all(f._prefetch_pool is None for f in rig.fetchers.values())
-        assert folded(rig) == wordcount_exact(rig.tokens)
+        assert rr.result == wordcount_exact(rig.tokens)
         rig.close()
 
 
@@ -187,18 +191,15 @@ class TestContainment:
     def drain(self, rig):
         """A second worker finishes what the dead one gave back."""
         rig.store.open_all()
-        survivor = rig.new_runtime(
-            "local-w1", rig.new_master(), EngineOptions(prefetch=True)
-        )
-        survivor.run()
+        rig.master.survivor_go.set()
+        rr = rig.result()
         assert rig.scheduler.all_done
-        merged = rig.spec.global_reduction(rig.robjs)
-        assert rig.spec.finalize(merged) == wordcount_exact(rig.tokens)
-        assert survivor.wstats.jobs_recovered == len(rig.master.requeued)
+        assert rr.result == wordcount_exact(rig.tokens)
+        assert rig.wstats(1).jobs_recovered == len(rig.master.requeued)
 
-    def test_crash_with_a_full_window_requeues_all_of_it_once(self):
-        rig = Rig(crash_after=2)
-        rig.thread.start()
+    def test_crash_with_a_full_window_requeues_all_of_it_once(self, monkeypatch):
+        rig = Rig(monkeypatch, crash_after=2, survivor=True)
+        rig.start()
         rig.store.release(*rig.store.wait_parked(2))  # jobs 1, 2 fold
         rig.store.release(*rig.store.wait_parked(2))  # job 3 arrives: crash
         # The dying worker cancels the last fetch, or absorbs it if it
@@ -211,16 +212,16 @@ class TestContainment:
         assert rig.master.requeued == handed[2:]  # current + whole window, once
         assert rig.scheduler.n_reassigned == 1 + READAHEAD
         assert rig.scheduler.outstanding == 0
-        assert rig.runtime.wstats.failed and not rig.errors
-        assert not rig.stop.is_set()
+        assert rig.wstats(0).failed and not rig.errors
+        assert rig.entry.live and not rig.handle.done()  # the run goes on
         assert folded(rig) == rig.counts_of(rig.master.completed)  # partial robj kept
         self.drain(rig)
         rig.close()
 
-    def test_exhausted_fetch_behind_the_head_surfaces_in_order(self):
-        rig = Rig(retry=NO_RETRY)
+    def test_exhausted_fetch_behind_the_head_surfaces_in_order(self, monkeypatch):
+        rig = Rig(monkeypatch, retry=NO_RETRY, survivor=True)
         rig.store.fail_arrivals = {2}
-        rig.thread.start()
+        rig.start()
         first, second = rig.store.wait_parked(2)
         rig.store.release(second)  # fails while the head is still in flight
         assert rig.master.completed == [] and rig.thread.is_alive()
@@ -231,21 +232,23 @@ class TestContainment:
         assert rig.master.completed == handed[:1]
         assert rig.master.requeued == handed[1:] and len(handed) == 1 + READAHEAD
         assert rig.scheduler.n_reassigned == READAHEAD
-        assert rig.runtime.wstats.failed and not rig.errors
+        assert rig.wstats(0).failed and not rig.errors
         assert folded(rig) == rig.counts_of(rig.master.completed)
         self.drain(rig)
         rig.close()
 
-    def test_fatal_error_abandons_the_window_and_stops_the_run(self):
-        rig = Rig()
+    def test_fatal_error_abandons_the_window_and_stops_the_run(self, monkeypatch):
+        rig = Rig(monkeypatch)
         rig.store.missing_arrivals = {1}
-        rig.thread.start()
+        rig.start()
         first, second = rig.store.wait_parked(2)
         rig.store.release(first)  # KeyError out of the head's fetch
         rig.store.release(second)  # cancelled fetch, absorbed
-        rig.join()
+        with pytest.raises(KeyError):
+            rig.result()
         (err,) = rig.errors
         assert isinstance(err, KeyError)
-        assert rig.stop.is_set()
+        assert not rig.entry.live  # the run is stopped; the worker lives on
+        assert rig.thread.is_alive()
         assert rig.master.completed == [] and rig.master.requeued == []
         rig.close()
