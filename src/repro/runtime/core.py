@@ -425,6 +425,7 @@ def account_fetch_info(wstats: WorkerStats, info: FetchInfo) -> None:
     wstats.hedge_wins += info.hedge_wins
     wstats.n_fragments += info.n_fragments
     wstats.n_parity_decodes += info.n_parity_decodes
+    wstats.fragments_wasted_bytes += info.fragments_wasted_bytes
     if info.cache_hit:
         wstats.cache_hits += 1
     else:
@@ -509,7 +510,6 @@ def rollup_fetcher_stats(
         cstats.bytes_retried += f.bytes_retried
         cstats.n_breaker_skips += f.n_breaker_skips
         cstats.n_abandoned += f.n_abandoned
-        cstats.fragments_wasted_bytes += f.fragments_wasted_bytes
         cstats.fetch_latencies.extend(f.fetch_latencies)
         cstats.n_single_fetches += f.n_single_fetches
         cstats.n_split_fetches += f.n_split_fetches

@@ -57,7 +57,11 @@ changes:
 
 Runs execute one at a time per process: a run forks its workers, and a
 fork taken while another run's feeder threads hold locks would hand the
-children those locks mid-acquire.
+children those locks mid-acquire.  The one thread an earlier run may
+leave behind is a detached race loser (see
+:meth:`~repro.storage.transfer.ParallelFetcher.close`); it takes only
+fetch-path locks -- its store's, the health registry's, its fetcher's --
+and a child touches none of them.
 
 Lifecycle: the parent creates *and* unlinks every shared-memory segment
 through one :class:`SharedSegmentPool`; workers only attach and close.

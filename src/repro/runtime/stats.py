@@ -133,11 +133,10 @@ class WorkerStats(_Ratios):
     n_hedges: int = 0
     hedge_wins: int = 0
     # Erasure-striped retrieval: fragments that fed reassemblies (k per
-    # striped fetch), reconstructions that needed a parity decode, and
-    # -- in the DES, where losers are observable synchronously -- bytes
-    # of losing fragments fetched but unused.  Real engines account
-    # wasted bytes on the fetcher instead (losers land after the fetch
-    # returns); ClusterStats sums both.
+    # striped fetch) and reconstructions that needed a parity decode.
+    # Multi-source races: bytes of losing legs (fragments, replica
+    # sources) fetched or requested for nothing, booked by the fetch's
+    # FetchInfo when its race is won -- or by the DES, the same way.
     n_fragments: int = 0
     n_parity_decodes: int = 0
     fragments_wasted_bytes: int = 0
@@ -172,9 +171,6 @@ class ClusterStats(_Ratios):
     bytes_retried: int = 0          # bytes re-requested by those retries
     n_breaker_skips: int = 0        # replica sources skipped (breaker open)
     n_abandoned: int = 0            # attempts abandoned by per-attempt timeouts
-    # Bytes of losing striped fragments fetched but unused, rolled up
-    # from this cluster's fetchers (see WorkerStats for the DES path).
-    fragments_wasted_bytes: int = 0
     # Per-successful-fetch wall seconds (cache hits excluded), pooled
     # from this cluster's fetchers -- the p95 latency sample set.
     fetch_latencies: list = field(default_factory=list)
@@ -209,12 +205,6 @@ class ClusterStats(_Ratios):
     @property
     def workers_failed(self) -> int:
         return sum(1 for w in self.workers if w.failed)
-
-    @property
-    def wasted_fragment_bytes(self) -> int:
-        """Losing-fragment bytes: fetcher rollup plus DES worker counts."""
-        workers = sum(w.fragments_wasted_bytes for w in self.workers)
-        return self.fragments_wasted_bytes + workers
 
     @property
     def fetch_p95_s(self) -> float:
@@ -259,10 +249,6 @@ class RunStats(_Ratios):
     @property
     def n_failed_workers(self) -> int:
         return sum(c.workers_failed for c in self.clusters.values())
-
-    @property
-    def fragments_wasted_bytes(self) -> int:
-        return sum(c.wasted_fragment_bytes for c in self.clusters.values())
 
     @property
     def n_breaker_transitions(self) -> int:
@@ -329,7 +315,8 @@ class RunStats(_Ratios):
         and ``fetch_p95_ms``.  The erasure columns do the same for the
         coding rung: ``n_parity_decodes`` (reassemblies that needed a
         GF/XOR decode because a data fragment lost its race or store)
-        and ``wasted_frag_bytes`` (losing fragments fetched anyway).
+        and ``wasted_frag_bytes`` (bytes of race losers, booked when
+        their race was won).
         """
         return self._cluster_rows(
             "n_retries n_errors bytes_retried workers_failed jobs_recovered "
@@ -388,7 +375,7 @@ class RunStats(_Ratios):
 #: Table columns that are not the attribute of the same name.  Every float
 #: cell is rounded to 4 places unless its column rounds tighter here.
 _COMPUTED: dict[str, Callable[[Any], Any]] = {
-    "wasted_frag_bytes": lambda c: c.wasted_fragment_bytes,
+    "wasted_frag_bytes": lambda c: c.fragments_wasted_bytes,
     "fetch_p95_ms": lambda c: round(c.fetch_p95_s * 1e3, 3),
     "fold_ns_per_byte": lambda c: round(c.fold_ns_per_byte, 3),
     "fetches_single": lambda c: c.n_single_fetches,

@@ -34,6 +34,9 @@ class StorageStats:
     # was left running (bounded by the retry layer's AbandonGuard) and
     # its result discarded.
     n_abandoned: int = 0
+    # Race legs still reading this backend after their race returned
+    # (a gauge; see ``ParallelFetcher._detach``).
+    n_detached: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     # Seconds per byte of the last few GETs the fetch layer timed against
     # this backend: the evidence its fan-out decision reads.  It lives
@@ -65,6 +68,18 @@ class StorageStats:
     def record_abandoned(self) -> None:
         with self._lock:
             self.n_abandoned += 1
+
+    def try_detach(self, cap: int) -> bool:
+        """Count one more detached race leg, unless ``cap`` are live."""
+        with self._lock:
+            if self.n_detached >= cap:
+                return False
+            self.n_detached += 1
+            return True
+
+    def release_detached(self) -> None:
+        with self._lock:
+            self.n_detached -= 1
 
     def record_get_time(self, nbytes: int, seconds: float) -> None:
         """One successful GET of ``nbytes`` (> 0) took ``seconds``."""

@@ -122,7 +122,7 @@ class HedgePolicy:
     latency EWMA (never less than ``min_threshold_s``; before the EWMA
     warms up the floor alone applies) is *hedged*: the same chunk is
     requested from up to ``max_hedges`` further replicas and the first
-    successful result wins, the losers being cancelled or absorbed.
+    successful result wins, the losers being cancelled or detached.
 
     String form (for ``--hedge``)::
 

@@ -13,7 +13,9 @@ engines' data pipeline:
 * one k-of-n source race (:meth:`ParallelFetcher._race`) behind every
   multi-source fetch: replica failover and hedging are its k = 1 case
   over a chunk's ``sources``, erasure-striped retrieval its k-of-(k+m)
-  case over a stripe's ``fragments``;
+  case over a stripe's ``fragments``.  A won race books its running
+  losers and detaches them, so nothing -- not the fetch, not
+  :meth:`ParallelFetcher.close` -- waits on a straggler;
 * :meth:`ParallelFetcher.fetch_chunk_async`, which runs a whole chunk
   fetch on a background thread so a worker can overlap the retrieval of
   the jobs it has reserved with the processing of the current one
@@ -58,6 +60,10 @@ FAILOVER_ERRORS: tuple[type[BaseException], ...] = (
 #: Default floor on parallel sub-range size: below this a GET is all
 #: request overhead, so ranges are coalesced rather than shattered.
 DEFAULT_MIN_PART_NBYTES = 4096
+
+#: Threads in a fetcher's hedge pool, and the most race losers that may
+#: outlive their race per store (:meth:`ParallelFetcher._detach`).
+HEDGE_POOL_WIDTH = 32
 
 
 def split_range(
@@ -126,6 +132,10 @@ class FetchInfo:
     # store).
     n_fragments: int = 0
     n_parity_decodes: int = 0
+    # Bytes of the race's losing legs: the wire bytes each loser still
+    # running at the win had requested, and what losers that finished
+    # alongside the winners fetched.  Final when the fetch returns.
+    fragments_wasted_bytes: int = 0
 
 
 class PrefetchHandle:
@@ -191,6 +201,14 @@ def _wire_range(chunk, src) -> tuple[int, int]:
     return offset, nbytes
 
 
+def _source_range(chunk, src) -> tuple[int, int]:
+    """The byte range a fetch of ``chunk`` from ``src`` requests: the
+    logical range of a plain chunk, the encoded one of a coded chunk."""
+    if chunk.codec is None:
+        return chunk.offset, chunk.nbytes
+    return _wire_range(chunk, src)
+
+
 def _decode_frame(chunk, frame, info: FetchInfo, t0: float) -> Buffer:
     """Decode ``chunk``'s wire frame, booking ``decode_s`` since ``t0``
     and the inflate copy, and check the index's logical size."""
@@ -241,7 +259,7 @@ class ParallelFetcher:
     candidates and learns from every leg; a
     :class:`~repro.storage.health.HedgePolicy` launches a backup for a
     leg still in flight past its threshold.  Each fetch's
-    :class:`FetchInfo` is its only ledger.
+    :class:`FetchInfo` is its only ledger, its race's losers included.
     """
 
     def __init__(
@@ -280,10 +298,6 @@ class ParallelFetcher:
         #: Ranges fetched with one GET / split over the range pool.
         self.n_single_fetches = 0
         self.n_split_fetches = 0
-        #: Bytes of losing race legs that completed anyway (fetched but
-        #: unused); fetcher-level only, rolled up after close() since
-        #: losers land after their fetch returns.
-        self.fragments_wasted_bytes = 0
         #: per-successful-fetch wall seconds (decode excluded, cache
         #: hits excluded) -- the sample pool for p95 fetch latency.
         self.fetch_latencies: list[float] = []
@@ -298,6 +312,10 @@ class ParallelFetcher:
             else None
         )
         self._prefetch_pool: ThreadPoolExecutor | None = None
+        #: Detached race legs running on the hedge pool or reading the
+        #: store (:meth:`_detach`); ``close`` leaves the rest to the last.
+        self._n_detached = 0
+        self._closed = False
 
     def _plan_parts(self, nbytes: int) -> int:
         """Sub-range fan-out for a fetch of ``nbytes``.
@@ -379,6 +397,7 @@ class ParallelFetcher:
             sources,
             lambda s: self._route(s)._fetch_chunk_source(chunk, s),
             self.hedge,
+            lambda s: _source_range(chunk, s)[1],
         )
 
     def fetch_chunk_into(self, chunk, out, *, encoded: bool) -> FetchInfo:
@@ -441,17 +460,25 @@ class ParallelFetcher:
         return data, info
 
     def _fetch_replicated(
-        self, sources, leg, hedge: HedgePolicy | None
+        self,
+        sources,
+        leg,
+        hedge: HedgePolicy | None,
+        wire: Callable[[object], int] | None = None,
     ) -> tuple[Buffer, FetchInfo]:
         """The first of ``sources`` to yield the chunk: a k = 1 race.
         ``fetch_s`` is the winning leg's own time, or from first launch
-        to the win when hedged (the hedge's wait counts)."""
+        to the win when hedged (the hedge's wait counts).  ``wire``
+        sizes a loser's request; an unhedged race has no losers."""
         books = FetchInfo()
         t0 = time.monotonic()
-        ((_, data, info, latency),) = self._race(list(sources), 1, leg, books, hedge)
+        ((_, data, info, latency),) = self._race(
+            list(sources), 1, leg, books, hedge, wire=wire
+        )
         info.n_failovers = books.n_failovers
         info.n_hedges = books.n_hedges
         info.hedge_wins = books.hedge_wins
+        info.fragments_wasted_bytes = books.fragments_wasted_bytes
         if hedge is not None:
             latency = max(0.0, time.monotonic() - t0 - info.decode_s)
         self._book_latency(info, latency)
@@ -466,9 +493,44 @@ class ParallelFetcher:
             # (never while one sits idle), so the generous cap costs
             # nothing on quiet runs.
             self._hedge_pool = ThreadPoolExecutor(
-                max_workers=32, thread_name_prefix="hedge"
+                max_workers=HEDGE_POOL_WIDTH, thread_name_prefix="hedge"
             )
         return self._hedge_pool
+
+    def _detach(self, fut: Future, owner: "ParallelFetcher") -> bool:
+        """Let the running race leg ``fut``, which reads ``owner``'s
+        store, finish after its race has returned.
+
+        False, and nothing changes, when that store already has
+        :data:`HEDGE_POOL_WIDTH` detached legs alive (its
+        ``stats.n_detached``): a store that never answers cannot grow
+        threads without bound.  A detached leg still reports to the
+        health registry; until it ends, this fetcher and ``owner`` keep
+        the pools and sibling map it may use (:meth:`close`).
+        """
+        stats = owner.store.stats
+        if not stats.try_detach(HEDGE_POOL_WIDTH):
+            return False
+        holders = {self, owner}
+        for f in holders:
+            f._hold(1)
+
+        def done(_: Future) -> None:
+            stats.release_detached()
+            for f in holders:
+                f._hold(-1)
+
+        fut.add_done_callback(done)
+        return True
+
+    def _hold(self, delta: int) -> None:
+        """Count a detached leg in or out; the last one out of a closed
+        fetcher lets go of what :meth:`close` left to it."""
+        with self._counter_lock:
+            self._n_detached += delta
+            last = self._closed and not self._n_detached
+        if last:
+            self._let_go(wait=False)
 
     def _race(
         self,
@@ -479,6 +541,7 @@ class ParallelFetcher:
         hedge: HedgePolicy | None,
         *,
         n_data: int | None = None,
+        wire: Callable[[object], int] | None = None,
     ) -> list[tuple[object, Buffer, FetchInfo, float]]:
         """Fetch from the first ``k`` of ``cands`` to succeed.
 
@@ -501,11 +564,14 @@ class ParallelFetcher:
         less decode.  Open stores demoted behind ``k`` healthy
         candidates and breaker refusals count in ``n_breaker_skips``.
         ``books`` receives ``n_failovers`` (failed legs),
-        ``n_hedges`` (hedge launches) and ``hedge_wins`` (winners that
-        were hedge launches) on every exit.  A winning race cancels its
-        queued losers; running ones finish in the background, and a
-        success among them credits its wire bytes to
-        ``fragments_wasted_bytes``.
+        ``n_hedges`` (hedge launches), ``hedge_wins`` (winners that
+        were hedge launches) and ``fragments_wasted_bytes`` on every
+        exit.  A winning race cancels its queued losers and books each
+        one still running by the wire bytes it requested (``wire(cand)``;
+        nothing without ``wire``), then detaches it (:meth:`_detach`):
+        nothing waits on it, and its outcome reaches only the health
+        registry.  Past its store's cap of detached legs the race waits
+        for that loser before returning.
 
         A race is lost on any other error (a bug, which propagates) or
         once ``k`` is out of reach (the last failover error propagates;
@@ -602,11 +668,6 @@ class ParallelFetcher:
             elif bug is None:
                 bug = exc
 
-        def credit(fut: Future) -> None:
-            if not fut.cancelled() and fut.exception() is None:
-                with self._counter_lock:
-                    self.fragments_wasted_bytes += fut.result()[1].bytes_wire
-
         try:
             while len(wins) < k and bug is None:
                 while len(inflight) + len(wins) < k and next_i < n:
@@ -644,15 +705,24 @@ class ParallelFetcher:
             assert last_exc is not None  # only a failed leg puts k out of reach
             raise last_exc
         finally:
-            for f in inflight:  # hedged losers: absorbed in the background
-                if not drop(f):
-                    f.add_done_callback(credit)
+            # The race's losers: booked now, left to finish on their own.
+            over_cap = []
+            for f, (cand, _, _) in inflight.items():
+                if drop(f):
+                    continue
+                if wire is not None:
+                    wasted += wire(cand)
+                owner = self.siblings.get(cand.location, self)
+                if not f.done() and not self._detach(f, owner):
+                    over_cap.append(f)
+            if over_cap:
+                wait(over_cap)
             books.n_failovers = failovers
             books.n_hedges = n_hedges
             books.hedge_wins = hedge_wins
+            books.fragments_wasted_bytes = wasted
             with self._counter_lock:
                 self.n_breaker_skips += skips
-                self.fragments_wasted_bytes += wasted
 
     def _fetch_chunk_striped(self, chunk) -> tuple[Buffer, FetchInfo]:
         """Fastest-k-of-n fetch of an erasure-striped chunk.
@@ -678,7 +748,9 @@ class ParallelFetcher:
 
         info = FetchInfo(bytes_logical=chunk.nbytes, n_fragments=k)
         t_start = time.monotonic()
-        wins = self._race(frags, k, leg, info, self.hedge, n_data=k)
+        wins = self._race(
+            frags, k, leg, info, self.hedge, n_data=k, wire=lambda f: f.nbytes
+        )
         info.fetch_s = max(0.0, time.monotonic() - t_start)
         info.cache_hit = all(w.cache_hit for _, _, w, _ in wins)
         info.bytes_wire = sum(w.bytes_wire for _, _, w, _ in wins)
@@ -709,10 +781,7 @@ class ParallelFetcher:
         Runs on the fetcher owning the source's store.
         """
         key = chunk.key if src is None else src.key
-        if chunk.codec is None:
-            offset, nbytes = chunk.offset, chunk.nbytes
-        else:
-            offset, nbytes = _wire_range(chunk, src)
+        offset, nbytes = _source_range(chunk, src)
         data, hit = self.fetch_with_info(key, offset, nbytes)
         info = FetchInfo(
             cache_hit=hit, bytes_wire=0 if hit else nbytes, bytes_logical=chunk.nbytes
@@ -901,14 +970,30 @@ class ParallelFetcher:
         return handle
 
     def close(self) -> None:
+        """Join the fetcher's pools and drop its sibling map.
+
+        A race loser detached by :meth:`_race` is the one thing that may
+        outlive this.  While one runs on the hedge pool or reads this
+        store, the hedge pool is only drained -- no leg is submitted to
+        it any more, and each thread exits once its leg has ended -- and
+        the range pool and sibling map, which such a leg may still use,
+        are let go by the last of them.
+        """
         if self._prefetch_pool is not None:
             self._prefetch_pool.shutdown(wait=True)
             self._prefetch_pool = None
+        with self._counter_lock:
+            self._closed = True
+            detached = self._n_detached > 0
         if self._hedge_pool is not None:
-            self._hedge_pool.shutdown(wait=True)
+            self._hedge_pool.shutdown(wait=not detached)
             self._hedge_pool = None
+        if not detached:
+            self._let_go(wait=True)
+
+    def _let_go(self, wait: bool) -> None:
         if self._pool is not None:
-            self._pool.shutdown(wait=True)
+            self._pool.shutdown(wait=wait)
         # The sibling map holds this fetcher too: drop it, so a closed
         # fetcher set is freed by reference counting, not left as a cycle.
         self.siblings = {}

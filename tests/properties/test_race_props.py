@@ -73,10 +73,12 @@ class Legs:
 
 
 def run_race(fetcher, n, k, legs, hedge=None, n_data=None):
+    """Race ``n`` candidates; leg ``i`` requests ``10 + i`` wire bytes."""
     books = FetchInfo()
     try:
         wins = fetcher._race(
-            [Cand(i) for i in range(n)], k, legs, books, hedge, n_data=n_data
+            [Cand(i) for i in range(n)], k, legs, books, hedge,
+            n_data=n_data, wire=lambda c: 10 + c.i,
         )
     except BaseException as exc:
         return None, exc, books
@@ -171,9 +173,10 @@ class TestHedgedRace:
             wins, exc, books = run_race(fetcher, 2, 1, legs, hedge)
             assert exc is None and [c.i for c, *_ in wins] == [1]
             assert (books.n_hedges, books.hedge_wins) == (1, 1)
+            # Booked at the win, by the bytes it requested, while the
+            # stalled leg is still parked.
+            assert books.fragments_wasted_bytes == 10 and legs.running == 1
             gate.set()  # the stalled leg completes after the race
-        # close() joined it: its bytes were fetched for nothing.
-        assert fetcher.fragments_wasted_bytes == 10
 
     def test_failover_is_not_a_hedge(self):
         legs = Legs([FAIL, OK], {0: PermanentStorageError("dead")})
@@ -194,9 +197,9 @@ class TestHedgedRace:
             wins, exc, books = run_race(fetcher, 3, 1, legs, hedge)
             assert exc is None and [c.i for c, *_ in wins] == [0]
             assert (books.n_hedges, books.hedge_wins) == (1, 0)
+            assert books.fragments_wasted_bytes == 11 and legs.running == 1
             hedge_gate.set()
         assert sorted(legs.launched) == [0, 1]
-        assert fetcher.fragments_wasted_bytes == 11
 
     def test_parity_hedge_joins_the_winners(self):
         gate = threading.Event()

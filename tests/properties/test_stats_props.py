@@ -34,21 +34,20 @@ CLUSTER_COUNTERS = (
 
 #: Worker counters ``ClusterStats`` / ``RunStats`` forwarded by hand
 #: before the rollup was derived -- the surface that must keep reading
-#: the same values.  (``fragments_wasted_bytes`` is special at both
-#: levels and checked on its own below.)
+#: the same values.
 LEGACY_CLUSTER = MEANS + (
     "jobs_processed", "jobs_stolen", "prefetch_hits", "prefetch_misses",
     "cache_hits", "cache_misses", "jobs_recovered", "recovery_s", "shm_nbytes",
     "bytes_wire", "bytes_logical", "decode_s", "fold_s", "bytes_folded",
     "n_fold_calls", "n_copies", "n_failovers", "n_hedges", "hedge_wins",
-    "n_fragments", "n_parity_decodes",
+    "n_fragments", "n_parity_decodes", "fragments_wasted_bytes",
 )
 LEGACY_RUN = (
     "jobs_processed", "jobs_stolen", "prefetch_hits", "cache_hits",
     "cache_misses", "n_failovers", "n_hedges", "hedge_wins", "n_fragments",
     "n_parity_decodes", "jobs_recovered", "recovery_s", "shm_nbytes",
     "bytes_wire", "bytes_logical", "decode_s", "fold_s", "bytes_folded",
-    "n_fold_calls", "n_copies",
+    "n_fold_calls", "n_copies", "fragments_wasted_bytes",
 ) + CLUSTER_COUNTERS
 
 
@@ -70,7 +69,7 @@ worker_stats = st.builds(
 @st.composite
 def cluster_stats(draw, name):
     c = ClusterStats(name, name, workers=draw(st.lists(worker_stats, max_size=4)))
-    for attr in CLUSTER_COUNTERS + ("fragments_wasted_bytes",):
+    for attr in CLUSTER_COUNTERS:
         setattr(c, attr, draw(st.integers(0, 10**6)))
     c.fetch_latencies = draw(
         st.lists(st.floats(0.0, 10.0, allow_nan=False), max_size=12)
@@ -127,8 +126,6 @@ class TestRollup:
     def test_every_worker_counter_rolls_up_at_both_levels(self, rs):
         """Adding a field to ``WorkerStats`` is all a new counter needs."""
         for name in WORKER_COUNTERS:
-            if name == "fragments_wasted_bytes":
-                continue  # fetcher-fed at cluster level, see below
             for c in rs.clusters.values():
                 assert getattr(c, name) == pytest.approx(brute_cluster(c, name)), name
             assert getattr(rs, name) == pytest.approx(brute_run(rs, name)), name
@@ -143,15 +140,9 @@ class TestRollup:
                 brute_cluster(c, n)
                 for n in ("processing_s", "retrieval_s", "sync_s", "ipc_s", "ser_s")
             ))
-            assert c.wasted_fragment_bytes == c.fragments_wasted_bytes + sum(
-                w.fragments_wasted_bytes for w in c.workers
-            )
             assert c.fetch_p95_s == p95(c.fetch_latencies)
         clusters = list(rs.clusters.values())
         assert rs.n_failed_workers == sum(c.workers_failed for c in clusters)
-        assert rs.fragments_wasted_bytes == sum(
-            c.wasted_fragment_bytes for c in clusters
-        )
         assert rs.n_breaker_transitions == sum(rs.breakers["cloud"].values())
         assert rs.fetch_p95_s == p95([s for c in clusters for s in c.fetch_latencies])
 

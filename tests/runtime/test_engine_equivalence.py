@@ -1,9 +1,11 @@
 """Engine equivalence: both executors compute the same answers.
 
 The threaded and process engines implement the same
-head/master/slave protocol over the same scheduler -- and, since the
-shared-core refactor, the same :class:`SlaveRuntime` worker loop behind
-the same :class:`EngineOptions` surface.  For every application, data
+head/master/slave protocol over the same scheduler, the same fold step
+(:func:`~repro.runtime.core.decode_and_fold`) and the same run
+epilogue, behind the same :class:`EngineOptions` surface: a threaded
+run is one job on a one-run service, whose fleet worker is the only
+in-process worker loop.  For every application, data
 placement, and feature combination (prefetch, chunk cache, retries
 under injected faults, worker crashes) they must produce identical
 results and account every job exactly once -- no job lost, none

@@ -75,7 +75,6 @@ def populated_run() -> RunStats:
             ))
         c.n_retries, c.n_errors, c.bytes_retried = 3 * scale, scale, 300 * scale
         c.n_breaker_skips, c.n_abandoned = 2 * scale, scale
-        c.fragments_wasted_bytes = 50 * scale
         c.fetch_latencies = [0.001234567 * j * scale for j in range(1, 21)]
         c.n_single_fetches, c.n_split_fetches = 7 * scale, 2 * scale
         c.get_s_per_byte = {"local": 1.5e-9, "cloud": None}
@@ -118,7 +117,7 @@ def test_cell_values_and_rounding_are_pinned():
         "cluster": "local", "n_retries": 3, "n_errors": 1, "bytes_retried": 300,
         "workers_failed": 1, "jobs_recovered": 3, "recovery_s": 1.6667,
         "n_failovers": 3, "n_hedges": 6, "hedge_wins": 3, "n_breaker_skips": 2,
-        "n_abandoned": 1, "n_parity_decodes": 3, "wasted_frag_bytes": 80,
+        "n_abandoned": 1, "n_parity_decodes": 3, "wasted_frag_bytes": 30,
         "fetch_p95_ms": 24.691,
     })
     assert json.dumps(rs.transfer_rows()[0]) == json.dumps({

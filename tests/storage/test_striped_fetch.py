@@ -191,8 +191,7 @@ class TestStripedFetch:
             assert info.n_fragments == 4
             assert info.n_parity_decodes == 0  # all data legs healthy
             assert info.n_copies == 1  # exactly the reassembly copy
-        wasted = sum(f.fragments_wasted_bytes for f in fetchers.values())
-        assert wasted == 0
+        assert sum(info.fragments_wasted_bytes for _, info in results) == 0
 
     def test_encoded_chunks_count_decode_copy(self):
         stores = make_stores()
