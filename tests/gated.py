@@ -19,14 +19,22 @@ class GatedStore(MemoryStore):
     """In-memory store, one gate per object key.
 
     ``parked`` lists the keys whose GET is waiting, in arrival order.
+    Stores built with one shared ``cond`` (:func:`gated_copies`) can be
+    watched together (:func:`wait_parked_in`).
     ``fail_arrivals`` / ``missing_arrivals`` name GETs by arrival number
     (1 = the first ever): once released, the former raise a retryable
     error, the latter ``KeyError`` (a non-recoverable one).
     """
 
-    def __init__(self, location: str = "local", *, gated: bool = True) -> None:
+    def __init__(
+        self,
+        location: str = "local",
+        *,
+        gated: bool = True,
+        cond: threading.Condition | None = None,
+    ) -> None:
         super().__init__(location)
-        self._cond = threading.Condition()
+        self._cond = threading.Condition() if cond is None else cond
         self._open: set[str] = set()
         self._gated = gated
         self.parked: list[str] = []
@@ -76,3 +84,26 @@ class GatedStore(MemoryStore):
         with self._cond:
             self._gated = False
             self._cond.notify_all()
+
+
+def gated_copies(stores: dict[str, MemoryStore]) -> dict[str, GatedStore]:
+    """A gated copy of every store, all behind one condition, so a
+    dataset can be organized ungated and then read through gates."""
+    cond = threading.Condition()
+    gated = {}
+    for loc, store in stores.items():
+        gated[loc] = GatedStore(loc, cond=cond)
+        for key in store.list_keys():
+            gated[loc].put(key, store.get(key))
+    return gated
+
+
+def wait_parked_in(stores: dict[str, GatedStore], n: int) -> list[tuple[str, str]]:
+    """Block until ``n`` GETs are waiting across ``gated_copies`` stores;
+    returns their ``(location, key)`` pairs."""
+    cond = next(iter(stores.values()))._cond
+    with cond:
+        assert cond.wait_for(
+            lambda: sum(len(s.parked) for s in stores.values()) >= n, WAIT_S
+        ), f"only {[s.parked for s in stores.values()]} parked, wanted {n}"
+        return [(loc, key) for loc, s in stores.items() for key in s.parked]
