@@ -1,0 +1,87 @@
+"""``raced`` names exactly the fetches whose legs run on the hedge pool.
+
+The service opens its read-ahead window behind a raced job, and the
+process engine's feeder hands raced chunks to ``fetch_chunk``, both on
+the promise that such a fetch's legs run concurrently on the fetcher's
+hedge pool.  Every chunk shape here is fetched once through
+``fetch_chunk`` with pools that count their submissions, and the
+predicate must agree with what the race actually did.
+"""
+
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from repro.data.dataset import (
+    distribute_dataset,
+    replicate_dataset,
+    stripe_dataset,
+    write_dataset,
+)
+from repro.data.formats import RecordFormat
+from repro.runtime.core import ClusterConfig, EngineOptions, make_cluster_fetchers
+from repro.storage.health import HedgePolicy
+from repro.storage.local import MemoryStore
+from repro.storage.transfer import raced
+
+FMT = RecordFormat("bytes", np.uint8, ())
+HEDGE = HedgePolicy(min_threshold_s=0.001, max_hedges=1)
+
+
+class CountingPool(ThreadPoolExecutor):
+    def __init__(self) -> None:
+        super().__init__(max_workers=8)
+        self.submits = 0
+
+    def submit(self, *args, **kwargs):
+        self.submits += 1
+        return super().submit(*args, **kwargs)
+
+
+def make_index(stores, *, replicas=0, stripe=None):
+    units = np.arange(120, dtype=np.uint8).reshape(120, *FMT.record_shape)
+    index = write_dataset(units, FMT, stores["local"], n_files=2, chunk_units=20)
+    index = distribute_dataset(
+        index, stores, {"local": 0.5, "cloud": 0.5}, stores["local"]
+    )
+    if replicas:
+        index = replicate_dataset(index, stores, n_replicas=replicas)
+    if stripe is not None:
+        index = stripe_dataset(index, stores, k=stripe[0], m=stripe[1])
+    return index
+
+
+@pytest.mark.parametrize("hedge", [None, HEDGE], ids=["unhedged", "hedged"])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {},
+        {"replicas": 1},
+        {"replicas": 2},
+        {"stripe": (1, 1)},
+        {"stripe": (2, 0)},
+        {"stripe": (4, 2)},
+    ],
+    ids=["plain", "1-replica", "2-replicas", "stripe-1-1", "stripe-2-0", "stripe-4-2"],
+)
+def test_raced_iff_fetch_chunk_submits_to_the_hedge_pool(shape, hedge):
+    stores = {
+        name: MemoryStore(name) for name in ["local", "cloud", "spare0", "spare1"]
+    }
+    index = make_index(stores, **shape)
+    cluster = ClusterConfig("local", "local", n_workers=1, retrieval_threads=1)
+    fetchers = make_cluster_fetchers(stores, cluster, EngineOptions(hedge=hedge))
+    pools = {}
+    for loc, fetcher in fetchers.items():
+        pools[loc] = fetcher._hedge_pool = CountingPool()
+    try:
+        for chunk in index.chunks:
+            before = sum(p.submits for p in pools.values())
+            data, _ = fetchers[chunk.location].fetch_chunk(chunk)
+            assert memoryview(data).nbytes == chunk.nbytes
+            submitted = sum(p.submits for p in pools.values()) > before
+            assert raced(chunk, hedge) == submitted, (shape, chunk.chunk_id)
+    finally:
+        for fetcher in fetchers.values():
+            fetcher.close()
