@@ -89,7 +89,8 @@ class OptionFlag(NamedTuple):
 OPTION_FLAGS: dict[str, OptionFlag] = {
     "prefetch": OptionFlag("--prefetch", bool, dict(
         action=argparse.BooleanOptionalAction,
-        help="every worker reads two jobs ahead of the one it is processing "
+        help="every worker reads ahead of the job it is processing: two jobs "
+             "for chunks of 1.4 MB or more, up to eight for smaller ones "
              "(threaded workers always do behind striped chunks)")),
     "chunk_cache": OptionFlag("--cache-mb", _cache_from_mb, dict(
         type=float, metavar="MB",
@@ -166,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of dataset bytes stored locally (0..1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prefetch", action="store_true",
-                   help="pipeline each core: fetch the next two jobs under compute of job N")
+                   help="pipeline each core: fetch the next jobs under compute of "
+                        "job N (two for chunks of 1.4 MB or more, up to eight)")
     p.add_argument("--cache-mb", type=float, default=0.0,
                    help="per-cluster chunk-cache budget in MB (0 = no cache)")
     p.add_argument("--iterations", type=int, default=1,

@@ -59,6 +59,8 @@ from repro.storage.transfer import (
 
 __all__ = [
     "READAHEAD",
+    "READAHEAD_MAX",
+    "READAHEAD_NBYTES",
     "ClusterConfig",
     "RunResult",
     "EngineOptions",
@@ -69,20 +71,59 @@ __all__ = [
     "decode_and_fold",
     "make_cluster_fetchers",
     "rollup_fetcher_stats",
+    "window_depth",
+    "window_has_room",
     "finalize_timing",
     "finalize_run",
     "finalize_result",
 ]
 
 
-#: Chunk fetches a reading-ahead worker keeps in flight while it folds.
-#: One (a double buffer) hides retrieval only under a fold that takes
-#: at least as long; a retrieval-bound worker then still idles through
-#: every fetch, one stream at a time.  Two keep the link busy while the
-#: worker waits on the older one; a third measured no faster on the
-#: suite's WAN (the aggregate cap is the floor) and each costs another
-#: decoded chunk of memory per worker.  The DES imports it.
+#: The fewest chunk fetches a reading-ahead worker keeps in flight while
+#: it folds.  One (a double buffer) hides retrieval only under a fold
+#: that takes at least as long; a retrieval-bound worker then still
+#: idles through every fetch, one stream at a time.  Two keep the link
+#: busy while the worker waits on the older one; more measured no faster
+#: on the suite's WAN with 1.6 MB chunks (the aggregate cap is the
+#: floor) and each costs another decoded chunk of memory per worker, so
+#: the window is sized in bytes (:func:`window_depth`).
 READAHEAD = 2
+
+#: Decoded bytes a reading-ahead worker reserves against: past
+#: ``READAHEAD`` fetches it reserves another only while the chunk it
+#: folds and the fetches in flight hold no more than two 2 MiB chunks.
+#: Smaller chunks so get more entries, and a window of short races
+#: still spans a stalled store's hedge delay.
+READAHEAD_NBYTES = READAHEAD * (2 << 20)
+
+#: The deepest a read-ahead window grows, however small its chunks.
+READAHEAD_MAX = 4 * READAHEAD
+
+
+def window_has_room(n: int, held_nbytes: int, limit: int = READAHEAD_MAX) -> bool:
+    """Whether a reading-ahead worker with ``n`` fetches in flight
+    reserves another.
+
+    ``held_nbytes`` is what the worker holds: the chunk it folds plus
+    those ``n``.  It always keeps :data:`READAHEAD` in flight, and past
+    that reserves while it holds no more than :data:`READAHEAD_NBYTES`,
+    up to ``limit`` fetches.  The bound is on the bytes held, not on the
+    chunk that opened the window, so a small chunk (a file's ragged
+    tail, another run's stripe) cannot fill it with large ones.  The
+    live fleet worker and the DES both reserve by it.
+    """
+    return n < READAHEAD or (n < limit and held_nbytes <= READAHEAD_NBYTES)
+
+
+def window_depth(nbytes: int) -> int:
+    """How deep :func:`window_has_room` lets the window grow over chunks
+    of ``nbytes`` each.
+
+    ``READAHEAD`` for chunks of ``READAHEAD_NBYTES / 3`` (1.4 MB) or
+    more, as many as fit in ``READAHEAD_NBYTES`` below that, and never
+    more than :data:`READAHEAD_MAX` (an empty chunk included).
+    """
+    return max(READAHEAD, min(READAHEAD_MAX, READAHEAD_NBYTES // max(1, nbytes)))
 
 
 @dataclass(frozen=True)
@@ -125,8 +166,9 @@ class EngineOptions:
     #: per-unit-group loop (the ablation baseline).
     batch_fold: bool = True
     verify_chunks: bool = False
-    #: Read ahead (:data:`READAHEAD` fetches in flight per worker) for
-    #: every job.  Off, a threaded worker still does behind striped
+    #: Read ahead (:func:`window_has_room`: two fetches in flight per
+    #: worker, up to eight while they hold no more than
+    #: :data:`READAHEAD_NBYTES`) for every job.  Off, a threaded worker still does behind striped
     #: chunks; the process engine double-buffers only when on.
     prefetch: bool = False
     chunk_cache: ChunkCache | None = None
@@ -258,15 +300,15 @@ def make_cluster_fetchers(
     """One fetcher per data location for one cluster.
 
     Each fetcher has room for every chunk fetch the cluster's workers
-    can have in flight at once -- :data:`READAHEAD` per worker, whether
-    the window opens for every job (``options.prefetch``), only for
-    striped ones, or never (the process feeder) -- at ``retrieval_threads``
-    connections each, so neither a sibling worker's fetch nor a worker's
-    own second read-ahead queues behind the first.  The pools spawn
-    threads on demand, though back-to-back submits may start a few more
-    than the fetches in flight, up to that cap.  The cache, retry
-    policy, fan-out and hedge come from ``options``.  Shared by both
-    live engines.
+    can have in flight at once -- :data:`READAHEAD_MAX` per worker, the
+    deepest read-ahead window, whether it opens for every job
+    (``options.prefetch``), only for striped ones, or never (the process
+    feeder) -- at ``retrieval_threads`` connections each, so neither a
+    sibling worker's fetch nor a worker's own later read-ahead queues
+    behind the first.  The pools spawn threads on demand, though
+    back-to-back submits may start a few more than the fetches in
+    flight, up to that cap.  The cache, retry policy, fan-out and hedge
+    come from ``options``.  Shared by both live engines.
 
     Each cluster's fetchers are wired as *siblings* of one another, so a
     chunk carrying replica sources routes each source to the fetcher
@@ -274,7 +316,7 @@ def make_cluster_fetchers(
     :class:`~repro.storage.health.HealthRegistry`) flows to every
     fetcher.
     """
-    chunks_in_flight = max(1, cluster.n_workers) * READAHEAD
+    chunks_in_flight = max(1, cluster.n_workers) * READAHEAD_MAX
     fetchers: dict[str, ParallelFetcher] = {}
     for loc, store in stores.items():
         fetchers[loc] = ParallelFetcher(

@@ -17,8 +17,9 @@ stats accounting, crash injection and containment) and the shared
 Two data-pipeline optimizations sit on the fetch path:
 
 * **prefetching** (``prefetch=True``, and always behind a striped
-  chunk): before folding job *N* a worker reserves the next
-  ``READAHEAD`` (two) jobs from its master and retrieves their bytes
+  chunk): before folding job *N* a worker reserves the next jobs from
+  its master, as many as its byte-bounded window has room for
+  (:func:`~repro.runtime.core.window_has_room`), and retrieves their bytes
   on background threads, overlapping data movement with computation
   and -- when retrieval is the bottleneck -- keeping the link busy
   while it waits (the transport of data-cloud engines like

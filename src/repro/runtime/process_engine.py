@@ -36,10 +36,12 @@ changes:
   it: after its ``done``, when its worker crashed (a crashed worker
   skips the job messages still queued for it), or when the run is
   being abandoned and its result discarded.
-* **one feeder thread per worker** pulls jobs from the master and keeps
-  up to two chunks in flight, so data movement overlaps worker compute
-  (the threaded fleet worker's read-ahead, across a process boundary --
-  the feeder shares the core's fetch-accounting helpers).
+* **one feeder thread per worker** pulls jobs from the master and, with
+  ``prefetch``, fetches the next chunk into shared memory while the
+  worker folds the one before: a fixed double buffer, not the threaded
+  fleet worker's byte-bounded read-ahead window
+  (:func:`~repro.runtime.core.window_has_room`).  The feeder shares the
+  core's fetch-accounting helpers.
 * **reduction objects return via pickle protocol-5 out-of-band
   buffers** (:func:`~repro.core.serialization.serialize_robj_oob`):
   the worker sends a tiny metadata pickle, the parent leases one

@@ -57,6 +57,7 @@ from repro.data.units import units_per_group
 from repro.runtime.blas_budget import BLAS_BUDGET
 from repro.runtime.core import (
     READAHEAD,
+    READAHEAD_MAX,
     ClusterConfig,
     EngineBase,
     EngineOptions,
@@ -66,6 +67,7 @@ from repro.runtime.core import (
     finalize_run,
     make_cluster_fetchers,
     rollup_fetcher_stats,
+    window_has_room,
 )
 from repro.runtime.jobs import Job, LocalJobPool
 from repro.runtime.pushdown import plan_jobs
@@ -77,7 +79,12 @@ from repro.storage.base import StorageBackend
 from repro.storage.codecs import Buffer
 from repro.storage.faults import WorkerCrash
 from repro.storage.retry import RetryExhausted
-from repro.storage.transfer import ParallelFetcher, PrefetchHandle, raced
+from repro.storage.transfer import (
+    HEDGE_POOL_WIDTH,
+    ParallelFetcher,
+    PrefetchHandle,
+    raced,
+)
 
 __all__ = ["BurstingService", "ServiceMaster", "ServiceSlave"]
 
@@ -240,16 +247,25 @@ class ServiceSlave:
     Behind a striped job whose fragments race on the hedge pool
     (:func:`~repro.storage.transfer.raced`), or behind every job with
     ``options.prefetch``, the worker reads ahead: before every fold it
-    reserves jobs (non-blocking) until :data:`READAHEAD` of them have
-    their fetch in flight, folds the current chunk, then waits for the
-    *oldest* reserved one -- so chunks fold in the order they were
-    reserved, and a retrieval-bound worker always has that many streams
-    open instead of idling on one.  There the window costs one hop more
-    than the race; for plain chunks and hedged replicas it cost CPU
-    without shortening the pass, so it stays opt-in.  The depth follows
-    the job just taken; a job reserved behind a stripe rides the window,
-    others are fetched on the worker's own thread.  A window entry whose
-    run was cancelled or failed after it was reserved is dropped unfolded.
+    reserves jobs (non-blocking) while the window has room
+    (:func:`~repro.runtime.core.window_has_room`) -- always
+    :data:`READAHEAD` fetches, and more, up to ``READAHEAD_MAX``, while
+    the chunk it folds and the window hold no more than
+    :data:`~repro.runtime.core.READAHEAD_NBYTES`: two entries behind
+    chunks of 1.4 MB or more, six behind 667 KB stripes -- folds the
+    current chunk, then waits for the *oldest* reserved one -- so chunks
+    fold in the order they were reserved, and a retrieval-bound worker
+    always has that many streams open instead of idling on one.  A
+    window holding raced jobs stays at :data:`READAHEAD` on a cluster of
+    more than one worker, whose races share one hedge pool per fetcher,
+    and a lone worker's race legs must fit that pool
+    (``HEDGE_POOL_WIDTH``).  There the window costs one hop more than
+    the race; for plain chunks and hedged replicas it cost CPU without
+    shortening the pass, so it stays opt-in.  Whether the window is
+    open follows the job just taken; a job reserved behind a stripe
+    rides the window, others are fetched on the worker's own thread.  A
+    window entry whose run was cancelled or failed after it was
+    reserved is dropped unfolded.
 
     Fault semantics: the crash-injection plan raises :class:`WorkerCrash`
     at the configured job count, and both injected crashes and
@@ -359,19 +375,47 @@ class ServiceSlave:
             w.jobs_recovered += 1
             w.recovery_s += elapsed
 
-    def _depth(self, job: Job) -> int:
-        """How many fetches to keep in flight while ``job`` folds."""
+    def _reads_ahead(self, job: Job) -> bool:
+        """Whether the window is open while ``job`` folds."""
         opts = self.service.options
         stripe = bool(job.chunk.fragments) and raced(job.chunk, opts.hedge)
-        return READAHEAD if opts.prefetch or stripe else 0
+        return opts.prefetch or stripe
 
-    def _read_ahead(self, depth: int) -> None:
-        """Reserve jobs and start their fetches until ``depth`` are in flight."""
-        while len(self._window) < depth:
+    def _limit(self, job: Job) -> int:
+        """The deepest window ``job`` may ride in.
+
+        A raced job's legs run on its fetcher's hedge pool, which every
+        worker of the cluster shares: with more than one worker a window
+        deeper than :data:`READAHEAD` measured slower, and a lone worker's
+        legs must still fit the pool, or a queued leg counts as late and
+        draws a hedge.
+        """
+        opts = self.service.options
+        if not raced(job.chunk, opts.hedge):
+            return READAHEAD_MAX
+        if self.cluster.n_workers > 1:
+            return READAHEAD
+        legs = job.chunk.stripe[0] if job.chunk.fragments else 1
+        return max(READAHEAD, min(READAHEAD_MAX, HEDGE_POOL_WIDTH // legs))
+
+    def _read_ahead(self, cur: Job) -> None:
+        """Reserve jobs and start their fetches while the window behind
+        ``cur`` has room (:func:`~repro.runtime.core.window_has_room`)."""
+        if not self._reads_ahead(cur):
+            return
+        # On the first fill ``cur`` is also the window's oldest entry and
+        # counts twice, so the window holds as many fetches with it as
+        # it will once ``cur`` is folding.
+        jobs = [cur] + [job for job, _ in self._window]
+        held = sum(job.chunk.nbytes for job in jobs)
+        limit = min(self._limit(job) for job in jobs)
+        while window_has_room(len(self._window), held, limit):
             job = self.master.reserve_next()
             if job is None:
                 return
             self._start_fetch(job)
+            held += job.chunk.nbytes
+            limit = min(limit, self._limit(job))
 
     def _start_fetch(self, job: Job) -> None:
         fetcher = self._ctx(job).fetchers[job.location]
@@ -433,10 +477,9 @@ class ServiceSlave:
                     cur_job = self.master.get_job()
                     if cur_job is None:
                         break
-                    depth = self._depth(cur_job)
-                    if depth:
+                    if self._reads_ahead(cur_job):
                         self._start_fetch(cur_job)
-                        self._read_ahead(depth)
+                        self._read_ahead(cur_job)
                 if window:
                     cur_job, handle = window[0]
                     if not self.service._job_live(cur_job):
@@ -448,12 +491,11 @@ class ServiceSlave:
                         self.service._discard_job(cur_job)
                         cur_job = None
                         continue
-                    depth = self._depth(cur_job)
                     raw = self._await_prefetch(cur_job, handle)
                     window.popleft()
                 else:
                     raw = self._fetch_now(cur_job)
-                self._read_ahead(depth)
+                self._read_ahead(cur_job)
                 self._maybe_crash()
                 self._process(cur_job, raw)
                 cur_job = None

@@ -19,9 +19,10 @@ The threaded engine's data-pipeline optimizations are modelled here with
 the same policies and accounting (so sweeps can quantify the win):
 
 * ``prefetch=True`` runs each core pipelined -- the fetches of the
-  next ``READAHEAD`` jobs (the live runtime's constant) proceed as their
-  own simulated flows while job *N* computes, and ``retrieval_s``
-  records only the residual stall (``overlap_s`` the hidden fetch time);
+  next jobs the window has room for (``window_has_room``, the live
+  runtime's rule) proceed as their own simulated flows while job *N*
+  computes, and ``retrieval_s`` records only the residual stall
+  (``overlap_s`` the hidden fetch time);
 * ``cache_nbytes``/``caches`` give each cluster a byte-budgeted
   :class:`~repro.storage.cache.ChunkCache` (size-only placeholders): a
   hit skips the storage/WAN links entirely, so a warmed cache makes
@@ -36,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.data.index import DataIndex
-from repro.runtime.core import READAHEAD
+from repro.runtime.core import window_has_room
 from repro.runtime.jobs import Job, jobs_from_index  # noqa: F401 (re-export)
 from repro.runtime.pushdown import plan_jobs
 from repro.runtime.scheduler import HeadScheduler
@@ -515,14 +516,14 @@ def _pipelined_worker_proc(
     """One simulated core reading ahead of its compute.
 
     Mirrors the live :class:`~repro.service.service.ServiceSlave` loop: the
-    core reserves jobs from its master until
-    :data:`~repro.runtime.core.READAHEAD` fetches are in flight -- each
-    its own simulated process, occupying the storage/WAN links while
-    the core occupies its CPU -- computes the current job, then waits
-    for the *oldest* reserved fetch.  The first job takes the same
-    route.  ``retrieval_s`` records only the residual stall;
-    ``overlap_s`` the fetch-seconds hidden under computation or under
-    each other.
+    core reserves jobs from its master while the window has room
+    (:func:`~repro.runtime.core.window_has_room`: the live worker's byte
+    bound; the DES has no hedge pool to cap it) -- each fetch its own
+    simulated process, occupying the storage/WAN links while the core
+    occupies its CPU -- computes the current job, then waits for the
+    *oldest* reserved fetch.  The first job takes the same route.  ``retrieval_s`` records only the
+    residual stall; ``overlap_s`` the fetch-seconds hidden under
+    computation or under each other.
 
     A finite ``fail_at_s`` kills the core at that instant, matching the
     serial worker's failure semantics: every job it holds uncompleted
@@ -555,12 +556,15 @@ def _pipelined_worker_proc(
         )
         window.append((job, done, info))
 
-    def read_ahead():
-        while len(window) < READAHEAD:
+    def read_ahead(cur: Job):
+        # ``cur`` counts twice on the first fill, as in the live worker.
+        held = cur.chunk.nbytes + sum(j.chunk.nbytes for j, _, _ in window)
+        while window_has_room(len(window), held):
             job = yield from master.get_job()
             if job is None:
                 return
             start_fetch(job)
+            held += job.chunk.nbytes
 
     def compute(job: Job):
         """Returns True if the job completed, False if the core died."""
@@ -587,7 +591,7 @@ def _pipelined_worker_proc(
             if job is None:
                 break
             start_fetch(job)
-            yield from read_ahead()
+            yield from read_ahead(job)
         job, fetched, info = window[0]
         if fetched.triggered:
             wstats.prefetch_hits += 1
@@ -603,7 +607,7 @@ def _pipelined_worker_proc(
         window.popleft()
         wstats.retrieval_s += stall
         wstats.overlap_s += max(0.0, info["fetch_s"] - stall)
-        yield from read_ahead()
+        yield from read_ahead(job)
         completed = yield from compute(job)
         if not completed:
             die(job)
@@ -684,9 +688,10 @@ def simulate_run(
     :class:`~repro.sim.multisite.MultiSiteTopology`) for other layouts,
     and ``site_sigmas`` to override per-site variability.
 
-    ``prefetch=True`` pipelines every core (the next ``READAHEAD`` jobs'
-    fetches run under the compute of job N); ``cache_nbytes`` gives each
-    cluster a byte-budgeted chunk cache, or pass ``caches`` (e.g. the previous
+    ``prefetch=True`` pipelines every core (the next jobs' fetches, as
+    many as :func:`~repro.runtime.core.window_has_room` admits, run under
+    the compute of job N); ``cache_nbytes`` gives each cluster a
+    byte-budgeted chunk cache, or pass ``caches`` (e.g. the previous
     iteration's :attr:`SimRunResult.caches`) to start warmed.  Prefetch
     composes with ``failures`` (a dying pipelined core returns its
     current and every reserved job to the head, matching the live

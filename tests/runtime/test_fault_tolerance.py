@@ -16,7 +16,7 @@ from repro.bursting.session import BurstingSession
 from repro.data.formats import points_format, tokens_format
 from repro.data.generator import generate_points, generate_tokens
 from repro.data.index import build_index
-from repro.runtime.core import READAHEAD, LockMaster
+from repro.runtime.core import LockMaster, window_depth
 from repro.runtime.engine import ClusterConfig
 from repro.runtime.jobs import jobs_from_index
 from repro.runtime.scheduler import HeadScheduler
@@ -152,7 +152,8 @@ class TestWorkerCrash:
             rr.result.centroids, clean.result.centroids
         )
         assert rr.stats.n_failed_workers == 1
-        assert 1 <= rr.stats.n_requeued_jobs <= 1 + READAHEAD
+        depth = max(window_depth(c.nbytes) for c in session.index.chunks)
+        assert 1 <= rr.stats.n_requeued_jobs <= 1 + depth
         assert rr.stats.jobs_recovered == rr.stats.n_requeued_jobs
         n_jobs = len(jobs_from_index(session.index))
         assert rr.stats.jobs_processed == n_jobs

@@ -4,7 +4,9 @@ A real fleet worker of a real :class:`BurstingService` (one run, one
 cluster) with real ``ParallelFetcher``s; only the store is a double
 (:class:`tests.gated.GatedStore`), so the test decides which fetch
 finishes when.  One chunk per object, one connection per fetch: a parked
-GET *is* a chunk fetch in flight.
+GET *is* a chunk fetch in flight.  The chunks are small, so the window
+is :func:`~repro.runtime.core.window_depth`'s deepest, and the run has a
+few jobs more than it holds.
 """
 
 import threading
@@ -16,12 +18,16 @@ import repro.service.service as service_mod
 from repro.apps.wordcount import WordCountSpec, wordcount_exact
 from repro.data.dataset import write_dataset
 from repro.data.generator import generate_tokens
-from repro.runtime.core import READAHEAD, ClusterConfig
+from repro.runtime.core import ClusterConfig, window_depth
 from repro.service.service import BurstingService, ServiceMaster
 from repro.storage.retry import RetryPolicy
 from tests.gated import WAIT_S, GatedStore
 
-N_JOBS = 7
+UNITS = 300
+#: Fetches in flight per worker over these chunks.
+DEPTH = window_depth(UNITS * WordCountSpec().fmt.unit_nbytes)
+#: Enough for two folds and a crash behind a full window.
+N_JOBS = DEPTH + 4
 NO_RETRY = RetryPolicy(max_attempts=1)
 
 
@@ -65,13 +71,14 @@ class Rig:
     def __init__(self, monkeypatch, *, prefetch=True, gated=True, crash_after=None,
                  retry=None, spec=None, survivor=False):
         monkeypatch.setattr(service_mod, "ServiceMaster", RecordingMaster)
-        self.tokens = generate_tokens(N_JOBS * 300, 50, seed=21)
+        self.tokens = generate_tokens(N_JOBS * UNITS, 50, seed=21)
         self.store = GatedStore(gated=gated)
         self.spec = spec or WordCountSpec()
         self.index = write_dataset(
-            self.tokens, self.spec.fmt, self.store, n_files=N_JOBS, chunk_units=300
+            self.tokens, self.spec.fmt, self.store, n_files=N_JOBS, chunk_units=UNITS
         )
         assert len(self.index.chunks) == N_JOBS
+        assert {window_depth(c.nbytes) for c in self.index.chunks} == {DEPTH}
         self.threads_before = set(threading.enumerate())
         cluster = ClusterConfig("local", "local", 1 + survivor, retrieval_threads=1)
         # batch_size=1: nothing pooled, so a requeue is exactly what the
@@ -106,7 +113,7 @@ class Rig:
     def counts_of(self, job_ids):
         """The exact word counts of just these chunks."""
         return wordcount_exact(
-            np.concatenate([self.tokens[i * 300:(i + 1) * 300] for i in job_ids])
+            np.concatenate([self.tokens[i * UNITS:(i + 1) * UNITS] for i in job_ids])
         )
 
     def close(self):
@@ -129,7 +136,7 @@ class TestWindow:
         rig.start()
         remaining = N_JOBS
         while remaining:
-            expect = min(READAHEAD, remaining)
+            expect = min(DEPTH, remaining)
             parked = rig.store.wait_parked(expect)
             assert len(parked) == expect  # the steady state, never more
             # Newest first: a later fetch finishing early must not jump
@@ -138,7 +145,7 @@ class TestWindow:
             remaining -= expect
         rr = rig.result()
         w = rig.wstats(0)
-        assert rig.store.max_parked == READAHEAD
+        assert rig.store.max_parked == DEPTH
         assert rig.master.completed == rig.master.handed  # fold order == reserve order
         assert len(rig.master.handed) == w.jobs_processed == N_JOBS
         assert w.prefetch_hits + w.prefetch_misses == N_JOBS  # every await counted
@@ -167,9 +174,9 @@ class TestWindow:
         assert w.prefetch_hits >= N_JOBS - 1
         assert w.prefetch_hits + w.prefetch_misses == N_JOBS
         assert w.retrieval_s >= 0.0 and w.overlap_s >= 0.0
-        tail = list(range(READAHEAD - 1, -1, -1))
-        assert sizes == [READAHEAD] * (N_JOBS - READAHEAD) + tail
-        assert rig.store.max_parked <= READAHEAD
+        tail = list(range(DEPTH - 1, -1, -1))
+        assert sizes == [DEPTH] * (N_JOBS - DEPTH) + tail
+        assert rig.store.max_parked <= DEPTH
         assert rig.master.completed == rig.master.handed
         assert rr.result == wordcount_exact(rig.tokens)
         rig.close()
@@ -200,17 +207,18 @@ class TestContainment:
     def test_crash_with_a_full_window_requeues_all_of_it_once(self, monkeypatch):
         rig = Rig(monkeypatch, crash_after=2, survivor=True)
         rig.start()
-        rig.store.release(*rig.store.wait_parked(2))  # jobs 1, 2 fold
-        rig.store.release(*rig.store.wait_parked(2))  # job 3 arrives: crash
-        # The dying worker cancels the last fetch, or absorbs it if it
-        # is already on the wire.
+        # Jobs 1 and 2 fold, each reserving one more; job 3 has arrived
+        # too: crash.
+        rig.store.release(*rig.store.wait_parked(DEPTH))
+        # The dying worker cancels the last fetches, or absorbs those
+        # already on the wire.
         rig.store.open_all()
         rig.join()
         handed = rig.master.handed
-        assert len(handed) == 2 + 1 + READAHEAD
+        assert len(handed) == 2 + 1 + DEPTH
         assert rig.master.completed == handed[:2]
         assert rig.master.requeued == handed[2:]  # current + whole window, once
-        assert rig.scheduler.n_reassigned == 1 + READAHEAD
+        assert rig.scheduler.n_reassigned == 1 + DEPTH
         assert rig.scheduler.outstanding == 0
         assert rig.wstats(0).failed and not rig.errors
         assert rig.entry.live and not rig.handle.done()  # the run goes on
@@ -222,7 +230,7 @@ class TestContainment:
         rig = Rig(monkeypatch, retry=NO_RETRY, survivor=True)
         rig.store.fail_arrivals = {2}
         rig.start()
-        first, second = rig.store.wait_parked(2)
+        first, second, *_ = rig.store.wait_parked(DEPTH)
         rig.store.release(second)  # fails while the head is still in flight
         assert rig.master.completed == [] and rig.thread.is_alive()
         rig.store.release(first)  # head folds; its successor then raises
@@ -230,8 +238,8 @@ class TestContainment:
         rig.join()
         handed = rig.master.handed
         assert rig.master.completed == handed[:1]
-        assert rig.master.requeued == handed[1:] and len(handed) == 1 + READAHEAD
-        assert rig.scheduler.n_reassigned == READAHEAD
+        assert rig.master.requeued == handed[1:] and len(handed) == 1 + DEPTH
+        assert rig.scheduler.n_reassigned == DEPTH
         assert rig.wstats(0).failed and not rig.errors
         assert folded(rig) == rig.counts_of(rig.master.completed)
         self.drain(rig)
@@ -241,9 +249,9 @@ class TestContainment:
         rig = Rig(monkeypatch)
         rig.store.missing_arrivals = {1}
         rig.start()
-        first, second = rig.store.wait_parked(2)
+        first, *rest = rig.store.wait_parked(DEPTH)
         rig.store.release(first)  # KeyError out of the head's fetch
-        rig.store.release(second)  # cancelled fetch, absorbed
+        rig.store.release(*rest)  # cancelled fetches, absorbed
         with pytest.raises(KeyError):
             rig.result()
         (err,) = rig.errors

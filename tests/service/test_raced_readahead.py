@@ -1,10 +1,12 @@
 """Striped fetches read ahead without ``prefetch``.
 
 A striped chunk is fetched by a race whose legs run on the hedge pool,
-so a fleet worker keeps ``READAHEAD`` such fetches in flight while it
-folds whether or not ``prefetch`` is set.  Plain chunks and replicas,
-hedged or not, keep an empty window.  The datasets are organized over plain in-memory stores and
-read through gated copies of them (:mod:`tests.gated`), so each test
+so a fleet worker keeps :func:`~repro.runtime.core.window_depth` such
+fetches in flight while it folds whether or not ``prefetch`` is set --
+fewer when its cluster's workers would overflow the hedge pool.
+Plain chunks and replicas, hedged or not, keep an empty window.  The
+datasets are organized over plain in-memory stores and read through
+gated copies of them (:mod:`tests.gated`), so each test
 decides when a fetch may finish and reads what is in flight meanwhile.
 No sleeps.
 """
@@ -18,22 +20,28 @@ import repro.service.service as service_mod
 from repro.apps.wordcount import WordCountSpec, wordcount_exact
 from repro.data.dataset import replicate_dataset, stripe_dataset, write_dataset
 from repro.data.generator import generate_tokens
-from repro.runtime.core import READAHEAD, ClusterConfig
+from repro.runtime.core import READAHEAD, ClusterConfig, window_depth
 from repro.service import BurstingService
 from repro.service.service import ServiceSlave
 from repro.storage.health import HedgePolicy
 from repro.storage.local import MemoryStore
+from repro.storage.transfer import HEDGE_POOL_WIDTH
 from tests.gated import WAIT_S, gated_copies, wait_parked_in
 from tests.runtime.test_readahead import RecordingMaster
 
 K, M = 4, 2
 UNITS = 300
+UNIT_NBYTES = WordCountSpec().fmt.unit_nbytes
+#: Fetches in flight per worker behind these (small) striped chunks.
+DEPTH = window_depth(UNITS * UNIT_NBYTES)
+#: The same with two workers, whose races share one hedge pool.
+PAIR_DEPTH = READAHEAD
 #: A hedge that never fires while a test holds a gate.
 NEVER = HedgePolicy(min_threshold_s=60.0, max_hedges=1)
 SPARES = tuple(f"spare{i}" for i in range(4))
 
 
-def organize(kind, n_chunks, seed, stores=None, prefix="part"):
+def organize(kind, n_chunks, seed, stores=None, prefix="part", units=UNITS):
     """``(tokens, index, stores)``: ``n_chunks`` one-chunk files written
     to ``local`` and then striped (``"striped"``, k=4 m=2 over six
     stores), replicated to ``cloud`` (``"replicated"``) or left alone
@@ -41,10 +49,10 @@ def organize(kind, n_chunks, seed, stores=None, prefix="part"):
     if stores is None:
         names = ("local", "cloud") + (SPARES if kind == "striped" else ())
         stores = {loc: MemoryStore(loc) for loc in names}
-    tokens = generate_tokens(n_chunks * UNITS, 50, seed=seed)
+    tokens = generate_tokens(n_chunks * units, 50, seed=seed)
     index = write_dataset(
         tokens, WordCountSpec().fmt, stores["local"], n_files=n_chunks,
-        chunk_units=UNITS, key_prefix=prefix,
+        chunk_units=units, key_prefix=prefix,
     )
     if kind == "striped":
         index = stripe_dataset(index, stores, k=K, m=M)
@@ -94,17 +102,20 @@ class Fleet:
         assert set(threading.enumerate()) <= self.before
 
 
+@pytest.mark.parametrize("n_workers, depth", [(1, DEPTH), (2, PAIR_DEPTH)])
 @pytest.mark.parametrize("hedge", [None, NEVER], ids=["unhedged", "hedged"])
-def test_striped_chunks_fill_the_window_without_prefetch(hedge):
-    """Two workers park ``READAHEAD`` whole chunk fetches each -- every
-    leg of each -- and fold every chunk through the window."""
-    tokens, index, stores = organize("striped", 6, seed=41)
-    fleet = Fleet(stores, 2, prefetch=False, hedge=hedge)
+def test_striped_chunks_fill_the_window_without_prefetch(hedge, n_workers, depth):
+    """Each worker parks ``depth`` whole chunk fetches -- every leg of
+    each, as many as the hedge pool holds -- and folds every chunk
+    through the window."""
+    assert DEPTH * K == HEDGE_POOL_WIDTH
+    tokens, index, stores = organize("striped", n_workers * depth + 2, seed=41)
+    fleet = Fleet(stores, n_workers, prefetch=False, hedge=hedge)
     try:
         handle = fleet.service.submit(WordCountSpec(), index)
-        parked = wait_parked_in(fleet.stores, 2 * READAHEAD * K)
+        parked = wait_parked_in(fleet.stores, n_workers * depth * K)
         windows = fleet.windows()
-        assert [len(w) for w in windows] == [READAHEAD, READAHEAD]
+        assert [len(w) for w in windows] == [depth] * n_workers
         keys = chunk_of(index)
         assert sorted(keys[key] for _, key in parked) == sorted(
             c for w in windows for c in w for _ in range(K)
@@ -155,11 +166,14 @@ def test_plain_jobs_ride_the_window_only_behind_striped_ones(monkeypatch):
     monkeypatch.setattr(ServiceSlave, "_process", record_process)
     monkeypatch.setattr(ServiceSlave, "_fetch_now", record_fetch_now)
     s_tokens, s_index, stores = organize("striped", 3, seed=43)
-    p_tokens, p_index, _ = organize("plain", 8, seed=44, stores=stores, prefix="p")
+    # More plain jobs than the striped ones' window can take.
+    p_tokens, p_index, _ = organize(
+        "plain", 2 * DEPTH, seed=44, stores=stores, prefix="p"
+    )
     fleet = Fleet(stores, 1, prefetch=False)
     try:
         s = fleet.service.submit(WordCountSpec(), s_index, tenant="s")
-        wait_parked_in(fleet.stores, READAHEAD * K)
+        wait_parked_in(fleet.stores, len(s_index.chunks) * K)  # all in flight
         p = fleet.service.submit(WordCountSpec(), p_index, tenant="p")
         fleet.open_all()
         assert s.result(timeout=WAIT_S).result == wordcount_exact(s_tokens)
@@ -171,10 +185,10 @@ def test_plain_jobs_ride_the_window_only_behind_striped_ones(monkeypatch):
         i for i, job in enumerate(folded)
         if job.run_id == p.run_id and not any(job is d for d in direct)
     ]
-    # Each was reserved while one of the READAHEAD jobs folded before it
+    # Each was reserved while one of the DEPTH jobs folded before it
     # was current, and only a striped job opens the window.
     for i in ahead:
-        assert any(j.run_id == s.run_id for j in folded[max(0, i - READAHEAD):i])
+        assert any(j.run_id == s.run_id for j in folded[max(0, i - DEPTH):i])
     (w,) = workers(rr)
     assert w.prefetch_hits + w.prefetch_misses == len(ahead)
     assert 0 < len(ahead) < w.jobs_processed == len(p_index.chunks)
@@ -182,7 +196,7 @@ def test_plain_jobs_ride_the_window_only_behind_striped_ones(monkeypatch):
 
 def test_crash_requeues_a_striped_window_and_folds_each_chunk_once(monkeypatch):
     monkeypatch.setattr(service_mod, "ServiceMaster", RecordingMaster)
-    tokens, index, stores = organize("striped", 7, seed=45)
+    tokens, index, stores = organize("striped", DEPTH + 4, seed=45)
     before = set(threading.enumerate())
     service = BurstingService(
         [ClusterConfig("local", "local", 2, retrieval_threads=1)], stores,
@@ -194,7 +208,7 @@ def test_crash_requeues_a_striped_window_and_folds_each_chunk_once(monkeypatch):
         service._threads[0].join(WAIT_S)  # local-w0 dies on its third job
         assert not service._threads[0].is_alive()
         handed = master.handed
-        assert len(handed) == 2 + 1 + READAHEAD
+        assert len(handed) == 2 + 1 + PAIR_DEPTH
         assert master.completed == handed[:2]
         assert master.requeued == handed[2:]  # current + whole window, once
         master.survivor_go.set()

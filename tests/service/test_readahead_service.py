@@ -4,7 +4,8 @@ A single prefetching worker over a gated store (:mod:`tests.gated`), so
 the test fixes what the window holds when a run is cancelled, poisoned
 or hit by a fatal fetch error: that run's reserved jobs are dropped
 unfolded, the other run's entries are folded exactly once, the worker
-lives on, and shutdown leaves nothing behind.
+lives on, and shutdown leaves nothing behind.  The scripted datasets'
+chunks are large enough for a two-entry window.
 """
 
 import threading
@@ -15,12 +16,17 @@ from repro.apps.wordcount import WordCountSpec, wordcount_exact
 from repro.data.dataset import distribute_dataset, write_dataset
 from repro.data.generator import generate_tokens
 from repro.runtime import ClusterConfig
-from repro.runtime.core import READAHEAD
+from repro.runtime.core import window_depth
 from repro.service import BurstingService, JobCancelledError, JobState
 from repro.storage.local import MemoryStore
 from tests.gated import GatedStore
 
-assert READAHEAD == 2, "the scripts below spell out a two-entry window"
+UNIT_NBYTES = WordCountSpec().fmt.unit_nbytes
+#: Tokens of each scripted dataset; four chunks of them are 1.44 MB each.
+N_TOKENS = 4 * 180_000
+assert window_depth(N_TOKENS // 4 * UNIT_NBYTES) == 2, (
+    "the scripts below spell out a two-entry window"
+)
 
 
 class CountingSpec(WordCountSpec):
@@ -44,7 +50,7 @@ class OneWorker:
     def __init__(self, n_a):
         self.before = set(threading.enumerate())
         self.store = GatedStore()
-        self.tokens = generate_tokens(1200, 40, seed=31)
+        self.tokens = generate_tokens(N_TOKENS, 40, seed=31)
         self.a_index = self.write("a", n_a)
         self.b_index = self.write("b", 4)
         self.service = BurstingService(
@@ -136,7 +142,7 @@ def test_crash_with_two_runs_in_the_window_loses_nothing():
     # The job in hand and the whole window came back, each once; the
     # death shows in every run the worker was holding a job of.
     requeued = sum(s.n_requeued_jobs for s in results)
-    assert 1 <= requeued <= 1 + READAHEAD
+    assert 1 <= requeued <= 1 + window_depth(250 * UNIT_NBYTES)
     assert sum(s.jobs_recovered for s in results) == requeued
     assert 1 <= sum(s.n_failed_workers for s in results) <= 2
     service.shutdown()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bursting.config import EnvironmentConfig
 from repro.bursting.driver import paper_index, simulate_environment
-from repro.runtime.core import READAHEAD
+from repro.runtime.core import window_depth
 from repro.sim import simrun
 from repro.sim.calibration import APP_PROFILES, ResourceParams
 from repro.sim.simrun import FailureSpec, StragglerSpec, simulate_run
@@ -16,6 +16,12 @@ GB = 1 << 30
 
 def env(local=4, cloud=4, frac=0.5):
     return EnvironmentConfig("test", frac, local, cloud)
+
+
+def depth(app, environment):
+    """The deepest read-ahead window a core opens over ``app``'s chunks."""
+    index = paper_index(APP_PROFILES[app], environment)
+    return max(window_depth(c.nbytes) for c in index.chunks)
 
 
 def run_sim(app, environment, **kwargs):
@@ -59,15 +65,15 @@ class TestSimPrefetch:
         wan = env(local=4, cloud=0, frac=0.0)
 
         def total_s(app, window):
-            monkeypatch.setattr(simrun, "READAHEAD", window)
+            monkeypatch.setattr(simrun, "window_has_room", lambda n, held: n < window)
             return simulate_environment(app, wan, prefetch=True).total_s
 
         assert total_s("knn", 2) < 0.75 * total_s("knn", 1)
         assert total_s("kmeans", 2) == pytest.approx(total_s("kmeans", 1), rel=0.01)
 
     def test_window_never_exceeds_readahead(self, monkeypatch):
-        """Instrumented fetches: a core never has more than READAHEAD in
-        flight, and consumes them in the order it reserved them."""
+        """Instrumented fetches: a core never has more than its window's
+        depth in flight, and consumes them in the order it reserved them."""
         live: dict[str, int] = {}
         peak: dict[str, int] = {}
         started: dict[str, list[int]] = {}
@@ -84,8 +90,9 @@ class TestSimPrefetch:
 
         monkeypatch.setattr(simrun, "_fetch_gen", counting_fetch)
         tracer = Tracer()
-        res = run_sim("knn", env(local=2, cloud=2), prefetch=True, tracer=tracer)
-        assert max(peak.values()) == READAHEAD
+        environment = env(local=2, cloud=2)
+        res = run_sim("knn", environment, prefetch=True, tracer=tracer)
+        assert max(peak.values()) == depth("knn", environment)
         assert sum(len(ids) for ids in started.values()) == res.stats.jobs_processed
         for worker, ids in started.items():
             computed = [s.job_id for s in tracer.spans
@@ -109,7 +116,7 @@ class TestSimPrefetch:
         assert res.stats.jobs_processed == baseline.stats.jobs_processed
         assert res.stats.n_failed_workers == 1
         # the job in hand, if any, plus everything the core had reserved
-        assert 1 <= res.stats.n_requeued_jobs <= 1 + READAHEAD
+        assert 1 <= res.stats.n_requeued_jobs <= 1 + depth("knn", env())
         assert res.stats.jobs_recovered == res.stats.n_requeued_jobs
 
     def test_prefetch_failures_deterministic(self):
