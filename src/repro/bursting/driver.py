@@ -23,13 +23,12 @@ from repro.bursting.config import (
     paper_environments,
     scalability_environments,
 )
-from repro.bursting.session import place_units, site_clusters
+from repro.bursting.session import BurstingSession, place_units
 from repro.core.api import GeneralizedReductionSpec
 from repro.data.formats import RecordFormat
 from repro.data.index import DataIndex, build_index
 from repro.data.redundancy import validate_redundancy
-from repro.runtime import make_engine
-from repro.runtime.core import EngineOptions, RunResult
+from repro.runtime.core import RunResult
 from repro.sim.calibration import (
     APP_PROFILES,
     PAPER_N_FILES,
@@ -166,7 +165,8 @@ def run_threaded_bursting(
     stripe: tuple[int, int] | None = None,
     **fields: Any,
 ) -> RunResult:
-    """Run a real dataset through the middleware, split across sites.
+    """Run a real dataset through the middleware, split across sites: a
+    one-pass :class:`~repro.bursting.BurstingSession`.
 
     ``stores`` must contain ``"local"`` and ``"cloud"`` backends.  The
     dataset is written to the local store, distributed according to
@@ -190,7 +190,6 @@ def run_threaded_bursting(
     under the same ``hedge`` policy and masking up to ``m`` lost
     fragments per chunk.  Mutually exclusive with ``replicas``.
     """
-    options = EngineOptions(batch_size=batch_size, **fields)
     index = place_units(
         units, spec.fmt, stores, local_fraction=local_fraction, n_files=n_files,
         chunk_units=chunk_units, codec=codec,
@@ -207,7 +206,6 @@ def run_threaded_bursting(
 
         k, m = stripe
         index = stripe_dataset(index, stores, k=k, m=m)
-    clusters = site_clusters(local_workers, cloud_workers, retrieval_threads)
     # Dataset preparation is done; fault injectors constructed dormant
     # (``armed=False``) model a store failing after placement -- arm
     # them now so the chaos hits the run's retrieval path only.
@@ -215,4 +213,9 @@ def run_threaded_bursting(
         arm = getattr(store, "arm", None)
         if callable(arm):
             arm()
-    return make_engine(engine, clusters, stores, options=options).run(spec, index)
+    with BurstingSession(
+        index, stores, engine=engine, local_workers=local_workers,
+        cloud_workers=cloud_workers, batch_size=batch_size,
+        retrieval_threads=retrieval_threads, **fields,
+    ) as session:
+        return session.run(spec)

@@ -3,20 +3,23 @@
 Iterative applications (k-means, PageRank) run many passes over the
 *same* geographically split data.  A session writes and distributes the
 dataset once, then executes any number of specs -- each pass reuses the
-placed files and cluster configuration, which is exactly how the paper's
-middleware amortizes data organization across runs.
+placed files, the cluster configuration and one long-lived
+:class:`~repro.service.BurstingService` (its fleet, store health and
+chunk cache), which is how the paper's middleware amortizes data
+organization and its head/master/slave set-up across runs.
 
 Example::
 
-    session = BurstingSession.from_units(points, points_format(8), stores,
-                                         local_fraction=1/3)
-    for _ in range(20):
-        result = session.run(KMeansSpec(centroids))
-        centroids = result.result.centroids
+    with BurstingSession.from_units(points, points_format(8), stores,
+                                    local_fraction=1/3) as session:
+        for _ in range(20):
+            result = session.run(KMeansSpec(centroids))
+            centroids = result.result.centroids
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -25,25 +28,14 @@ from repro.core.api import GeneralizedReductionSpec
 from repro.data.dataset import distribute_dataset, write_dataset
 from repro.data.formats import RecordFormat
 from repro.data.index import DataIndex
-from repro.runtime import _engine_class, make_engine
 from repro.runtime.core import ClusterConfig, EngineOptions, RunResult
+from repro.service import BurstingService
 from repro.storage.base import StorageBackend
 from repro.storage.cache import ChunkCache
 
 __all__ = ["BurstingSession"]
 
 _MB = 1 << 20
-
-
-def site_clusters(
-    local_workers: int, cloud_workers: int, retrieval_threads: int
-) -> list[ClusterConfig]:
-    """The local and cloud clusters, leaving out a site with no workers."""
-    sizes = {"local": local_workers, "cloud": cloud_workers}
-    return [
-        ClusterConfig(site, site, n, retrieval_threads)
-        for site, n in sizes.items() if n > 0
-    ]
 
 
 def place_units(
@@ -75,8 +67,12 @@ def place_units(
 
 
 class BurstingSession:
-    """Holds a distributed dataset plus its cluster configuration, for
-    repeated passes.
+    """Holds a distributed dataset, its cluster configuration and one
+    :class:`~repro.service.BurstingService`, for repeated passes.
+
+    Every pass is one job on that service, so the fleet, store health and
+    chunk cache outlive the pass; :meth:`close` (or ``with``, or dropping
+    the session) stops the fleet.
 
     Every keyword beyond the ones named here is an
     :class:`~repro.runtime.core.EngineOptions` field (``prefetch``,
@@ -112,7 +108,6 @@ class BurstingSession:
         missing = set(index.locations) - set(stores)
         if missing:
             raise ValueError(f"index references unknown stores: {sorted(missing)}")
-        _engine_class(engine)  # raises on an unknown name
         if cache_mb and "chunk_cache" in fields:
             raise TypeError("pass cache_mb or chunk_cache, not both")
         self.index = index
@@ -121,15 +116,26 @@ class BurstingSession:
             ChunkCache(int(cache_mb * _MB)) if cache_mb
             else fields.pop("chunk_cache", None)
         )
-        self._clusters = site_clusters(local_workers, cloud_workers, retrieval_threads)
+        sizes = {"local": local_workers, "cloud": cloud_workers}
+        self._clusters = [  # a site with no workers has no cluster
+            ClusterConfig(site, site, n, retrieval_threads)
+            for site, n in sizes.items() if n > 0
+        ]
         if not self._clusters:
             raise ValueError("session needs at least one worker")
         self.engine_name = engine
         self.options = EngineOptions(
             batch_size=batch_size, chunk_cache=self.cache, **fields
         )
-        self.options.validate_clusters(self._clusters)
         self.passes_run = 0
+        self._open()  # validates the engine name and the options
+
+    def _open(self) -> None:
+        self._service = BurstingService(
+            self._clusters, self.stores, engine=self.engine_name,
+            options=self.options,
+        )
+        self._shutdown = weakref.finalize(self, self._service.shutdown)
 
     @classmethod
     def from_units(
@@ -159,15 +165,30 @@ class BurstingSession:
     def run(self, spec: GeneralizedReductionSpec) -> RunResult:
         """Execute one pass of ``spec`` over the session's dataset.
 
-        Each pass builds a fresh engine over the session's *live* store
-        map, so crash plans, store swaps between passes and the shared
-        chunk cache behave exactly as in a one-shot engine run.
+        Every pass starts with a full fleet over the session's *live*
+        store map: after a pass that lost a worker (a crash plan, retry
+        exhaustion), or once ``stores`` no longer holds the stores the
+        service was built from, the session opens a fresh service first.
         """
-        result = make_engine(
-            self.engine_name, self._clusters, self.stores, options=self.options
-        ).run(spec, self.index)
+        svc = self._service
+        lost = svc._alive_workers < sum(c.n_workers for c in self._clusters)
+        if self._shutdown.alive and (lost or self.stores != svc.stores):
+            self._shutdown()
+            self._open()
+        result = self._service.submit(spec, self.index).result()
         self.passes_run += 1
         return result
+
+    def close(self) -> None:
+        """Stop the session's service: its fleet, finalizer and BLAS cap.
+        Idempotent; a closed session runs no more passes."""
+        self._shutdown()
+
+    def __enter__(self) -> "BurstingSession":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     def cache_stats(self) -> dict | None:
         """Snapshot of the session chunk cache (None when disabled)."""

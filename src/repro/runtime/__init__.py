@@ -20,10 +20,12 @@ from repro.runtime.stats import ClusterStats, RunStats, WorkerStats
 
 #: The two execution engines, keyed by their CLI / driver name.
 #:
-#: * ``threaded`` -- worker threads in one process; each run is one job
-#:   on a one-run :class:`repro.service.BurstingService`, whose fleet
-#:   worker is the reference implementation of the head/master/slave
-#:   protocol.
+#: * ``threaded`` -- worker threads in one process, the fleet of a
+#:   :class:`repro.service.BurstingService`, whose worker is the
+#:   reference implementation of the head/master/slave protocol.  A
+#:   :class:`ThreadedEngine` run is one job on a one-run service; a
+#:   :class:`repro.bursting.BurstingSession` holds one service for all
+#:   its passes.
 #: * ``process`` -- one real OS process per slave; chunk bytes cross via
 #:   shared memory, reduction objects via pickle-5 out-of-band buffers.
 #:
@@ -36,25 +38,18 @@ ENGINES = {
 }
 
 
-def _engine_class(name: str) -> type:
-    """The engine registered as ``name``; ValueError naming the choices."""
-    try:
-        return ENGINES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {name!r}; expected one of {sorted(ENGINES)}"
-        ) from None
-
-
 def make_engine(name: str, clusters, stores, **kwargs):
-    """Construct an execution engine by name.
+    """Construct a one-shot execution engine by name (a key of
+    :data:`ENGINES`).
 
     ``kwargs`` is the unified :class:`EngineOptions` surface (batch
     size, prefetch, cache, retry policy, crash plan, ...); every engine
     accepts every option.  Alternatively pass a prebuilt options object
     as ``options=EngineOptions(...)``.
     """
-    return _engine_class(name)(clusters, stores, **kwargs)
+    if name not in ENGINES:
+        raise ValueError(f"unknown engine {name!r}; expected one of {sorted(ENGINES)}")
+    return ENGINES[name](clusters, stores, **kwargs)
 
 
 __all__ = [

@@ -173,6 +173,9 @@ class EngineOptions:
     prefetch: bool = False
     chunk_cache: ChunkCache | None = None
     retry: RetryPolicy | None = None
+    #: Worker name -> jobs it completes before an injected crash.  Fires
+    #: every pass of a session: a pass after a lost worker runs on a
+    #: fresh fleet.
     crash_plan: dict[str, int] = field(default_factory=dict)
     min_part_nbytes: int = DEFAULT_MIN_PART_NBYTES
     # Replica-aware retrieval: hedge duplicate slow fetches against the

@@ -56,11 +56,19 @@ class JobHandle:
     :meth:`aresult`) may query status or wait for the result.
     """
 
-    def __init__(self, run_id: str, tenant: str, seq: int, service: Any) -> None:
+    def __init__(
+        self, run_id: str, tenant: str, seq: int, service: Any,
+        stats: RunStats, n_total: int,
+    ) -> None:
         self.run_id = run_id
         self.tenant = tenant
         self.seq = seq
+        #: This job's live (and, once resolved, final) per-run stats.
+        self.stats = stats
         self._service = service
+        self._n_total = n_total
+        #: Service-clock completion time of each chunk (the service appends).
+        self._chunk_done_t: list[float] = []
         self._state = JobState.QUEUED
         self._result: RunResult | None = None
         self._exc: BaseException | None = None
@@ -89,14 +97,10 @@ class JobHandle:
         self._state = state
         self._result = result
         self._exc = exc
-        # A resolved job reports what it ended with and lets go of the
-        # service: the registry entry points back at this handle, so
-        # keeping the service would make a dropped one -- and the whole
-        # pass it ran -- cyclic garbage.
-        svc = self._service
-        self._stats = svc._run_stats(self.run_id)
-        self._progress = svc._run_progress(self.run_id)
-        self._chunk_times = svc._run_chunk_times(self.run_id)
+        if result is not None:
+            self.stats = result.stats
+        # A resolved job lets go of the service: the service has dropped
+        # its run, and a handle kept by a caller must not keep the fleet.
         self._service = None
         self._event.set()
 
@@ -126,7 +130,10 @@ class JobHandle:
                 f"{self.run_id} not done after {timeout}s (state {self._state.value})"
             )
         if self._exc is not None:
-            raise self._exc
+            try:
+                raise self._exc
+            finally:
+                del self  # the traceback keeps this frame: no cycle via ``_exc``
         assert self._result is not None
         return self._result
 
@@ -150,25 +157,15 @@ class JobHandle:
         return svc is not None and bool(svc._cancel(self.run_id))
 
     # -- introspection -------------------------------------------------------
-    # Each reads the service while the job is live and, once it resolved,
-    # what ``_resolve`` kept (set before ``_service`` is cleared).
-
-    @property
-    def stats(self) -> RunStats:
-        """This job's live (or final) per-run :class:`RunStats`."""
-        svc = self._service
-        return self._stats if svc is None else svc._run_stats(self.run_id)
 
     def progress(self) -> dict[str, int]:
         """``{"jobs_total": ..., "jobs_done": ...}`` chunk counts."""
-        svc = self._service
-        return dict(self._progress) if svc is None else svc._run_progress(self.run_id)
+        return {"jobs_total": self._n_total, "jobs_done": len(self._chunk_done_t)}
 
     def chunk_done_times(self) -> list[float]:
         """Service-clock timestamps of each completed chunk (fairness
         instrumentation for the benchmark suite)."""
-        svc = self._service
-        return list(self._chunk_times) if svc is None else svc._run_chunk_times(self.run_id)
+        return list(self._chunk_done_t)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -16,13 +16,15 @@ Ownership split:
 * **service-lifetime state** -- clusters, stores, options, chunk cache,
   health registry, the fleet (:class:`ServiceSlave` threads pulling
   through a per-cluster :class:`ServiceMaster`), the finalizer thread,
-  and the registry of every run ever submitted;
-* **per-run state** (one :class:`_RunEntry` per submission) -- the
-  tagged job pool and its :class:`HeadScheduler`, per-cluster fetchers,
-  one ``WorkerStats`` per fleet worker, per-(worker, run) reduction
-  objects, an error list, and the run's ``RunStats``.  A finished run
-  is finalized by the *shared* :func:`~repro.runtime.core.finalize_run`
-  epilogue, so per-run stats have full parity with the process engine's.
+  the registry of queued and running runs, and a ring of the last
+  :data:`RECENT_RUNS` finished runs' summary rows;
+* **per-run state** (one :class:`_RunEntry` per submission, dropped when
+  its handle resolves) -- the tagged job pool and its
+  :class:`HeadScheduler`, per-cluster fetchers, each fleet worker's fold
+  context, an error list, and the run's ``RunStats`` (its handle's).  A
+  finished run is finalized by the *shared*
+  :func:`~repro.runtime.core.finalize_run` epilogue, so per-run stats
+  have full parity with the process engine's.
 
 Scheduling is two-level: the tenant-aware
 :class:`~repro.service.scheduler.MultiJobScheduler` picks *which run*
@@ -32,7 +34,8 @@ run's own :class:`HeadScheduler` picks *which chunks* (locality,
 stealing, pushdown priority -- the paper's policy, unchanged).
 
 The threaded engine is this service with one run: it submits one job
-and shuts the service down.  The process engine executes each run
+and shuts the service down.  A :class:`~repro.bursting.BurstingSession`
+holds one service for all its passes.  The process engine executes each run
 whole (its transport pins worker state to one spec per process), so for
 ``engine="process"`` the service runs one engine per admitted run on a
 background thread (the engine itself runs one at a time, since forking
@@ -46,14 +49,16 @@ from __future__ import annotations
 import queue
 import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.api import GeneralizedReductionSpec, supports_batch_fold
 from repro.core.reduction_object import ReductionObject
 from repro.data.index import DataIndex
 from repro.data.units import units_per_group
+from repro.runtime import ENGINES
 from repro.runtime.blas_budget import BLAS_BUDGET
 from repro.runtime.core import (
     READAHEAD,
@@ -70,6 +75,7 @@ from repro.runtime.core import (
     window_has_room,
 )
 from repro.runtime.jobs import Job, LocalJobPool
+from repro.runtime.process_engine import ProcessEngine
 from repro.runtime.pushdown import plan_jobs
 from repro.runtime.scheduler import HeadScheduler
 from repro.runtime.stats import ClusterStats, RunStats, WorkerStats
@@ -98,10 +104,47 @@ _SERVICE_STATS = {
     "retries": "n_retries",
 }
 
+#: How many finished runs ``status()`` and ``service_rows()`` still list.
+RECENT_RUNS = 64
+
+#: What a run's handle resolves to: its state, result and error.
+_Outcome = tuple[JobState, RunResult | None, BaseException | None]
+
+
+def _settle(close_out: Callable[[_RunEntry], _Outcome], entry: _RunEntry) -> _Outcome:
+    """What ``close_out(entry)`` resolves the run's handle to, or FAILED with
+    the error it raised, caught in this frame (see ``_forget_locked``)."""
+    try:
+        return close_out(entry)
+    except BaseException as err:
+        return JobState.FAILED, None, err
+
+
+def _row(handle: JobHandle) -> dict[str, Any]:
+    """One run's ``service_rows`` line; ``status()`` prints its first five."""
+    progress = handle.progress()
+    return {
+        "job": handle.run_id,
+        "tenant": handle.tenant,
+        "state": handle.status().value,
+        "chunks": progress["jobs_total"],
+        "chunks_done": progress["jobs_done"],
+        **{col: getattr(handle.stats, attr) for col, attr in _SERVICE_STATS.items()},
+    }
+
+
+@dataclass
+class _WorkerCtx:
+    """One worker's per-run fold context."""
+
+    fetchers: dict[str, ParallelFetcher]  # its cluster's, by location
+    wstats: WorkerStats
+    robj: ReductionObject
+
 
 @dataclass
 class _RunEntry:
-    """Everything one submitted run owns (registry record)."""
+    """Everything one queued or running run owns (registry record)."""
 
     run_id: str
     seq: int
@@ -110,30 +153,18 @@ class _RunEntry:
     index: DataIndex
     handle: JobHandle
     scheduler: HeadScheduler
-    stats: RunStats
-    n_total: int
+    stats: RunStats  # the handle's
     group_units: int
     batch_fold: bool
     fetchers: dict[str, dict[str, ParallelFetcher]] = field(default_factory=dict)
     robjs: dict[str, list[ReductionObject]] = field(default_factory=dict)
+    #: Each fleet worker's fold context, by worker name: it dies with the run.
+    ctxs: dict[str, _WorkerCtx] = field(default_factory=dict)
     errors: list[BaseException] = field(default_factory=list)
     t0: float = 0.0
-    n_done: int = 0
-    #: Service-clock completion time of each chunk (fairness metric).
-    chunk_done_t: list[float] = field(default_factory=list)
     #: True while the fleet should keep executing this run's chunks.
     live: bool = False
     finalize_enqueued: bool = False
-
-
-@dataclass
-class _WorkerCtx:
-    """One worker's per-run fold context."""
-
-    entry: _RunEntry
-    fetchers: dict[str, ParallelFetcher]  # its cluster's, by location
-    wstats: WorkerStats
-    robj: ReductionObject
 
 
 class ServiceMaster:
@@ -292,23 +323,26 @@ class ServiceSlave:
         self.master = master
         self.crash_after = service.options.crash_plan.get(self.name)
         self._jobs_done = 0
-        self._ctxs: dict[str, _WorkerCtx] = {}
         #: Reserved jobs whose fetch is in flight, oldest first.
         self._window: deque[tuple[Job, PrefetchHandle]] = deque()
 
     def _ctx(self, job: Job) -> _WorkerCtx:
-        """This worker's fold context in ``job``'s run."""
-        ctx = self._ctxs.get(job.run_id)
+        """This worker's fold context in ``job``'s run (which is live:
+        ``job`` is outstanding at its head), opened on its first job
+        there.  The reduction object is registered with the run at once,
+        so a later worker crash preserves the partial folds."""
+        entry = self.service._runs[job.run_id]
+        ctx = entry.ctxs.get(self.name)
         if ctx is None:
-            # A finalized run has no job left anywhere, so this worker
-            # will never switch back to it: drop its reduction object and
-            # stats here, or a long-lived service keeps one per run served.
-            self._ctxs = {
-                rid: c for rid, c in self._ctxs.items()
-                if not c.entry.finalize_enqueued
-            }
-            ctx = self.service._open_worker_ctx(job.run_id, self.cluster.name, self.wid)
-            self._ctxs[job.run_id] = ctx
+            name = self.cluster.name
+            with self.service._cond:
+                robj = entry.spec.create_reduction_object()
+                entry.robjs[name].append(robj)
+                ctx = entry.ctxs[self.name] = _WorkerCtx(
+                    entry.fetchers[name],
+                    entry.stats.clusters[name].workers[self.wid],
+                    robj,
+                )
         return ctx
 
     # -- steps ---------------------------------------------------------------
@@ -346,8 +380,9 @@ class ServiceSlave:
 
     def _process(self, job: Job, raw: Buffer) -> None:
         """Decode, reduce, and complete one job."""
+        entry = self.service._runs[job.run_id]
         ctx = self._ctx(job)
-        entry, w = ctx.entry, ctx.wstats
+        w = ctx.wstats
         if self.service.options.verify_chunks:
             from repro.data.integrity import verify_chunk_bytes
 
@@ -449,8 +484,11 @@ class ServiceSlave:
         for j in inflight:
             self._ctx(j).wstats.failed = True
         now = time.monotonic()
-        for ctx in self._ctxs.values():
-            ctx.wstats.finished_at = now - ctx.entry.t0
+        with self.service._cond:
+            for entry in self.service._runs.values():
+                ctx = entry.ctxs.get(self.name)
+                if ctx is not None:
+                    ctx.wstats.finished_at = now - entry.t0
         self.master.requeue(inflight + self.master.worker_died())
 
     # -- the loop ------------------------------------------------------------
@@ -460,7 +498,6 @@ class ServiceSlave:
         while self._serve():
             pass
         self._abandon_window()
-        self._ctxs.clear()
 
     def _serve(self) -> bool:
         """The loop proper; True when it failed a run and must resume."""
@@ -543,9 +580,10 @@ class BurstingService(EngineBase):
         **kwargs: Any,
     ) -> None:
         super().__init__(clusters, stores, options=options, **kwargs)
-        from repro.runtime import _engine_class
-
-        _engine_class(engine)  # raises on an unknown name
+        if engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {engine!r}; expected one of {sorted(ENGINES)}"
+            )
         if max_concurrent_runs is not None and max_concurrent_runs < 1:
             raise ValueError("max_concurrent_runs must be >= 1 or None")
         self.engine_name = engine
@@ -555,8 +593,9 @@ class BurstingService(EngineBase):
         self._multi = MultiJobScheduler(
             {name: cfg.weight for name, cfg in self._tenants.items()}
         )
+        #: Queued and running runs, in submission order.
         self._runs: dict[str, _RunEntry] = {}
-        self._order: list[_RunEntry] = []
+        self._finished: deque[tuple[int, dict[str, Any]]] = deque(maxlen=RECENT_RUNS)
         self._pending: deque[_RunEntry] = deque()
         self._tenant_running: dict[str, int] = {}
         self._running = 0
@@ -571,10 +610,10 @@ class BurstingService(EngineBase):
         self._threads: list[threading.Thread] = []
         self._slaves: list[ServiceSlave] = []
         self._masters: dict[str, ServiceMaster] = {}
-        self._alive_workers = 0
+        self._alive_workers = sum(c.n_workers for c in self.clusters)
         self._finalize_q: queue.Queue[_RunEntry | None] = queue.Queue()
         self._finalizer: threading.Thread | None = None
-        # Run-per-job state (process backend).
+        # Run-per-job state (process backend): the live run threads.
         self._run_threads: list[threading.Thread] = []
 
     # -- submission ----------------------------------------------------------
@@ -621,7 +660,7 @@ class BurstingService(EngineBase):
                     cluster.name, cluster.location,
                     [WorkerStats() for _ in range(cluster.n_workers)],
                 )
-            handle = JobHandle(run_id, tenant, seq, self)
+            handle = JobHandle(run_id, tenant, seq, self, stats, len(jobs))
             entry = _RunEntry(
                 run_id=run_id,
                 seq=seq,
@@ -631,13 +670,11 @@ class BurstingService(EngineBase):
                 handle=handle,
                 scheduler=scheduler,
                 stats=stats,
-                n_total=len(jobs),
                 group_units=group_units,
                 batch_fold=batch_fold,
                 robjs={c.name: [] for c in self.clusters},
             )
             self._runs[run_id] = entry
-            self._order.append(entry)
             self._pending.append(entry)
             self._admit_locked()
             self._cond.notify_all()
@@ -711,7 +748,6 @@ class BurstingService(EngineBase):
                         target=slave.run, name=f"svc-{slave.name}", daemon=True
                     )
                 )
-        self._alive_workers = sum(c.n_workers for c in self.clusters)
         # The fleet's folders share the cores for the service's whole
         # life; shutdown() gives the BLAS threads back.
         BLAS_BUDGET.acquire(self._alive_workers)
@@ -726,31 +762,18 @@ class BurstingService(EngineBase):
     # -- run-per-job backend (process) ---------------------------------------
 
     def _run_via_engine(self, entry: _RunEntry) -> None:
-        from repro.runtime import make_engine
+        outcome = _settle(self._engine_run, entry)
+        with self._cond:
+            self._run_threads.remove(threading.current_thread())
+            self._end_run_locked(entry, outcome)
 
-        try:
-            eng = make_engine(
-                self.engine_name, self.clusters, self.stores, options=self.options
-            )
-            rr = eng.run(entry.spec, entry.index)
-        except BaseException as exc:
-            entry.errors.append(exc)
-            entry.handle._resolve(JobState.FAILED, exc=exc)
-        else:
-            entry.stats = rr.stats
-            entry.n_done = entry.n_total
-            t = time.monotonic() - self._t0
-            entry.chunk_done_t.extend([t] * entry.n_total)
-            entry.handle._resolve(JobState.DONE, result=rr)
-        finally:
-            entry.live = False
-            with self._cond:
-                self._running -= 1
-                self._tenant_running[entry.tenant] = (
-                    self._tenant_running.get(entry.tenant, 1) - 1
-                )
-                self._admit_locked()
-                self._cond.notify_all()
+    def _engine_run(self, entry: _RunEntry) -> _Outcome:
+        rr = ProcessEngine(self.clusters, self.stores, options=self.options).run(
+            entry.spec, entry.index
+        )
+        t = time.monotonic() - self._t0
+        entry.handle._chunk_done_t.extend([t] * entry.handle._n_total)
+        return JobState.DONE, rr, None
 
     # -- fleet callbacks (called by masters/slaves) --------------------------
 
@@ -772,8 +795,7 @@ class BurstingService(EngineBase):
             entry = self._runs[job.run_id]
             entry.scheduler.complete(job)
             recovered = job.job_id in entry.scheduler.requeued_ids
-            entry.n_done += 1
-            entry.chunk_done_t.append(time.monotonic() - self._t0)
+            entry.handle._chunk_done_t.append(time.monotonic() - self._t0)
             self._maybe_finalize_locked(entry)
         return recovered
 
@@ -826,33 +848,12 @@ class BurstingService(EngineBase):
                 for entry in list(self._runs.values()):
                     if not entry.finalize_enqueued:
                         self._maybe_finalize_locked(entry)
-                for entry in list(self._pending):
-                    entry.handle._resolve(
-                        JobState.FAILED,
-                        exc=RuntimeError(
-                            "every fleet worker failed; queued run "
-                            f"{entry.run_id} cannot start"
-                        ),
-                    )
+                for entry in self._pending:
+                    self._forget_locked(entry, (JobState.FAILED, None, RuntimeError(
+                        f"every fleet worker failed; queued run {entry.run_id} cannot start"
+                    )))
                 self._pending.clear()
             self._cond.notify_all()
-
-    def _open_worker_ctx(self, run_id: str, cluster_name: str, wid: int) -> _WorkerCtx:
-        """Create worker ``wid``'s fold context for ``run_id``.
-
-        The reduction object is registered with the run immediately, so
-        a later worker crash preserves the partial folds.
-        """
-        with self._cond:
-            entry = self._runs[run_id]
-            robj = entry.spec.create_reduction_object()
-            entry.robjs[cluster_name].append(robj)
-            return _WorkerCtx(
-                entry,
-                entry.fetchers[cluster_name],
-                entry.stats.clusters[cluster_name].workers[wid],
-                robj,
-            )
 
     # -- finalization --------------------------------------------------------
 
@@ -875,35 +876,48 @@ class BurstingService(EngineBase):
             self._finalize_q.put(entry)
 
     def _finalize_loop(self) -> None:
-        while True:
-            entry = self._finalize_q.get()
-            if entry is None:
-                return
-            try:
-                try:
-                    state, result, exc = self._finalize_entry(entry)
-                except BaseException as err:  # never kill the finalizer
-                    state, result, exc = JobState.FAILED, None, err
-                # The merged object lives on the RunResult: the per-worker
-                # partials and the closed fetchers are garbage the registry
-                # must not pin -- dropped before the caller can see the
-                # job resolved.
-                entry.robjs.clear()
-                entry.fetchers.clear()
-                entry.handle._resolve(state, result=result, exc=exc)
-            finally:
-                with self._cond:
-                    self._running -= 1
-                    self._tenant_running[entry.tenant] = (
-                        self._tenant_running.get(entry.tenant, 1) - 1
-                    )
-                    self._multi.remove_run(entry.run_id)
-                    self._admit_locked()
-                    self._cond.notify_all()
+        # One call per run, so no local here keeps the last run's entry
+        # alive while the loop waits for the next.
+        while self._finalize_one(self._finalize_q.get()):
+            pass
 
-    def _finalize_entry(
-        self, entry: _RunEntry
-    ) -> tuple[JobState, RunResult | None, BaseException | None]:
+    def _finalize_one(self, entry: _RunEntry | None) -> bool:
+        """Close out one run; False at the shutdown sentinel."""
+        if entry is None:
+            return False
+        outcome = _settle(self._finalize_entry, entry)  # never kill the finalizer
+        with self._cond:
+            self._end_run_locked(entry, outcome)
+        return True
+
+    def _end_run_locked(self, entry: _RunEntry, outcome: _Outcome) -> None:
+        """An admitted run is over: free its slot, forget it, resolve it."""
+        self._running -= 1
+        self._tenant_running[entry.tenant] -= 1
+        self._multi.remove_run(entry.run_id)
+        self._forget_locked(entry, outcome)
+        self._admit_locked()
+        self._cond.notify_all()
+
+    def _forget_locked(self, entry: _RunEntry, outcome: _Outcome) -> None:
+        """Drop ``entry`` from the registry, then resolve its handle (all
+        that is left of the run); its summary row joins the ring.
+
+        A frame one of a failed run's errors passed through may hold it, or
+        this run: their locals go, or the error -- with the frames a caller
+        adds by re-raising it, and the session behind them -- is cyclic
+        garbage.  Frames still executing keep theirs, so errors are caught
+        in frames that have returned by now (:func:`_settle`, the worker's
+        fetch and fold steps).
+        """
+        del self._runs[entry.run_id]
+        for err in (*entry.errors, outcome[2]):  # every worker's, not just the first
+            if err is not None:
+                traceback.clear_frames(err.__traceback__)
+        entry.handle._resolve(*outcome)
+        self._finished.append((entry.seq, _row(entry.handle)))
+
+    def _finalize_entry(self, entry: _RunEntry) -> _Outcome:
         """Close out one run; returns what its handle resolves to."""
         state = entry.handle.status()
         aborted = (
@@ -961,15 +975,10 @@ class BurstingService(EngineBase):
         if state.terminal or entry.handle.done():
             return False
         if state is JobState.QUEUED:
-            try:
-                self._pending.remove(entry)
-            except ValueError:
-                pass
-            entry.handle._mark_cancelled()
-            entry.handle._resolve(
-                JobState.CANCELLED,
-                exc=JobCancelledError(f"{entry.run_id} cancelled before start"),
-            )
+            self._pending.remove(entry)
+            self._forget_locked(entry, (JobState.CANCELLED, None, JobCancelledError(
+                f"{entry.run_id} cancelled before start"
+            )))
             return True
         if self.engine_name != "threaded":
             # The run-per-job backend cannot interrupt a running engine.
@@ -991,20 +1000,25 @@ class BurstingService(EngineBase):
         running fleet jobs instead of waiting for them); then stops and
         joins the fleet, the finalizer, and any run threads.  Idempotent.
         """
+        # Not itself: a thread that let go of a failed pass's error last
+        # frees the session its traceback held, which calls this.
+        me = threading.current_thread()
         with self._cond:
             self._closed = True
+            handles = [entry.handle for entry in self._runs.values()]
             if cancel_pending:
-                for entry in list(self._order):
+                for entry in list(self._runs.values()):
                     self._cancel_locked(entry)
             self._cond.notify_all()
         try:
-            for entry in list(self._order):
-                entry.handle.wait(timeout)
+            for handle in handles:
+                handle.wait(timeout)
             self._stop.set()
             with self._cond:
                 self._cond.notify_all()
             for th in self._threads:
-                th.join(timeout)
+                if th is not me:
+                    th.join(timeout)
             # Masters and slaves point back at the service: forget the
             # joined fleet so a dropped service is freed without a cycle.
             self._masters.clear()
@@ -1014,11 +1028,13 @@ class BurstingService(EngineBase):
                 if self._blas_held:
                     self._blas_held = False
                     BLAS_BUDGET.release()
-        for th in self._run_threads:
-            th.join(timeout)
+        for th in list(self._run_threads):
+            if th is not me:
+                th.join(timeout)
         if self._finalizer is not None and self._finalizer.is_alive():
             self._finalize_q.put(None)
-            self._finalizer.join(timeout)
+            if self._finalizer is not me:
+                self._finalizer.join(timeout)
 
     close = shutdown
 
@@ -1030,50 +1046,31 @@ class BurstingService(EngineBase):
 
     # -- introspection -------------------------------------------------------
 
-    def _run_stats(self, run_id: str) -> RunStats:
-        return self._runs[run_id].stats
-
-    def _run_progress(self, run_id: str) -> dict[str, int]:
-        entry = self._runs[run_id]
-        return {"jobs_total": entry.n_total, "jobs_done": entry.n_done}
-
-    def _run_chunk_times(self, run_id: str) -> list[float]:
-        return list(self._runs[run_id].chunk_done_t)
+    def _rows_locked(self) -> list[dict[str, Any]]:
+        """Rows of the recent finished runs and the live ones, by submission."""
+        rows = [(seq, dict(row)) for seq, row in self._finished]
+        rows += [(e.seq, _row(e.handle)) for e in self._runs.values()]
+        rows.sort(key=lambda r: r[0])
+        return [row for _, row in rows]
 
     def status(self) -> list[dict[str, Any]]:
-        """One row per registered run: id, tenant, state, progress."""
+        """One row per queued or running run and per recent finished one
+        (the last :data:`RECENT_RUNS`): id, tenant, state, progress."""
         with self._cond:
             return [
-                {
-                    "job": e.run_id,
-                    "tenant": e.tenant,
-                    "state": e.handle.status().value,
-                    "chunks": e.n_total,
-                    "chunks_done": e.n_done,
-                }
-                for e in self._order
+                {col: row[col] for col in ("job", "tenant", "state", "chunks", "chunks_done")}
+                for row in self._rows_locked()
             ]
 
     def service_rows(self) -> list[dict[str, Any]]:
         """Per-run stats rollup plus an ALL summary row.
 
         ``RunStats`` is per-job under the service; these rows are the
-        service-level view -- one line per run (fault isolation visible
-        per run) and the fleet totals at the bottom.
+        service-level view -- one line per run :meth:`status` lists (fault
+        isolation visible per run) and their totals at the bottom.
         """
         with self._cond:
-            entries = list(self._order)
-        rows: list[dict[str, Any]] = [
-            {
-                "job": e.run_id,
-                "tenant": e.tenant,
-                "state": e.handle.status().value,
-                "chunks": e.n_total,
-                "chunks_done": e.n_done,
-                **{col: getattr(e.stats, attr) for col, attr in _SERVICE_STATS.items()},
-            }
-            for e in entries
-        ]
+            rows = self._rows_locked()
         summed = ("chunks", "chunks_done", *_SERVICE_STATS)
         rows.append(
             {"job": "ALL", "tenant": "-", "state": "-"}

@@ -108,13 +108,13 @@ class TestThreadedBursting:
             pushdown="prune",
         )
         built = []
-        real_make_engine = driver.make_engine
 
-        def spy(name, clusters, stores, *, options):
-            built.append(options)
-            return real_make_engine(name, clusters, stores, options=options)
+        class Spy(BurstingSession):
+            def run(self, spec):
+                built.append(self.options)
+                return super().run(spec)
 
-        monkeypatch.setattr(driver, "make_engine", spy)
+        monkeypatch.setattr(driver, "BurstingSession", Spy)
         tokens = generate_tokens(5000, 100, seed=4)
         stores = {"local": MemoryStore("local"), "cloud": MemoryStore("cloud")}
         rr = run_threaded_bursting(WordCountSpec(), tokens, stores, **fields)

@@ -271,14 +271,26 @@ class TestFleetsHoldTheBudget:
             make_engine("threaded", CLUSTERS, stores).run(RecordingSpec(held, fail=True), index)
         assert held.get() == 4 and BLAS_BUDGET._holders == 0
 
-    def test_session_pass_caps_then_restores(self, held, dataset):
+    def test_session_caps_from_first_pass_until_close(self, held, dataset):
+        """A session's passes share one fleet, which holds the cap as a
+        service's does; closing the session, or dropping it, gives it back."""
         stores, index, expected = dataset
         session = BurstingSession(index, stores, local_workers=4, cloud_workers=0)
-        spec = RecordingSpec(held)
-        assert session.run(spec).result == expected
-        assert set(spec.seen) == {1} and held.get() == 4
-        with pytest.raises(ValueError, match="fold blew up"):
-            session.run(RecordingSpec(held, fail=True))
+        try:
+            assert held.get() == 4  # no fleet before the first pass
+            spec = RecordingSpec(held)
+            assert session.run(spec).result == expected
+            assert set(spec.seen) == {1} and held.get() == 1
+            with pytest.raises(ValueError, match="fold blew up"):
+                session.run(RecordingSpec(held, fail=True))
+            assert held.get() == 1  # a failed pass is not a dead fleet
+        finally:
+            session.close()
+        assert held.get() == 4 and BLAS_BUDGET._holders == 0
+        dropped = BurstingSession(index, stores, local_workers=4, cloud_workers=0)
+        dropped.run(RecordingSpec(held))
+        assert held.get() == 1
+        del dropped
         assert held.get() == 4 and BLAS_BUDGET._holders == 0
 
     def test_service_holds_from_fleet_start_to_shutdown(self, held, dataset):

@@ -26,6 +26,7 @@ from repro.service import (
     MultiJobScheduler,
     TenantConfig,
 )
+from repro.service.service import RECENT_RUNS
 from repro.storage.local import MemoryStore
 from repro.storage.s3 import S3Profile, SimulatedS3Store
 
@@ -283,7 +284,10 @@ class TestHeadSchedulerServiceHooks:
 
 class TestCancellation:
     def test_cancel_queued_job(self):
-        stores, index, spec, _ = build_env()
+        # h1 fetches through a gate, so it cannot finish (and let h2 in)
+        # before h2 is checked.
+        gate = GateStore(SimulatedS3Store(profile=S3Profile.unthrottled()))
+        stores, index, spec, _ = build_env(local_fraction=0.0, cloud_store=gate)
         service = BurstingService(CLUSTERS, stores, max_concurrent_runs=1)
         try:
             h1 = service.submit(spec, index)
@@ -293,8 +297,10 @@ class TestCancellation:
             assert h2.status() is JobState.CANCELLED
             with pytest.raises(JobCancelledError):
                 h2.result(timeout=5)
+            gate.gate.set()
             h1.result(timeout=30)  # the running job is untouched
         finally:
+            gate.gate.set()
             service.shutdown()
 
     def test_cancel_mid_run_and_service_survives(self):
@@ -368,31 +374,40 @@ class TestShutdownHygiene:
 
     def test_a_long_lived_service_does_not_keep_finished_runs_state(self):
         """Every run used to leave a reduction object + stats on each
-        worker that served it, and its partials and closed fetchers on
-        the registry entry -- ~0.35 MB per job for the service's life."""
+        worker that served it, and its registry entry for the service's
+        life -- ~0.35 MB per job.  A run's fold contexts now live on its
+        entry, which the service drops when the run resolves."""
         stores, index, spec, ref = build_env(n_tokens=1200)
         service = BurstingService(CLUSTERS, stores)
         try:
-            most_ctxs = 0
+            most_runs = 0
             window = []
             for _ in range(200):
                 window.append(service.submit(spec, index))
+                most_runs = max(most_runs, len(service._runs))
                 if len(window) == 2:  # two runs in flight, as two clients
                     assert window.pop(0).result(timeout=30).result == ref
-                most_ctxs = max(
-                    most_ctxs, *(len(s._ctxs) for s in service._slaves)
-                )
             assert window.pop().result(timeout=30).result == ref
-            # live runs, plus finished ones not yet swept: never one per job
-            assert most_ctxs <= 4
-            entries = list(service._runs.values())
-            assert len(entries) == 200
-            assert all(not e.robjs and not e.fetchers for e in entries)
+            assert most_runs <= 2  # only the runs in flight
+            assert service._runs == {}
+            assert len(service._finished) == RECENT_RUNS
             slaves = list(service._slaves)  # shutdown() forgets the fleet
         finally:
             service.shutdown()
-        assert slaves and all(not s._ctxs for s in slaves)
+        assert slaves and all(not s._window for s in slaves)
         assert service._slaves == [] and service._masters == {}
+
+    def test_process_backend_keeps_only_live_run_threads(self):
+        """One run thread per admitted process-backend run, each gone from
+        the list by the time its run resolves."""
+        stores, index, spec, ref = build_env()
+        service = BurstingService(CLUSTERS, stores, engine="process")
+        try:
+            handles = [service.submit(spec, index) for _ in range(20)]
+            assert all(h.result(timeout=120).result == ref for h in handles)
+            assert len(service._run_threads) <= 1
+        finally:
+            service.shutdown()
 
     @pytest.mark.skipif(
         not os.path.isdir("/dev/shm"), reason="no POSIX shm mount"
