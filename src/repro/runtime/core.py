@@ -54,6 +54,7 @@ from repro.storage.retry import RetryPolicy
 from repro.storage.transfer import (
     DEFAULT_MIN_PART_NBYTES,
     FetchInfo,
+    FetchPools,
     ParallelFetcher,
 )
 
@@ -69,6 +70,7 @@ __all__ = [
     "account_fetch_info",
     "account_overlap",
     "decode_and_fold",
+    "fetch_pools",
     "make_cluster_fetchers",
     "rollup_fetcher_stats",
     "window_depth",
@@ -293,45 +295,53 @@ class EngineBase:
         return HealthRegistry(self.options.breaker)
 
 
+def fetch_pools(clusters: list[ClusterConfig]) -> FetchPools:
+    """Fetch threads for every chunk fetch ``clusters``' workers can
+    have in flight (:data:`READAHEAD_MAX` each, the deepest window,
+    opened or not) at ``retrieval_threads`` connections, so none queues
+    behind another: summed over the clusters, ``n_workers x
+    READAHEAD_MAX`` read-ahead threads and, per store, that many x
+    (``retrieval_threads`` - 1) range threads (a fetch runs its first
+    sub-range itself)."""
+    in_flight = [max(1, c.n_workers) * READAHEAD_MAX for c in clusters]
+    ranges = sum(n * (c.retrieval_threads - 1) for n, c in zip(in_flight, clusters))
+    return FetchPools(ranges, sum(in_flight))
+
+
 def make_cluster_fetchers(
     stores: dict[str, StorageBackend],
     cluster: ClusterConfig,
     options: EngineOptions = EngineOptions(),
     *,
     health: HealthRegistry | None = None,
+    pools: FetchPools | None = None,
 ) -> dict[str, ParallelFetcher]:
-    """One fetcher per data location for one cluster.
+    """One run's fetcher per data location for one cluster.
 
-    Each fetcher has room for every chunk fetch the cluster's workers
-    can have in flight at once -- :data:`READAHEAD_MAX` per worker, the
-    deepest read-ahead window, whether it opens for every job
-    (``options.prefetch``), only for striped ones, or never (the process
-    feeder) -- at ``retrieval_threads`` connections each, so neither a
-    sibling worker's fetch nor a worker's own later read-ahead queues
-    behind the first.  The pools spawn threads on demand, though
-    back-to-back submits may start a few more than the fetches in
-    flight, up to that cap.  The cache, retry policy, fan-out and hedge
-    come from ``options``.  Shared by both live engines.
-
-    Each cluster's fetchers are wired as *siblings* of one another, so a
-    chunk carrying replica sources routes each source to the fetcher
-    that owns its store.  ``health`` (the run-wide
-    :class:`~repro.storage.health.HealthRegistry`) flows to every
-    fetcher.
+    They borrow their threads from ``pools`` (a service's, outliving the
+    run) or from private ones (:func:`fetch_pools` for this cluster)
+    that the last of them to close shuts down: the process engine's,
+    which forks before it starts a thread, and direct callers'.  They
+    are wired as *siblings*, so a replica source routes to the fetcher
+    owning its store.  ``health`` (the run-wide registry) flows to every
+    fetcher; the cache, retry policy, fan-out and hedge come from
+    ``options``.
     """
-    chunks_in_flight = max(1, cluster.n_workers) * READAHEAD_MAX
-    fetchers: dict[str, ParallelFetcher] = {}
-    for loc, store in stores.items():
-        fetchers[loc] = ParallelFetcher(
+    if pools is None:
+        pools = fetch_pools([cluster])
+    fetchers = {
+        loc: ParallelFetcher(
             store,
             cluster.retrieval_threads,
             cache=options.chunk_cache,
-            chunks_in_flight=chunks_in_flight,
+            pools=pools,
             retry=options.retry,
             min_part_nbytes=options.min_part_nbytes,
             health=health,
             hedge=options.hedge,
         )
+        for loc, store in stores.items()
+    }
     for f in fetchers.values():
         f.siblings = fetchers
     return fetchers
@@ -542,7 +552,7 @@ def decode_and_fold(
 
 
 def rollup_fetcher_stats(
-    cstats: ClusterStats, fetchers: dict[str, ParallelFetcher], *, close: bool = True
+    cstats: ClusterStats, fetchers: dict[str, ParallelFetcher]
 ) -> None:
     """Close one cluster's fetchers and fold their fault state.
 
@@ -552,8 +562,7 @@ def rollup_fetcher_stats(
     engine.
     """
     for loc, f in fetchers.items():
-        if close:
-            f.close()
+        f.close()
         cstats.n_retries += f.n_retries
         cstats.n_errors += f.n_giveups
         cstats.bytes_retried += f.bytes_retried

@@ -50,7 +50,7 @@ import queue
 import threading
 import time
 import traceback
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -69,6 +69,7 @@ from repro.runtime.core import (
     RunResult,
     account_fetch_info,
     decode_and_fold,
+    fetch_pools,
     finalize_run,
     make_cluster_fetchers,
     rollup_fetcher_stats,
@@ -87,6 +88,7 @@ from repro.storage.faults import WorkerCrash
 from repro.storage.retry import RetryExhausted
 from repro.storage.transfer import (
     HEDGE_POOL_WIDTH,
+    FetchPools,
     ParallelFetcher,
     PrefetchHandle,
     raced,
@@ -267,15 +269,17 @@ class ServiceSlave:
     """One fleet worker: the only in-process worker loop.
 
     Pulls jobs through its cluster's :class:`ServiceMaster`, fetches
-    chunk bytes, decodes and folds them, and accounts every second and
-    byte in :class:`WorkerStats`.  Each job's ``run_id`` selects the fold
-    context: the run's spec, index and fetchers, this worker's
-    ``WorkerStats`` in that run (registered with the run at submission)
-    and its reduction object there (created on the worker's first job of
-    the run and registered with the run at once), so concurrent runs
-    interleave chunk by chunk over the same workers.
+    chunk bytes (on the service's one
+    :class:`~repro.storage.transfer.FetchPools`, whose threads live as
+    long as the fleet), decodes and folds them, and accounts every
+    second and byte in :class:`WorkerStats`.  Each job's ``run_id``
+    selects the fold context: the run's spec, index and fetchers, this
+    worker's ``WorkerStats`` in that run (registered with the run at
+    submission) and its reduction object there (created on the worker's
+    first job of the run and registered with the run at once), so
+    concurrent runs interleave chunk by chunk over the same workers.
 
-    Behind a striped job whose fragments race on the hedge pool
+    Behind a striped job whose fragments race on the leg pools
     (:func:`~repro.storage.transfer.raced`), or behind every job with
     ``options.prefetch``, the worker reads ahead: before every fold it
     reserves jobs (non-blocking) while the window has room
@@ -288,15 +292,14 @@ class ServiceSlave:
     fold in the order they were reserved, and a retrieval-bound worker
     always has that many streams open instead of idling on one.  A
     window holding raced jobs stays at :data:`READAHEAD` on a cluster of
-    more than one worker, whose races share one hedge pool per fetcher,
-    and a lone worker's race legs must fit that pool
-    (``HEDGE_POOL_WIDTH``).  There the window costs one hop more than
-    the race; for plain chunks and hedged replicas it cost CPU without
-    shortening the pass, so it stays opt-in.  Whether the window is
-    open follows the job just taken; a job reserved behind a stripe
-    rides the window, others are fetched on the worker's own thread.  A
-    window entry whose run was cancelled or failed after it was
-    reserved is dropped unfolded.
+    more than one worker, and a lone worker's race legs must fit its
+    share of each store's leg pool (:meth:`_limit`).  There the window
+    costs one hop more than the race; for plain chunks and hedged
+    replicas it cost CPU without shortening the pass, so it stays
+    opt-in.  Whether the window is open follows the job just taken; a
+    job reserved behind a stripe rides the window, others are fetched on
+    the worker's own thread.  A window entry whose run was cancelled or
+    failed after it was reserved is dropped unfolded.
 
     Fault semantics: the crash-injection plan raises :class:`WorkerCrash`
     at the configured job count, and both injected crashes and
@@ -419,19 +422,23 @@ class ServiceSlave:
     def _limit(self, job: Job) -> int:
         """The deepest window ``job`` may ride in.
 
-        A raced job's legs run on its fetcher's hedge pool, which every
-        worker of the cluster shares: with more than one worker a window
-        deeper than :data:`READAHEAD` measured slower, and a lone worker's
-        legs must still fit the pool, or a queued leg counts as late and
-        draws a hedge.
+        A raced job's legs run on the leg pools of the stores they read,
+        shared by the fleet: on a cluster of more than one worker a
+        window deeper than :data:`READAHEAD` measured slower, and a lone
+        worker's legs must fit its share of a pool (``HEDGE_POOL_WIDTH``
+        over the live workers, over the chunk's most data fragments on
+        one store), or a queued leg counts as late and draws a hedge.
         """
         opts = self.service.options
         if not raced(job.chunk, opts.hedge):
             return READAHEAD_MAX
         if self.cluster.n_workers > 1:
             return READAHEAD
-        legs = job.chunk.stripe[0] if job.chunk.fragments else 1
-        return max(READAHEAD, min(READAHEAD_MAX, HEDGE_POOL_WIDTH // legs))
+        chunk = job.chunk
+        data = [f.location for f in chunk.fragments if f.frag_index < chunk.stripe[0]]
+        legs = max(Counter(data).values(), default=1)
+        share = HEDGE_POOL_WIDTH // self.service._alive_workers
+        return max(READAHEAD, min(READAHEAD_MAX, share // legs))
 
     def _read_ahead(self, cur: Job) -> None:
         """Reserve jobs and start their fetches while the window behind
@@ -607,6 +614,7 @@ class BurstingService(EngineBase):
         # Fleet state (threaded backend).
         self._fleet_started = False
         self._blas_held = False  # fleet start .. first shutdown()
+        self._pools: FetchPools | None = None  # lent to every run's fetchers
         self._threads: list[threading.Thread] = []
         self._slaves: list[ServiceSlave] = []
         self._masters: dict[str, ServiceMaster] = {}
@@ -716,7 +724,8 @@ class BurstingService(EngineBase):
             self._ensure_fleet_locked()
             for cluster in self.clusters:
                 entry.fetchers[cluster.name] = make_cluster_fetchers(
-                    self.stores, cluster, self.options, health=self._health
+                    self.stores, cluster, self.options,
+                    health=self._health, pools=self._pools,
                 )
             self._multi.add_run(entry)
             if entry.scheduler.all_done:  # zero-chunk submission
@@ -735,6 +744,8 @@ class BurstingService(EngineBase):
         if self._fleet_started:
             return
         self._fleet_started = True
+        self._pools = fetch_pools(self.clusters)
+        self._pools.hold()
         for cluster in self.clusters:
             master = ServiceMaster(
                 self, cluster, self.options.batch_size, cluster.n_workers
@@ -1028,6 +1039,9 @@ class BurstingService(EngineBase):
                 if self._blas_held:
                     self._blas_held = False
                     BLAS_BUDGET.release()
+                pools, self._pools = self._pools, None
+            if pools is not None:
+                pools.release()
         for th in list(self._run_threads):
             if th is not me:
                 th.join(timeout)

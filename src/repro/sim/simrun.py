@@ -518,7 +518,7 @@ def _pipelined_worker_proc(
     Mirrors the live :class:`~repro.service.service.ServiceSlave` loop: the
     core reserves jobs from its master while the window has room
     (:func:`~repro.runtime.core.window_has_room`: the live worker's byte
-    bound; the DES has no hedge pool to cap it) -- each fetch its own
+    bound; the DES has no leg pool to cap it) -- each fetch its own
     simulated process, occupying the storage/WAN links while the core
     occupies its CPU -- computes the current job, then waits for the
     *oldest* reserved fetch.  The first job takes the same route.  ``retrieval_s`` records only the

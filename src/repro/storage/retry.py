@@ -212,7 +212,7 @@ class RetryPolicy:
                 f"attempt exceeded per-attempt timeout {self.attempt_timeout_s}s"
             )
         if "error" in box:
-            raise box["error"]
+            raise box.pop("error")  # the error's traceback holds this frame
         return box["value"]
 
     def call(

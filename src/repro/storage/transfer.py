@@ -20,6 +20,9 @@ engines' data pipeline:
   fetch on a background thread so a worker can overlap the retrieval of
   the jobs it has reserved with the processing of the current one
   (read-ahead).
+
+All of them run on the threads of one :class:`FetchPools`, which may
+outlive the fetchers that borrow it (a service's outlives its runs).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable
@@ -43,6 +47,7 @@ __all__ = [
     "split_range",
     "FAILOVER_ERRORS",
     "FetchInfo",
+    "FetchPools",
     "PrefetchHandle",
     "ParallelFetcher",
     "raced",
@@ -62,8 +67,8 @@ FAILOVER_ERRORS: tuple[type[BaseException], ...] = (
 #: request overhead, so ranges are coalesced rather than shattered.
 DEFAULT_MIN_PART_NBYTES = 4096
 
-#: Threads in a fetcher's hedge pool, and the most race losers that may
-#: outlive their race per store (:meth:`ParallelFetcher._detach`).
+#: Threads in each store's race-leg pool (no leg queues behind a stalled
+#: one), and the most losers alive per store (:meth:`ParallelFetcher._detach`).
 HEDGE_POOL_WIDTH = 32
 
 
@@ -152,9 +157,9 @@ class PrefetchHandle:
     """
 
     __slots__ = ("_future", "fetch_s", "info")
+    _future: Future  # the read-ahead pool's, set as the fetch is submitted
 
     def __init__(self) -> None:
-        self._future: Future = Future()
         self.fetch_s = 0.0
         self.info = FetchInfo()
 
@@ -167,29 +172,29 @@ class PrefetchHandle:
 
     def result(self) -> bytes:
         """Block until the fetch completes; re-raises fetch errors."""
-        return self._future.result()
+        try:
+            return self._future.result()
+        finally:
+            del self  # a fetch error's traceback holds this frame
 
     def cancel(self) -> None:
-        """Cancel if not started; otherwise absorb the outcome."""
+        """Cancel if not started; otherwise wait out the outcome."""
         if not self._future.cancel():
-            try:
-                self._future.result()
-            except BaseException:
-                pass
+            self._future.exception()
 
 
-class _Inline:
-    """Executor stand-in that runs each race leg on the calling thread."""
-
-    @staticmethod
-    def submit(fn, *args) -> Future:
-        fut: Future = Future()
-        fut.set_running_or_notify_cancel()
-        try:
-            fut.set_result(fn(*args))
-        except BaseException as exc:
-            fut.set_exception(exc)
+def _inline(kind: str, fn: Callable, *args, at: str = "") -> Future:
+    """Runs a race leg on the calling thread (:meth:`FetchPools.submit`'s stand-in)."""
+    fut: Future = Future()
+    fut.set_running_or_notify_cancel()
+    try:
+        fut.set_result(fn(*args))
+    except BaseException as exc:
+        fut.set_exception(exc)
+    try:
         return fut
+    finally:
+        del fut  # the leg's error holds this frame, and the race's above it
 
 
 def _wire_range(chunk, src) -> tuple[int, int]:
@@ -210,6 +215,14 @@ def _source_range(chunk, src) -> tuple[int, int]:
     return _wire_range(chunk, src)
 
 
+def _route(siblings: dict[str, "ParallelFetcher"], src) -> "ParallelFetcher":
+    """The fetcher in ``siblings`` owning ``src``'s store."""
+    fetcher = siblings.get(src.location)
+    if fetcher is None:  # a setup bug, not an outage to fail over from
+        raise LookupError(f"no fetcher for location {src.location!r}")
+    return fetcher
+
+
 def _decode_frame(chunk, frame, info: FetchInfo, t0: float) -> Buffer:
     """Decode ``chunk``'s wire frame, booking ``decode_s`` since ``t0``
     and the inflate copy, and check the index's logical size."""
@@ -226,17 +239,64 @@ def _decode_frame(chunk, frame, info: FetchInfo, t0: float) -> Buffer:
 
 
 def _legs_on_pool(k: int, hedge: HedgePolicy | None) -> bool:
-    """Whether a k-of-n race runs its legs on the hedge pool, not inline."""
+    """Whether a k-of-n race runs its legs on the leg pools, not inline."""
     return k > 1 or hedge is not None
 
 
 def raced(chunk, hedge: HedgePolicy | None) -> bool:
     """Whether :meth:`ParallelFetcher.fetch_chunk` runs ``chunk``'s race
-    legs on the hedge pool, the calling thread only waiting on them."""
+    legs on the leg pools, the calling thread only waiting on them."""
     if chunk.fragments:
         return _legs_on_pool(chunk.stripe[0], hedge)
     return len(chunk.sources) > 1 and _legs_on_pool(1, hedge)
 
+
+class FetchPools:
+    """Every fetch thread of one owner, lent to the fetchers built over it:
+    per store a ``"range"`` pool (``range_width`` threads, for sub-range
+    GETs) and a ``"leg"`` pool (:data:`HEDGE_POOL_WIDTH`, for race legs
+    reading that store, so a stalled store's detached legs fill only
+    its own), and one ``"readahead"`` pool (``readahead_width``).  Pools
+    start on first use, threads on demand.  The owner (a service), each
+    fetcher and each detached leg :meth:`hold` it; once only detached
+    legs do, every pool but their stores' shuts down, and a store's last
+    leg shuts down the rest."""
+
+    def __init__(self, range_width: int, readahead_width: int) -> None:
+        self._widths = dict(
+            range=range_width, leg=HEDGE_POOL_WIDTH, readahead=readahead_width
+        )
+        self._pools: dict[tuple[str, str], ThreadPoolExecutor] = {}
+        self._lock = threading.Lock()
+        #: Holders by the store they keep ("" for all of them).
+        self._holds: Counter[str] = Counter()
+
+    def submit(self, kind: str, fn: Callable, *args, at: str = "") -> Future:
+        """Run ``fn(*args)`` on the ``kind`` pool of store ``at``."""
+        with self._lock:
+            pool = self._pools.get((kind, at))
+            if pool is None:
+                name = f"{kind}-{at}" if at else kind
+                pool = ThreadPoolExecutor(self._widths[kind], name)
+                self._pools[kind, at] = pool
+        return pool.submit(fn, *args)
+
+    def hold(self, at: str = "") -> None:
+        """Keep every pool, or (a detached leg) only store ``at``'s."""
+        with self._lock:
+            self._holds[at] += 1
+
+    def release(self, at: str = "") -> None:
+        """Drop a :meth:`hold`, shutting down every pool nobody holds any
+        more: joined, unless the caller is a leg on one of them."""
+        with self._lock:
+            self._holds[at] -= 1
+            if self._holds[""]:
+                return
+            done = [key for key in self._pools if not self._holds[key[1]]]
+            pools = [self._pools.pop(key) for key in done]
+        for pool in pools:
+            pool.shutdown(wait=not at)
 
 class ParallelFetcher:
     """Fetch byte ranges from a store with up to ``n_threads`` connections.
@@ -247,13 +307,10 @@ class ParallelFetcher:
     (:meth:`_plan_parts`).  ``cache`` (a shared :class:`ChunkCache`)
     short-circuits fetches of ranges already resident.
 
-    ``chunks_in_flight`` is how many fetches the owner drives at once
-    (workers sharing the fetcher x each worker's read-ahead).  Both
-    pools are sized from it, so one fetch never queues behind another:
-    the background pool serving :meth:`fetch_chunk_async` holds that
-    many threads, and the range pool that many x (``n_threads`` - 1) --
-    the thread driving a fetch runs the first sub-range itself.  Both
-    spawn threads on demand, so an idle allowance costs nothing.
+    A fetcher owns no thread: its sub-range GETs, race legs and
+    read-aheads run on ``pools`` (a :class:`FetchPools`, private ones for
+    one fetch at a time if none), held until :meth:`close`.  Its own are
+    one run's counters, retry, health, hedge and :class:`FetchInfo` books.
 
     ``retry`` (a :class:`~repro.storage.retry.RetryPolicy`) makes every
     store ``get`` -- including each parallel sub-range -- retry
@@ -268,12 +325,13 @@ class ParallelFetcher:
     fragments is fetched by one k-of-n race (:meth:`_race`) -- the
     first success among its sources, or the first ``k`` among its
     fragments.  ``siblings`` maps the run's other locations to their
-    fetchers, so every leg runs on the fetcher owning its store.  A
-    shared :class:`~repro.storage.health.HealthRegistry` orders the
-    candidates and learns from every leg; a
-    :class:`~repro.storage.health.HedgePolicy` launches a backup for a
-    leg still in flight past its threshold.  Each fetch's
-    :class:`FetchInfo` is its only ledger, its race's losers included.
+    fetchers, so every leg reads through the fetcher owning its store,
+    on that store's leg pool.  A shared
+    :class:`~repro.storage.health.HealthRegistry` orders the candidates
+    and learns from every leg; a :class:`~repro.storage.health.HedgePolicy`
+    launches a backup for a leg still in flight past its threshold.
+    Each fetch's :class:`FetchInfo` is its only ledger, its race's
+    losers included.
     """
 
     def __init__(
@@ -282,7 +340,7 @@ class ParallelFetcher:
         n_threads: int = 1,
         *,
         cache: ChunkCache | None = None,
-        chunks_in_flight: int = 1,
+        pools: FetchPools | None = None,
         retry: RetryPolicy | None = None,
         min_part_nbytes: int = DEFAULT_MIN_PART_NBYTES,
         health: HealthRegistry | None = None,
@@ -290,19 +348,18 @@ class ParallelFetcher:
     ) -> None:
         if n_threads <= 0:
             raise ValueError("n_threads must be positive")
-        if chunks_in_flight <= 0:
-            raise ValueError("chunks_in_flight must be positive")
         self.store = store
         self.n_threads = n_threads
         self.cache = cache
-        self.chunks_in_flight = chunks_in_flight
+        self.pools = FetchPools(n_threads - 1, 1) if pools is None else pools
+        self.pools.hold()
         self.retry = retry
         self.min_part_nbytes = min_part_nbytes
         self.health = health
         self.hedge = hedge
         #: location -> fetcher for the run's other stores; set by
         #: ``make_cluster_fetchers`` so replica sources route to the
-        #: fetcher that owns their store (with its own pool).
+        #: fetcher that owns their store.
         self.siblings: dict[str, "ParallelFetcher"] = {store.location: self}
         self.n_retries = 0
         self.n_giveups = 0
@@ -316,20 +373,6 @@ class ParallelFetcher:
         #: hits excluded) -- the sample pool for p95 fetch latency.
         self.fetch_latencies: list[float] = []
         self._counter_lock = threading.Lock()
-        self._hedge_pool: ThreadPoolExecutor | None = None
-        self._pool = (
-            ThreadPoolExecutor(
-                max_workers=chunks_in_flight * (n_threads - 1),
-                thread_name_prefix="fetch",
-            )
-            if n_threads > 1
-            else None
-        )
-        self._prefetch_pool: ThreadPoolExecutor | None = None
-        #: Detached race legs running on the hedge pool or reading the
-        #: store (:meth:`_detach`); ``close`` leaves the rest to the last.
-        self._n_detached = 0
-        self._closed = False
 
     def _plan_parts(self, nbytes: int) -> int:
         """Sub-range fan-out for a fetch of ``nbytes``.
@@ -407,9 +450,10 @@ class ParallelFetcher:
             return self._fetch_single(
                 self.store.location, lambda: self._fetch_chunk_source(chunk, src)
             )
+        siblings = self.siblings  # the map as it is now: a leg may outlive close()
         return self._fetch_replicated(
             sources,
-            lambda s: self._route(s)._fetch_chunk_source(chunk, s),
+            lambda s: _route(siblings, s)._fetch_chunk_source(chunk, s),
             self.hedge,
             lambda s: _source_range(chunk, s)[1],
         )
@@ -429,7 +473,7 @@ class ParallelFetcher:
             offset, nbytes = (
                 _wire_range(chunk, src) if encoded else (chunk.offset, chunk.nbytes)
             )
-            _, info = self._route(src).fetch_into(src.key, offset, nbytes, out)
+            _, info = _route(self.siblings, src).fetch_into(src.key, offset, nbytes, out)
             info.bytes_logical = chunk.nbytes
             return None, info
 
@@ -439,13 +483,6 @@ class ParallelFetcher:
         else:
             _, info = self._fetch_replicated(sources, leg, None)
         return info
-
-    def _route(self, src) -> "ParallelFetcher":
-        """The fetcher owning ``src``'s store (self for the primary)."""
-        fetcher = self.siblings.get(src.location)
-        if fetcher is None:  # a setup bug, not an outage to fail over from
-            raise LookupError(f"no fetcher for location {src.location!r}")
-        return fetcher
 
     def _book_latency(self, info: FetchInfo, latency: float) -> None:
         """Set ``info.fetch_s`` and pool it for the p95 unless the cache
@@ -497,54 +534,6 @@ class ParallelFetcher:
             latency = max(0.0, time.monotonic() - t0 - info.decode_s)
         self._book_latency(info, latency)
         return data, info
-
-    def _hedge_pool_lazy(self) -> ThreadPoolExecutor:
-        if self._hedge_pool is None:
-            # Legs must never queue behind one another: a stalled
-            # primary holding the last slot would block the very
-            # duplicate launched to escape it, making hedging *worse*
-            # than not hedging.  The executor spawns threads on demand
-            # (never while one sits idle), so the generous cap costs
-            # nothing on quiet runs.
-            self._hedge_pool = ThreadPoolExecutor(
-                max_workers=HEDGE_POOL_WIDTH, thread_name_prefix="hedge"
-            )
-        return self._hedge_pool
-
-    def _detach(self, fut: Future, owner: "ParallelFetcher") -> bool:
-        """Let the running race leg ``fut``, which reads ``owner``'s
-        store, finish after its race has returned.
-
-        False, and nothing changes, when that store already has
-        :data:`HEDGE_POOL_WIDTH` detached legs alive (its
-        ``stats.n_detached``): a store that never answers cannot grow
-        threads without bound.  A detached leg still reports to the
-        health registry; until it ends, this fetcher and ``owner`` keep
-        the pools and sibling map it may use (:meth:`close`).
-        """
-        stats = owner.store.stats
-        if not stats.try_detach(HEDGE_POOL_WIDTH):
-            return False
-        holders = {self, owner}
-        for f in holders:
-            f._hold(1)
-
-        def done(_: Future) -> None:
-            stats.release_detached()
-            for f in holders:
-                f._hold(-1)
-
-        fut.add_done_callback(done)
-        return True
-
-    def _hold(self, delta: int) -> None:
-        """Count a detached leg in or out; the last one out of a closed
-        fetcher lets go of what :meth:`close` left to it."""
-        with self._counter_lock:
-            self._n_detached += delta
-            last = self._closed and not self._n_detached
-        if last:
-            self._let_go(wait=False)
 
     def _race(
         self,
@@ -615,7 +604,7 @@ class ParallelFetcher:
                 range(n), key=lambda i: (i >= n_data, rank.get(cands[i].location, 0), i)
             )
         ]
-        pool = self._hedge_pool_lazy() if _legs_on_pool(k, hedge) else _Inline
+        submit = self.pools.submit if _legs_on_pool(k, hedge) else _inline
 
         def timed(cand) -> tuple[Buffer, FetchInfo, float]:
             t0 = time.monotonic()
@@ -640,6 +629,8 @@ class ParallelFetcher:
         next_i = failovers = n_hedges = hedge_wins = wasted = 0
         last_exc: BaseException | None = None
         bug: BaseException | None = None
+        done: set[Future] = set()
+        f: Future | None = None
 
         def launch(as_hedge: bool = False) -> bool:
             """Launch the next candidate the breakers admit, if any."""
@@ -655,7 +646,9 @@ class ParallelFetcher:
                             skips += cand.location not in demoted
                             continue
                         probe = True
-                inflight[pool.submit(timed, cand)] = (cand, as_hedge, probe)
+                inflight[submit("leg", timed, cand, at=cand.location)] = (
+                    cand, as_hedge, probe,
+                )
                 return True
             return False
 
@@ -726,8 +719,7 @@ class ParallelFetcher:
                     continue
                 if wire is not None:
                     wasted += wire(cand)
-                owner = self.siblings.get(cand.location, self)
-                if not f.done() and not self._detach(f, owner):
+                if not f.done() and not self._detach(f, cand.location):
                     over_cap.append(f)
             if over_cap:
                 wait(over_cap)
@@ -737,6 +729,28 @@ class ParallelFetcher:
             books.fragments_wasted_bytes = wasted
             with self._counter_lock:
                 self.n_breaker_skips += skips
+            # A raised error's traceback holds this frame: let go of it.
+            bug = last_exc = f = None
+            done.clear()
+
+    def _detach(self, fut: Future, location: str) -> bool:
+        """Let the running race leg ``fut``, which reads ``location``'s
+        store, end after its race, holding that store's pools till then.
+        False, and nothing changes, when that store already has
+        :data:`HEDGE_POOL_WIDTH` detached legs alive (its
+        ``stats.n_detached``): a store that never answers cannot grow
+        threads without bound."""
+        stats = self.siblings.get(location, self).store.stats
+        if not stats.try_detach(HEDGE_POOL_WIDTH):
+            return False
+        self.pools.hold(at=location)
+
+        def ended(_: Future) -> None:
+            stats.release_detached()
+            self.pools.release(at=location)
+
+        fut.add_done_callback(ended)
+        return True
 
     def _fetch_chunk_striped(self, chunk) -> tuple[Buffer, FetchInfo]:
         """Fastest-k-of-n fetch of an erasure-striped chunk.
@@ -756,8 +770,10 @@ class ParallelFetcher:
                 f"need at least k={k}"
             )
 
+        siblings = self.siblings  # the map as it is now: a leg may outlive close()
+
         def leg(frag) -> tuple[Buffer, FetchInfo]:
-            data, hit = self._route(frag).fetch_with_info(frag.key, 0, frag.nbytes)
+            data, hit = _route(siblings, frag).fetch_with_info(frag.key, 0, frag.nbytes)
             return data, FetchInfo(cache_hit=hit, bytes_wire=0 if hit else frag.nbytes)
 
         info = FetchInfo(bytes_logical=chunk.nbytes, n_fragments=k)
@@ -856,10 +872,10 @@ class ParallelFetcher:
         GET writes its slice in place, so there is no reassembly
         ``join`` -- a full extra copy of every parallel fetch.  The
         calling thread fetches the first sub-range itself and only the
-        others go to the range pool.
+        others go to the store's range pool.
         """
         n_parts = self._plan_parts(nbytes)
-        if self._pool is None or n_parts <= 1 or nbytes < n_parts:
+        if n_parts <= 1 or nbytes < n_parts:
             n_parts = 1
             out: Buffer = self._get_with_retry(key, offset, nbytes)
             if view is not None:
@@ -872,42 +888,28 @@ class ParallelFetcher:
             parts = split_range(offset, nbytes, n_parts, self.min_part_nbytes)
             n_parts = len(parts)
             futures = [
-                self._pool.submit(
-                    self._get_part_into, key, off, n,
-                    view[off - offset : off - offset + n],
+                self.pools.submit(
+                    "range", self._get_part_into, key, off, n,
+                    view[off - offset : off - offset + n], at=self.store.location,
                 )
                 for off, n in parts[1:]
             ]
-            error: BaseException | None = None
-            # Each sub-range retries transient errors internally (when a
-            # policy is set), so only an *exhausted or non-retryable*
-            # part reaches this collection loop.  Collect in part order
-            # (this thread's own part is the first) so such a failure
-            # surfaces the earliest failing sub-range deterministically;
-            # once one part fails, cancel the queued siblings and absorb
-            # the running ones rather than leaving them racing against
-            # the pool shutdown.
+            # Sub-ranges retry transient errors themselves, so only an
+            # exhausted or non-retryable part raises here.  Collect in part
+            # order (this thread's own first), so the earliest failing part
+            # surfaces; then cancel the queued rest and wait out the running.
             off, n = parts[0]
+            f: Future | None = None
             try:
                 self._get_part_into(key, off, n, view[:n])
-            except BaseException as exc:
-                error = exc
-            for f in futures:
-                if error is not None:
-                    f.cancel()
-                    continue
-                try:
-                    f.result()
-                except BaseException as exc:
-                    error = exc
-            if error is not None:
                 for f in futures:
-                    if not f.cancelled():
-                        try:
-                            f.result()
-                        except BaseException:
-                            pass
-                raise error
+                    f.result()
+            except BaseException:
+                for f in futures:
+                    f.cancel()
+                wait(futures)
+                futures, f = [], None  # the error's traceback holds this frame
+                raise
         with self._counter_lock:
             if n_parts > 1:
                 self.n_split_fetches += 1
@@ -960,57 +962,30 @@ class ParallelFetcher:
         fetch actually ran, which the engine uses to account overlapped
         (hidden) retrieval time.
         """
-        if self._prefetch_pool is None:
-            self._prefetch_pool = ThreadPoolExecutor(
-                max_workers=self.chunks_in_flight, thread_name_prefix="prefetch"
-            )
-        handle = PrefetchHandle()
-
-        def work() -> None:
-            if not handle._future.set_running_or_notify_cancel():
-                return
+        def work(handle: PrefetchHandle) -> Buffer:
             t0 = time.monotonic()
             try:
-                data, info = self.fetch_chunk(chunk)
-            except BaseException as exc:
-                handle.fetch_s = time.monotonic() - t0
-                handle._future.set_exception(exc)
-                return
-            handle.fetch_s = time.monotonic() - t0 - info.decode_s
-            handle.info = info
-            handle._future.set_result(data)
+                data, handle.info = self.fetch_chunk(chunk)
+            finally:
+                handle.fetch_s = time.monotonic() - t0 - handle.info.decode_s
+                del handle  # a fetch error's traceback holds this frame
+            return data
 
-        self._prefetch_pool.submit(work)
+        handle = PrefetchHandle()
+        handle._future = self.pools.submit("readahead", work, handle)
         return handle
 
     def close(self) -> None:
-        """Join the fetcher's pools and drop its sibling map.
+        """Give back this fetcher's hold on its pools (idempotent).  A
+        race loser detached by :meth:`_race` may outlive this, holding
+        its store's pools; nothing else of the fetcher runs after it.
 
-        A race loser detached by :meth:`_race` is the one thing that may
-        outlive this.  While one runs on the hedge pool or reads this
-        store, the hedge pool is only drained -- no leg is submitted to
-        it any more, and each thread exits once its leg has ended -- and
-        the range pool and sibling map, which such a leg may still use,
-        are let go by the last of them.
+        The sibling map, which holds this fetcher too, goes: a closed
+        fetcher set is freed by reference counting, not left as a cycle.
         """
-        if self._prefetch_pool is not None:
-            self._prefetch_pool.shutdown(wait=True)
-            self._prefetch_pool = None
-        with self._counter_lock:
-            self._closed = True
-            detached = self._n_detached > 0
-        if self._hedge_pool is not None:
-            self._hedge_pool.shutdown(wait=not detached)
-            self._hedge_pool = None
-        if not detached:
-            self._let_go(wait=True)
-
-    def _let_go(self, wait: bool) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait)
-        # The sibling map holds this fetcher too: drop it, so a closed
-        # fetcher set is freed by reference counting, not left as a cycle.
-        self.siblings = {}
+        if self.siblings:
+            self.siblings = {}
+            self.pools.release()
 
     def __enter__(self) -> "ParallelFetcher":
         return self

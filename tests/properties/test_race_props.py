@@ -146,7 +146,7 @@ class TestUnhedgedRace:
                            for i in range(2)})
         with ParallelFetcher(MemoryStore("local")) as fetcher:
             wins, exc, books = run_race(fetcher, 2, 1, legs)
-            assert fetcher._hedge_pool is None
+            assert fetcher.pools._pools == {}
         assert exc is None and [c.i for c, *_ in wins] == [1]
         assert threads == [threading.get_ident()] * 2
         assert books.n_failovers == 1

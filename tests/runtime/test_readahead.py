@@ -189,7 +189,7 @@ class TestWindow:
         assert rig.store.max_parked == 1
         assert (w.prefetch_hits, w.prefetch_misses, w.overlap_s) == (0, 0, 0.0)
         assert w.jobs_processed == N_JOBS
-        assert all(f._prefetch_pool is None for f in rig.fetchers.values())
+        assert all(("readahead", "") not in f.pools._pools for f in rig.fetchers.values())
         assert rr.result == wordcount_exact(rig.tokens)
         rig.close()
 

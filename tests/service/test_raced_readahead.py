@@ -1,9 +1,9 @@
 """Striped fetches read ahead without ``prefetch``.
 
-A striped chunk is fetched by a race whose legs run on the hedge pool,
+A striped chunk is fetched by a race whose legs run on the leg pools,
 so a fleet worker keeps :func:`~repro.runtime.core.window_depth` such
 fetches in flight while it folds whether or not ``prefetch`` is set --
-fewer when its cluster's workers would overflow the hedge pool.
+two on a cluster of more than one worker.
 Plain chunks and replicas, hedged or not, keep an empty window.  The
 datasets are organized over plain in-memory stores and read through
 gated copies of them (:mod:`tests.gated`), so each test
@@ -34,7 +34,7 @@ UNITS = 300
 UNIT_NBYTES = WordCountSpec().fmt.unit_nbytes
 #: Fetches in flight per worker behind these (small) striped chunks.
 DEPTH = window_depth(UNITS * UNIT_NBYTES)
-#: The same with two workers, whose races share one hedge pool.
+#: The same with two workers, whose races share the leg pools.
 PAIR_DEPTH = READAHEAD
 #: A hedge that never fires while a test holds a gate.
 NEVER = HedgePolicy(min_threshold_s=60.0, max_hedges=1)
@@ -106,7 +106,7 @@ class Fleet:
 @pytest.mark.parametrize("hedge", [None, NEVER], ids=["unhedged", "hedged"])
 def test_striped_chunks_fill_the_window_without_prefetch(hedge, n_workers, depth):
     """Each worker parks ``depth`` whole chunk fetches -- every leg of
-    each, as many as the hedge pool holds -- and folds every chunk
+    each, as many as a store's leg pool holds -- and folds every chunk
     through the window."""
     assert DEPTH * K == HEDGE_POOL_WIDTH
     tokens, index, stores = organize("striped", n_workers * depth + 2, seed=41)

@@ -94,7 +94,7 @@ def test_a_small_chunk_opens_no_deep_window_of_large_ones(rider):
 def test_striped_run_parks_six_whole_chunk_fetches_per_worker():
     """One worker in each of two clusters, as in the suite: each parks
     every leg of ``STRIPED_DEPTH`` striped chunks (two at a fixed
-    ``READAHEAD``) on fetchers sized for that window."""
+    ``READAHEAD``) on the service's pools, sized for that window."""
     assert STRIPED_DEPTH == 6 and STRIPED_DEPTH * K <= HEDGE_POOL_WIDTH
     tokens, index, stores = organize(
         "striped", 2 * STRIPED_DEPTH + 2, seed=51, units=STRIPED_UNITS
@@ -119,9 +119,11 @@ def test_striped_run_parks_six_whole_chunk_fetches_per_worker():
             c for w in windows for c in w for _ in range(K)
         )
         fetchers = service._runs[handle.run_id].fetchers
+        # Every fetcher borrows the service's pools, sized for both windows.
         assert {
-            f.chunks_in_flight for cf in fetchers.values() for f in cf.values()
-        } == {READAHEAD_MAX}
+            f.pools for cf in fetchers.values() for f in cf.values()
+        } == {service._pools}
+        assert service._pools._widths["readahead"] == 2 * READAHEAD_MAX
         for store in gated.values():
             store.open_all()
         rr = handle.result(timeout=WAIT_S)
@@ -152,7 +154,8 @@ def test_prefetch_over_large_chunks_parks_exactly_two():
     try:
         handle = service.submit(WordCountSpec(), index)
         (fetcher,) = service._runs[handle.run_id].fetchers["local"].values()
-        assert fetcher.chunks_in_flight == READAHEAD_MAX
+        assert fetcher.pools is service._pools
+        assert fetcher.pools._widths["readahead"] == READAHEAD_MAX
         remaining = n_chunks
         while remaining:
             expect = min(READAHEAD, remaining)
@@ -176,7 +179,7 @@ def test_crash_behind_a_six_deep_window_requeues_each_job_once(monkeypatch):
     hand and all six reserved ones go back once, and a second worker
     folds them -- every chunk exactly once.  The chunks are the striped
     workload's size, read ahead under ``prefetch``: two workers'
-    striped windows this deep would not fit the hedge pool."""
+    striped windows this deep would not fit the leg pools."""
     monkeypatch.setattr(service_mod, "ServiceMaster", RecordingMaster)
     tokens, index, stores = organize(
         "plain", STRIPED_DEPTH + 4, seed=53, units=STRIPED_UNITS
@@ -251,13 +254,18 @@ def test_large_plain_chunks_riding_a_stripes_window_stay_in_bytes():
     assert set(threading.enumerate()) <= before
 
 
-def test_a_lone_workers_race_legs_fit_the_hedge_pool():
+@pytest.mark.parametrize("n_stores", [1, 9], ids=["crowded", "spread"])
+def test_a_lone_workers_race_legs_fit_the_leg_pools(n_stores):
     """Eight-fragment stripes: a lone worker's window stops where its
-    legs fill the hedge pool, short of the chunks' depth."""
+    legs fill a store's leg pool -- short of the chunks' depth when all
+    fragments share one store, at that depth when each has its own."""
     k = 8
-    depth = HEDGE_POOL_WIDTH // k
-    assert READAHEAD < depth < window_depth(300 * UNIT_NBYTES)
-    stores = {loc: MemoryStore(loc) for loc in ["local"] + [f"s{i}" for i in range(k)]}
+    depth = HEDGE_POOL_WIDTH // k if n_stores == 1 else window_depth(300 * UNIT_NBYTES)
+    assert READAHEAD < HEDGE_POOL_WIDTH // k < window_depth(300 * UNIT_NBYTES)
+    stores = {
+        loc: MemoryStore(loc)
+        for loc in ["local"] + [f"s{i}" for i in range(n_stores - 1)]
+    }
     tokens = generate_tokens((depth + 2) * 300, 50, seed=57)
     index = write_dataset(
         tokens, WordCountSpec().fmt, stores["local"], n_files=depth + 2,

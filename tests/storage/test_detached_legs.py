@@ -4,7 +4,8 @@ A hedged k-of-n race returns as soon as it has its winners.  Each loser
 still running at that moment is booked in the fetch's ``FetchInfo`` by
 the wire bytes it requested and detached: neither the race nor
 ``ParallelFetcher.close()`` waits for it, yet it still reports to the
-health registry when it ends.  At most ``HEDGE_POOL_WIDTH`` detached legs
+health registry when it ends, and holds the run's ``FetchPools`` until
+then.  At most ``HEDGE_POOL_WIDTH`` detached legs
 may be alive per store, so a store that never answers cannot grow
 threads without bound.
 
@@ -85,12 +86,15 @@ class TestDetachedLoser:
         slow = stores["slow"]
         assert slow.parked == ["obj"]
         assert health.health("slow").latency_ewma_s == 0.0
-        assert fetchers["slow"].siblings  # still routing the detached leg
+        # The detached leg keeps its store's pool and nothing else.
+        pools = fetchers["slow"].pools
+        assert set(pools._pools) == {("leg", "slow")}
+        assert all(f.siblings == {} for f in fetchers.values())
         slow.open_all()
         wait_for(lambda: slow.stats.n_detached == 0)
         assert health.health("slow").latency_ewma_s > 0.0
-        # The last leg out let go of the pools and the sibling map.
-        assert all(f.siblings == {} for f in fetchers.values())
+        # The last leg out let go of it.
+        assert pools._pools == {}
         wait_for(lambda: set(threading.enumerate()) <= before)
 
     def test_a_store_that_never_answers_holds_at_most_the_cap(self):

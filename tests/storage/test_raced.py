@@ -1,14 +1,12 @@
-"""``raced`` names exactly the fetches whose legs run on the hedge pool.
+"""``raced`` names exactly the fetches whose legs run on the leg pools.
 
 The service opens its read-ahead window behind a raced job, and the
 process engine's feeder hands raced chunks to ``fetch_chunk``, both on
-the promise that such a fetch's legs run concurrently on the fetcher's
-hedge pool.  Every chunk shape here is fetched once through
-``fetch_chunk`` with pools that count their submissions, and the
+the promise that such a fetch's legs run concurrently on the leg pools
+of their stores.  Every chunk shape here is fetched once through
+``fetch_chunk`` with pools that count their leg submissions, and the
 predicate must agree with what the race actually did.
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,20 +21,20 @@ from repro.data.formats import RecordFormat
 from repro.runtime.core import ClusterConfig, EngineOptions, make_cluster_fetchers
 from repro.storage.health import HedgePolicy
 from repro.storage.local import MemoryStore
-from repro.storage.transfer import raced
+from repro.storage.transfer import FetchPools, raced
 
 FMT = RecordFormat("bytes", np.uint8, ())
 HEDGE = HedgePolicy(min_threshold_s=0.001, max_hedges=1)
 
 
-class CountingPool(ThreadPoolExecutor):
+class CountingPools(FetchPools):
     def __init__(self) -> None:
-        super().__init__(max_workers=8)
-        self.submits = 0
+        super().__init__(range_width=0, readahead_width=1)
+        self.legs = 0
 
-    def submit(self, *args, **kwargs):
-        self.submits += 1
-        return super().submit(*args, **kwargs)
+    def submit(self, kind, fn, *args, at=""):
+        self.legs += kind == "leg"
+        return super().submit(kind, fn, *args, at=at)
 
 
 def make_index(stores, *, replicas=0, stripe=None):
@@ -65,22 +63,22 @@ def make_index(stores, *, replicas=0, stripe=None):
     ],
     ids=["plain", "1-replica", "2-replicas", "stripe-1-1", "stripe-2-0", "stripe-4-2"],
 )
-def test_raced_iff_fetch_chunk_submits_to_the_hedge_pool(shape, hedge):
+def test_raced_iff_fetch_chunk_submits_to_the_leg_pools(shape, hedge):
     stores = {
         name: MemoryStore(name) for name in ["local", "cloud", "spare0", "spare1"]
     }
     index = make_index(stores, **shape)
     cluster = ClusterConfig("local", "local", n_workers=1, retrieval_threads=1)
-    fetchers = make_cluster_fetchers(stores, cluster, EngineOptions(hedge=hedge))
-    pools = {}
-    for loc, fetcher in fetchers.items():
-        pools[loc] = fetcher._hedge_pool = CountingPool()
+    pools = CountingPools()
+    fetchers = make_cluster_fetchers(
+        stores, cluster, EngineOptions(hedge=hedge), pools=pools
+    )
     try:
         for chunk in index.chunks:
-            before = sum(p.submits for p in pools.values())
+            before = pools.legs
             data, _ = fetchers[chunk.location].fetch_chunk(chunk)
             assert memoryview(data).nbytes == chunk.nbytes
-            submitted = sum(p.submits for p in pools.values()) > before
+            submitted = pools.legs > before
             assert raced(chunk, hedge) == submitted, (shape, chunk.chunk_id)
     finally:
         for fetcher in fetchers.values():
