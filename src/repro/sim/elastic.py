@@ -13,15 +13,11 @@ the remaining jobs (stealing included).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.data.index import DataIndex
-from repro.runtime.scheduler import HeadScheduler
-from repro.runtime.stats import WorkerStats
-from repro.sim import simrun as _simrun
 from repro.sim.calibration import AppSimProfile, ResourceParams
-from repro.sim.simrun import SimClusterConfig, SimRunResult, simulate_run
+from repro.sim.simrun import SimClusterConfig, SimRunResult, _simulate, simulate_run
 
 __all__ = ["ElasticPolicy", "ElasticRunResult", "simulate_elastic_run"]
 
@@ -153,121 +149,27 @@ def simulate_elastic_run(
     if not leases:
         return ElasticRunResult(result=base, policy=policy, extra_cores_leased=0)
 
-    delayed = [
-        (
-            SimClusterConfig(
-                name=f"cloud-elastic-{i}",
-                location="cloud",
-                n_cores=policy.step_cores,
-                core_speed=cloud.core_speed,
-                retrieval_threads=cloud.retrieval_threads,
-            ),
-            lease_t + policy.startup_latency_s,
-        )
+    boots = {
+        f"cloud-elastic-{i}": lease_t + policy.startup_latency_s
         for i, lease_t in enumerate(leases)
+    }
+    leased = [
+        SimClusterConfig(
+            name=name,
+            location="cloud",
+            n_cores=policy.step_cores,
+            core_speed=cloud.core_speed,
+            retrieval_threads=cloud.retrieval_threads,
+        )
+        for name in boots
     ]
-    result = _run_with_delayed_clusters(index, clusters, delayed, profile, params, seed=seed)
+    # The leased cores join through simulate_run's own wiring, booting
+    # late: they sleep through their boot window, then pull as usual.
+    result = _simulate(index, clusters + leased, profile, params, seed=seed,
+                       start_at=boots)
     return ElasticRunResult(
         result=result,
         policy=policy,
         extra_cores_leased=len(leases) * policy.step_cores,
         lease_times_s=leases,
     )
-
-
-def _run_with_delayed_clusters(
-    index: DataIndex,
-    clusters: list[SimClusterConfig],
-    delayed: list[tuple[SimClusterConfig, float]],
-    profile: AppSimProfile,
-    params: ResourceParams,
-    *,
-    seed: int,
-) -> SimRunResult:
-    """``simulate_run`` plus clusters whose cores start at given times.
-
-    Mirrors the body of :func:`repro.sim.simrun.simulate_run`, with one
-    difference: a delayed cluster's workers sleep out their start time
-    before entering the standard worker loop.
-    """
-    start_times = {spec.name: when for spec, when in delayed}
-    env = _simrun.SimEnv()
-    net = _simrun.FlowNetwork(env)
-    head_location = (
-        _simrun.Topology.LOCAL
-        if any(c.location == _simrun.Topology.LOCAL for c in clusters)
-        else _simrun.Topology.CLOUD
-    )
-    topo = _simrun.Topology(params, head_location)
-    all_clusters = clusters + [spec for spec, _ in delayed]
-    scheduler = HeadScheduler(_simrun.jobs_from_index(index))
-    spec_ctx = _simrun._SpeculationContext(enabled=False)
-
-    stats = _simrun.RunStats()
-    cluster_events = []
-    masters = []
-    for ci, cluster in enumerate(all_clusters):
-        sigma = (
-            params.local_speed_sigma
-            if cluster.location == _simrun.Topology.LOCAL
-            else params.cloud_speed_sigma
-        )
-        varmodel = _simrun.VariabilityModel(
-            _simrun.VariabilityParams(sigma=sigma), seed=seed * 1009 + ci
-        )
-        master = _simrun._SimMaster(
-            env, scheduler, cluster.location, params.batch_size,
-            topo.refill_rtt(cluster.location),
-        )
-        masters.append(master)
-        cstats = _simrun.ClusterStats(cluster.name, cluster.location)
-        stats.clusters[cluster.name] = cstats
-        start_at = start_times.get(cluster.name, 0.0)
-        worker_events = []
-        for _ in range(cluster.n_cores):
-            wstats = WorkerStats()
-            cstats.workers.append(wstats)
-            speed = varmodel.core_speed_factor()
-
-            def boot(wstats=wstats, speed=speed, master=master,
-                     cluster=cluster, start_at=start_at, varmodel=varmodel):
-                if start_at > 0:
-                    yield start_at  # instance boot / lease delay
-                yield from _simrun._worker_proc(
-                    env, net, topo, master, cluster, profile,
-                    wstats, speed, varmodel, math.inf, spec_ctx,
-                )
-
-            worker_events.append(env.process(boot()))
-        cluster_events.append(
-            env.process(
-                _simrun._cluster_proc(
-                    env, net, topo, cluster, worker_events, cstats,
-                    profile.robj_nbytes, params, master,
-                )
-            )
-        )
-    for m in masters:
-        m.peers = masters
-
-    def _head_proc():
-        yield _simrun.all_of(env, cluster_events)
-        merge = params.merge_fixed_s
-        merge += len(all_clusters) * profile.robj_nbytes * params.merge_s_per_byte
-        yield merge
-
-    env.process(_head_proc())
-    env.run()
-    if not scheduler.all_done:
-        raise RuntimeError("elastic simulation ended with unprocessed jobs")
-
-    end = env.now
-    stats.total_s = end
-    processing_end = max(c.finished_at for c in stats.clusters.values())
-    stats.processing_end_s = processing_end
-    stats.global_reduction_s = end - processing_end
-    for cstats in stats.clusters.values():
-        cstats.idle_s = max(0.0, processing_end - cstats.finished_at)
-        for w in cstats.workers:
-            w.sync_s = max(0.0, end - w.finished_at)
-    return SimRunResult(stats=stats, end_time_s=end)

@@ -50,6 +50,7 @@ __all__ = [
     "FetchPools",
     "PrefetchHandle",
     "ParallelFetcher",
+    "legs_on_pool",
     "raced",
 ]
 
@@ -238,7 +239,7 @@ def _decode_frame(chunk, frame, info: FetchInfo, t0: float) -> Buffer:
     return data
 
 
-def _legs_on_pool(k: int, hedge: HedgePolicy | None) -> bool:
+def legs_on_pool(k: int, hedge: HedgePolicy | None) -> bool:
     """Whether a k-of-n race runs its legs on the leg pools, not inline."""
     return k > 1 or hedge is not None
 
@@ -247,8 +248,8 @@ def raced(chunk, hedge: HedgePolicy | None) -> bool:
     """Whether :meth:`ParallelFetcher.fetch_chunk` runs ``chunk``'s race
     legs on the leg pools, the calling thread only waiting on them."""
     if chunk.fragments:
-        return _legs_on_pool(chunk.stripe[0], hedge)
-    return len(chunk.sources) > 1 and _legs_on_pool(1, hedge)
+        return legs_on_pool(chunk.stripe[0], hedge)
+    return len(chunk.sources) > 1 and legs_on_pool(1, hedge)
 
 
 class FetchPools:
@@ -604,7 +605,7 @@ class ParallelFetcher:
                 range(n), key=lambda i: (i >= n_data, rank.get(cands[i].location, 0), i)
             )
         ]
-        submit = self.pools.submit if _legs_on_pool(k, hedge) else _inline
+        submit = self.pools.submit if legs_on_pool(k, hedge) else _inline
 
         def timed(cand) -> tuple[Buffer, FetchInfo, float]:
             t0 = time.monotonic()

@@ -20,9 +20,10 @@ from repro.storage.local import MemoryStore
 MASTERS = ("lock", "service")
 
 
-def make_master(kind, cluster: ClusterConfig, index, batch_size: int):
+def make_master(kind, cluster: ClusterConfig, index, batch_size: int, **options):
     """``(master, scheduler)``: a master of ``kind`` for ``cluster`` and
-    the head scheduler of the run it hands out."""
+    the head scheduler of the run it hands out; ``options`` configure
+    the service."""
     if kind == "lock":
         scheduler = HeadScheduler(jobs_from_index(index))
         master = LockMaster(
@@ -30,8 +31,11 @@ def make_master(kind, cluster: ClusterConfig, index, batch_size: int):
             n_workers=cluster.n_workers,
         )
         return master, scheduler
-    stores = {loc: MemoryStore(loc) for loc in index.locations}
-    service = BurstingService([cluster], stores, batch_size=batch_size)
+    stores = {
+        obj.location: MemoryStore(obj.location)
+        for c in index.chunks for obj in c.sources + c.fragments
+    }
+    service = BurstingService([cluster], stores, batch_size=batch_size, **options)
     service._ensure_fleet_locked = lambda: None  # the test is the fleet
     handle = service.submit(WordCountSpec(), index)
     master = ServiceMaster(service, cluster, batch_size, cluster.n_workers)

@@ -145,3 +145,39 @@ class TestSchedulerReassign:
                     processed.append(j.job_id)
         assert sorted(processed) == [j.job_id for j in jobs]
         assert sched.all_done
+
+
+class TestRecoveryAccounting:
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_recovered_job_books_only_its_processing_time(self, prefetch):
+        """``recovery_s`` is compute only: a recovered job's re-fetch
+        lands in ``retrieval_s``, as in the live worker, whether the core
+        fetched it inline or out of its read-ahead window."""
+        from repro.runtime.scheduler import HeadScheduler
+        from repro.sim.trace import Tracer
+
+        env = EnvironmentConfig("h", 0.5, 8, 8)
+        profile = APP_PROFILES["kmeans"]
+        params = ResourceParams()
+        schedulers, tracer = [], Tracer()
+
+        def factory(jobs):
+            schedulers.append(HeadScheduler(jobs))
+            return schedulers[-1]
+
+        res = simulate_run(
+            paper_index(profile, env), env.clusters(params), profile, params,
+            failures=[FailureSpec("local", 4, 20.0)], prefetch=prefetch,
+            tracer=tracer, scheduler_factory=factory,
+        )
+        requeued = schedulers[0].requeued_ids
+        assert res.stats.jobs_recovered == len(requeued) > 0
+        for name, cluster in res.stats.clusters.items():
+            for wid, w in enumerate(cluster.workers):
+                computed = [
+                    s.duration for s in tracer.spans
+                    if s.worker == f"{name}/{wid}" and s.kind == "compute"
+                    and s.job_id in requeued
+                ]
+                assert w.jobs_recovered == len(computed)
+                assert w.recovery_s == pytest.approx(sum(computed))

@@ -75,3 +75,34 @@ class TestStripedSim:
         index, clusters = setup()
         with pytest.raises(ValueError):
             simulate_run(index, clusters, PROFILE, PARAMS, stripe=bad)
+
+
+class TestStripedWindow:
+    """A raced stripe opens the read-ahead window without ``prefetch``,
+    as the live worker's does (:func:`repro.runtime.core.window_limit`)."""
+
+    def test_raced_stripe_reads_ahead_without_prefetch(self):
+        index, clusters = setup()
+        res = simulate_run(index, clusters, PROFILE, PARAMS, seed=1,
+                           stripe=(4, 2))
+        assert res.stats.prefetch_hits + res.stats.prefetch_misses > 0
+        assert res.stats.overlap_s > 0
+
+    def test_unraced_stripe_keeps_the_window_closed(self):
+        """One data leg and no hedge: the race runs inline, live and here."""
+        index, clusters = setup()
+        res = simulate_run(index, clusters, PROFILE, PARAMS, seed=1,
+                           stripe=(1, 1))
+        assert res.stats.prefetch_hits + res.stats.prefetch_misses == 0
+
+    def test_raced_stripe_rejects_speculation_by_name(self):
+        index, clusters = setup()
+        with pytest.raises(ValueError, match=r"stripe=\(4, 2\).*speculation"):
+            simulate_run(index, clusters, PROFILE, PARAMS, stripe=(4, 2),
+                         speculation=True)
+
+    def test_unraced_stripe_composes_with_speculation(self):
+        index, clusters = setup()
+        res = simulate_run(index, clusters, PROFILE, PARAMS, seed=1,
+                           stripe=(1, 1), speculation=True)
+        assert res.stats.jobs_processed == len(index.chunks)
