@@ -207,10 +207,7 @@ class EngineOptions:
 
     The one place an engine option is declared: every execution engine
     accepts every field, and the session, the driver, the service and
-    the CLI pass fields through by name.  ``start_method`` only has an
-    effect on the process engine (in-process engines have no start
-    method); it is accepted everywhere so one options object can
-    configure any engine.
+    the CLI pass fields through by name.
     """
 
     batch_size: int = 4
@@ -254,8 +251,6 @@ class EngineOptions:
     # the identity (the soundness guard -- debug only, spends the bytes
     # pruning saved).
     pushdown: str | bool | None = None
-    # Process-engine transport knob (no effect on in-process engines).
-    start_method: str | None = None
 
     def __post_init__(self) -> None:
         # Normalize crash_plan=None (the historical kwarg default) to {}.

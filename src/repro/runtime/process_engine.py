@@ -60,10 +60,10 @@ changes:
 Runs execute one at a time per process: a run forks its workers, and a
 fork taken while another run's feeder threads hold locks would hand the
 children those locks mid-acquire.  The one thread an earlier run may
-leave behind is a detached race loser (see
-:meth:`~repro.storage.transfer.ParallelFetcher.close`); it takes only
-fetch-path locks -- its store's, the health registry's, its fetcher's --
-and a child touches none of them.
+leave behind is a detached leg -- a race loser or a timed-out GET
+attempt (see :meth:`~repro.storage.transfer.FetchPools.detach`); it
+takes only fetch-path locks -- its store's, the health registry's, its
+fetcher's -- and a child touches none of them.
 
 Lifecycle: the parent creates *and* unlinks every shared-memory segment
 through one :class:`SharedSegmentPool`; workers only attach and close.
@@ -131,6 +131,10 @@ __all__ = ["ProcessEngine"]
 
 #: Held for a whole run: see "Runs execute one at a time" above.
 _FORK_LOCK = threading.Lock()
+
+#: How worker processes start: ``fork`` where available (workers are
+#: forked before any engine thread starts, so the fork is safe).
+START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
 # -- worker-process side ------------------------------------------------------
@@ -266,19 +270,9 @@ class ProcessEngine(EngineBase):
     as every engine (scheduling, caching, retries, crash injection);
     ``prefetch`` controls whether each worker process holds a second
     chunk in shared memory while it folds the first (double buffering)
-    or runs strictly fetch-then-compute.  ``start_method`` picks the
-    multiprocessing start method (default ``fork`` where available --
-    workers are forked before any engine thread starts, so the fork is
-    safe).
+    or runs strictly fetch-then-compute.  Workers start by
+    :data:`START_METHOD`.
     """
-
-    @property
-    def start_method(self) -> str:
-        sm = self.options.start_method
-        if sm is None:
-            methods = multiprocessing.get_all_start_methods()
-            sm = "fork" if "fork" in methods else "spawn"
-        return sm
 
     # -- top level -----------------------------------------------------------
 
@@ -290,7 +284,7 @@ class ProcessEngine(EngineBase):
     def _run(self, spec: GeneralizedReductionSpec, index: DataIndex) -> RunResult:
         EngineOptions.validate_index(index, self.stores)
         opts = self.options
-        ctx = multiprocessing.get_context(self.start_method)
+        ctx = multiprocessing.get_context(START_METHOD)
         # Start the resource tracker *now*, while no engine thread or
         # segment exists: forked workers then inherit (and spawn-started
         # ones are handed) the one shared tracker, whose register/

@@ -26,7 +26,7 @@ from repro.storage.health import (
     StoreHealth,
 )
 from repro.storage.local import LocalDiskStore, MemoryStore
-from repro.storage.retry import AbandonGuard, RetryExhausted, RetryPolicy
+from repro.storage.retry import RetryExhausted, RetryPolicy
 from repro.storage.s3 import S3Profile, SimulatedS3Store
 from repro.storage.shm import SharedSegment, SharedSegmentPool, attach_segment
 from repro.storage.transfer import (
@@ -57,7 +57,6 @@ __all__ = [
     "PermanentStorageError",
     "TransientStorageError",
     "WorkerCrash",
-    "AbandonGuard",
     "RetryExhausted",
     "RetryPolicy",
     "BreakerPolicy",

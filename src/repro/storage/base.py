@@ -30,12 +30,11 @@ class StorageStats:
     n_errors: int = 0
     n_retries: int = 0
     bytes_retried: int = 0
-    # Attempts abandoned by a per-attempt timeout: the attempt thread
-    # was left running (bounded by the retry layer's AbandonGuard) and
-    # its result discarded.
+    # GET attempts walked away from at a per-attempt timeout: each was
+    # left running as a detached leg and its result discarded.
     n_abandoned: int = 0
-    # Race legs still reading this backend after their race returned
-    # (a gauge; see ``ParallelFetcher._detach``).
+    # Race losers and timed-out attempts still reading this backend
+    # after their caller returned (a gauge; see ``FetchPools.detach``).
     n_detached: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     # Seconds per byte of the last few GETs the fetch layer timed against
@@ -70,7 +69,7 @@ class StorageStats:
             self.n_abandoned += 1
 
     def try_detach(self, cap: int) -> bool:
-        """Count one more detached race leg, unless ``cap`` are live."""
+        """Count one more detached leg, unless ``cap`` are live."""
         with self._lock:
             if self.n_detached >= cap:
                 return False

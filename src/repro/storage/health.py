@@ -34,6 +34,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.storage.retry import check_numbers
+
 __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_OPEN",
@@ -89,6 +91,7 @@ class BreakerPolicy:
     error_rate: float = 0.75
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         if self.fail_threshold <= 0:
             raise ValueError("fail_threshold must be positive")
         if self.recovery_s <= 0:
@@ -134,6 +137,7 @@ class HedgePolicy:
     max_hedges: int = 1
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         if self.multiplier <= 0:
             raise ValueError("multiplier must be positive")
         if self.min_threshold_s <= 0:

@@ -25,73 +25,31 @@ gave-up fetch from a fail-fast one.
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from repro.storage.faults import TransientStorageError, seeded_uniform
 
-__all__ = ["RETRYABLE_ERRORS", "RetryExhausted", "RetryPolicy", "AbandonGuard"]
+__all__ = ["RETRYABLE_ERRORS", "RetryExhausted", "RetryPolicy", "check_numbers"]
 
 #: Error types a retry may fix.  Everything else fails fast.
 RETRYABLE_ERRORS = (TransientStorageError, ConnectionError, TimeoutError)
 
-#: Default cap on attempt threads abandoned by per-attempt timeouts
-#: that are still running.  Hitting the cap back-pressures new
-#: timeout-guarded attempts instead of accumulating stuck threads.
-DEFAULT_MAX_ABANDONED = 32
 
+def check_numbers(policy, optional: tuple[str, ...] = ()) -> None:
+    """Raise ``ValueError`` naming the first field of the dataclass
+    ``policy`` that is NaN, or ``None`` where it is not ``optional``.
 
-class AbandonGuard:
-    """Bounds the number of live abandoned attempt threads.
-
-    A per-attempt timeout abandons a stuck call: its daemon thread keeps
-    running until the underlying operation returns, but nobody consumes
-    the result.  Unbounded, a pathological store (every call hangs
-    forever) would leak one thread per attempt.  The guard admits a new
-    timeout-guarded attempt only while fewer than ``max_abandoned``
-    abandoned threads are still live, blocking (briefly) otherwise --
-    back-pressure instead of leak.
-
-    One process-wide instance (:data:`_ABANDON_GUARD`) serves every
-    :class:`RetryPolicy`; tests may swap it for a smaller one.
+    Comparisons with NaN are all false, so a range check alone would
+    let it through; ``None`` would fail one with a ``TypeError``.
     """
-
-    def __init__(self, max_abandoned: int = DEFAULT_MAX_ABANDONED) -> None:
-        if max_abandoned <= 0:
-            raise ValueError("max_abandoned must be positive")
-        self.max_abandoned = max_abandoned
-        self.live = 0            # abandoned threads still running
-        self.total_abandoned = 0  # ever abandoned (monotonic)
-        self._cond = threading.Condition()
-
-    def wait_for_slot(self, timeout_s: float) -> None:
-        """Block until a new abandonment would stay under the cap.
-
-        Gives up after ``timeout_s`` (the attempt then proceeds anyway:
-        the cap is back-pressure, not a hard ceiling, so a wedged store
-        cannot deadlock the fetch path).
-        """
-        with self._cond:
-            self._cond.wait_for(
-                lambda: self.live < self.max_abandoned, timeout=timeout_s
-            )
-
-    def mark_abandoned(self) -> None:
-        with self._cond:
-            self.live += 1
-            self.total_abandoned += 1
-
-    def release(self) -> None:
-        """An abandoned thread finally finished."""
-        with self._cond:
-            self.live = max(0, self.live - 1)
-            self._cond.notify_all()
-
-
-#: Process-wide guard shared by all retry policies.
-_ABANDON_GUARD = AbandonGuard()
+    for f in fields(policy):
+        value = getattr(policy, f.name)
+        if value is None and f.name in optional:
+            continue
+        if value is None or value != value:
+            raise ValueError(f"{f.name} must be a number, not {value}")
 
 
 class RetryExhausted(IOError):
@@ -112,8 +70,11 @@ class RetryPolicy:
     with *full jitter*: the ``n``-th delay is uniform in
     ``[0, min(max_delay_s, base_delay_s * 2**n))``.  ``deadline_s``
     caps the total elapsed time across attempts, and
-    ``attempt_timeout_s`` (optional) bounds one attempt -- a stuck call
-    is abandoned on a daemon thread and counted as a retryable timeout.
+    ``attempt_timeout_s`` (optional) bounds one store GET: the fetcher
+    runs a guarded GET on its :class:`~repro.storage.transfer.FetchPools`
+    and, past the timeout, walks away from it the way a race walks away
+    from a loser, raising a retryable ``TimeoutError``.  The policy
+    itself starts no thread.
 
     String form (for ``--retry``)::
 
@@ -128,6 +89,7 @@ class RetryPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_numbers(self, optional=("deadline_s", "attempt_timeout_s"))
         if self.max_attempts <= 0:
             raise ValueError("max_attempts must be positive")
         if self.base_delay_s < 0 or self.max_delay_s < 0:
@@ -166,77 +128,26 @@ class RetryPolicy:
         ceiling = min(self.max_delay_s, self.base_delay_s * (2 ** attempt))
         return seeded_uniform(self.seed, "backoff", token, attempt) * ceiling
 
-    def _attempt(
-        self,
-        fn: Callable[[], bytes],
-        on_abandon: Callable[[], None] | None = None,
-    ):
-        if self.attempt_timeout_s is None:
-            return fn()
-        guard = _ABANDON_GUARD
-        # Back-pressure: while the cap's worth of abandoned threads are
-        # still live, hold new timeout-guarded attempts briefly instead
-        # of stacking more stuck threads on top.
-        guard.wait_for_slot(self.attempt_timeout_s)
-        box: dict = {}
-        state_lock = threading.Lock()
-        state = {"abandoned": False, "done": False}
-
-        def runner() -> None:
-            try:
-                box["value"] = fn()
-            except BaseException as exc:
-                box["error"] = exc
-            with state_lock:
-                state["done"] = True
-                was_abandoned = state["abandoned"]
-            if was_abandoned:
-                guard.release()
-
-        th = threading.Thread(target=runner, daemon=True)
-        th.start()
-        th.join(self.attempt_timeout_s)
-        with state_lock:
-            finished = state["done"]
-            if not finished:
-                # The attempt is abandoned: its thread keeps running to
-                # completion, but nobody consumes the result.  Exactly
-                # one side accounts it -- the handshake above makes the
-                # runner release the guard slot when it finally ends.
-                state["abandoned"] = True
-        if not finished:
-            guard.mark_abandoned()
-            if on_abandon is not None:
-                on_abandon()
-            raise TimeoutError(
-                f"attempt exceeded per-attempt timeout {self.attempt_timeout_s}s"
-            )
-        if "error" in box:
-            raise box.pop("error")  # the error's traceback holds this frame
-        return box["value"]
-
     def call(
         self,
         fn: Callable[[], bytes],
         *,
         token: str = "",
         on_retry: Callable[[BaseException, int], None] | None = None,
-        on_abandon: Callable[[], None] | None = None,
     ):
         """Run ``fn`` under this policy, returning its result.
 
         ``token`` namespaces the deterministic jitter (use the range
         being fetched).  ``on_retry(error, attempt)`` is invoked before
-        each backoff sleep -- the accounting hook.  ``on_abandon()`` is
-        invoked each time a per-attempt timeout abandons a still-running
-        attempt thread.  Raises :class:`RetryExhausted` when attempts or
-        the deadline run out, chaining the last underlying error.
+        each backoff sleep -- the accounting hook.  Raises
+        :class:`RetryExhausted` when attempts or the deadline run out,
+        chaining the last underlying error.
         """
         t0 = time.monotonic()
         attempt = 0
         while True:
             try:
-                return self._attempt(fn, on_abandon)
+                return fn()
             except RETRYABLE_ERRORS as exc:
                 attempt += 1
                 if attempt >= self.max_attempts:

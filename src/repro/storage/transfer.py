@@ -14,8 +14,10 @@ engines' data pipeline:
   multi-source fetch: replica failover and hedging are its k = 1 case
   over a chunk's ``sources``, erasure-striped retrieval its k-of-(k+m)
   case over a stripe's ``fragments``.  A won race books its running
-  losers and detaches them, so nothing -- not the fetch, not
-  :meth:`ParallelFetcher.close` -- waits on a straggler;
+  losers and detaches them (:meth:`FetchPools.detach`), as a
+  timeout-guarded GET does its attempt past the timeout, so nothing --
+  not the fetch, not :meth:`ParallelFetcher.close` -- waits on a
+  straggler;
 * :meth:`ParallelFetcher.fetch_chunk_async`, which runs a whole chunk
   fetch on a background thread so a worker can overlap the retrieval of
   the jobs it has reserved with the processing of the current one
@@ -33,9 +35,10 @@ import time
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
-from repro.storage.base import StorageBackend
+from repro.storage.base import StorageBackend, StorageStats
 from repro.storage.cache import ChunkCache
 from repro.storage.codecs import Buffer, CodecError, decode_chunk
 from repro.storage.erasure import ErasureError, reassemble
@@ -68,8 +71,9 @@ FAILOVER_ERRORS: tuple[type[BaseException], ...] = (
 #: request overhead, so ranges are coalesced rather than shattered.
 DEFAULT_MIN_PART_NBYTES = 4096
 
-#: Threads in each store's race-leg pool (no leg queues behind a stalled
-#: one), and the most losers alive per store (:meth:`ParallelFetcher._detach`).
+#: Threads in each store's race-leg and attempt pools (no leg queues
+#: behind a stalled one), and the most detached legs alive per store
+#: (:meth:`FetchPools.detach`).
 HEDGE_POOL_WIDTH = 32
 
 
@@ -255,17 +259,20 @@ def raced(chunk, hedge: HedgePolicy | None) -> bool:
 class FetchPools:
     """Every fetch thread of one owner, lent to the fetchers built over it:
     per store a ``"range"`` pool (``range_width`` threads, for sub-range
-    GETs) and a ``"leg"`` pool (:data:`HEDGE_POOL_WIDTH`, for race legs
+    GETs), a ``"leg"`` pool (:data:`HEDGE_POOL_WIDTH`, for race legs
     reading that store, so a stalled store's detached legs fill only
-    its own), and one ``"readahead"`` pool (``readahead_width``).  Pools
-    start on first use, threads on demand.  The owner (a service), each
-    fetcher and each detached leg :meth:`hold` it; once only detached
-    legs do, every pool but their stores' shuts down, and a store's last
-    leg shuts down the rest."""
+    its own) and an ``"attempt"`` pool (as wide, for timeout-guarded
+    GETs, which nothing on the other two may wait on), and one
+    ``"readahead"`` pool (``readahead_width``).  Pools start on first
+    use, threads on demand.  The owner (a service), each fetcher and
+    each detached leg :meth:`hold` it; once only detached legs do, every
+    pool but their stores' shuts down, and a store's last leg shuts down
+    the rest."""
 
     def __init__(self, range_width: int, readahead_width: int) -> None:
         self._widths = dict(
-            range=range_width, leg=HEDGE_POOL_WIDTH, readahead=readahead_width
+            range=range_width, leg=HEDGE_POOL_WIDTH, attempt=HEDGE_POOL_WIDTH,
+            readahead=readahead_width,
         )
         self._pools: dict[tuple[str, str], ThreadPoolExecutor] = {}
         self._lock = threading.Lock()
@@ -299,6 +306,25 @@ class FetchPools:
         for pool in pools:
             pool.shutdown(wait=not at)
 
+    def detach(self, fut: Future, at: str, stats: StorageStats) -> bool:
+        """Let the running ``fut``, a GET on store ``at`` whose caller
+        walks away from it, end on its own, holding that store's pools
+        till then: the one thing that may outlive a run.  False, and
+        nothing changes, when ``stats`` (that store's) already count
+        :data:`HEDGE_POOL_WIDTH` detached legs alive: a store that never
+        answers cannot grow threads without bound."""
+        if not stats.try_detach(HEDGE_POOL_WIDTH):
+            return False
+        self.hold(at)
+
+        def ended(_: Future) -> None:
+            stats.release_detached()
+            self.release(at)
+
+        fut.add_done_callback(ended)
+        return True
+
+
 class ParallelFetcher:
     """Fetch byte ranges from a store with up to ``n_threads`` connections.
 
@@ -308,18 +334,20 @@ class ParallelFetcher:
     (:meth:`_plan_parts`).  ``cache`` (a shared :class:`ChunkCache`)
     short-circuits fetches of ranges already resident.
 
-    A fetcher owns no thread: its sub-range GETs, race legs and
-    read-aheads run on ``pools`` (a :class:`FetchPools`, private ones for
-    one fetch at a time if none), held until :meth:`close`.  Its own are
-    one run's counters, retry, health, hedge and :class:`FetchInfo` books.
+    A fetcher owns no thread: its sub-range GETs, race legs, guarded GET
+    attempts and read-aheads run on ``pools`` (a :class:`FetchPools`,
+    private ones for one fetch at a time if none), held until
+    :meth:`close`.  Its own are one run's counters, retry, health, hedge
+    and :class:`FetchInfo` books.
 
     ``retry`` (a :class:`~repro.storage.retry.RetryPolicy`) makes every
     store ``get`` -- including each parallel sub-range -- retry
     transient errors with backoff instead of failing the whole fetch.
     A failing sub-range therefore no longer cancels its siblings unless
     it exhausts the policy.  Retries are counted on the fetcher
-    (``n_retries``/``n_giveups``/``bytes_retried``) and mirrored into
-    the backend's :class:`~repro.storage.base.StorageStats`.
+    (``n_retries``/``n_giveups``/``bytes_retried``, and ``n_abandoned``
+    for attempts left running past the policy's ``attempt_timeout_s``)
+    and mirrored into the backend's :class:`~repro.storage.base.StorageStats`.
 
     Multi-source retrieval: a chunk carrying replica sources
     (:attr:`~repro.data.chunks.ChunkInfo.replicas`) or erasure-coded
@@ -572,10 +600,10 @@ class ParallelFetcher:
         were hedge launches) and ``fragments_wasted_bytes`` on every
         exit.  A winning race cancels its queued losers and books each
         one still running by the wire bytes it requested (``wire(cand)``;
-        nothing without ``wire``), then detaches it (:meth:`_detach`):
-        nothing waits on it, and its outcome reaches only the health
-        registry.  Past its store's cap of detached legs the race waits
-        for that loser before returning.
+        nothing without ``wire``), then detaches it
+        (:meth:`FetchPools.detach`): nothing waits on it, and its outcome
+        reaches only the health registry.  Past its store's cap of
+        detached legs the race waits for that loser before returning.
 
         A race is lost on any other error (a bug, which propagates) or
         once ``k`` is out of reach (the last failover error propagates;
@@ -587,6 +615,7 @@ class ParallelFetcher:
         if n < k:
             raise ErasureError(f"{n} candidates cannot yield k={k}")
         health = self.health
+        siblings = self.siblings  # as it is now: close() empties it
         rank: dict[str, int] = {}
         demoted: set[str] = set()
         skips = 0
@@ -720,7 +749,9 @@ class ParallelFetcher:
                     continue
                 if wire is not None:
                     wasted += wire(cand)
-                if not f.done() and not self._detach(f, cand.location):
+                if not f.done() and not self.pools.detach(
+                    f, cand.location, siblings.get(cand.location, self).store.stats
+                ):
                     over_cap.append(f)
             if over_cap:
                 wait(over_cap)
@@ -733,25 +764,6 @@ class ParallelFetcher:
             # A raised error's traceback holds this frame: let go of it.
             bug = last_exc = f = None
             done.clear()
-
-    def _detach(self, fut: Future, location: str) -> bool:
-        """Let the running race leg ``fut``, which reads ``location``'s
-        store, end after its race, holding that store's pools till then.
-        False, and nothing changes, when that store already has
-        :data:`HEDGE_POOL_WIDTH` detached legs alive (its
-        ``stats.n_detached``): a store that never answers cannot grow
-        threads without bound."""
-        stats = self.siblings.get(location, self).store.stats
-        if not stats.try_detach(HEDGE_POOL_WIDTH):
-            return False
-        self.pools.hold(at=location)
-
-        def ended(_: Future) -> None:
-            stats.release_detached()
-            self.pools.release(at=location)
-
-        fut.add_done_callback(ended)
-        return True
 
     def _fetch_chunk_striped(self, chunk) -> tuple[Buffer, FetchInfo]:
         """Fastest-k-of-n fetch of an erasure-striped chunk.
@@ -843,15 +855,11 @@ class ParallelFetcher:
                 self.bytes_retried += nbytes
             self.store.stats.record_retry(nbytes)
 
-        def on_abandon() -> None:
-            with self._counter_lock:
-                self.n_abandoned += 1
-            self.store.stats.record_abandoned()
-
+        if self.retry.attempt_timeout_s is not None:
+            get = partial(self._guarded, get)
         try:
             return self.retry.call(
-                get, token=f"{key}@{offset}+{nbytes}",
-                on_retry=on_retry, on_abandon=on_abandon,
+                get, token=f"{key}@{offset}+{nbytes}", on_retry=on_retry
             )
         except RetryExhausted:
             with self._counter_lock:
@@ -861,6 +869,31 @@ class ParallelFetcher:
         except Exception:
             self.store.stats.record_error()
             raise
+
+    def _guarded(self, get: Callable[[], bytes]) -> bytes:
+        """Run one GET attempt on this store's attempt pool for at most
+        ``retry.attempt_timeout_s``, then walk away from it: a queued
+        attempt is cancelled, a running one detached like a race loser
+        (:meth:`FetchPools.detach`, counted in ``n_abandoned``), and
+        either raises a retryable ``TimeoutError``.  So does an attempt
+        the store's cap of detached legs leaves no room for, unstarted."""
+        at, stats = self.store.location, self.store.stats
+        timeout_s = self.retry.attempt_timeout_s
+        if stats.n_detached >= HEDGE_POOL_WIDTH:
+            raise TimeoutError(f"{at}: {HEDGE_POOL_WIDTH} detached GETs still running")
+        fut = self.pools.submit("attempt", get, at=at)
+        try:
+            if not wait((fut,), timeout_s).done:
+                if not fut.cancel():  # a queued attempt never runs
+                    if not self.pools.detach(fut, at, stats):
+                        return fut.result()  # the cap filled meanwhile
+                    with self._counter_lock:
+                        self.n_abandoned += 1
+                    stats.record_abandoned()
+                raise TimeoutError(f"{at}: GET outlived its {timeout_s}s timeout")
+            return fut.result()
+        finally:
+            del fut  # an attempt's error holds this frame
 
     def _fetch_parts_into(
         self, key: str, offset: int, nbytes: int, view: memoryview | None = None
@@ -978,8 +1011,9 @@ class ParallelFetcher:
 
     def close(self) -> None:
         """Give back this fetcher's hold on its pools (idempotent).  A
-        race loser detached by :meth:`_race` may outlive this, holding
-        its store's pools; nothing else of the fetcher runs after it.
+        race loser or a timed-out GET attempt, detached by
+        :meth:`FetchPools.detach`, may outlive this, holding its store's
+        pools; nothing else of the fetcher runs after it.
 
         The sibling map, which holds this fetcher too, goes: a closed
         fetcher set is freed by reference counting, not left as a cycle.

@@ -2,12 +2,14 @@
 
 Every ``get`` parks on a gate until the test opens it, so a test decides
 which fetch completes when and can read how many are in flight.  No
-sleeps: each wait is on a condition, with a timeout only a bug reaches.
+sleeps: each wait is on a condition, with a timeout only a bug reaches;
+:func:`wait_for` polls what happens after a GET leaves the gate.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 from repro.storage.faults import TransientStorageError
 from repro.storage.local import MemoryStore
@@ -84,6 +86,15 @@ class GatedStore(MemoryStore):
         with self._cond:
             self._gated = False
             self._cond.notify_all()
+
+
+def wait_for(predicate, timeout: float = WAIT_S) -> None:
+    """Poll ``predicate`` until it holds, for what a store's GET does
+    after the gate (a detached leg ending) that no condition signals."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
 
 
 def gated_copies(stores: dict[str, MemoryStore]) -> dict[str, GatedStore]:

@@ -30,7 +30,7 @@ FIELDS = {f.name for f in dataclasses.fields(EngineOptions)}
 #: which no engine reads (placement is the dataset's, see ``--stripe``).
 NOT_A_FLAG = {
     "batch_size", "group_nbytes", "scheduler_factory", "batch_fold",
-    "verify_chunks", "stripe", "start_method",
+    "verify_chunks", "stripe",
 }
 
 

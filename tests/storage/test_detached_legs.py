@@ -9,20 +9,30 @@ then.  At most ``HEDGE_POOL_WIDTH`` detached legs
 may be alive per store, so a store that never answers cannot grow
 threads without bound.
 
-Every fetch here is a replicated chunk whose primary store parks its
+A GET attempt that outlives its retry policy's ``attempt_timeout_s``
+is walked away from the same way, under the same cap.
+
+Every race here is a replicated chunk whose primary store parks its
 GETs behind a gate (``tests.gated.GatedStore``) and whose replica
 answers at once (an ungated one, which still counts its GETs), so the
-hedge always wins and the primary always loses.
+hedge always wins and the primary always loses.  Every guarded attempt
+reads the gated primary alone.
 """
 
+import sys
 import threading
 import time
 
+import pytest
+
+import repro.storage.transfer as transfer
 from repro.data.chunks import ChunkInfo, ChunkSource
 from repro.runtime.core import ClusterConfig, EngineOptions, make_cluster_fetchers
 from repro.storage.health import HealthRegistry, HedgePolicy
-from repro.storage.transfer import HEDGE_POOL_WIDTH
-from tests.gated import WAIT_S, GatedStore
+from repro.storage.local import MemoryStore
+from repro.storage.retry import RetryExhausted, RetryPolicy
+from repro.storage.transfer import HEDGE_POOL_WIDTH, FetchPools, ParallelFetcher
+from tests.gated import WAIT_S, GatedStore, wait_for
 
 PAYLOAD = bytes(range(256)) * 16
 CHUNK = ChunkInfo(
@@ -40,24 +50,16 @@ def make_stores():
     return stores
 
 
-def make_fetchers(stores, health=None):
+def make_fetchers(stores, health=None, options=EngineOptions(hedge=HEDGE)):
     """One run's fetchers: what every engine builds per run and closes."""
     cluster = ClusterConfig("c", "slow", n_workers=1, retrieval_threads=1)
-    return make_cluster_fetchers(
-        stores, cluster, EngineOptions(hedge=HEDGE), health=health
-    )
+    return make_cluster_fetchers(stores, cluster, options, health=health)
 
 
 def close_all(fetchers):
     for f in fetchers.values():
         f.close()
 
-
-def wait_for(predicate, timeout=WAIT_S):
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, "condition never held"
-        time.sleep(0.005)
 
 
 class TestDetachedLoser:
@@ -135,3 +137,150 @@ class TestDetachedLoser:
         assert all(i.fragments_wasted_bytes == len(PAYLOAD) for i in stalled)
         wait_for(lambda: slow.stats.n_detached == 0)
         wait_for(lambda: set(threading.enumerate()) <= before)
+
+
+#: Two attempts, each given 10 ms, and no backoff between them.
+GUARDED = EngineOptions(retry=RetryPolicy(
+    max_attempts=2, base_delay_s=0.0, max_delay_s=0.0, attempt_timeout_s=0.01,
+))
+PLAIN = ChunkInfo(
+    chunk_id=1, file_id=0, key="obj", location="slow", offset=0,
+    nbytes=len(PAYLOAD), n_units=len(PAYLOAD),
+)
+
+
+def live_threads(before):
+    return len(set(threading.enumerate()) - before)
+
+
+class TestTimedOutAttempt:
+    def test_a_timed_out_attempt_is_a_detached_leg(self):
+        slow = GatedStore("slow")
+        slow.put("obj", PAYLOAD)
+        before = set(threading.enumerate())
+        policy = RetryPolicy(max_attempts=1, attempt_timeout_s=0.01)
+        fetcher = ParallelFetcher(slow, retry=policy)
+        try:
+            with pytest.raises(RetryExhausted):
+                fetcher.fetch_chunk(PLAIN)
+            assert slow.parked == ["obj"]
+            assert (slow.stats.n_detached, slow.stats.n_abandoned) == (1, 1)
+            assert fetcher.n_abandoned == 1
+        finally:
+            fetcher.close()
+        # The parked attempt keeps its store's pools and nothing else.
+        pools = fetcher.pools
+        assert set(pools._pools) == {("attempt", "slow")}
+        slow.open_all()
+        wait_for(lambda: slow.stats.n_detached == 0)
+        assert pools._pools == {}
+        wait_for(lambda: set(threading.enumerate()) <= before)
+
+    def test_a_store_that_never_answers_holds_at_most_the_cap(self):
+        """40 runs whose every attempt times out: the first 32 attempts
+        are detached, every later one fails at once, and no run waits."""
+        stores = {"slow": GatedStore("slow")}
+        slow = stores["slow"]
+        slow.put("obj", PAYLOAD)
+        before = set(threading.enumerate())
+        most = 0
+        try:
+            for _ in range(40):
+                fetchers = make_fetchers(stores, options=GUARDED)
+                t0 = time.monotonic()
+                with pytest.raises(RetryExhausted):
+                    fetchers["slow"].fetch_chunk(PLAIN)
+                assert time.monotonic() - t0 < WAIT_S / 4
+                close_all(fetchers)
+                most = max(most, live_threads(before))
+            assert slow.stats.n_detached == HEDGE_POOL_WIDTH
+            assert slow.stats.n_abandoned == HEDGE_POOL_WIDTH
+            assert slow.max_parked == HEDGE_POOL_WIDTH
+        finally:
+            slow.open_all()
+        assert most <= HEDGE_POOL_WIDTH + 3
+        wait_for(lambda: slow.stats.n_detached == 0)
+        wait_for(lambda: set(threading.enumerate()) <= before)
+
+    def test_a_queued_attempt_is_cancelled_and_never_runs(self, monkeypatch):
+        """With one attempt thread per store, a second fetch's attempt
+        queues behind a parked one: at its deadline it is cancelled, not
+        detached, and its GET never reaches the store."""
+        monkeypatch.setattr(transfer, "HEDGE_POOL_WIDTH", 1)
+        slow = GatedStore("slow")
+        slow.put("obj", PAYLOAD)
+        policy = RetryPolicy(max_attempts=1, attempt_timeout_s=0.5)
+        pools = FetchPools(0, 1)
+        first, second = (
+            ParallelFetcher(slow, retry=policy, pools=pools) for _ in range(2)
+        )
+        errors = []
+
+        def fetch_first():
+            try:
+                first.fetch_chunk(PLAIN)
+            except RetryExhausted as exc:
+                errors.append(exc)
+
+        runner = threading.Thread(target=fetch_first)
+        runner.start()
+        try:
+            slow.wait_parked(1)
+            with pytest.raises(RetryExhausted):
+                second.fetch_chunk(PLAIN)
+            runner.join(WAIT_S)
+            assert not runner.is_alive() and len(errors) == 1
+            assert (first.n_abandoned, second.n_abandoned) == (1, 0)
+        finally:
+            slow.open_all()
+            first.close()
+            second.close()
+        wait_for(lambda: slow.stats.n_detached == 0)
+        assert slow.n_arrivals == 1
+
+    def test_concurrent_timeouts_keep_the_books(self):
+        """Eight threads time out GETs on one store through one set of
+        pools, with a short switch interval: the detached gauge never
+        passes the cap and returns to 0, and every walk-away is counted
+        once on the store and once on its fetcher."""
+
+        class SlowStore(MemoryStore):
+            def get(self, key, offset=0, nbytes=None):
+                time.sleep(0.02)
+                return super().get(key, offset, nbytes)
+
+        slow = SlowStore("slow")
+        slow.put("obj", PAYLOAD)
+        pools = FetchPools(0, 1)
+        policy = RetryPolicy(
+            max_attempts=3, base_delay_s=0.0, max_delay_s=0.0,
+            attempt_timeout_s=0.002,
+        )
+        fetchers = [ParallelFetcher(slow, retry=policy, pools=pools) for _ in range(8)]
+        most = []
+
+        def run(fetcher):
+            for _ in range(10):
+                try:
+                    fetcher.fetch_chunk(PLAIN)
+                except RetryExhausted:
+                    pass
+                most.append(slow.stats.n_detached)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(f,)) for f in fetchers]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(WAIT_S)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+            for f in fetchers:
+                f.close()
+        assert max(most) <= HEDGE_POOL_WIDTH
+        wait_for(lambda: slow.stats.n_detached == 0)
+        assert slow.stats.n_abandoned == sum(f.n_abandoned for f in fetchers) > 0
+        wait_for(lambda: pools._pools == {})

@@ -62,6 +62,22 @@ class TestPolicyParse:
     def test_hedge_empty_is_defaults(self):
         assert HedgePolicy.parse("") == HedgePolicy()
 
+    @pytest.mark.parametrize("parse, text, field", [
+        (HedgePolicy.parse, "mult=nan", "multiplier"),
+        (HedgePolicy.parse, "min=nan", "min_threshold_s"),
+        (BreakerPolicy.parse, "recovery=nan", "recovery_s"),
+        (BreakerPolicy.parse, "error=nan", "error_rate"),
+    ])
+    def test_rejects_nan(self, parse, text, field):
+        with pytest.raises(ValueError, match=field):
+            parse(text)
+
+    def test_rejects_none_by_name(self):
+        with pytest.raises(ValueError, match="max_hedges"):
+            HedgePolicy(max_hedges=None)
+        with pytest.raises(ValueError, match="fail_threshold"):
+            BreakerPolicy(fail_threshold=None)
+
     def test_hedge_threshold_floors(self):
         p = HedgePolicy(multiplier=3.0, min_threshold_s=0.05)
         assert p.threshold_s(0.0) == 0.05     # cold EWMA: floor applies

@@ -37,6 +37,24 @@ class TestRetryPolicyParse:
         with pytest.raises(ValueError):
             RetryPolicy(deadline_s=0)
 
+    @pytest.mark.parametrize("text, field", [
+        ("max=none", "max_attempts"),
+        ("base=none", "base_delay_s"),
+        ("cap=none", "max_delay_s"),
+        ("seed=none", "seed"),
+        ("base=nan", "base_delay_s"),
+        ("cap=nan", "max_delay_s"),
+        ("deadline=nan", "deadline_s"),
+        ("timeout=nan", "attempt_timeout_s"),
+    ])
+    def test_rejects_nan_and_missing_numbers(self, text, field):
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy.parse(text)
+
+    def test_none_still_means_no_limit(self):
+        p = RetryPolicy.parse("deadline=none,timeout=none")
+        assert (p.deadline_s, p.attempt_timeout_s) == (None, None)
+
 
 class TestBackoff:
     def test_bounded_by_exponential_ceiling(self):
@@ -98,18 +116,21 @@ class TestCall:
         with pytest.raises(RetryExhausted, match="deadline"):
             p.call(always)
 
-    def test_attempt_timeout_is_retryable(self):
-        import time
+    def test_policy_runs_each_attempt_on_the_calling_thread(self):
+        """The per-attempt timeout is the fetcher's to enforce: the policy
+        starts no thread and times nothing out itself."""
+        import threading
 
-        p = RetryPolicy(max_attempts=2, base_delay_s=0.0,
-                        max_delay_s=0.0, attempt_timeout_s=0.01)
+        p = RetryPolicy(max_attempts=1, attempt_timeout_s=0.001)
+        seen = []
 
-        def stuck():
-            time.sleep(0.5)
+        def slow():
+            seen.append(threading.current_thread())
+            threading.Event().wait(0.01)
             return b"late"
 
-        with pytest.raises(RetryExhausted):
-            p.call(stuck)
+        assert p.call(slow) == b"late"
+        assert seen == [threading.current_thread()]
 
 
 def make_faulty_fetcher(spec, *, n_threads=4, retry=FAST):
@@ -190,65 +211,46 @@ class TestStorageStats:
         assert s.n_abandoned == 2
 
 
-class TestAbandonGuard:
-    def test_validation(self):
-        import repro.storage.retry as retry_mod
+class TestGuardedAttempt:
+    """A timeout-guarded GET runs on the fetcher's attempt pool and is
+    walked away from at its deadline."""
 
-        with pytest.raises(ValueError):
-            retry_mod.AbandonGuard(0)
+    def test_attempt_timeout_is_retryable(self):
+        from tests.gated import GatedStore, wait_for
 
-    def test_abandoned_attempts_are_counted_and_capped(self, monkeypatch):
-        """Stuck attempts are abandoned (counted via on_abandon) and the
-        number of live abandoned threads never exceeds the guard cap."""
-        import threading
-
-        import repro.storage.retry as retry_mod
-
-        guard = retry_mod.AbandonGuard(max_abandoned=2)
-        monkeypatch.setattr(retry_mod, "_ABANDON_GUARD", guard)
-        release = threading.Event()
-        p = RetryPolicy(max_attempts=1, base_delay_s=0.0, max_delay_s=0.0,
-                        attempt_timeout_s=0.01)
-
-        def stuck():
-            release.wait(5.0)
-            return b"late"
-
-        abandoned = []
+        store = GatedStore("cloud")
+        store.put("obj", b"x" * 64)
+        policy = RetryPolicy(max_attempts=2, base_delay_s=0.0,
+                             max_delay_s=0.0, attempt_timeout_s=0.01)
         try:
-            for _ in range(2):  # fill the cap
-                with pytest.raises(RetryExhausted):
-                    p.call(stuck, on_abandon=lambda: abandoned.append(1))
-            assert guard.live == 2
-            assert guard.total_abandoned == 2
-            assert len(abandoned) == 2
-            # At the cap, the next attempt back-pressures (bounded wait)
-            # instead of stacking a third live thread *before* starting.
-            with pytest.raises(RetryExhausted):
-                p.call(stuck, on_abandon=lambda: abandoned.append(1))
-            assert guard.total_abandoned == 3
+            with ParallelFetcher(store, retry=policy) as fetcher:
+                with pytest.raises(RetryExhausted) as ei:
+                    fetcher.fetch("obj", 0, 64)
+            assert ei.value.attempts == 2
+            assert isinstance(ei.value.last_error, TimeoutError)
+            assert fetcher.n_retries == 1
         finally:
-            release.set()
+            store.open_all()
+        wait_for(lambda: store.stats.n_detached == 0)
 
-    def test_release_unblocks_waiters(self):
-        import repro.storage.retry as retry_mod
+    def test_fast_attempt_detaches_nothing(self):
+        store = MemoryStore("cloud")
+        store.put("obj", b"x" * 64)
+        policy = RetryPolicy(max_attempts=1, attempt_timeout_s=1.0)
+        with ParallelFetcher(store, retry=policy) as fetcher:
+            assert fetcher.fetch("obj", 0, 64) == b"x" * 64
+            pools = fetcher.pools
+            assert set(pools._pools) == {("attempt", "cloud")}
+        assert fetcher.n_abandoned == 0
+        assert (store.stats.n_abandoned, store.stats.n_detached) == (0, 0)
+        assert pools._pools == {}
 
-        guard = retry_mod.AbandonGuard(max_abandoned=1)
-        guard.mark_abandoned()
-        assert guard.live == 1
-        guard.release()
-        assert guard.live == 0
-        guard.wait_for_slot(0.01)  # returns immediately: slot free
-
-    def test_fast_attempt_never_touches_the_guard(self, monkeypatch):
-        import repro.storage.retry as retry_mod
-
-        guard = retry_mod.AbandonGuard(max_abandoned=1)
-        monkeypatch.setattr(retry_mod, "_ABANDON_GUARD", guard)
-        p = RetryPolicy(max_attempts=1, attempt_timeout_s=1.0)
-        assert p.call(lambda: b"ok") == b"ok"
-        assert guard.total_abandoned == 0
-        assert guard.live == 0
+    def test_unguarded_get_stays_on_the_calling_thread(self):
+        store = MemoryStore("cloud")
+        store.put("obj", b"x" * 64)
+        with ParallelFetcher(store, retry=FAST) as fetcher:
+            fetcher.fetch("obj", 0, 64)
+            assert fetcher.pools._pools == {}
 
 
 class TestFetcherAbandonAccounting:

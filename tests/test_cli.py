@@ -136,6 +136,19 @@ class TestCommands:
             build_parser().parse_args(["demo", "--codec", "gzip"])
         assert main(["demo", "--min-part-kb", "-1"]) == 2
 
+    @pytest.mark.parametrize("flag, spec, field", [
+        ("--retry", "max=none", "max_attempts"),
+        ("--retry", "base=none", "base_delay_s"),
+        ("--retry", "base=nan", "base_delay_s"),
+        ("--retry", "timeout=nan", "attempt_timeout_s"),
+        ("--hedge", "mult=nan", "multiplier"),
+        ("--breaker", "recovery=nan", "recovery_s"),
+    ])
+    def test_demo_rejects_nan_and_none_policies(self, capsys, flag, spec, field):
+        assert main(["demo", flag, spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
     def test_bad_crash_worker_same_error_everywhere(self, capsys):
         assert main(["demo", "--crash-worker", "bad"]) == 2
         demo_err = capsys.readouterr().err
