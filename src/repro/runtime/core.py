@@ -49,7 +49,7 @@ from repro.runtime.scheduler import HeadScheduler
 from repro.runtime.stats import ClusterStats, RunStats, WorkerStats
 from repro.storage.base import StorageBackend
 from repro.storage.cache import ChunkCache
-from repro.storage.codecs import Buffer, decode_chunk
+from repro.storage.codecs import Buffer
 from repro.storage.health import BreakerPolicy, HealthRegistry, HedgePolicy
 from repro.storage.retry import RetryPolicy
 from repro.storage.transfer import (
@@ -58,6 +58,7 @@ from repro.storage.transfer import (
     FetchInfo,
     FetchPools,
     ParallelFetcher,
+    decode_frame,
     legs_on_pool,
 )
 
@@ -568,13 +569,15 @@ def decode_and_fold(
     *,
     group_units: int,
     batch_fold: bool,
-    encoded: bool = False,
+    frame_of: tuple[int, int] | None = None,
 ) -> tuple[float, float, int, int]:
     """Decode one chunk's bytes and fold them into ``robj``.
 
-    ``encoded`` means ``payload`` is a codec frame, inflated here first.
-    The unit decode is a zero-copy ``np.frombuffer`` view; the fold is
-    one ``local_reduction_batch`` call over the whole chunk when
+    ``frame_of`` is ``(chunk_id, logical nbytes)`` when ``payload`` is
+    the chunk's codec frame, inflated here first by the fetch path's own
+    :func:`~repro.storage.transfer.decode_frame` (its size check
+    included).  The unit decode is a zero-copy ``np.frombuffer`` view;
+    the fold is one ``local_reduction_batch`` call over the whole chunk when
     ``batch_fold`` (the spec provides it and the options allow it), else
     the per-unit-group loop.  Shared by the fleet worker and the process
     engine's child, which passes a view of its mapped segment.
@@ -582,8 +585,8 @@ def decode_and_fold(
     Returns ``(decode_s, fold_s, bytes_folded, n_fold_calls)``.
     """
     t0 = time.monotonic()
-    if encoded:
-        payload = decode_chunk(payload)
+    if frame_of is not None:
+        payload = decode_frame(payload, *frame_of)
     units = fmt.decode(payload)
     t1 = time.monotonic()
     if batch_fold:

@@ -15,17 +15,22 @@ same :class:`RunStats`, the same fold step
 :func:`~repro.runtime.core.finalize_run` epilogue -- only the data plane
 changes:
 
-* **chunk bytes cross through shared memory.**  The parent (which owns
-  the stores, the chunk cache, and the retry policy) fetches each job's
-  byte range directly into a :class:`~repro.storage.shm.SharedSegment`
-  (``ParallelFetcher.fetch_into`` writes sub-range GETs straight into
-  the segment), and the worker decodes with a zero-copy
-  ``np.frombuffer`` off the mapped pages.  Codec-encoded chunks ship as
+* **chunk frames cross through shared memory.**  The parent (which
+  owns the stores, the chunk cache, and the retry policy) sources each
+  job's chunk with the fleet's one fetch path,
+  ``ParallelFetcher.fetch_frame``, straight into a
+  :class:`~repro.storage.shm.SharedSegment`: sub-range GETs and an
+  unhedged replica race write into the segment, a stripe reassembles
+  there, a cache entry or a hedged race's winner is copied in once.
+  The worker decodes with a zero-copy ``np.frombuffer`` off the mapped
+  pages.  Codec-encoded chunks -- striped and raced ones too -- ship as
   their *wire frames*: the segment holds the (smaller) encoded bytes
-  and the worker inflates them, so decompression parallelizes across
-  worker cores instead of serializing in the parent's feeders.  No
-  per-chunk pickle of payloads ever crosses a pipe; the task message is
-  a few dozen bytes.
+  and the worker inflates them through the fetch path's own
+  ``decode_frame`` (the index's logical size, carried in the job
+  message, checked), so decompression parallelizes across worker cores
+  instead of serializing in the parent's feeders.  No per-chunk pickle
+  of payloads ever crosses a pipe; the task message is a few dozen
+  bytes.
 * **a run reuses its segments.**  A segment whose chunk the worker has
   acknowledged goes back to the run's :class:`SharedSegmentPool` and
   carries a later chunk, and a worker maps each segment name once and
@@ -125,7 +130,7 @@ from repro.storage.shm import (
     attach_segment,
     close_quietly,
 )
-from repro.storage.transfer import FetchInfo, ParallelFetcher, raced
+from repro.storage.transfer import FetchInfo, ParallelFetcher
 
 __all__ = ["ProcessEngine"]
 
@@ -213,7 +218,7 @@ def _worker_main(
             if msg[0] == "finish":
                 _ship_robj(task_q, result_q, robj, "ok", None, mappings)
                 return
-            _, job_id, seg_name, nbytes, encoded = msg
+            _, job_id, seg_name, nbytes, frame_of = msg
             if crash_after is not None and jobs_done >= crash_after:
                 raise WorkerCrash(
                     f"injected crash in {name} after {jobs_done} jobs", job_id
@@ -225,7 +230,7 @@ def _worker_main(
             # one is acknowledged, and the mapping must close cleanly.
             decode_s, fold_s, bytes_folded, n_folds = decode_and_fold(
                 spec, fmt, robj, memoryview(mappings[seg_name].buf)[:nbytes],
-                group_units=group_units, batch_fold=batch_fold, encoded=encoded,
+                group_units=group_units, batch_fold=batch_fold, frame_of=frame_of,
             )
             jobs_done += 1
             result_q.put(
@@ -563,7 +568,7 @@ class ProcessEngine(EngineBase):
                             continue
                         break
                     try:
-                        seg, payload_nbytes, encoded, info, fetch_s = (
+                        seg, payload_nbytes, frame_of, info, fetch_s = (
                             self._fetch_segment(
                                 job, cluster_fetchers, segments, wstats
                             )
@@ -580,7 +585,7 @@ class ProcessEngine(EngineBase):
                     account_fetch_info(wstats, info)
                     t0 = time.monotonic()
                     handle.task_q.put(
-                        ("job", job.job_id, seg.name, payload_nbytes, encoded)
+                        ("job", job.job_id, seg.name, payload_nbytes, frame_of)
                     )
                     wstats.ipc_s += time.monotonic() - t0
                     wstats.shm_nbytes += payload_nbytes
@@ -635,48 +640,45 @@ class ProcessEngine(EngineBase):
         cluster_fetchers: dict[str, ParallelFetcher],
         segments: SharedSegmentPool,
         wstats: WorkerStats,
-    ) -> tuple[SharedSegment, int, bool, FetchInfo, float]:
-        """Fetch one job's bytes straight into a leased shared segment.
+    ) -> tuple[SharedSegment, int, tuple[int, int] | None, FetchInfo, float]:
+        """Fetch one job's chunk straight into a leased shared segment.
 
-        Returns ``(segment, payload_nbytes, encoded, info, fetch_s)``.
+        Returns ``(segment, payload_nbytes, frame_of, info, fetch_s)``,
+        ``frame_of`` being ``(chunk_id, logical nbytes)`` when the
+        segment holds a codec frame the worker decodes.
 
-        Compressed chunks ship *encoded*: the segment holds the wire
-        frame (``enc_nbytes`` bytes, often far smaller than the chunk)
-        and the worker decodes off the mapped pages, so decompression
-        runs on the worker's core instead of serializing in this feeder
-        thread.  Unencoded chunks land as logical bytes.  Both go
-        through :meth:`ParallelFetcher.fetch_chunk_into` (sub-range GETs
-        write into the mapping; zero copies on the direct path), whose
-        replica race runs one leg at a time into the segment.
-
-        Three cases ship logical bytes through ``fetch_chunk`` instead
-        (one decode + one copy in this feeder): striped fragments are
-        reassembled there; raced legs (:func:`raced`) run concurrently,
-        and cannot share one destination mapping; and ``verify_chunks``
-        needs the logical bytes here to check them.
+        The segment receives the chunk's wire frame through
+        :meth:`ParallelFetcher.fetch_frame`, whatever its shape: sub-range
+        GETs and an unhedged replica race write into the mapping, a
+        stripe reassembles there, and a cache entry or a concurrent
+        race's winner is copied in once.  Coded chunks thus ship
+        *encoded*: the segment holds the (often far smaller) frame and
+        the worker decodes off the mapped pages, so decompression runs on
+        the worker's core instead of serializing in this feeder thread.
+        Only ``verify_chunks`` decodes a coded chunk here (one decode +
+        one copy), because the check reads logical bytes.
         """
         t0 = time.monotonic()
         chunk = job.chunk
-        opts = self.options
-        whole = bool(chunk.fragments) or raced(chunk, opts.hedge)
-        encoded = chunk.codec is not None and not whole and not opts.verify_chunks
-        nbytes = chunk.enc_nbytes if encoded else chunk.nbytes
+        fetcher = cluster_fetchers[job.location]
+        verify = self.options.verify_chunks
+        encoded = chunk.codec is not None and not verify
+        nbytes = chunk.wire_nbytes if encoded else chunk.nbytes
         seg = segments.create(nbytes)
         wstats.shm_segments += int(seg.leases == 1)
         try:
-            if whole or (chunk.codec is not None and not encoded):
-                data, info = cluster_fetchers[job.location].fetch_chunk(chunk)
-                seg.buf[:nbytes] = data
+            if chunk.codec is not None and verify:
+                data, info = fetcher.fetch_chunk(chunk)
+                seg.buf[:] = data
                 info.n_copies += 1  # the copy into the segment
             else:
-                info = cluster_fetchers[job.location].fetch_chunk_into(
-                    chunk, seg.buf, encoded=encoded
-                )
-            if opts.verify_chunks:
+                _, info = fetcher.fetch_frame(chunk, seg.buf)
+            if verify:
                 from repro.data.integrity import verify_chunk_bytes
 
                 verify_chunk_bytes(chunk, seg.buf)
         except BaseException:
             segments.release(seg)
             raise
-        return seg, nbytes, encoded, info, time.monotonic() - t0 - info.decode_s
+        frame_of = (chunk.chunk_id, chunk.nbytes) if encoded else None
+        return seg, nbytes, frame_of, info, time.monotonic() - t0 - info.decode_s

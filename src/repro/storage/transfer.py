@@ -5,8 +5,10 @@ capitalize on the fast network interconnects."  Per-connection caps make
 a single GET stream slow; splitting a chunk's byte range across parallel
 sub-range GETs recovers the aggregate bandwidth.
 
-On top of the ranged fetch this module provides the mechanisms of the
-engines' data pipeline:
+On top of the ranged fetch this module provides the engines' data
+pipeline, in two layers: :meth:`ParallelFetcher.fetch_frame` sources a
+chunk's wire frame, the one way any engine fetches a chunk, and
+:func:`decode_frame` is the one decode after it.  Its mechanisms:
 
 * an optional :class:`~repro.storage.cache.ChunkCache` consulted before
   any store traffic (cross-iteration reuse);
@@ -53,8 +55,8 @@ __all__ = [
     "FetchPools",
     "PrefetchHandle",
     "ParallelFetcher",
+    "decode_frame",
     "legs_on_pool",
-    "raced",
 ]
 
 #: Errors that exhaust one replica source and send the fetch to the
@@ -111,12 +113,14 @@ def split_range(
 
 @dataclass
 class FetchInfo:
-    """Accounting for one chunk fetch through :meth:`ParallelFetcher.fetch_chunk`.
+    """Accounting for one chunk fetch through :meth:`ParallelFetcher.fetch_frame`
+    (and :meth:`~ParallelFetcher.fetch_chunk`, which books its decode here).
 
     ``bytes_wire`` is what actually crossed the store connection (the
     encoded size for compressed chunks, zero on a cache hit);
     ``bytes_logical`` the decoded chunk size handed to the worker;
-    ``decode_s`` the frame-decode time, kept separate from fetch time.
+    ``decode_s`` the frame-decode time (a stripe's reassembly
+    included), kept separate from fetch time.
     ``n_copies`` counts whole-chunk buffer copies made *after* wire
     reassembly -- codec inflations that materialize new bytes, copies
     into shared-memory segments, cache-hit copies into caller buffers.
@@ -202,22 +206,18 @@ def _inline(kind: str, fn: Callable, *args, at: str = "") -> Future:
         del fut  # the leg's error holds this frame, and the race's above it
 
 
-def _wire_range(chunk, src) -> tuple[int, int]:
-    """``src``'s encoded byte range (the primary's where it records none)."""
+def _source_range(chunk, src) -> tuple[int, int]:
+    """The byte range a fetch of ``chunk`` from ``src`` requests: the
+    logical range of a plain chunk, the encoded one of a coded chunk
+    (``src``'s, or the primary's where ``src`` records none)."""
+    if chunk.codec is None:
+        return chunk.offset, chunk.nbytes
     offset, nbytes = chunk.enc_offset, chunk.enc_nbytes
     if src is not None and src.enc_offset is not None:
         offset = src.enc_offset
     if src is not None and src.enc_nbytes is not None:
         nbytes = src.enc_nbytes
     return offset, nbytes
-
-
-def _source_range(chunk, src) -> tuple[int, int]:
-    """The byte range a fetch of ``chunk`` from ``src`` requests: the
-    logical range of a plain chunk, the encoded one of a coded chunk."""
-    if chunk.codec is None:
-        return chunk.offset, chunk.nbytes
-    return _wire_range(chunk, src)
 
 
 def _route(siblings: dict[str, "ParallelFetcher"], src) -> "ParallelFetcher":
@@ -228,32 +228,29 @@ def _route(siblings: dict[str, "ParallelFetcher"], src) -> "ParallelFetcher":
     return fetcher
 
 
-def _decode_frame(chunk, frame, info: FetchInfo, t0: float) -> Buffer:
-    """Decode ``chunk``'s wire frame, booking ``decode_s`` since ``t0``
-    and the inflate copy, and check the index's logical size."""
+def decode_frame(frame: Buffer, chunk_id: int, nbytes: int) -> Buffer:
+    """Decode chunk ``chunk_id``'s wire frame and check it against the
+    index's logical size ``nbytes``: the fetch path's one decode, run by
+    :meth:`ParallelFetcher.fetch_chunk` and by the process engine's
+    child on the frame its parent fetched."""
     data = decode_chunk(frame)
-    info.decode_s = time.monotonic() - t0
-    if chunk.codec != "identity":
-        info.n_copies += 1  # the inflate materialized new bytes
     n = memoryview(data).nbytes
-    if n != chunk.nbytes:
-        raise CodecError(
-            f"chunk {chunk.chunk_id}: decoded {n} bytes, index says {chunk.nbytes}"
-        )
+    if n != nbytes:
+        raise CodecError(f"chunk {chunk_id}: decoded {n} bytes, index says {nbytes}")
     return data
+
+
+def _land(out, data: Buffer, info: FetchInfo) -> memoryview:
+    """Copy ``data`` into the head of ``out`` once, booking the copy."""
+    view = memoryview(out)[: memoryview(data).nbytes]
+    view[:] = data
+    info.n_copies += 1
+    return view
 
 
 def legs_on_pool(k: int, hedge: HedgePolicy | None) -> bool:
     """Whether a k-of-n race runs its legs on the leg pools, not inline."""
     return k > 1 or hedge is not None
-
-
-def raced(chunk, hedge: HedgePolicy | None) -> bool:
-    """Whether :meth:`ParallelFetcher.fetch_chunk` runs ``chunk``'s race
-    legs on the leg pools, the calling thread only waiting on them."""
-    if chunk.fragments:
-        return legs_on_pool(chunk.stripe[0], hedge)
-    return len(chunk.sources) > 1 and legs_on_pool(1, hedge)
 
 
 class FetchPools:
@@ -348,6 +345,9 @@ class ParallelFetcher:
     (``n_retries``/``n_giveups``/``bytes_retried``, and ``n_abandoned``
     for attempts left running past the policy's ``attempt_timeout_s``)
     and mirrored into the backend's :class:`~repro.storage.base.StorageStats`.
+
+    Chunks are sourced one way, :meth:`fetch_frame`, which returns the
+    wire frame; :meth:`fetch_chunk` is that plus the decode.
 
     Multi-source retrieval: a chunk carrying replica sources
     (:attr:`~repro.data.chunks.ChunkInfo.replicas`) or erasure-coded
@@ -448,22 +448,10 @@ class ParallelFetcher:
         return data, False
 
     def fetch_chunk(self, chunk) -> tuple[Buffer, FetchInfo]:
-        """Fetch one index chunk's *logical* bytes, decoding if encoded.
-
-        ``chunk`` is a :class:`~repro.data.chunks.ChunkInfo`.  For
-        chunks the organizer wrote pre-compressed the *encoded* range is
-        what travels the wire (sub-range splitting, retries, and the
-        cache all operate on encoded bytes -- so the same ``cache_mb``
-        budget holds more chunks and a retry re-requests encoded
-        ranges); the frame is decoded after reassembly and checked
-        against the index's logical size.  Returns the decoded bytes
-        plus a :class:`FetchInfo` with wire/logical/decode/copy
-        accounting.
-
-        Chunks carrying replica sources race them (:meth:`_race`, k =
-        1); striped chunks race their fragments; single-source chunks
-        take the direct path, with health outcomes still recorded when
-        a registry is attached.
+        """Fetch one index chunk's *logical* bytes: :meth:`fetch_frame`,
+        then the one :func:`decode_frame` of a coded chunk, which checks
+        the index's logical size.  Returns the bytes plus the fetch's
+        :class:`FetchInfo`, ``decode_s`` and the inflate copy included.
 
         Zero-copy: the returned buffer aliases the fetched (or cached)
         bytes whenever the codec allows -- identity-codec frames decode
@@ -471,47 +459,58 @@ class ParallelFetcher:
         only transforms that inflate (zlib/lz4/shuffle) materialize one
         new buffer (``n_copies`` 1).
         """
+        data, info = self.fetch_frame(chunk)
+        if chunk.codec is not None:
+            t0 = time.monotonic()
+            data = decode_frame(data, chunk.chunk_id, chunk.nbytes)
+            info.decode_s += time.monotonic() - t0
+            if chunk.codec != "identity":
+                info.n_copies += 1  # the inflate materialized new bytes
+        return data, info
+
+    def fetch_frame(self, chunk, out=None) -> tuple[Buffer, FetchInfo]:
+        """Source one index chunk's wire frame: the encoded bytes of a
+        coded chunk, the logical bytes of a plain one.  The only way a
+        chunk is fetched; no part of it decodes.
+
+        ``chunk`` is a :class:`~repro.data.chunks.ChunkInfo`.  What
+        travels the wire is the frame, so sub-range splitting, retries
+        and the cache all operate on encoded bytes (the same
+        ``cache_mb`` budget holds more chunks, and a retry re-requests
+        encoded ranges).  Chunks carrying replica sources race them
+        (:meth:`_race`, k = 1); striped chunks race their fragments and
+        reassemble the ``k`` winners (booked as ``decode_s``);
+        single-source chunks take the direct path, with health outcomes
+        still recorded when a registry is attached.
+
+        Without ``out`` the frame is the buffer its fetch produced (the
+        store's, a split fetch's ``bytearray``, the cache's view, the
+        reassembly).  With ``out`` (a writable buffer holding at least
+        the frame) it lands there and a view of it is returned: sub-range
+        GETs, the legs of an unhedged replica race (they run one at a
+        time) and a stripe's reassembly write into ``out``; a cache entry
+        or a concurrent race's winner is copied in once (``n_copies``).
+        """
         if getattr(chunk, "fragments", None):
-            return self._fetch_chunk_striped(chunk)
+            return self._fetch_striped(chunk, out)
         sources = getattr(chunk, "sources", None)
         if sources is None or len(sources) <= 1:
             src = None if sources is None else sources[0]
             return self._fetch_single(
-                self.store.location, lambda: self._fetch_chunk_source(chunk, src)
+                self.store.location, lambda: self._fetch_source(chunk, src, out)
             )
         siblings = self.siblings  # the map as it is now: a leg may outlive close()
-        return self._fetch_replicated(
+        # Legs run one at a time only off the leg pools, so only then share ``out``.
+        shared = None if legs_on_pool(1, self.hedge) else out
+        data, info = self._fetch_replicated(
             sources,
-            lambda s: _route(siblings, s)._fetch_chunk_source(chunk, s),
+            lambda s: _route(siblings, s)._fetch_source(chunk, s, shared),
             self.hedge,
             lambda s: _source_range(chunk, s)[1],
         )
-
-    def fetch_chunk_into(self, chunk, out, *, encoded: bool) -> FetchInfo:
-        """Fetch one chunk's bytes straight into the writable buffer ``out``.
-
-        The shared-memory handoff path: every leg is a :meth:`fetch_into`
-        on the fetcher owning the source's store.  ``encoded`` lands the
-        wire frame (the reader decodes it) instead of logical bytes.
-        Replica sources race with k = 1 and no hedge, so their legs run
-        one at a time on this thread -- concurrent legs would write the
-        same buffer.  Striped chunks go through :meth:`fetch_chunk`.
-        """
-
-        def leg(src) -> tuple[None, FetchInfo]:
-            offset, nbytes = (
-                _wire_range(chunk, src) if encoded else (chunk.offset, chunk.nbytes)
-            )
-            _, info = _route(self.siblings, src).fetch_into(src.key, offset, nbytes, out)
-            info.bytes_logical = chunk.nbytes
-            return None, info
-
-        sources = chunk.sources
-        if len(sources) == 1:
-            _, info = self._fetch_single(sources[0].location, lambda: leg(sources[0]))
-        else:
-            _, info = self._fetch_replicated(sources, leg, None)
-        return info
+        if out is not None and shared is None:
+            data = _land(out, data, info)
+        return data, info
 
     def _book_latency(self, info: FetchInfo, latency: float) -> None:
         """Set ``info.fetch_s`` and pool it for the p95 unless the cache
@@ -532,7 +531,7 @@ class ParallelFetcher:
             if self.health is not None:
                 self.health.record_failure(location)
             raise
-        self._book_latency(info, max(0.0, time.monotonic() - t0 - info.decode_s))
+        self._book_latency(info, time.monotonic() - t0)
         if self.health is not None:
             self.health.record_success(
                 location, None if info.cache_hit else info.fetch_s
@@ -560,7 +559,7 @@ class ParallelFetcher:
         info.hedge_wins = books.hedge_wins
         info.fragments_wasted_bytes = books.fragments_wasted_bytes
         if hedge is not None:
-            latency = max(0.0, time.monotonic() - t0 - info.decode_s)
+            latency = time.monotonic() - t0
         self._book_latency(info, latency)
         return data, info
 
@@ -592,9 +591,9 @@ class ParallelFetcher:
         race runs its legs one at a time on the calling thread.
 
         Returns the winners ``(cand, data, info, latency)`` in
-        completion order, ``latency`` being the leg's own wall seconds
-        less decode.  Open stores demoted behind ``k`` healthy
-        candidates and breaker refusals count in ``n_breaker_skips``.
+        completion order, ``latency`` being the leg's own wall seconds.
+        Open stores demoted behind ``k`` healthy candidates and breaker
+        refusals count in ``n_breaker_skips``.
         ``books`` receives ``n_failovers`` (failed legs),
         ``n_hedges`` (hedge launches), ``hedge_wins`` (winners that
         were hedge launches) and ``fragments_wasted_bytes`` on every
@@ -644,7 +643,7 @@ class ParallelFetcher:
                 if health is not None:
                     health.record_failure(cand.location)
                 raise
-            latency = max(0.0, time.monotonic() - t0 - info.decode_s)
+            latency = time.monotonic() - t0
             if health is not None:
                 health.record_success(
                     cand.location, None if info.cache_hit else latency
@@ -765,15 +764,15 @@ class ParallelFetcher:
             bug = last_exc = f = None
             done.clear()
 
-    def _fetch_chunk_striped(self, chunk) -> tuple[Buffer, FetchInfo]:
-        """Fastest-k-of-n fetch of an erasure-striped chunk.
+    def _fetch_striped(self, chunk, out=None) -> tuple[Buffer, FetchInfo]:
+        """Fastest-k-of-n fetch of an erasure-striped chunk's frame.
 
         The fragments race (:meth:`_race`) with data before parity, so
         the common case needs no GF decode and a half-open data store
         still gets its recovery probe.  The ``k`` winners reassemble
-        into one contiguous buffer (:func:`repro.storage.erasure.reassemble`)
-        that feeds the normal frame-decode path, so identity-codec
-        chunks still hand the worker a view over that single buffer.
+        into one contiguous frame (:func:`repro.storage.erasure.reassemble`),
+        ``out`` or a new ``bytearray``, so identity-codec chunks still
+        hand the worker a view over that single buffer.
         """
         k, m = chunk.stripe
         frags = sorted(chunk.fragments, key=lambda f: f.frag_index)
@@ -798,39 +797,39 @@ class ParallelFetcher:
         info.cache_hit = all(w.cache_hit for _, _, w, _ in wins)
         info.bytes_wire = sum(w.bytes_wire for _, _, w, _ in wins)
         t0 = time.monotonic()
-        frame = bytearray(chunk.wire_nbytes)
+        n = chunk.wire_nbytes
+        frame = bytearray(n) if out is None else memoryview(out)[:n]
         _, used_parity = reassemble(
-            {frag.frag_index: data for frag, data, _, _ in wins},
-            k, m, chunk.wire_nbytes, out=frame,
+            {frag.frag_index: data for frag, data, _, _ in wins}, k, m, n, out=frame
         )
         info.n_copies += 1  # fragments gathered into one contiguous frame
         info.n_parity_decodes = int(used_parity)
-        data_out: Buffer = frame
-        if chunk.codec is None:
-            info.decode_s = time.monotonic() - t0
-        else:
-            data_out = _decode_frame(chunk, frame, info, t0)
+        info.decode_s = time.monotonic() - t0
         with self._counter_lock:
             self.fetch_latencies.extend(
                 latency for _, _, w, latency in wins if not w.cache_hit
             )
-        return data_out, info
+        return frame, info
 
-    def _fetch_chunk_source(self, chunk, src=None) -> tuple[Buffer, FetchInfo]:
-        """Fetch the chunk's bytes from one concrete source (no routing).
+    def _fetch_source(self, chunk, src=None, out=None) -> tuple[Buffer, FetchInfo]:
+        """Fetch the chunk's frame from one concrete source (no routing).
 
         ``src`` (a :class:`~repro.data.chunks.ChunkSource`) overrides the
         key and encoded range; ``None`` means the chunk's own primary.
-        Runs on the fetcher owning the source's store.
+        Runs on the fetcher owning the source's store.  With ``out`` the
+        GETs write into it, unless a cache is attached: its entry must
+        stay an independent buffer, so it is copied in once.
         """
         key = chunk.key if src is None else src.key
         offset, nbytes = _source_range(chunk, src)
-        data, hit = self.fetch_with_info(key, offset, nbytes)
-        info = FetchInfo(
-            cache_hit=hit, bytes_wire=0 if hit else nbytes, bytes_logical=chunk.nbytes
-        )
-        if chunk.codec is not None:
-            data = _decode_frame(chunk, data, info, time.monotonic())
+        info = FetchInfo(bytes_wire=nbytes, bytes_logical=chunk.nbytes)
+        if out is not None and self.cache is None:
+            return self._fetch_parts_into(key, offset, nbytes, memoryview(out)), info
+        data, info.cache_hit = self.fetch_with_info(key, offset, nbytes)
+        if info.cache_hit:
+            info.bytes_wire = 0
+        if out is not None:
+            data = _land(out, data, info)
         return data, info
 
     def _get_with_retry(self, key: str, offset: int, nbytes: int) -> bytes:
@@ -900,20 +899,23 @@ class ParallelFetcher:
     ) -> Buffer:
         """Fetch one range over as many GETs as :meth:`_plan_parts` allows.
 
-        With ``view`` (a writable byte view) the bytes land there;
-        without it the store's own ``bytes`` are returned for a single
-        GET and a fresh ``bytearray`` for a split one.  Each sub-range
-        GET writes its slice in place, so there is no reassembly
-        ``join`` -- a full extra copy of every parallel fetch.  The
-        calling thread fetches the first sub-range itself and only the
-        others go to the store's range pool.
+        With ``view`` (a writable byte view) the bytes land in its head,
+        which is returned; without it the store's own ``bytes`` are
+        returned for a single GET and a fresh ``bytearray`` for a split
+        one.  Each sub-range GET writes its slice in place, so there is
+        no reassembly ``join`` -- a full extra copy of every parallel
+        fetch.  The calling thread fetches the first sub-range itself
+        and only the others go to the store's range pool.
         """
+        if view is not None:
+            view = view[:nbytes]
         n_parts = self._plan_parts(nbytes)
         if n_parts <= 1 or nbytes < n_parts:
             n_parts = 1
             out: Buffer = self._get_with_retry(key, offset, nbytes)
             if view is not None:
-                view[:nbytes] = out
+                view[:] = out
+                out = view
         else:
             out = view
             if view is None:
@@ -950,38 +952,6 @@ class ParallelFetcher:
             else:
                 self.n_single_fetches += 1
         return out
-
-    def fetch_into(
-        self, key: str, offset: int, nbytes: int, out
-    ) -> tuple[int, FetchInfo]:
-        """Fetch a range directly into a writable buffer; returns
-        ``(nbytes, FetchInfo)``.
-
-        This is the shared-memory handoff path: ``out`` is typically a
-        :class:`~repro.storage.shm.SharedSegment` buffer, and each
-        parallel sub-range GET writes into its slice of ``out`` -- the
-        reassembly ``join`` (a full extra copy of the chunk) never
-        happens.  With a cache attached the cached/evictable value must
-        remain an independent buffer, so that path copies once from the
-        cache entry into ``out`` (counted in ``FetchInfo.n_copies``).
-        """
-        view = memoryview(out).cast("B")
-        if view.readonly:
-            raise ValueError("fetch_into needs a writable buffer")
-        if view.nbytes < nbytes:
-            raise ValueError(
-                f"buffer of {view.nbytes} bytes cannot hold {nbytes}-byte fetch"
-            )
-        info = FetchInfo(bytes_wire=nbytes, bytes_logical=nbytes)
-        if self.cache is not None:
-            data, info.cache_hit = self.fetch_with_info(key, offset, nbytes)
-            view[:nbytes] = data
-            info.n_copies = 1
-            if info.cache_hit:
-                info.bytes_wire = 0
-        else:
-            self._fetch_parts_into(key, offset, nbytes, view)
-        return nbytes, info
 
     def _get_part_into(self, key: str, offset: int, nbytes: int, dest) -> None:
         dest[:] = self._get_with_retry(key, offset, nbytes)

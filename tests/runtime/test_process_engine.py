@@ -6,6 +6,7 @@ Result equivalence with the other engines is covered by
 running slaves as OS processes.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -15,13 +16,22 @@ from repro.apps.kmeans import KMeansSpec, lloyd_step
 from repro.apps.wordcount import WordCountSpec, wordcount_exact
 from repro.core.api import GeneralizedReductionSpec
 from repro.core.reduction_object import ArrayReductionObject
-from repro.data.dataset import distribute_dataset, write_dataset
+from repro.data.dataset import (
+    distribute_dataset,
+    replicate_dataset,
+    stripe_dataset,
+    write_dataset,
+)
 from repro.data.formats import tokens_format
 from repro.data.generator import generate_points, generate_tokens
+from repro.data.index import DataIndex
 from repro.runtime import EngineOptions, make_engine
 from repro.runtime.engine import ClusterConfig
 from repro.runtime.process_engine import ProcessEngine
+from repro.storage.cache import ChunkCache
+from repro.storage.codecs import CodecError
 from repro.storage.faults import TransientStorageError
+from repro.storage.health import HedgePolicy
 from repro.storage.local import MemoryStore
 from repro.storage.retry import RetryPolicy
 from repro.storage.s3 import S3Profile, SimulatedS3Store
@@ -292,11 +302,13 @@ def pools(monkeypatch):
         def __init__(self):
             super().__init__()
             self.names = set()
+            self.sizes = []
             built.append(self)
 
         def create(self, nbytes):
             seg = super().create(nbytes)
             self.names.add(seg.name)
+            self.sizes.append(nbytes)
             return seg
 
     monkeypatch.setattr(process_mod, "SharedSegmentPool", Recorded)
@@ -514,3 +526,90 @@ class TestRecyclingUnderFailure:
         assert shm_entries() - before == set()
         assert not shm_entries() & {n.lstrip("/") for n in pool.names}
         assert no_child_left()
+
+
+# -- chunk frames -------------------------------------------------------------
+
+
+def shaped_env(toks, fmt, *, codec=None, replicas=0, stripe=None):
+    """One store's dataset, replicated or striped over four stores."""
+    stores = {n: MemoryStore(n) for n in ("local", "cloud", "spare0", "spare1")}
+    index = write_dataset(
+        toks, fmt, stores["local"], n_files=2, chunk_units=len(toks) // 8,
+        codec=codec,
+    )
+    if replicas:
+        index = replicate_dataset(index, stores, n_replicas=replicas)
+    if stripe is not None:
+        index = stripe_dataset(index, stores, k=stripe[0], m=stripe[1])
+    return stores, index
+
+
+HEDGE = HedgePolicy(min_threshold_s=0.001, max_hedges=1)
+
+
+class TestFrames:
+    """The feeder ships every chunk as the frame ``fetch_frame`` sourced
+    into the segment, and the child decodes it through the fetch path's
+    own size check."""
+
+    @pytest.mark.parametrize(
+        "shape,opts,copies",
+        [
+            ({}, {}, 0),
+            ({}, {"chunk_cache": True}, 1),  # the copy out of the cache entry
+            ({"codec": "zlib"}, {}, 0),
+            ({"replicas": 1}, {}, 0),  # unhedged legs share the segment
+            ({"replicas": 1}, {"hedge": HEDGE}, 1),  # the winner, copied in
+            ({"codec": "zlib", "replicas": 1}, {"hedge": HEDGE}, 1),
+            ({"stripe": (2, 1)}, {}, 1),  # reassembled into the segment
+            ({"codec": "zlib", "stripe": (2, 1)}, {}, 1),
+        ],
+        ids=[
+            "plain", "cached", "coded", "replica", "hedged-replica",
+            "coded-hedged-replica", "striped", "coded-striped",
+        ],
+    )
+    def test_books_per_shape(self, pools, shape, opts, copies):
+        toks = generate_tokens(8000, 200, seed=98)
+        spec = WordCountSpec()
+        stores, index = shaped_env(toks, spec.fmt, **shape)
+        if opts.get("chunk_cache"):
+            opts = dict(opts, chunk_cache=ChunkCache(64 << 20))
+        rr = ProcessEngine(
+            [ClusterConfig("local", "local", 1, 2)], stores, **opts
+        ).run(spec, index)
+        assert rr.result == wordcount_exact(toks)
+        n = len(index.chunks)
+        assert rr.stats.jobs_processed == n
+        assert rr.stats.n_copies == copies * n
+        # One worker: its chunks' segments, then its reduction object's.
+        (pool,) = pools
+        assert sorted(pool.sizes[:n]) == sorted(c.wire_nbytes for c in index.chunks)
+        if shape.get("codec"):  # frames, not logical bytes
+            assert sum(pool.sizes[:n]) < toks.nbytes
+
+    @pytest.mark.parametrize("engine", ["threaded", "process"])
+    def test_a_frame_the_index_mis_sizes_fails_the_run(self, engine):
+        toks = generate_tokens(6000, 100, seed=99)
+        spec = WordCountSpec()
+        store = MemoryStore("local")
+        index = write_dataset(
+            toks, spec.fmt, store, n_files=2, chunk_units=1500, codec="zlib"
+        )
+        first, *rest = index.chunks
+        short = dataclasses.replace(
+            first, nbytes=first.nbytes - 80, n_units=first.n_units - 10
+        )
+        index = DataIndex(
+            index.fmt, list(index.files), [short, *rest], dict(index.meta)
+        )
+        # The process engine's child fails, and its parent with it.
+        with pytest.raises(
+            (CodecError, RuntimeError),
+            match=f"chunk {first.chunk_id}: decoded {first.nbytes} bytes, "
+            f"index says {short.nbytes}",
+        ):
+            make_engine(
+                engine, [ClusterConfig("local", "local", 1)], {"local": store}
+            ).run(spec, index)

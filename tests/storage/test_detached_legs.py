@@ -28,6 +28,7 @@ import pytest
 import repro.storage.transfer as transfer
 from repro.data.chunks import ChunkInfo, ChunkSource
 from repro.runtime.core import ClusterConfig, EngineOptions, make_cluster_fetchers
+from repro.storage.codecs import encode_chunk
 from repro.storage.health import HealthRegistry, HedgePolicy
 from repro.storage.local import MemoryStore
 from repro.storage.retry import RetryExhausted, RetryPolicy
@@ -137,6 +138,35 @@ class TestDetachedLoser:
         assert all(i.fragments_wasted_bytes == len(PAYLOAD) for i in stalled)
         wait_for(lambda: slow.stats.n_detached == 0)
         wait_for(lambda: set(threading.enumerate()) <= before)
+
+    def test_a_loser_never_decodes(self, monkeypatch):
+        """Race legs source frames; the one decode follows the win, so a
+        coded chunk is inflated once however many legs raced it."""
+        frame = encode_chunk(PAYLOAD, "zlib")
+        coded = ChunkInfo(
+            chunk_id=2, file_id=0, key="coded", location="slow", offset=0,
+            nbytes=len(PAYLOAD), n_units=len(PAYLOAD), codec="zlib",
+            enc_offset=0, enc_nbytes=len(frame),
+            replicas=(ChunkSource("fast", "coded"),),
+        )
+        stores = make_stores()
+        for store in stores.values():
+            store.put("coded", frame)
+        decodes = []
+        decode = transfer.decode_chunk
+        monkeypatch.setattr(
+            transfer, "decode_chunk", lambda f: (decodes.append(1), decode(f))[1]
+        )
+        fetchers = make_fetchers(stores)
+        try:
+            data, info = fetchers["slow"].fetch_chunk(coded)
+            assert bytes(data) == PAYLOAD
+            assert (info.n_hedges, info.hedge_wins, info.n_copies) == (1, 1, 1)
+        finally:
+            stores["slow"].open_all()
+            close_all(fetchers)
+        wait_for(lambda: stores["slow"].stats.n_detached == 0)
+        assert len(decodes) == 1
 
 
 #: Two attempts, each given 10 ms, and no backoff between them.

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.chunks import ChunkInfo
 from repro.runtime.core import (
     ClusterConfig,
     EngineOptions,
@@ -182,17 +183,21 @@ class TestDecision:
             fetcher.fetch("o", 0, 4000)  # two 2000-byte GETs: all request overhead
         assert store.stats.n_gets == 2 and store.stats.s_per_byte is None
 
-    def test_fetch_into_and_fetch_decide_alike(self, clock):
+    def test_fetch_frame_into_and_fetch_decide_alike(self, clock):
+        chunk = ChunkInfo(
+            chunk_id=0, file_id=0, key="o", location="local",
+            offset=0, nbytes=len(BLOB), n_units=len(BLOB),
+        )
         for make, warm in ((memcpy_store, 1), (wan_store, 2)):
             store = make(clock)
             with ParallelFetcher(store, n_threads=2) as fetcher:
                 for expected in (2, warm, warm):
                     buf = bytearray(len(BLOB))
                     before = store.stats.n_gets
-                    n, info = fetcher.fetch_into("o", 0, len(BLOB), buf)
+                    frame, info = fetcher.fetch_frame(chunk, buf)
                     assert store.stats.n_gets - before == expected
-                    assert (n, info.bytes_wire, info.n_copies) == (len(BLOB), len(BLOB), 0)
-                    assert bytes(buf) == BLOB
+                    assert (info.bytes_wire, info.n_copies) == (len(BLOB), 0)
+                    assert bytes(buf) == bytes(frame) == BLOB
                 assert gets_per_fetch(store, fetcher, 1) == [warm]
 
     def test_evidence_belongs_to_the_store_not_the_fetcher(self, clock):
@@ -371,7 +376,11 @@ def test_bytes_are_identical_whichever_way_the_decision_goes(
     with ParallelFetcher(store, n_threads=n_threads, min_part_nbytes=min_part) as f:
         assert bytes(f.fetch("o", offset, nbytes)) == blob[offset:offset + nbytes]
         buf = bytearray(nbytes + 3)
-        f.fetch_into("o", offset, nbytes, buf)
+        chunk = ChunkInfo(
+            chunk_id=0, file_id=0, key="o", location="local",
+            offset=offset, nbytes=nbytes, n_units=nbytes,
+        )
+        f.fetch_frame(chunk, buf)
         assert bytes(buf[:nbytes]) == blob[offset:offset + nbytes]
         assert f.n_single_fetches + f.n_split_fetches == 2
         if evidence == 1e-12:

@@ -1,11 +1,11 @@
-"""``raced`` names exactly the fetches whose legs run on the leg pools.
+"""``legs_on_pool`` names exactly the fetches whose legs run on the leg pools.
 
-The service opens its read-ahead window behind a raced job, and the
-process engine's feeder hands raced chunks to ``fetch_chunk``, both on
-the promise that such a fetch's legs run concurrently on the leg pools
-of their stores.  Every chunk shape here is fetched once through
-``fetch_chunk`` with pools that count their leg submissions, and the
-predicate must agree with what the race actually did.
+``window_limit`` opens the read-ahead window behind a raced job on the
+promise that such a fetch's legs run concurrently on the leg pools of
+their stores, and asks ``legs_on_pool`` which jobs those are.  Every
+chunk shape here is fetched once through ``fetch_chunk`` with pools
+that count their leg submissions, and the predicate, asked the way
+``window_limit`` asks it, must agree with what the race actually did.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from repro.data.formats import RecordFormat
 from repro.runtime.core import ClusterConfig, EngineOptions, make_cluster_fetchers
 from repro.storage.health import HedgePolicy
 from repro.storage.local import MemoryStore
-from repro.storage.transfer import FetchPools, raced
+from repro.storage.transfer import FetchPools, legs_on_pool
 
 FMT = RecordFormat("bytes", np.uint8, ())
 HEDGE = HedgePolicy(min_threshold_s=0.001, max_hedges=1)
@@ -63,7 +63,7 @@ def make_index(stores, *, replicas=0, stripe=None):
     ],
     ids=["plain", "1-replica", "2-replicas", "stripe-1-1", "stripe-2-0", "stripe-4-2"],
 )
-def test_raced_iff_fetch_chunk_submits_to_the_leg_pools(shape, hedge):
+def test_legs_on_pool_iff_fetch_chunk_submits_to_the_leg_pools(shape, hedge):
     stores = {
         name: MemoryStore(name) for name in ["local", "cloud", "spare0", "spare1"]
     }
@@ -79,7 +79,9 @@ def test_raced_iff_fetch_chunk_submits_to_the_leg_pools(shape, hedge):
             data, _ = fetchers[chunk.location].fetch_chunk(chunk)
             assert memoryview(data).nbytes == chunk.nbytes
             submitted = pools.legs > before
-            assert raced(chunk, hedge) == submitted, (shape, chunk.chunk_id)
+            k = chunk.stripe[0] if chunk.fragments else 0
+            on_pool = bool(k or chunk.replicas) and legs_on_pool(k, hedge)
+            assert on_pool == submitted, (shape, chunk.chunk_id)
     finally:
         for fetcher in fetchers.values():
             fetcher.close()

@@ -189,74 +189,63 @@ class TestCacheIntegration:
         assert cache.contains(store.location, "o", 0, 16)
 
 
-class TestFetchInto:
+class TestFetchFrameInto:
+    """``fetch_frame(chunk, out)``: the frame lands in ``out``."""
+
     def test_writes_range_into_buffer(self):
-        store = MemoryStore()
+        store = MemoryStore("local")
         data = bytes(range(256)) * 4
         store.put("o", data)
         out = bytearray(512)
         with ParallelFetcher(store, n_threads=4) as fetcher:
-            n, info = fetcher.fetch_into("o", 128, 512, out)
-        assert (n, info.cache_hit) == (512, False)
+            frame, info = fetcher.fetch_frame(chunk_of("o", 512, offset=128), out)
+        assert info.cache_hit is False
         assert info.bytes_wire == 512
         assert info.n_copies == 0  # part GETs wrote straight into out
-        assert bytes(out) == data[128:640]
+        assert bytes(out) == bytes(frame) == data[128:640]
 
     def test_single_thread_path(self):
-        store = MemoryStore()
+        store = MemoryStore("local")
         store.put("o", b"0123456789")
         out = bytearray(4)
         with ParallelFetcher(store, n_threads=1) as fetcher:
-            n, info = fetcher.fetch_into("o", 3, 4, out)
-        assert (n, info.cache_hit) == (4, False)
-        assert bytes(out) == b"3456"
+            frame, info = fetcher.fetch_frame(chunk_of("o", 4, offset=3), out)
+        assert (info.cache_hit, info.n_copies) == (False, 0)
+        assert bytes(out) == bytes(frame) == b"3456"
 
     def test_parallel_parts_write_disjoint_slices(self):
         """Each sub-range GET lands in its own slice; the reassembly
         equals the assembled fetch byte for byte."""
-        store = MemoryStore()
+        store = MemoryStore("local")
         data = bytes((i * 7) % 256 for i in range(4096))
         store.put("o", data)
         out = bytearray(4096)
         with ParallelFetcher(store, n_threads=8, min_part_nbytes=0) as fetcher:
-            fetcher.fetch_into("o", 0, 4096, out)
+            fetcher.fetch_frame(chunk_of("o", 4096), out)
             assert bytes(out) == fetcher.fetch("o", 0, 4096)
         assert store.stats.n_gets >= 8
 
     def test_cache_hit_copies_into_buffer(self):
-        store = MemoryStore()
+        store = MemoryStore("local")
         store.put("o", b"q" * 64)
         cache = ChunkCache(1024)
         out = bytearray(64)
         with ParallelFetcher(store, cache=cache) as fetcher:
             fetcher.fetch("o", 0, 64)  # warm
-            n, info = fetcher.fetch_into("o", 0, 64, out)
-        assert (n, info.cache_hit) == (64, True)
+            _, info = fetcher.fetch_frame(chunk_of("o", 64), out)
+        assert info.cache_hit is True
         assert info.bytes_wire == 0
         assert info.n_copies == 1  # the copy out of the cache entry
         assert bytes(out) == b"q" * 64
         assert store.stats.n_gets == 1
 
-    def test_readonly_buffer_rejected(self):
-        store = MemoryStore()
-        store.put("o", b"abcd")
-        with ParallelFetcher(store) as fetcher:
-            with pytest.raises(ValueError):
-                fetcher.fetch_into("o", 0, 4, b"xxxx")
 
-    def test_undersized_buffer_rejected(self):
-        store = MemoryStore()
-        store.put("o", b"abcd")
-        with ParallelFetcher(store) as fetcher:
-            with pytest.raises(ValueError):
-                fetcher.fetch_into("o", 0, 4, bytearray(2))
-
-
-def chunk_of(key, nbytes):
-    """A single-source, unencoded index chunk covering ``key[0:nbytes]``."""
+def chunk_of(key, nbytes, offset=0):
+    """A single-source, unencoded index chunk covering
+    ``key[offset:offset+nbytes]``."""
     return ChunkInfo(
         chunk_id=0, file_id=0, key=key, location="local",
-        offset=0, nbytes=nbytes, n_units=nbytes,
+        offset=offset, nbytes=nbytes, n_units=nbytes,
     )
 
 
