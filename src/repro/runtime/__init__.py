@@ -2,12 +2,13 @@
 
 from repro.runtime.core import (
     ClusterConfig,
+    ClusterMaster,
     EngineOptions,
-    LockMaster,
+    RunHead,
     RunResult,
 )
 from repro.runtime.engine import ThreadedEngine
-from repro.runtime.jobs import Job, LocalJobPool, jobs_from_index
+from repro.runtime.jobs import ClusterPool, Job, jobs_from_index
 from repro.runtime.process_engine import ProcessEngine
 from repro.runtime.pushdown import (
     PushdownPlan,
@@ -54,15 +55,16 @@ def make_engine(name: str, clusters, stores, **kwargs):
 
 __all__ = [
     "ClusterConfig",
+    "ClusterMaster",
     "EngineOptions",
-    "LockMaster",
+    "RunHead",
     "RunResult",
     "ThreadedEngine",
     "ProcessEngine",
     "ENGINES",
     "make_engine",
+    "ClusterPool",
     "Job",
-    "LocalJobPool",
     "jobs_from_index",
     "PushdownPlan",
     "PushdownSoundnessError",

@@ -8,9 +8,12 @@ processes; this engine restores that: each slave is a real
 ``multiprocessing`` worker process, and the local reduction of N workers
 genuinely occupies N cores.
 
-The policy layer is untouched -- the same :class:`HeadScheduler`, a
-per-cluster :class:`~repro.runtime.core.LockMaster` refill protocol, the
-same :class:`RunStats`, the same fold step
+The policy layer is untouched -- the same :class:`HeadScheduler` behind
+a one-run :class:`~repro.runtime.core.RunHead`, the same per-cluster
+:class:`~repro.runtime.core.ClusterMaster` (one
+:class:`~repro.runtime.jobs.ClusterPool` each: one refill in flight per
+cluster, and a feeder of a drained pool waits on the head's condition
+variable until a requeue or the final drain), the same :class:`RunStats`, the same fold step
 (:func:`~repro.runtime.core.decode_and_fold`) and the same
 :func:`~repro.runtime.core.finalize_run` epilogue -- only the data plane
 changes:
@@ -110,8 +113,9 @@ from repro.data.units import units_per_group
 from repro.runtime.core import (
     ClusterConfig,
     EngineBase,
+    ClusterMaster,
     EngineOptions,
-    LockMaster,
+    RunHead,
     RunResult,
     account_fetch_info,
     account_overlap,
@@ -304,7 +308,7 @@ class ProcessEngine(EngineBase):
         # exists, identically to the other engines.
         plan = plan_jobs(index, spec, opts.pushdown, stores=self.stores)
         scheduler = opts.scheduler_factory(plan.jobs)
-        scheduler_lock = threading.Lock()
+        head = RunHead(scheduler)
         group_units = units_per_group(opts.group_nbytes, index.fmt.unit_nbytes)
         batch_fold = opts.batch_fold and supports_batch_fold(spec)
         segments = SharedSegmentPool()
@@ -321,17 +325,13 @@ class ProcessEngine(EngineBase):
         feeders: list[threading.Thread] = []
         fetchers: dict[str, dict[str, ParallelFetcher]] = {}
         errors: list[BaseException] = []
-        stop = threading.Event()
 
         try:
             # Spawn every worker process *before* starting any thread in
             # this process, so a fork start method never snapshots a
             # parent mid-lock.
             for cluster in self.clusters:
-                master = LockMaster(
-                    cluster, scheduler, scheduler_lock, opts.batch_size,
-                    stop=stop, n_workers=cluster.n_workers,
-                )
+                master = head.master(cluster, opts.batch_size)
                 cstats = ClusterStats(cluster.name, cluster.location)
                 stats.clusters[cluster.name] = cstats
                 cluster_entries[cluster.name] = []
@@ -362,7 +362,7 @@ class ProcessEngine(EngineBase):
                             args=(
                                 cluster, master, handle, fetchers[cluster.name],
                                 segments, cluster_entries[cluster.name],
-                                t_start, errors, stop,
+                                t_start, errors, head,
                             ),
                             daemon=True,
                         )
@@ -405,7 +405,7 @@ class ProcessEngine(EngineBase):
                 )
             return result
         finally:
-            stop.set()
+            head.halt()
             self._shutdown_workers(handles)
             segments.close_all()
 
@@ -452,7 +452,7 @@ class ProcessEngine(EngineBase):
         cluster: ClusterConfig,
         handle: _WorkerHandle,
         segments: SharedSegmentPool,
-        port: LockMaster,
+        port: ClusterMaster,
     ) -> None:
         """Consume one completion; recycle its segment; account it."""
         msg = self._recv(handle)
@@ -532,23 +532,21 @@ class ProcessEngine(EngineBase):
         wstats.shm_nbytes += total
         return robj, seg
 
-    def _requeue(self, jobs: list[Job], port: LockMaster) -> None:
+    def _requeue(self, jobs: list[Job], port: ClusterMaster) -> None:
         """Return a dead worker's jobs (and its master's pool) to the head."""
-        requeue = list(jobs)
-        requeue.extend(port.worker_died())
-        port.requeue(requeue)
+        port.requeue(jobs + port.worker_died())
 
     def _feed_worker(
         self,
         cluster: ClusterConfig,
-        master: LockMaster,
+        master: ClusterMaster,
         handle: _WorkerHandle,
         cluster_fetchers: dict[str, ParallelFetcher],
         segments: SharedSegmentPool,
         robjs_out: list[tuple[ReductionObject, SharedSegment | None]],
         t_start: float,
         errors: list[BaseException],
-        stop: threading.Event,
+        head: RunHead,
     ) -> None:
         wstats = handle.wstats
         prefetch = self.options.prefetch
@@ -556,7 +554,7 @@ class ProcessEngine(EngineBase):
         failed_job: Job | None = None  # job whose fetch exhausted retries
         try:
             try:
-                while not stop.is_set():
+                while not head.halted:
                     # Block at the head only when this worker has nothing
                     # in flight: its inflight jobs are outstanding, and
                     # only this feeder can complete them, so a blocking
@@ -632,7 +630,7 @@ class ProcessEngine(EngineBase):
                 segments.release(seg)
             handle.inflight.clear()
             errors.append(exc)
-            stop.set()  # fail fast: abort every other feeder promptly
+            head.halt()  # fail fast: abort every other feeder promptly
 
     def _fetch_segment(
         self,

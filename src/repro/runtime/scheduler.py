@@ -223,8 +223,12 @@ class HeadScheduler:
             return batch
         return []
 
-    def complete(self, job: Job) -> None:
-        """Report one assigned job processed (releases file contention)."""
+    def complete(self, job: Job) -> bool:
+        """Report one assigned job processed (releases file contention).
+
+        True when it was a recovered requeue: a failed worker had
+        handed the job back, so this execution replaced a lost one.
+        """
         if self._outstanding <= 0:
             raise RuntimeError("complete() called with no outstanding jobs")
         self._outstanding -= 1
@@ -232,6 +236,7 @@ class HeadScheduler:
         if readers <= 0:
             raise RuntimeError(f"file {job.file_id} has no active readers")
         self._active_readers[job.file_id] = readers - 1
+        return job.job_id in self.requeued_ids
 
     def reassign(self, job: Job) -> None:
         """Return an assigned-but-unfinished job to the pool.

@@ -16,7 +16,7 @@ from repro.bursting.session import BurstingSession
 from repro.data.formats import points_format, tokens_format
 from repro.data.generator import generate_points, generate_tokens
 from repro.data.index import build_index
-from repro.runtime.core import LockMaster, window_depth
+from repro.runtime.core import window_depth
 from repro.runtime.engine import ClusterConfig
 from repro.runtime.jobs import jobs_from_index
 from repro.runtime.scheduler import HeadScheduler
@@ -28,6 +28,7 @@ from repro.storage.faults import (
 from repro.storage.local import MemoryStore
 from repro.storage.retry import RetryPolicy
 from tests.masters import MASTERS, make_master
+from tests.masters import run_master as LockMaster
 
 FAST_RETRY = RetryPolicy(max_attempts=5, base_delay_s=0.0, max_delay_s=0.0)
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.data.formats import tokens_format
 from repro.data.index import build_index
-from repro.runtime.jobs import Job, LocalJobPool, jobs_from_index
+from repro.runtime.jobs import ASK, STOP, WAIT, ClusterPool, Job, jobs_from_index
 
 
 @pytest.fixture
@@ -33,20 +33,32 @@ class TestJobsFromIndex:
         assert {j.location for j in jobs} == {"local", "cloud"}
 
 
-class TestLocalJobPool:
-    def test_fifo_order(self, index):
+class TestClusterPool:
+    def test_first_worker_asks_the_rest_wait_for_its_refill(self, index):
         jobs = jobs_from_index(index)
-        pool = LocalJobPool()
-        pool.add(jobs[:3])
-        assert pool.try_get() is jobs[0]
-        assert pool.try_get() is jobs[1]
+        pool = ClusterPool(2)
+        assert pool.next(False) is ASK
+        assert pool.next(False) is WAIT and not pool.drained
+        pool.refilled(jobs[:3])
+        assert [pool.next(False) for _ in range(3)] == jobs[:3]
+        assert pool.next(False) is ASK
 
-    def test_empty_returns_none(self):
-        assert LocalJobPool().try_get() is None
+    def test_empty_refill_drains_until_reopened(self):
+        pool = ClusterPool(1)
+        assert pool.next(False) is ASK
+        pool.refilled([])
+        assert pool.drained
+        assert pool.next(False) is WAIT  # more may come
+        assert pool.next(True) is STOP  # the head holds nothing more
+        assert pool.reopen() and not pool.reopen()
+        assert pool.next(True) is ASK  # asks once more before it stops
 
-    def test_len(self, index):
-        pool = LocalJobPool()
-        pool.add(jobs_from_index(index)[:4])
-        assert len(pool) == 4
-        pool.try_get()
+    def test_last_death_hands_back_the_pool(self, index):
+        jobs = jobs_from_index(index)
+        pool = ClusterPool(2)
+        pool.next(False)
+        pool.refilled(jobs[:3])
         assert len(pool) == 3
+        assert pool.worker_died() == []
+        assert pool.worker_died() == jobs[2::-1]
+        assert len(pool) == 0

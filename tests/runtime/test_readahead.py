@@ -18,8 +18,8 @@ import repro.service.service as service_mod
 from repro.apps.wordcount import WordCountSpec, wordcount_exact
 from repro.data.dataset import write_dataset
 from repro.data.generator import generate_tokens
-from repro.runtime.core import ClusterConfig, window_depth
-from repro.service.service import BurstingService, ServiceMaster
+from repro.runtime.core import ClusterConfig, ClusterMaster, window_depth
+from repro.service.service import BurstingService
 from repro.storage.retry import RetryPolicy
 from tests.gated import WAIT_S, GatedStore
 
@@ -31,7 +31,7 @@ N_JOBS = DEPTH + 4
 NO_RETRY = RetryPolicy(max_attempts=1)
 
 
-class RecordingMaster(ServiceMaster):
+class RecordingMaster(ClusterMaster):
     """Notes the order jobs were handed out, completed and requeued.
 
     Every worker but ``local-w0`` waits for :attr:`survivor_go` before
@@ -70,7 +70,7 @@ class Rig:
 
     def __init__(self, monkeypatch, *, prefetch=True, gated=True, crash_after=None,
                  retry=None, spec=None, survivor=False):
-        monkeypatch.setattr(service_mod, "ServiceMaster", RecordingMaster)
+        monkeypatch.setattr(service_mod, "ClusterMaster", RecordingMaster)
         self.tokens = generate_tokens(N_JOBS * UNITS, 50, seed=21)
         self.store = GatedStore(gated=gated)
         self.spec = spec or WordCountSpec()

@@ -195,7 +195,7 @@ def test_plain_jobs_ride_the_window_only_behind_striped_ones(monkeypatch):
 
 
 def test_crash_requeues_a_striped_window_and_folds_each_chunk_once(monkeypatch):
-    monkeypatch.setattr(service_mod, "ServiceMaster", RecordingMaster)
+    monkeypatch.setattr(service_mod, "ClusterMaster", RecordingMaster)
     tokens, index, stores = organize("striped", DEPTH + 4, seed=45)
     before = set(threading.enumerate())
     service = BurstingService(

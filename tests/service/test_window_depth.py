@@ -180,7 +180,7 @@ def test_crash_behind_a_six_deep_window_requeues_each_job_once(monkeypatch):
     folds them -- every chunk exactly once.  The chunks are the striped
     workload's size, read ahead under ``prefetch``: two workers'
     striped windows this deep would not fit the leg pools."""
-    monkeypatch.setattr(service_mod, "ServiceMaster", RecordingMaster)
+    monkeypatch.setattr(service_mod, "ClusterMaster", RecordingMaster)
     tokens, index, stores = organize(
         "plain", STRIPED_DEPTH + 4, seed=53, units=STRIPED_UNITS
     )

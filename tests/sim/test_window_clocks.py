@@ -14,8 +14,8 @@ import repro.service.service as service_mod
 from repro.apps.wordcount import WordCountSpec
 from repro.data.chunks import ChunkFragment, ChunkInfo
 from repro.data.index import DataIndex, FileInfo
-from repro.runtime.core import ClusterConfig
-from repro.service.service import ServiceMaster, ServiceSlave
+from repro.runtime.core import ClusterConfig, ClusterMaster
+from repro.service.service import ServiceSlave
 from repro.sim import simrun
 from repro.sim.calibration import APP_PROFILES, ResourceParams
 from repro.sim.simrun import SimClusterConfig
@@ -73,9 +73,9 @@ def live_calls(monkeypatch, index, n_workers, alive, **options):
     calls = recording(monkeypatch, service_mod)
     cluster = ClusterConfig("local", "local", n_workers)
     master, scheduler = make_master("service", cluster, index, 4, **options)
-    master.get_job = lambda wait=True: ServiceMaster.get_job(master, False)
-    master.service._alive_workers = alive
-    slave = ServiceSlave(master.service, cluster, 0, master)
+    master.get_job = lambda wait=True: ClusterMaster.get_job(master, False)
+    master.head._alive_workers = alive
+    slave = ServiceSlave(master.head, cluster, 0, master)
     slave._start_fetch = lambda job: slave._window.append((job, None))
     slave._await_prefetch = lambda job, pending: b""
     slave._fetch_now = lambda job: b""
