@@ -18,7 +18,8 @@ from repro.data.dataset import distribute_dataset, write_dataset
 from repro.data.generator import generate_tokens
 from repro.runtime import ClusterConfig
 from repro.runtime.jobs import jobs_from_index
-from repro.runtime.scheduler import HeadScheduler
+from repro.runtime.core import ClusterMaster
+from repro.runtime.scheduler import HeadScheduler, StaticScheduler
 from repro.service import (
     BurstingService,
     JobCancelledError,
@@ -429,3 +430,32 @@ class TestShutdownHygiene:
         finally:
             service.shutdown()
         assert shm_entries() - before == set()
+
+
+class TestDrainedPools:
+    def test_a_drained_cluster_asks_again_once_the_fairest_run_changes(self):
+        """Without stealing, the fairest run may hold nothing for a
+        cluster while another run does.  That cluster's pool drains, and
+        asks again once another cluster's refill moves the deficits."""
+        stores = {"local": MemoryStore("local"), "cloud": MemoryStore("cloud")}
+        index = build_env()[1]
+        local_only = index.with_placement({"local": 1.0})
+        cloud_only = index.with_placement({"cloud": 1.0})
+        service = BurstingService(
+            CLUSTERS, stores, batch_size=2, scheduler_factory=StaticScheduler
+        )
+        service._ensure_fleet_locked = lambda: None  # the test is the fleet
+        first = service.submit(WordCountSpec(), local_only, tenant="a")
+        second = service.submit(WordCountSpec(), cloud_only, tenant="b")
+        local, cloud = (
+            service._masters.setdefault(c.name, ClusterMaster(service, c, 2))
+            for c in CLUSTERS
+        )
+        got = []
+        waiter = threading.Thread(target=lambda: got.append(cloud.get_job()), daemon=True)
+        waiter.start()
+        waiter.join(0.05)
+        assert waiter.is_alive()  # the first run, fairest, has no cloud job
+        assert local.get_job().run_id == first.run_id
+        waiter.join(10.0)
+        assert [job.run_id for job in got] == [second.run_id]
