@@ -8,8 +8,8 @@ execution engines populate these structures.
 
 The counter set is data: :class:`WorkerStats`' field list is its only
 declaration.  Every numeric field rolls up to :class:`ClusterStats` and
-on to :class:`RunStats` without being named again, and the ``*_rows()``
-tables are column lists over those names.
+on to :class:`RunStats` without being named again (a list pools), and
+the ``*_rows()`` tables are column lists over those names.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ class _Ratios:
     bytes_logical: int
     fold_s: float
     bytes_folded: int
+    fetch_latencies: list
 
     @property
     def cache_hit_rate(self) -> float:
@@ -64,6 +65,11 @@ class _Ratios:
     def fold_ns_per_byte(self) -> float:
         """Fold-kernel nanoseconds per unit byte (the per-byte fold cost)."""
         return self.fold_s * 1e9 / self.bytes_folded if self.bytes_folded else 0.0
+
+    @property
+    def fetch_p95_s(self) -> float:
+        """95th-percentile fetch latency of the pooled samples (0 with none)."""
+        return _percentile(self.fetch_latencies, 0.95)
 
 
 @dataclass
@@ -140,6 +146,16 @@ class WorkerStats(_Ratios):
     n_fragments: int = 0
     n_parity_decodes: int = 0
     fragments_wasted_bytes: int = 0
+    # Fetch-path faults and fan-out, named as in each fetch's ledger
+    # (``FetchInfo``): ``n_errors`` counts fetches that gave up.
+    n_retries: int = 0
+    n_errors: int = 0
+    bytes_retried: int = 0
+    n_abandoned: int = 0
+    n_breaker_skips: int = 0
+    n_single_fetches: int = 0
+    n_split_fetches: int = 0
+    fetch_latencies: list = field(default_factory=list)
 
     @property
     def busy_s(self) -> float:
@@ -150,6 +166,7 @@ class WorkerStats(_Ratios):
 #: (Figure 3's bars); every other worker counter is a sum.
 _MEANS = frozenset("processing_s retrieval_s sync_s overlap_s ipc_s ser_s".split())
 _WORKER_COUNTERS = _counters(WorkerStats)
+_WORKER_LISTS = frozenset(f.name for f in fields(WorkerStats) if f.type == "list")
 
 
 @dataclass
@@ -165,26 +182,15 @@ class ClusterStats(_Ratios):
     robj_transfer_s: float = 0.0    # time to send it to the head
     finished_at: float = 0.0        # when the last worker finished jobs
     idle_s: float = 0.0             # waiting for the other cluster, unable to steal
-    # Fetch-path fault counters, filled from this cluster's fetchers.
-    n_retries: int = 0              # sub-range retries issued
-    n_errors: int = 0               # fetches that failed past the retry policy
-    bytes_retried: int = 0          # bytes re-requested by those retries
-    n_breaker_skips: int = 0        # replica sources skipped (breaker open)
-    n_abandoned: int = 0            # attempts abandoned by per-attempt timeouts
-    # Per-successful-fetch wall seconds (cache hits excluded), pooled
-    # from this cluster's fetchers -- the p95 latency sample set.
-    fetch_latencies: list = field(default_factory=list)
-    # Fan-out accounting, rolled up from this cluster's fetchers: ranges
-    # fetched with one GET vs split over the range pool, and per data
-    # location the fastest recent GET (seconds per byte, None before any)
-    # that the split decision read -- why a store is fetched unsplit.
-    n_single_fetches: int = 0
-    n_split_fetches: int = 0
+    # Per data location, the fastest recent GET (s/byte, None before
+    # any) the fan-out decision read at run end: why it went unsplit.
     get_s_per_byte: dict = field(default_factory=dict)
 
     def __getattr__(self, name: str) -> Any:
         # Reached only for names that are neither a field nor a property:
-        # the worker counters, rolled up on read.
+        # the worker counters and lists, rolled up on read.
+        if name in _WORKER_LISTS:
+            return [s for w in self.workers for s in getattr(w, name)]
         if name not in _WORKER_COUNTERS:
             raise AttributeError(name)
         total = sum(getattr(w, name) for w in self.workers)
@@ -206,11 +212,6 @@ class ClusterStats(_Ratios):
     def workers_failed(self) -> int:
         return sum(1 for w in self.workers if w.failed)
 
-    @property
-    def fetch_p95_s(self) -> float:
-        """95th-percentile successful-fetch latency (0 with no samples)."""
-        return _percentile(self.fetch_latencies, 0.95)
-
 
 _CLUSTER_COUNTERS = _WORKER_COUNTERS | _counters(ClusterStats)
 
@@ -218,8 +219,8 @@ _CLUSTER_COUNTERS = _WORKER_COUNTERS | _counters(ClusterStats)
 @dataclass
 class RunStats(_Ratios):
     """Complete accounting for one execution: every counter readable on
-    :class:`ClusterStats` (the workers' and its own fetcher-fed ones)
-    reads here under the same name, as the sum over ``clusters``."""
+    :class:`ClusterStats` (the workers' and its own) reads here under the
+    same name, as the sum over ``clusters``, and every list pooled."""
 
     clusters: dict[str, ClusterStats] = field(default_factory=dict)
     total_s: float = 0.0              # wall-clock (sim or real) of the run
@@ -242,6 +243,8 @@ class RunStats(_Ratios):
     n_reordered: int = 0
 
     def __getattr__(self, name: str) -> Any:
+        if name in _WORKER_LISTS:
+            return [s for c in self.clusters.values() for s in getattr(c, name)]
         if name not in _CLUSTER_COUNTERS:
             raise AttributeError(name)
         return sum(getattr(c, name) for c in self.clusters.values())
@@ -255,12 +258,6 @@ class RunStats(_Ratios):
         """Total breaker state transitions across every store."""
         keys = ("n_opened", "n_half_opened", "n_closed")
         return sum(b.get(k, 0) for b in self.breakers.values() for k in keys)
-
-    @property
-    def fetch_p95_s(self) -> float:
-        """Run-wide 95th-percentile successful-fetch latency."""
-        pooled = [s for c in self.clusters.values() for s in c.fetch_latencies]
-        return _percentile(pooled, 0.95)
 
     def _cluster_rows(self, columns: str, run_columns: str = "") -> list[dict]:
         """One row per cluster; ``run_columns`` repeat a run-level value."""

@@ -52,7 +52,10 @@ class Legs:
         self.running = 0
         self._lock = threading.Lock()
 
-    def __call__(self, cand):
+    def __call__(self, cand, part):
+        # Each leg books ``i`` retries in its own ledger, and a leg that
+        # exhausts its retries one giveup, as the fetch path does.
+        part.n_retries = cand.i
         with self._lock:
             self.launched.append(cand.i)
             self.running += 1
@@ -63,10 +66,12 @@ class Legs:
                 assert self.gates[cand.i].wait(10.0), "gate never opened"
             outcome = self.outcomes[cand.i]
             if outcome == FAIL:
+                part.n_errors = isinstance(self.errors[cand.i], RetryExhausted)
                 raise self.errors[cand.i]
             if outcome == BUG:
                 raise Bug(cand.i)
-            return bytes([cand.i]), FetchInfo(bytes_wire=10 + cand.i)
+            part.bytes_wire = 10 + cand.i
+            return bytes([cand.i])
         finally:
             with self._lock:
                 self.running -= 1
@@ -112,6 +117,12 @@ class TestUnhedgedRace:
             return
         assert books.n_failovers == launched.count(FAIL)
         assert books.n_hedges == books.hedge_wins == 0
+        # Unhedged, no leg outlives the race: every launched leg handed
+        # its ledger back, a failed-over giveup included.
+        assert books.n_retries == sum(legs.launched)
+        assert books.n_errors == sum(
+            isinstance(errors.get(i), RetryExhausted) for i in legs.launched
+        )
         if outcomes.count(OK) >= k:
             assert exc is None
             assert len(wins) == k
@@ -286,17 +297,19 @@ class TestBreakerAdmission:
         inner = []
         with ParallelFetcher(MemoryStore("local"), health=self.health()) as fetcher:
 
+            books_a, books_b = FetchInfo(), FetchInfo()
+
             def race_b():
-                inner.append(fetcher._race(cands, 1, legs, FetchInfo(), None))
+                inner.append(fetcher._race(cands, 1, legs, books_b, None))
 
             legs = Legs([OK, OK], hooks={0: lambda: inner or race_b()})
-            wins = fetcher._race(cands, 1, legs, FetchInfo(), None)
+            wins = fetcher._race(cands, 1, legs, books_a, None)
             assert [c.i for c, *_ in wins] == [0]
             assert [c.i for c, *_ in inner[0]] == [1]
             assert legs.launched == [0, 1]
             assert fetcher.health.health("half").n_rejected == 1
             # "dead" demoted once per race, plus B's refused probe.
-            assert fetcher.n_breaker_skips == 3
+            assert (books_a.n_breaker_skips, books_b.n_breaker_skips) == (1, 2)
             # A's outcome released the slot: the next race gets the probe.
             again = fetcher._race(cands, 1, legs, FetchInfo(), None)
             assert [c.i for c, *_ in again] == [0]
@@ -309,11 +322,12 @@ class TestBreakerAdmission:
         cands = [Cand(0, "half"), Cand(1, "half"), Cand(2, "half"), Cand(3, "dead")]
         legs = Legs([OK] * 4, gates={0: gate}, hooks={3: gate.set})
         with ParallelFetcher(MemoryStore("local"), health=self.health()) as fetcher:
-            wins = fetcher._race(cands, 2, legs, FetchInfo(), None)
+            books = FetchInfo()
+            wins = fetcher._race(cands, 2, legs, books, None)
             assert sorted(c.i for c, *_ in wins) == [0, 3]
             assert sorted(legs.launched) == [0, 3]
             assert fetcher.health.health("half").n_rejected == 2
-            assert fetcher.n_breaker_skips == 1 + 2
+            assert books.n_breaker_skips == 1 + 2
 
     def test_hedge_is_not_sent_to_an_open_store(self):
         gate = threading.Event()

@@ -23,13 +23,17 @@ MEANS = ("processing_s", "retrieval_s", "sync_s", "overlap_s", "ipc_s", "ser_s")
 #: ``finished_at`` is a timestamp and ``failed`` a flag: state, not counters.
 NOT_COUNTERS = ("finished_at", "failed")
 
+#: Every numeric field (``fetch_latencies``, a list of samples, pools).
 WORKER_COUNTERS = [
-    f.name for f in dataclasses.fields(WorkerStats) if f.name not in NOT_COUNTERS
+    f.name for f in dataclasses.fields(WorkerStats)
+    if f.name not in NOT_COUNTERS and f.type != "list"
 ]
 
-#: What the fetchers (not the workers) feed into a cluster.
-CLUSTER_COUNTERS = (
+#: What the fetchers fed into a cluster before each fetch's ledger was
+#: booked into its worker's counters.
+FETCH_COUNTERS = (
     "n_retries", "n_errors", "bytes_retried", "n_breaker_skips", "n_abandoned",
+    "n_single_fetches", "n_split_fetches",
 )
 
 #: Worker counters ``ClusterStats`` / ``RunStats`` forwarded by hand
@@ -41,14 +45,14 @@ LEGACY_CLUSTER = MEANS + (
     "bytes_wire", "bytes_logical", "decode_s", "fold_s", "bytes_folded",
     "n_fold_calls", "n_copies", "n_failovers", "n_hedges", "hedge_wins",
     "n_fragments", "n_parity_decodes", "fragments_wasted_bytes",
-)
+) + FETCH_COUNTERS
 LEGACY_RUN = (
     "jobs_processed", "jobs_stolen", "prefetch_hits", "cache_hits",
     "cache_misses", "n_failovers", "n_hedges", "hedge_wins", "n_fragments",
     "n_parity_decodes", "jobs_recovered", "recovery_s", "shm_nbytes",
     "bytes_wire", "bytes_logical", "decode_s", "fold_s", "bytes_folded",
     "n_fold_calls", "n_copies", "fragments_wasted_bytes",
-) + CLUSTER_COUNTERS
+) + FETCH_COUNTERS
 
 
 def _field_strategy(f):
@@ -56,6 +60,8 @@ def _field_strategy(f):
         return st.booleans()
     if f.type == "int":
         return st.integers(0, 10**9)
+    if f.type == "list":
+        return st.lists(st.floats(0.0, 10.0, allow_nan=False), max_size=6)
     assert f.type == "float", f
     return st.floats(0.0, 1e4, allow_nan=False)
 
@@ -68,13 +74,7 @@ worker_stats = st.builds(
 
 @st.composite
 def cluster_stats(draw, name):
-    c = ClusterStats(name, name, workers=draw(st.lists(worker_stats, max_size=4)))
-    for attr in CLUSTER_COUNTERS:
-        setattr(c, attr, draw(st.integers(0, 10**6)))
-    c.fetch_latencies = draw(
-        st.lists(st.floats(0.0, 10.0, allow_nan=False), max_size=12)
-    )
-    return c
+    return ClusterStats(name, name, workers=draw(st.lists(worker_stats, max_size=4)))
 
 
 @st.composite
@@ -98,8 +98,6 @@ def brute_cluster(c: ClusterStats, name: str):
 
 
 def brute_run(rs: RunStats, name: str):
-    if name in CLUSTER_COUNTERS:
-        return sum(getattr(c, name) for c in rs.clusters.values())
     return sum(brute_cluster(c, name) for c in rs.clusters.values())
 
 
@@ -140,11 +138,15 @@ class TestRollup:
                 brute_cluster(c, n)
                 for n in ("processing_s", "retrieval_s", "sync_s", "ipc_s", "ser_s")
             ))
-            assert c.fetch_p95_s == p95(c.fetch_latencies)
+            samples = [s for w in c.workers for s in w.fetch_latencies]
+            assert c.fetch_latencies == samples
+            assert c.fetch_p95_s == p95(samples)
         clusters = list(rs.clusters.values())
         assert rs.n_failed_workers == sum(c.workers_failed for c in clusters)
         assert rs.n_breaker_transitions == sum(rs.breakers["cloud"].values())
-        assert rs.fetch_p95_s == p95([s for c in clusters for s in c.fetch_latencies])
+        pooled = [s for c in clusters for w in c.workers for s in w.fetch_latencies]
+        assert rs.fetch_latencies == pooled
+        assert rs.fetch_p95_s == p95(pooled)
 
     @given(rs=run_stats())
     @settings(max_examples=60, deadline=None)

@@ -207,7 +207,9 @@ class TestRetryUnderFaultsMatrix:
             assert injected["transient"] > 0, (
                 f"{name}: fault injector never fired -- test is vacuous"
             )
-            assert rr.stats.n_retries >= injected["transient"]
+            # Every injected fault is one retry or one giveup in the
+            # ledger of the fetch it hit, on every engine.
+            assert rr.stats.n_retries + rr.stats.n_errors == injected["transient"]
 
 
 class TestReplicaOutageMatrix:

@@ -90,6 +90,27 @@ class TestTransientFaults:
         assert rr.result == wordcount_exact(tokens)
         assert rr.stats.n_retries > 0
 
+    def test_every_injected_fault_is_a_workers_retry_or_giveup(self, points):
+        """Each fetch's ledger is booked by the worker that ran it, one
+        that gave up included: the workers' retries are the injected
+        faults minus their giveups, and a worker holding a giveup
+        (``n_errors``) is the one that gave up and died of it.  One GET
+        per chunk and a fresh die per attempt make the counts the seed's."""
+        session = make_session(
+            points, fault_spec=FaultSpec(transient_p=0.3, seed=3),
+            retry=RetryPolicy(max_attempts=2, base_delay_s=0.0, max_delay_s=0.0),
+            retrieval_threads=1,
+        )
+        rr = session.run(KMeansSpec(generate_points(3, 4, seed=81)))
+        workers = [w for c in rr.stats.clusters.values() for w in c.workers]
+        giveups = sum(w.n_errors for w in workers)
+        injected = session.stores["cloud"].n_transient
+        assert (injected, giveups) == (7, 2)
+        assert sum(w.n_retries for w in workers) == rr.stats.n_retries == injected - giveups
+        assert all(w.failed for w in workers if w.n_errors)
+        assert rr.stats.n_failed_workers == giveups
+        session.close()
+
     def test_counters_deterministic_for_seed(self, points):
         """Same seed, same faults, same counters -- twice."""
         def run():

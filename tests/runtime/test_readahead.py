@@ -94,7 +94,7 @@ class Rig:
         self.entry = self.service._runs[self.handle.run_id]
         self.scheduler = self.entry.scheduler
         self.errors = self.entry.errors
-        self.fetchers = self.entry.fetchers["local"]
+        self.fetchers = self.service._fetchers["local"]
         self.master = self.service._masters["local"]
         self.worker = self.service._slaves[0]
         self.thread = self.service._threads[0]
@@ -223,6 +223,25 @@ class TestContainment:
         assert rig.wstats(0).failed and not rig.errors
         assert rig.entry.live and not rig.handle.done()  # the run goes on
         assert folded(rig) == rig.counts_of(rig.master.completed)  # partial robj kept
+        self.drain(rig)
+        rig.close()
+
+    def test_a_dropped_window_entry_books_the_fetch_it_ran(self, monkeypatch):
+        """At a contained crash each window entry whose fetch ran books
+        its ledger in the run, and one cancelled unstarted books nothing:
+        one GET per chunk, so worker 0 counts exactly the GETs that
+        reached the store -- the first window's included, fetched whole
+        before the crash and never folded."""
+        rig = Rig(monkeypatch, crash_after=2, survivor=True)
+        rig.start()
+        rig.store.release(*rig.store.wait_parked(DEPTH))
+        rig.store.open_all()
+        rig.join()
+        w = rig.wstats(0)
+        assert w.cache_misses == rig.store.n_arrivals >= DEPTH > 3
+        assert w.bytes_wire == w.bytes_logical == sum(
+            rig.index.chunks[j].nbytes for j in rig.master.handed[: w.cache_misses]
+        )
         self.drain(rig)
         rig.close()
 

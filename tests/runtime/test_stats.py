@@ -87,14 +87,17 @@ class TestRunStats:
     def test_fault_rows_and_aggregates(self):
         rs = RunStats()
         c = make_cluster()
-        c.n_retries = 3
-        c.n_errors = 1
-        c.bytes_retried = 512
+        # The fetch counters are the workers', booked from their fetches.
+        c.workers[0].n_retries = 2
+        c.workers[1].n_retries = 1
+        c.workers[1].n_errors = 1
+        c.workers[0].bytes_retried = 512
         c.workers[0].failed = True
         c.workers[1].jobs_recovered = 2
         c.workers[1].recovery_s = 1.5
         rs.clusters["a"] = c
         rs.n_requeued_jobs = 2
+        assert (c.n_retries, c.n_errors, c.bytes_retried) == (3, 1, 512)
         assert rs.n_retries == 3
         assert rs.n_errors == 1
         assert rs.bytes_retried == 512

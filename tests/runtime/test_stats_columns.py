@@ -73,10 +73,14 @@ def populated_run() -> RunStats:
                 n_failovers=k, n_hedges=2 * k, hedge_wins=k, n_fragments=4 * k,
                 n_parity_decodes=k, fragments_wasted_bytes=10 * k,
             ))
-        c.n_retries, c.n_errors, c.bytes_retried = 3 * scale, scale, 300 * scale
-        c.n_breaker_skips, c.n_abandoned = 2 * scale, scale
-        c.fetch_latencies = [0.001234567 * j * scale for j in range(1, 21)]
-        c.n_single_fetches, c.n_split_fetches = 7 * scale, 2 * scale
+        # The fetch counters are the first worker's, the latency samples
+        # split between both: the cluster reads their sums and pool.
+        w = c.workers[0]
+        w.n_retries, w.n_errors, w.bytes_retried = 3 * scale, scale, 300 * scale
+        w.n_breaker_skips, w.n_abandoned = 2 * scale, scale
+        w.n_single_fetches, w.n_split_fetches = 7 * scale, 2 * scale
+        for i, w in enumerate(c.workers):
+            w.fetch_latencies = [0.001234567 * j * scale for j in range(1 + 10 * i, 11 + 10 * i)]
         c.get_s_per_byte = {"local": 1.5e-9, "cloud": None}
         rs.clusters[name] = c
     return rs

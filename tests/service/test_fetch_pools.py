@@ -1,8 +1,8 @@
-"""Fetch threads belong to the service, not to the run.
+"""Fetch threads and fetchers belong to the service, not to the run.
 
-A ``BurstingService`` builds one ``FetchPools`` when its fleet starts and
-lends it to every run's fetchers, so a held session's warm pass starts
-no thread at all: its range splits, race legs and read-aheads reuse the
+A ``BurstingService`` builds one ``FetchPools`` and one fetcher per
+(cluster, store) when its fleet starts, and every run fetches through
+them, so a held session's warm pass starts no thread at all: its range splits, race legs and read-aheads reuse the
 threads earlier passes started.  Race legs run on the leg pool of the
 store they read, so losers parked on one stalled store fill only that
 store's pool, and a later hedged run over other stores goes on at once.
@@ -19,12 +19,13 @@ from repro.data.dataset import replicate_dataset, stripe_dataset, write_dataset
 from repro.data.formats import tokens_format
 from repro.data.generator import generate_tokens
 from repro.runtime import ClusterConfig, EngineOptions
+from repro.runtime import core
 from repro.runtime.core import fetch_pools, make_cluster_fetchers
 from repro.service import BurstingService
 from repro.storage.health import HedgePolicy
 from repro.storage.local import MemoryStore
 from repro.storage.s3 import S3Profile, SimulatedS3Store
-from repro.storage.transfer import HEDGE_POOL_WIDTH
+from repro.storage.transfer import HEDGE_POOL_WIDTH, ParallelFetcher
 from tests.gated import WAIT_S, GatedStore
 from tests.storage.test_detached_legs import wait_for
 
@@ -160,3 +161,42 @@ def test_runs_sharing_one_pool_set_leave_nothing_behind():
     wait_for(lambda: all(stores[loc].stats.n_detached == 0 for loc in stores))
     assert pools._pools == {} and set(pools._holds.values()) == {0}
     wait_for(lambda: set(threading.enumerate()) <= before)
+
+
+def test_a_fleet_serving_five_runs_builds_one_fetcher_per_cluster_and_store(monkeypatch):
+    """Fetchers hold no run state: the fleet builds one per (cluster,
+    store) as it starts, five runs (two of them at once) fetch through
+    them, each run's workers book their own fetches, and shutdown closes
+    them."""
+    built = []
+
+    class Counted(ParallelFetcher):
+        def __init__(self, store, *args, **kwargs):
+            super().__init__(store, *args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(core, "ParallelFetcher", Counted)
+    tokens = generate_tokens(40_000, 200, seed=43)
+    stores = {"local": MemoryStore("local"), "cloud": MemoryStore("cloud")}
+    index = write_dataset(
+        tokens, tokens_format(), stores["local"], n_files=4, chunk_units=2_500
+    )
+    clusters = [ClusterConfig("local", "local", 2), ClusterConfig("cloud", "cloud", 1)]
+    service = BurstingService(clusters, stores)
+    try:
+        handles = [service.submit(WordCountSpec(), index) for _ in range(2)]
+        handles += [service.submit(WordCountSpec(), index) for _ in range(3)]
+        results = [h.result(timeout=WAIT_S) for h in handles]
+        fetchers = service._fetchers
+    finally:
+        service.shutdown()
+    assert sorted((c, loc) for c in fetchers for loc in fetchers[c]) == sorted(
+        (c.name, loc) for c in clusters for loc in stores
+    )
+    assert sorted(f.store.location for f in built) == ["cloud", "cloud", "local", "local"]
+    assert set(built) == {f for cf in fetchers.values() for f in cf.values()}
+    for rr in results:
+        assert rr.result == wordcount_exact(tokens)
+        assert rr.stats.cache_misses == len(index.chunks)  # one ledger per fetch
+    assert all(f.siblings == {} for f in built)  # closed at shutdown
+    assert service._fetchers == {}

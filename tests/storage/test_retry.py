@@ -11,7 +11,7 @@ from repro.storage.faults import (
 )
 from repro.storage.local import MemoryStore
 from repro.storage.retry import RetryExhausted, RetryPolicy
-from repro.storage.transfer import ParallelFetcher
+from repro.storage.transfer import FetchInfo, ParallelFetcher
 
 FAST = RetryPolicy(max_attempts=5, base_delay_s=0.0, max_delay_s=0.0)
 
@@ -145,23 +145,26 @@ class TestFetcherRetry:
         """Transient sub-range failures are retried in place; the fetch
         returns the correct bytes and records the retries."""
         fetcher, store = make_faulty_fetcher(FaultSpec(transient_p=0.5, seed=9))
+        info = FetchInfo()
         with fetcher:
-            data = fetcher.fetch("obj", 0, 1024)
+            data = fetcher.fetch("obj", 0, 1024, info)
         assert data == bytes(range(256)) * 4
-        assert fetcher.n_retries > 0
-        assert fetcher.n_giveups == 0
-        assert fetcher.bytes_retried > 0
-        assert store.stats.n_retries == fetcher.n_retries
-        assert store.stats.bytes_retried == fetcher.bytes_retried
+        assert info.n_retries > 0
+        assert info.n_errors == 0
+        assert info.bytes_retried > 0
+        # The parts' ledgers came back to the fetch's, every retry once.
+        assert info.n_retries == store.stats.n_retries == store.n_transient
+        assert store.stats.bytes_retried == info.bytes_retried
 
     def test_retry_counters_deterministic(self):
         def run():
             fetcher, _ = make_faulty_fetcher(
                 FaultSpec(transient_p=0.5, seed=9), n_threads=1
             )
+            info = FetchInfo()
             with fetcher:
-                fetcher.fetch("obj", 0, 1024)
-            return fetcher.n_retries, fetcher.bytes_retried
+                fetcher.fetch("obj", 0, 1024, info)
+            return info.n_retries, info.bytes_retried
 
         assert run() == run()
 
@@ -172,18 +175,21 @@ class TestFetcherRetry:
         )
         # ... but a schedule that fails every call.
         store.spec = FaultSpec(fail_nth=tuple(range(1, 50)))
+        info = FetchInfo()
         with fetcher:
             with pytest.raises(RetryExhausted):
-                fetcher.fetch("obj", 0, 1024)
-        assert fetcher.n_giveups >= 1
-        assert store.stats.n_errors >= 1
+                fetcher.fetch("obj", 0, 1024, info)
+        # The ledger of a fetch that raised still holds every part's giveup.
+        assert info.n_errors == store.stats.n_errors >= 1
+        assert info.n_retries + info.n_errors == store.n_transient
 
     def test_permanent_fault_fails_fast(self):
         fetcher, store = make_faulty_fetcher(FaultSpec(permanent_keys=("obj",)))
+        info = FetchInfo()
         with fetcher:
             with pytest.raises(PermanentStorageError):
-                fetcher.fetch("obj", 0, 1024)
-        assert fetcher.n_retries == 0
+                fetcher.fetch("obj", 0, 1024, info)
+        assert info.n_retries == info.n_errors == 0
 
     def test_no_policy_behaves_as_before(self):
         inner = MemoryStore("cloud")
@@ -222,13 +228,14 @@ class TestGuardedAttempt:
         store.put("obj", b"x" * 64)
         policy = RetryPolicy(max_attempts=2, base_delay_s=0.0,
                              max_delay_s=0.0, attempt_timeout_s=0.01)
+        info = FetchInfo()
         try:
             with ParallelFetcher(store, retry=policy) as fetcher:
                 with pytest.raises(RetryExhausted) as ei:
-                    fetcher.fetch("obj", 0, 64)
+                    fetcher.fetch("obj", 0, 64, info)
             assert ei.value.attempts == 2
             assert isinstance(ei.value.last_error, TimeoutError)
-            assert fetcher.n_retries == 1
+            assert (info.n_retries, info.n_errors) == (1, 1)
         finally:
             store.open_all()
         wait_for(lambda: store.stats.n_detached == 0)
@@ -237,11 +244,12 @@ class TestGuardedAttempt:
         store = MemoryStore("cloud")
         store.put("obj", b"x" * 64)
         policy = RetryPolicy(max_attempts=1, attempt_timeout_s=1.0)
+        info = FetchInfo()
         with ParallelFetcher(store, retry=policy) as fetcher:
-            assert fetcher.fetch("obj", 0, 64) == b"x" * 64
+            assert fetcher.fetch("obj", 0, 64, info) == b"x" * 64
             pools = fetcher.pools
             assert set(pools._pools) == {("attempt", "cloud")}
-        assert fetcher.n_abandoned == 0
+        assert info.n_abandoned == 0
         assert (store.stats.n_abandoned, store.stats.n_detached) == (0, 0)
         assert pools._pools == {}
 
@@ -272,11 +280,12 @@ class TestFetcherAbandonAccounting:
         store.put("obj", b"x" * 64)
         policy = RetryPolicy(max_attempts=2, base_delay_s=0.0,
                              max_delay_s=0.0, attempt_timeout_s=0.01)
+        info = FetchInfo()
         try:
             with ParallelFetcher(store, n_threads=1, retry=policy) as fetcher:
                 with pytest.raises(RetryExhausted):
-                    fetcher.fetch("obj", 0, 64)
-                assert fetcher.n_abandoned == 2  # both attempts timed out
+                    fetcher.fetch("obj", 0, 64, info)
+                assert info.n_abandoned == 2  # both attempts timed out
                 assert store.stats.n_abandoned == 2
         finally:
             store.release.set()
