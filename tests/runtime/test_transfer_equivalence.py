@@ -18,7 +18,7 @@ from repro.data.generator import generate_points, generate_tokens
 from repro.runtime import ClusterConfig, make_engine
 from repro.storage.local import MemoryStore
 from repro.storage.s3 import S3Profile, SimulatedS3Store
-from repro.storage.transfer import ParallelFetcher
+from repro.storage.transfer import FetchInfo, ParallelFetcher
 
 ENGINES = ("threaded", "process")
 PLACEMENTS = {"local-only": 1.0, "hybrid": 0.5, "cloud-only": 0.0}
@@ -86,8 +86,8 @@ class TestCompressedEquivalence:
         fetch_p = {loc: ParallelFetcher(s) for loc, s in stores_p.items()}
         fetch_c = {loc: ParallelFetcher(s) for loc, s in stores_c.items()}
         for ch_p, ch_c in zip(index_p.chunks, index_c.chunks):
-            raw_p, _ = fetch_p[ch_p.location].fetch_chunk(ch_p)
-            raw_c, info = fetch_c[ch_c.location].fetch_chunk(ch_c)
+            raw_p = fetch_p[ch_p.location].fetch_chunk(ch_p)
+            raw_c = fetch_c[ch_c.location].fetch_chunk(ch_c, info := FetchInfo())
             assert raw_c == raw_p, f"chunk {ch_c.chunk_id} bytes differ"
             assert info.bytes_wire < info.bytes_logical
 

@@ -319,6 +319,10 @@ class TestCancellation:
             gate.gate.set()  # let the in-flight chunks drain
             with pytest.raises(JobCancelledError):
                 handle.result(timeout=30)
+            # A cancelled run still ends with each store's GET rate.
+            rates = {"cloud": stores["cloud"].stats.s_per_byte, "local": None}
+            assert rates["cloud"] is not None
+            assert all(row["s_per_byte"] == rates for row in handle.stats.transfer_rows())
             # The fleet survives a cancelled job: the next submission
             # completes correctly on the same workers.
             after = service.submit(spec, index)

@@ -76,7 +76,7 @@ def test_legs_on_pool_iff_fetch_chunk_submits_to_the_leg_pools(shape, hedge):
     try:
         for chunk in index.chunks:
             before = pools.legs
-            data, _ = fetchers[chunk.location].fetch_chunk(chunk)
+            data = fetchers[chunk.location].fetch_chunk(chunk)
             assert memoryview(data).nbytes == chunk.nbytes
             submitted = pools.legs > before
             k = chunk.stripe[0] if chunk.fragments else 0

@@ -149,6 +149,49 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
 
+    @pytest.mark.parametrize("engine", ["threaded", "process"])
+    def test_demo_books_every_transient_fault(self, capsys, engine):
+        rc = main(["demo", "--tokens", "20000", "--engine", engine,
+                   "--inject-fault", "transient:p=0.3,seed=7", "--retry", "max=5"])
+        out = capsys.readouterr()
+        assert rc == 0 and "OK" in out.out and out.err == ""
+
+    def test_demo_fails_when_a_planned_crash_never_fires(self, capsys):
+        rc = main(["demo", "--tokens", "5000", "--crash-worker", "cloud-w0:999"])
+        assert rc == 1
+        assert "planned crash never fired: cloud-w0" in capsys.readouterr().err
+
+    def test_demo_attempt_timeout_is_not_a_lost_fault(self, capsys, monkeypatch):
+        """A timed-out attempt is retried with no fault injected, so the
+        retries outnumber the injected faults and the run is still sound."""
+        import threading
+        import time
+
+        from repro.storage import s3
+
+        class SlowFirstGet(s3.SimulatedS3Store):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.seen, self.lock = set(), threading.Lock()
+
+            def get(self, key, *args, **kwargs):
+                with self.lock:
+                    first = key not in self.seen
+                    self.seen.add(key)
+                if first:
+                    time.sleep(0.05)  # outlasts the attempt timeout
+                return super().get(key, *args, **kwargs)
+
+        monkeypatch.setattr(s3, "SimulatedS3Store", SlowFirstGet)
+        rc = main(["demo", "--tokens", "20000",
+                   "--inject-fault", "transient:p=0.1,seed=7",
+                   "--retry", "max=5,base=0,timeout=0.01"])
+        out = capsys.readouterr()
+        assert rc == 0 and "OK" in out.out and out.err == ""
+        retries = int(out.out.split("retries: ")[1].split()[0])
+        injected = int(out.out.split("transient=")[1].split()[0])
+        assert retries > injected
+
     def test_bad_crash_worker_same_error_everywhere(self, capsys):
         assert main(["demo", "--crash-worker", "bad"]) == 2
         demo_err = capsys.readouterr().err
