@@ -105,9 +105,7 @@ class BurstingSession:
         cache_mb: float | None = None,
         **fields: Any,
     ) -> None:
-        missing = set(index.locations) - set(stores)
-        if missing:
-            raise ValueError(f"index references unknown stores: {sorted(missing)}")
+        EngineOptions.validate_index(index, stores)
         if cache_mb and "chunk_cache" in fields:
             raise TypeError("pass cache_mb or chunk_cache, not both")
         self.index = index

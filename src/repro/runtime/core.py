@@ -79,6 +79,7 @@ __all__ = [
     "account_overlap",
     "decode_and_fold",
     "fetch_pools",
+    "make_cluster_fetcher",
     "make_cluster_fetchers",
     "window_depth",
     "window_has_room",
@@ -362,43 +363,41 @@ def fetch_pools(clusters: list[ClusterConfig]) -> FetchPools:
     return FetchPools(ranges, sum(in_flight))
 
 
-def make_cluster_fetchers(
+def make_cluster_fetcher(
     stores: dict[str, StorageBackend],
     cluster: ClusterConfig,
     options: EngineOptions = EngineOptions(),
     *,
     health: HealthRegistry | None = None,
     pools: FetchPools | None = None,
-) -> dict[str, ParallelFetcher]:
-    """One fetcher per data location for one cluster, closed by its
-    owner: the service builds them with its fleet, the process engine
+) -> ParallelFetcher:
+    """One cluster's fetcher over every store of ``stores``, closed by
+    its owner: the service builds it with its fleet, the process engine
     per run (it forks before it starts a thread).
 
-    They borrow their threads from ``pools`` (a service's) or from
-    private ones (:func:`fetch_pools` for this cluster) that the last of
-    them to close shuts down.  They are wired as *siblings*, so a
-    replica source routes to the fetcher owning its store.  ``health``
-    flows to every fetcher; the cache, retry policy, fan-out and hedge
-    come from ``options``.
+    It borrows its threads from ``pools`` (a service's) or from private
+    ones (:func:`fetch_pools` for this cluster) that its ``close()``
+    shuts down.  ``health`` flows to it; the cache, retry policy,
+    fan-out and hedge come from ``options``.
     """
-    if pools is None:
-        pools = fetch_pools([cluster])
-    fetchers = {
-        loc: ParallelFetcher(
-            store,
-            cluster.retrieval_threads,
-            cache=options.chunk_cache,
-            pools=pools,
-            retry=options.retry,
-            min_part_nbytes=options.min_part_nbytes,
-            health=health,
-            hedge=options.hedge,
-        )
-        for loc, store in stores.items()
-    }
-    for f in fetchers.values():
-        f.siblings = fetchers
-    return fetchers
+    return ParallelFetcher(
+        stores,
+        cluster.retrieval_threads,
+        cache=options.chunk_cache,
+        pools=fetch_pools([cluster]) if pools is None else pools,
+        retry=options.retry,
+        min_part_nbytes=options.min_part_nbytes,
+        health=health,
+        hedge=options.hedge,
+    )
+
+
+def make_cluster_fetchers(stores, cluster, *args, **kwargs) -> dict[str, ParallelFetcher]:
+    """:func:`make_cluster_fetcher` under every location of ``stores``:
+    one fetcher, the same at each key.  No engine calls this; it keeps
+    callers that index a cluster's fetchers by location working (closing
+    each value closes the one fetcher, once)."""
+    return dict.fromkeys(stores, make_cluster_fetcher(stores, cluster, *args, **kwargs))
 
 
 class ClusterMaster:

@@ -121,7 +121,7 @@ from repro.runtime.core import (
     account_overlap,
     decode_and_fold,
     finalize_run,
-    make_cluster_fetchers,
+    make_cluster_fetcher,
 )
 from repro.runtime.jobs import Job
 from repro.runtime.pushdown import plan_jobs
@@ -323,7 +323,7 @@ class ProcessEngine(EngineBase):
         cluster_entries: dict[str, list[tuple[ReductionObject, SharedSegment | None]]] = {}
         handles: list[_WorkerHandle] = []
         feeders: list[threading.Thread] = []
-        fetchers: dict[str, dict[str, ParallelFetcher]] = {}
+        fetchers: dict[str, ParallelFetcher] = {}
         errors: list[BaseException] = []
 
         try:
@@ -335,7 +335,7 @@ class ProcessEngine(EngineBase):
                 cstats = ClusterStats(cluster.name, cluster.location)
                 stats.clusters[cluster.name] = cstats
                 cluster_entries[cluster.name] = []
-                fetchers[cluster.name] = make_cluster_fetchers(
+                fetchers[cluster.name] = make_cluster_fetcher(
                     self.stores, cluster, opts, health=health
                 )
                 for wid in range(cluster.n_workers):
@@ -408,9 +408,8 @@ class ProcessEngine(EngineBase):
             head.halt()
             self._shutdown_workers(handles)
             segments.close_all()
-            for cluster_fetchers in fetchers.values():
-                for fetcher in cluster_fetchers.values():
-                    fetcher.close()
+            for fetcher in fetchers.values():
+                fetcher.close()
 
     def _combine(
         self, spec: GeneralizedReductionSpec, robjs: list[ReductionObject]
@@ -544,7 +543,7 @@ class ProcessEngine(EngineBase):
         cluster: ClusterConfig,
         master: ClusterMaster,
         handle: _WorkerHandle,
-        cluster_fetchers: dict[str, ParallelFetcher],
+        fetcher: ParallelFetcher,
         segments: SharedSegmentPool,
         robjs_out: list[tuple[ReductionObject, SharedSegment | None]],
         t_start: float,
@@ -570,7 +569,7 @@ class ProcessEngine(EngineBase):
                         break
                     try:
                         seg, payload_nbytes, frame_of, fetch_s = self._fetch_segment(
-                            job, cluster_fetchers, segments, wstats
+                            job, fetcher, segments, wstats
                         )
                     except RetryExhausted:
                         failed_job = job
@@ -635,7 +634,7 @@ class ProcessEngine(EngineBase):
     def _fetch_segment(
         self,
         job: Job,
-        cluster_fetchers: dict[str, ParallelFetcher],
+        fetcher: ParallelFetcher,
         segments: SharedSegmentPool,
         wstats: WorkerStats,
     ) -> tuple[SharedSegment, int, tuple[int, int] | None, float]:
@@ -659,7 +658,6 @@ class ProcessEngine(EngineBase):
         """
         t0 = time.monotonic()
         chunk = job.chunk
-        fetcher = cluster_fetchers[job.location]
         verify = self.options.verify_chunks
         encoded = chunk.codec is not None and not verify
         nbytes = chunk.wire_nbytes if encoded else chunk.nbytes

@@ -16,8 +16,8 @@ Ownership split:
 * **service-lifetime state** -- clusters, stores, options, chunk cache,
   health registry, the fleet (:class:`ServiceSlave` threads pulling
   through a per-cluster :class:`~repro.runtime.core.ClusterMaster`, the
-  service being its head), one fetcher per (cluster, store) and their
-  fetch threads, built with the fleet, the finalizer thread,
+  service being its head), one fetcher per cluster (over every store)
+  and their fetch threads, built with the fleet, the finalizer thread,
   the registry of queued and running runs, and a ring of the last
   :data:`RECENT_RUNS` finished runs' summary rows;
 * **per-run state** (one :class:`_RunEntry` per submission, dropped when
@@ -72,7 +72,7 @@ from repro.runtime.core import (
     decode_and_fold,
     fetch_pools,
     finalize_run,
-    make_cluster_fetchers,
+    make_cluster_fetcher,
     snapshot_get_rates,
     window_has_room,
     window_limit,
@@ -168,7 +168,7 @@ class ServiceSlave:
 
     Pulls jobs through its cluster's
     :class:`~repro.runtime.core.ClusterMaster`, fetches
-    chunk bytes (on the service's one
+    chunk bytes through its cluster's ``fetcher`` (on the service's one
     :class:`~repro.storage.transfer.FetchPools`, whose threads live as
     long as the fleet), decodes and folds them, and accounts every
     second and byte in :class:`WorkerStats` (every fetch's ledger, a
@@ -209,6 +209,7 @@ class ServiceSlave:
         cluster: ClusterConfig,
         wid: int,
         master: ClusterMaster,
+        fetcher: ParallelFetcher,
     ) -> None:
         self.name = f"{cluster.name}-w{wid}"
         self.service = service
@@ -216,6 +217,7 @@ class ServiceSlave:
         self.wid = wid
         self.master = master
         self.crash_after = service.options.crash_plan.get(self.name)
+        self.fetcher = fetcher
         self._jobs_done = 0
         #: Reserved jobs whose fetch is in flight, oldest first.
         self._window: deque[tuple[Job, PrefetchHandle]] = deque()
@@ -245,16 +247,13 @@ class ServiceSlave:
                 f"injected crash in {self.name} after {self._jobs_done} jobs"
             )
 
-    def _fetcher(self, job: Job) -> ParallelFetcher:
-        return self.service._fetchers[self.cluster.name][job.location]
-
     def _fetch_now(self, job: Job) -> Buffer:
         """Synchronous fetch of one job's bytes, fully accounted as stall."""
         w = self._ctx(job).wstats
         info = FetchInfo()
         t0 = time.monotonic()
         try:
-            raw = self._fetcher(job).fetch_chunk(job.chunk, info)
+            raw = self.fetcher.fetch_chunk(job.chunk, info)
         finally:
             account_fetch_info(w, info)
         w.retrieval_s += time.monotonic() - t0 - info.decode_s
@@ -340,7 +339,7 @@ class ServiceSlave:
 
     def _start_fetch(self, job: Job) -> None:
         self._ctx(job)  # where the entry books, should it be dropped
-        self._window.append((job, self._fetcher(job).fetch_chunk_async(job.chunk)))
+        self._window.append((job, self.fetcher.fetch_chunk_async(job.chunk)))
 
     def _drop(self, job: Job, handle: PrefetchHandle) -> None:
         """Cancel a window entry's fetch; one that ran books its ledger
@@ -505,7 +504,7 @@ class BurstingService(EngineBase):
         self._fleet_started = False
         self._blas_held = False  # fleet start .. first shutdown()
         self._pools: FetchPools | None = None  # lent to the fleet's fetchers
-        self._fetchers: dict[str, dict[str, ParallelFetcher]] = {}
+        self._fetchers: dict[str, ParallelFetcher] = {}
         self._threads: list[threading.Thread] = []
         self._slaves: list[ServiceSlave] = []
         self._masters: dict[str, ClusterMaster] = {}
@@ -634,14 +633,14 @@ class BurstingService(EngineBase):
         self._pools = fetch_pools(self.clusters)
         self._pools.hold()
         for cluster in self.clusters:
-            self._fetchers[cluster.name] = make_cluster_fetchers(
+            fetcher = self._fetchers[cluster.name] = make_cluster_fetcher(
                 self.stores, cluster, self.options,
                 health=self._health, pools=self._pools,
             )
             master = ClusterMaster(self, cluster, self.options.batch_size)
             self._masters[cluster.name] = master
             for wid in range(cluster.n_workers):
-                slave = ServiceSlave(self, cluster, wid, master)
+                slave = ServiceSlave(self, cluster, wid, master, fetcher)
                 self._slaves.append(slave)
                 self._threads.append(
                     threading.Thread(
@@ -941,9 +940,8 @@ class BurstingService(EngineBase):
                     BLAS_BUDGET.release()
                 pools, self._pools = self._pools, None
                 fetchers, self._fetchers = self._fetchers, {}
-            for cluster_fetchers in fetchers.values():
-                for fetcher in cluster_fetchers.values():
-                    fetcher.close()
+            for fetcher in fetchers.values():
+                fetcher.close()
             if pools is not None:
                 pools.release()
         for th in list(self._run_threads):

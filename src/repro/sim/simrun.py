@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.data.index import DataIndex
-from repro.runtime.core import window_has_room, window_limit
+from repro.data.redundancy import normalize_stripe
+from repro.runtime.core import finalize_timing, window_has_room, window_limit
 from repro.runtime.jobs import ASK, STOP, WAIT, ClusterPool
 from repro.runtime.jobs import Job, jobs_from_index  # noqa: F401 (re-export)
 from repro.runtime.pushdown import plan_jobs
@@ -780,12 +781,7 @@ def _simulate(
     (cluster name -> simulated seconds; elastic leases)."""
     if not clusters:
         raise ValueError("need at least one cluster")
-    if stripe is not None:
-        stripe = tuple(int(v) for v in stripe)  # type: ignore[assignment]
-        if len(stripe) != 2 or stripe[0] < 1 or stripe[1] < 0 or sum(stripe) < 2:
-            raise ValueError(
-                f"stripe must be (k >= 1, m >= 0) with k + m >= 2, got {stripe}"
-            )
+    stripe = normalize_stripe(stripe)
     if speculation and (prefetch or (stripe and legs_on_pool(stripe[0], None))):
         opener = "prefetch" if prefetch else f"stripe={stripe}"
         raise ValueError(
@@ -898,13 +894,8 @@ def _simulate(
     end = env.now
     stats.total_s = end
     stats.n_requeued_jobs = scheduler.n_reassigned
-    processing_end = max(c.finished_at for c in stats.clusters.values())
-    stats.processing_end_s = processing_end
-    stats.global_reduction_s = end - processing_end
-    for cstats in stats.clusters.values():
-        cstats.idle_s = max(0.0, processing_end - cstats.finished_at)
-        for w in cstats.workers:
-            w.sync_s = max(0.0, end - w.finished_at)
+    finalize_timing(stats)
+    stats.global_reduction_s = end - stats.processing_end_s
     return SimRunResult(
         stats=stats, end_time_s=end,
         wasted_executions=run.spec_ctx.wasted_executions, caches=run_caches,

@@ -28,6 +28,9 @@ chunk's wire frame, the one way any engine fetches a chunk, and
 All of them run on the threads of one :class:`FetchPools`, which may
 outlive the fetchers that borrow it.  A fetcher holds no run state: each
 fetch books what it did in its own :class:`FetchInfo`, its one ledger.
+One fetcher serves a whole cluster: it holds the run's store map and
+sends every GET -- a primary's, a replica's, a stripe fragment's -- to
+the store at that source's location.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, Mapping
 
-from repro.storage.base import StorageBackend, StorageStats
+from repro.storage.base import StorageBackend
 from repro.storage.cache import ChunkCache
 from repro.storage.codecs import Buffer, CodecError, decode_chunk
 from repro.storage.erasure import ErasureError, reassemble
@@ -245,14 +248,6 @@ def _source_range(chunk, src) -> tuple[int, int]:
     return offset, nbytes
 
 
-def _route(siblings: dict[str, "ParallelFetcher"], src) -> "ParallelFetcher":
-    """The fetcher in ``siblings`` owning ``src``'s store."""
-    fetcher = siblings.get(src.location)
-    if fetcher is None:  # a setup bug, not an outage to fail over from
-        raise LookupError(f"no fetcher for location {src.location!r}")
-    return fetcher
-
-
 def decode_frame(frame: Buffer, chunk_id: int, nbytes: int) -> Buffer:
     """Decode chunk ``chunk_id``'s wire frame and check it against the
     index's logical size ``nbytes``: the fetch path's one decode, run by
@@ -335,13 +330,14 @@ class FetchPools:
         for pool in pools:
             pool.shutdown(wait=not at)
 
-    def detach(self, fut: Future, at: str, stats: StorageStats) -> bool:
-        """Let the running ``fut``, a GET on store ``at`` whose caller
-        walks away from it, end on its own, holding that store's pools
-        till then: the one thing that may outlive a run.  False, and
-        nothing changes, when ``stats`` (that store's) already count
+    def detach(self, fut: Future, store: StorageBackend) -> bool:
+        """Let the running ``fut``, a GET on ``store`` whose caller walks
+        away from it, end on its own, holding that store's pools till
+        then: the one thing that may outlive a run.  False, and nothing
+        changes, when the store's stats already count
         :data:`HEDGE_POOL_WIDTH` detached legs alive: a store that never
         answers cannot grow threads without bound."""
+        at, stats = store.location, store.stats
         if not stats.try_detach(HEDGE_POOL_WIDTH):
             return False
         self.hold(at)
@@ -355,13 +351,24 @@ class FetchPools:
 
 
 class ParallelFetcher:
-    """Fetch byte ranges from a store with up to ``n_threads`` connections.
+    """Fetch byte ranges from the stores of ``stores`` (location ->
+    :class:`~repro.storage.base.StorageBackend`, one cluster's view of a
+    run's data) with up to ``n_threads`` connections.
+
+    Every source a chunk names -- its primary (``chunk.location``), a
+    replica, a stripe fragment -- is read from the store at the source's
+    location, and everything kept per store is that store's: its GET-rate
+    evidence, its retries' and abandoned attempts' counts in its
+    :class:`~repro.storage.base.StorageStats`, its pools, its cache
+    entries, its cap of detached legs.  A source whose location has no
+    store in the map is a setup bug and raises :class:`LookupError`
+    before any GET (never ``KeyError``, which would fail over).
 
     ``n_threads`` is the ceiling on connections *per fetch*: every store
-    GET is timed into the store's :class:`~repro.storage.base.StorageStats`,
-    and a range is split only while that evidence says splitting pays
-    (:meth:`_plan_parts`).  ``cache`` (a shared :class:`ChunkCache`)
-    short-circuits fetches of ranges already resident.
+    GET is timed into the store's stats, and a range is split only while
+    that evidence says splitting pays (:meth:`_plan_parts`).  ``cache``
+    (a shared :class:`ChunkCache`) short-circuits fetches of ranges
+    already resident.
 
     A fetcher owns no thread and holds no run state: its sub-range GETs,
     race legs, guarded GET attempts and read-aheads run on ``pools`` (a
@@ -371,8 +378,8 @@ class ParallelFetcher:
     ``retry`` (a :class:`~repro.storage.retry.RetryPolicy`) makes every
     store ``get`` -- including each parallel sub-range -- retry
     transient errors with backoff instead of failing the whole fetch.
-    A failing sub-range therefore no longer cancels its siblings unless
-    it exhausts the policy.  Retries are counted in the fetch's ledger
+    A failing sub-range therefore no longer cancels the other parts
+    unless it exhausts the policy.  Retries are counted in the fetch's ledger
     (``n_retries``/``n_errors``/``bytes_retried``, and ``n_abandoned``
     for attempts left running past the policy's ``attempt_timeout_s``)
     and mirrored into the backend's :class:`~repro.storage.base.StorageStats`.
@@ -384,9 +391,7 @@ class ParallelFetcher:
     (:attr:`~repro.data.chunks.ChunkInfo.replicas`) or erasure-coded
     fragments is fetched by one k-of-n race (:meth:`_race`) -- the
     first success among its sources, or the first ``k`` among its
-    fragments.  ``siblings`` maps the run's other locations to their
-    fetchers, so every leg reads through the fetcher owning its store,
-    on that store's leg pool.  A shared
+    fragments, each leg on its store's leg pool.  A shared
     :class:`~repro.storage.health.HealthRegistry` orders the candidates
     and learns from every leg; a :class:`~repro.storage.health.HedgePolicy`
     launches a backup for a leg still in flight past its threshold.
@@ -396,7 +401,7 @@ class ParallelFetcher:
 
     def __init__(
         self,
-        store: StorageBackend,
+        stores: Mapping[str, StorageBackend],
         n_threads: int = 1,
         *,
         cache: ChunkCache | None = None,
@@ -408,7 +413,7 @@ class ParallelFetcher:
     ) -> None:
         if n_threads <= 0:
             raise ValueError("n_threads must be positive")
-        self.store = store
+        self._stores = dict(stores)
         self.n_threads = n_threads
         self.cache = cache
         self.pools = FetchPools(n_threads - 1, 1) if pools is None else pools
@@ -417,13 +422,18 @@ class ParallelFetcher:
         self.min_part_nbytes = min_part_nbytes
         self.health = health
         self.hedge = hedge
-        #: location -> fetcher for the run's other stores; set by
-        #: ``make_cluster_fetchers`` so replica sources route to the
-        #: fetcher that owns their store.
-        self.siblings: dict[str, "ParallelFetcher"] = {store.location: self}
+        self._closed = False
 
-    def _plan_parts(self, nbytes: int) -> int:
-        """Sub-range fan-out for a fetch of ``nbytes``.
+    def _store(self, location: str) -> StorageBackend:
+        """The store at ``location``: a source with none is a setup bug,
+        not an outage to fail over from, so this is no ``KeyError``."""
+        store = self._stores.get(location)
+        if store is None:
+            raise LookupError(f"no store for location {location!r}")
+        return store
+
+    def _plan_parts(self, store: StorageBackend, nbytes: int) -> int:
+        """Sub-range fan-out for a fetch of ``nbytes`` from ``store``.
 
         ``n_threads`` is the ceiling.  Below it the range is split only
         when the store's best recently observed GET rate says the split
@@ -435,32 +445,33 @@ class ParallelFetcher:
         if self.min_part_nbytes > 0 and nbytes > 0:
             n = min(n, max(1, nbytes // self.min_part_nbytes))
         if n > 1:
-            rate = self.store.stats.s_per_byte
+            rate = store.stats.s_per_byte
             if rate is not None and nbytes * rate * (1 - 1 / n) < sys.getswitchinterval():
                 n = 1
         return n
 
-    def fetch(self, key: str, offset: int = 0, nbytes: int | None = None,
-              info: FetchInfo | None = None) -> Buffer:
-        """Retrieve ``[offset, offset+nbytes)`` of ``key``, reassembled in order.
+    def fetch(self, location: str, key: str, offset: int = 0,
+              nbytes: int | None = None, info: FetchInfo | None = None) -> Buffer:
+        """Retrieve ``[offset, offset+nbytes)`` of ``key`` from the store at
+        ``location``, reassembled in order.
 
         Returns a bytes-like buffer: ``bytes`` for single-connection
         fetches, a ``bytearray`` assembled in place for parallel ones
         (no join copy), or a read-only ``memoryview`` on a cache hit,
         booked in the ledger ``info``.
         """
+        store = self._store(location)
         info = info or FetchInfo()
         if nbytes is None:
-            nbytes = self.store.size(key) - offset
-        location = self.store.location
+            nbytes = store.size(key) - offset
         if self.cache is not None:
-            cached = self.cache.get(location, key, offset, nbytes)
+            cached = self.cache.get(store.location, key, offset, nbytes)
             if cached is not None:
                 info.cache_hit = True
                 return cached
-        data = self._fetch_parts_into(key, offset, nbytes, info)
+        data = self._fetch_parts_into(store, key, offset, nbytes, info)
         if self.cache is not None:
-            self.cache.put(location, key, offset, nbytes, data)
+            self.cache.put(store.location, key, offset, nbytes, data)
         return data
 
     def fetch_chunk(self, chunk, info: FetchInfo | None = None) -> Buffer:
@@ -516,19 +527,18 @@ class ParallelFetcher:
         if sources is None or len(sources) <= 1:
             src = None if sources is None else sources[0]
             data, latency = self._timed(
-                self.store.location, partial(self._fetch_source, chunk, src, out), info
+                chunk.location, partial(self._fetch_source, chunk, src, out), info
             )
             _book_latency(info, latency)
             return data
         # A k = 1 race: ``fetch_s`` is the winning leg's own time, or from
         # first launch to the win when hedged (the hedge's wait counts).
-        siblings = self.siblings  # the map as it is now: a leg may outlive close()
         # Legs run one at a time only off the leg pools, so only then share ``out``.
         shared = None if legs_on_pool(1, self.hedge) else out
         t0 = time.monotonic()
         ((_, data, won, latency),) = self._race(
             list(sources), 1,
-            lambda s, part: _route(siblings, s)._fetch_source(chunk, s, shared, part),
+            lambda s, part: self._fetch_source(chunk, s, shared, part),
             info, self.hedge, wire=lambda s: _source_range(chunk, s)[1],
         )
         info.cache_hit, info.bytes_wire = won.cache_hit, won.bytes_wire
@@ -600,14 +610,15 @@ class ParallelFetcher:
         A race is lost on any other error (a bug, which propagates) or
         once ``k`` is out of reach (the last failover error propagates;
         :class:`ErasureError` when there are fewer than ``k``
-        candidates).  A lost race cancels its queued legs and waits for
+        candidates, :class:`LookupError` before any leg when one has no
+        store).  A lost race cancels its queued legs and waits for
         the running ones, so none outlives it.
         """
         n = len(cands)
         if n < k:
             raise ErasureError(f"{n} candidates cannot yield k={k}")
+        stores = {c.location: self._store(c.location) for c in cands}
         health = self.health
-        siblings = self.siblings  # as it is now: close() empties it
         rank: dict[str, int] = {}
         demoted: set[str] = set()
         skips = 0
@@ -730,9 +741,7 @@ class ParallelFetcher:
                     continue
                 if wire is not None:
                     wasted += wire(cand)
-                if not f.done() and not self.pools.detach(
-                    f, cand.location, siblings.get(cand.location, self).store.stats
-                ):
+                if not f.done() and not self.pools.detach(f, stores[cand.location]):
                     over_cap.append(f)
             if over_cap:
                 wait(over_cap)
@@ -763,10 +772,8 @@ class ParallelFetcher:
                 f"need at least k={k}"
             )
 
-        siblings = self.siblings  # the map as it is now: a leg may outlive close()
-
         def leg(frag, part: FetchInfo) -> Buffer:
-            data = _route(siblings, frag).fetch(frag.key, 0, frag.nbytes, part)
+            data = self.fetch(frag.location, frag.key, 0, frag.nbytes, part)
             part.bytes_wire = 0 if part.cache_hit else frag.nbytes
             return data
 
@@ -792,37 +799,41 @@ class ParallelFetcher:
         return frame
 
     def _fetch_source(self, chunk, src, out, info: FetchInfo) -> Buffer:
-        """Fetch the chunk's frame from one concrete source (no routing).
+        """Fetch the chunk's frame from one concrete source.
 
-        ``src`` (a :class:`~repro.data.chunks.ChunkSource`) overrides the
-        key and encoded range; ``None`` means the chunk's own primary.
-        Runs on the fetcher owning the source's store.  With ``out`` the
-        GETs write into it, unless a cache is attached: its entry must
-        stay an independent buffer, so it is copied in once.
+        ``src`` (a :class:`~repro.data.chunks.ChunkSource`) names the
+        store, key and encoded range; ``None`` means the chunk's own
+        primary.  With ``out`` the GETs write into it, unless a cache is
+        attached: its entry must stay an independent buffer, so it is
+        copied in once.
         """
+        location = chunk.location if src is None else src.location
         key = chunk.key if src is None else src.key
         offset, nbytes = _source_range(chunk, src)
         if out is not None and self.cache is None:
-            data = self._fetch_parts_into(key, offset, nbytes, info, memoryview(out))
+            data = self._fetch_parts_into(
+                self._store(location), key, offset, nbytes, info, memoryview(out)
+            )
         else:
-            data = self.fetch(key, offset, nbytes, info)
+            data = self.fetch(location, key, offset, nbytes, info)
             if out is not None:
                 data = _land(out, data, info)
         info.bytes_wire = 0 if info.cache_hit else nbytes
         info.bytes_logical = chunk.nbytes
         return data
 
-    def _get_with_retry(self, key: str, offset: int, nbytes: int, info: FetchInfo) -> bytes:
-        """One store ``get`` under the retry policy, booked in ``info``."""
+    def _get_with_retry(self, store: StorageBackend, key: str, offset: int, nbytes: int,
+                        info: FetchInfo) -> bytes:
+        """One ``store.get`` under the retry policy, booked in ``info``."""
 
         def get() -> bytes:
             # Every successful attempt is one rate sample, unless it is
             # so small that it is all request overhead; a failed one
             # raises before it is recorded.
             t0 = time.monotonic()
-            data = self.store.get(key, offset, nbytes)
+            data = store.get(key, offset, nbytes)
             if nbytes >= max(self.min_part_nbytes, DEFAULT_MIN_PART_NBYTES):
-                self.store.stats.record_get_time(nbytes, time.monotonic() - t0)
+                store.stats.record_get_time(nbytes, time.monotonic() - t0)
             return data
 
         if self.retry is None:
@@ -831,30 +842,31 @@ class ParallelFetcher:
         def on_retry(_exc: BaseException, _attempt: int) -> None:
             info.n_retries += 1
             info.bytes_retried += nbytes
-            self.store.stats.record_retry(nbytes)
+            store.stats.record_retry(nbytes)
 
         if self.retry.attempt_timeout_s is not None:
-            get = partial(self._guarded, get, info)
+            get = partial(self._guarded, store, get, info)
         try:
             return self.retry.call(
                 get, token=f"{key}@{offset}+{nbytes}", on_retry=on_retry
             )
         except RetryExhausted:
             info.n_errors += 1
-            self.store.stats.record_error()
+            store.stats.record_error()
             raise
         except Exception:
-            self.store.stats.record_error()
+            store.stats.record_error()
             raise
 
-    def _guarded(self, get: Callable[[], bytes], info: FetchInfo) -> bytes:
-        """Run one GET attempt on this store's attempt pool for at most
+    def _guarded(self, store: StorageBackend, get: Callable[[], bytes],
+                 info: FetchInfo) -> bytes:
+        """Run one GET attempt on ``store``'s attempt pool for at most
         ``retry.attempt_timeout_s``, then walk away from it: a queued
         attempt is cancelled, a running one detached like a race loser
         (:meth:`FetchPools.detach`, counted in ``n_abandoned``), and
         either raises a retryable ``TimeoutError``.  So does an attempt
         the store's cap of detached legs leaves no room for, unstarted."""
-        at, stats = self.store.location, self.store.stats
+        at, stats = store.location, store.stats
         timeout_s = self.retry.attempt_timeout_s
         if stats.n_detached >= HEDGE_POOL_WIDTH:
             raise TimeoutError(f"{at}: {HEDGE_POOL_WIDTH} detached GETs still running")
@@ -862,7 +874,7 @@ class ParallelFetcher:
         try:
             if not wait((fut,), timeout_s).done:
                 if not fut.cancel():  # a queued attempt never runs
-                    if not self.pools.detach(fut, at, stats):
+                    if not self.pools.detach(fut, store):
                         return fut.result()  # the cap filled meanwhile
                     info.n_abandoned += 1
                     stats.record_abandoned()
@@ -872,10 +884,11 @@ class ParallelFetcher:
             del fut  # an attempt's error holds this frame
 
     def _fetch_parts_into(
-        self, key: str, offset: int, nbytes: int, info: FetchInfo,
-        view: memoryview | None = None,
+        self, store: StorageBackend, key: str, offset: int, nbytes: int,
+        info: FetchInfo, view: memoryview | None = None,
     ) -> Buffer:
-        """Fetch one range over as many GETs as :meth:`_plan_parts` allows.
+        """Fetch one range of ``store`` over as many GETs as
+        :meth:`_plan_parts` allows.
 
         With ``view`` (a writable byte view) the bytes land in its head,
         which is returned; without it the store's own ``bytes`` are
@@ -888,10 +901,10 @@ class ParallelFetcher:
         """
         if view is not None:
             view = view[:nbytes]
-        n_parts = self._plan_parts(nbytes)
+        n_parts = self._plan_parts(store, nbytes)
         if n_parts <= 1 or nbytes < n_parts:
             n_parts = 1
-            out: Buffer = self._get_with_retry(key, offset, nbytes, info)
+            out: Buffer = self._get_with_retry(store, key, offset, nbytes, info)
             if view is not None:
                 view[:] = out
                 out = view
@@ -905,8 +918,8 @@ class ParallelFetcher:
             ledgers = [FetchInfo() for _ in parts[1:]]
             futures = [
                 self.pools.submit(
-                    "range", self._get_part_into, key, off, n,
-                    view[off - offset : off - offset + n], part, at=self.store.location,
+                    "range", self._get_part_into, store, key, off, n,
+                    view[off - offset : off - offset + n], part, at=store.location,
                 )
                 for (off, n), part in zip(parts[1:], ledgers)
             ]
@@ -917,7 +930,7 @@ class ParallelFetcher:
             off, n = parts[0]
             f: Future | None = None
             try:
-                self._get_part_into(key, off, n, view[:n], info)
+                self._get_part_into(store, key, off, n, view[:n], info)
                 for f in futures:
                     f.result()
             except BaseException:
@@ -935,8 +948,9 @@ class ParallelFetcher:
             info.n_single_fetches += 1
         return out
 
-    def _get_part_into(self, key: str, offset: int, nbytes: int, dest, info: FetchInfo) -> None:
-        dest[:] = self._get_with_retry(key, offset, nbytes, info)
+    def _get_part_into(self, store: StorageBackend, key: str, offset: int, nbytes: int,
+                       dest, info: FetchInfo) -> None:
+        dest[:] = self._get_with_retry(store, key, offset, nbytes, info)
 
     def fetch_chunk_async(self, chunk) -> PrefetchHandle:
         """Start :meth:`fetch_chunk` on a background thread; return its handle.
@@ -966,12 +980,9 @@ class ParallelFetcher:
         race loser or a timed-out GET attempt, detached by
         :meth:`FetchPools.detach`, may outlive this, holding its store's
         pools; nothing else of the fetcher runs after it.
-
-        The sibling map, which holds this fetcher too, goes: a closed
-        fetcher set is freed by reference counting, not left as a cycle.
         """
-        if self.siblings:
-            self.siblings = {}
+        if not self._closed:
+            self._closed = True
             self.pools.release()
 
     def __enter__(self) -> "ParallelFetcher":

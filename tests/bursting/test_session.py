@@ -7,7 +7,12 @@ from repro.apps.kmeans import KMeansSpec, lloyd_step
 from repro.apps.pagerank import PageRankSpec, out_degrees, pagerank_reference
 from repro.apps.wordcount import WordCountSpec, wordcount_exact
 from repro.bursting.session import BurstingSession
-from repro.data.dataset import distribute_dataset, replicate_dataset, write_dataset
+from repro.data.dataset import (
+    distribute_dataset,
+    replicate_dataset,
+    stripe_dataset,
+    write_dataset,
+)
 from repro.data.formats import edges_format, points_format, tokens_format
 from repro.data.generator import generate_edges, generate_points, generate_tokens
 from repro.runtime import EngineOptions
@@ -57,6 +62,19 @@ class TestSessionBasics:
         session = BurstingSession.from_units(points, points_format(4), stores)
         with pytest.raises(ValueError):
             BurstingSession(session.index, {"local": stores["local"]})
+
+    def test_fragment_store_missing_from_the_map_fails_at_construction(self, points):
+        """Every source the index names needs a store, a stripe fragment's
+        too: the session checks by the engines' own rule before any pass."""
+        stores = {**make_stores(), "spare": MemoryStore("spare")}
+        index = write_dataset(
+            points, points_format(4), stores["local"], n_files=2, chunk_units=500
+        )
+        index = stripe_dataset(index, stores, k=2, m=1)
+        assert "spare" not in index.locations  # a fragment's store only
+        del stores["spare"]
+        with pytest.raises(ValueError, match=r"index references unknown stores: \['spare'\]"):
+            BurstingSession(index, stores)
 
 
 class TestIterate:

@@ -34,6 +34,11 @@ class Cand:
     location: str = "local"
 
 
+def stores():
+    """A store at every location a candidate here names."""
+    return {loc: MemoryStore(loc) for loc in ("local", "cloud", "half", "dead")}
+
+
 def failover_error(exc_type, i):
     if exc_type is RetryExhausted:
         return RetryExhausted(f"leg {i}", OSError(), 1)
@@ -106,7 +111,7 @@ class TestUnhedgedRace:
             if o == FAIL
         }
         legs = Legs(outcomes, errors)
-        with ParallelFetcher(MemoryStore("local")) as fetcher:
+        with ParallelFetcher(stores()) as fetcher:
             wins, exc, books = run_race(fetcher, n, k, legs)
             # Nothing still running once the call has returned or raised.
             assert legs.running == 0
@@ -144,7 +149,7 @@ class TestUnhedgedRace:
     def test_fewer_candidates_than_k_is_an_erasure_error(self, outcomes):
         errors = {i: KeyError(i) for i, o in enumerate(outcomes) if o == FAIL}
         legs = Legs(outcomes, errors)
-        with ParallelFetcher(MemoryStore("local")) as fetcher:
+        with ParallelFetcher(stores()) as fetcher:
             wins, exc, books = run_race(fetcher, 2, 3, legs)
             assert legs.running == 0
         assert isinstance(exc, ErasureError)
@@ -155,7 +160,7 @@ class TestUnhedgedRace:
         legs = Legs([FAIL, OK], {0: KeyError("gone")},
                     hooks={i: lambda: threads.append(threading.get_ident())
                            for i in range(2)})
-        with ParallelFetcher(MemoryStore("local")) as fetcher:
+        with ParallelFetcher(stores()) as fetcher:
             wins, exc, books = run_race(fetcher, 2, 1, legs)
             assert fetcher.pools._pools == {}
         assert exc is None and [c.i for c, *_ in wins] == [1]
@@ -165,7 +170,7 @@ class TestUnhedgedRace:
     def test_data_candidates_launch_before_the_rest(self):
         """A stripe's parity launches only when a data leg fails."""
         legs = Legs([OK, FAIL, OK, OK], {1: ConnectionError("down")})
-        with ParallelFetcher(MemoryStore("local")) as fetcher:
+        with ParallelFetcher(stores()) as fetcher:
             wins, exc, books = run_race(fetcher, 4, 2, legs, n_data=2)
         assert exc is None
         assert sorted(c.i for c, *_ in wins) == [0, 2]
@@ -180,7 +185,7 @@ class TestHedgedRace:
         gate = threading.Event()
         legs = Legs([OK, OK], gates={0: gate})
         hedge = HedgePolicy(min_threshold_s=0.001, max_hedges=1)
-        with ParallelFetcher(MemoryStore("local")) as fetcher:
+        with ParallelFetcher(stores()) as fetcher:
             wins, exc, books = run_race(fetcher, 2, 1, legs, hedge)
             assert exc is None and [c.i for c, *_ in wins] == [1]
             assert (books.n_hedges, books.hedge_wins) == (1, 1)
@@ -192,7 +197,7 @@ class TestHedgedRace:
     def test_failover_is_not_a_hedge(self):
         legs = Legs([FAIL, OK], {0: PermanentStorageError("dead")})
         hedge = HedgePolicy(min_threshold_s=60.0)
-        with ParallelFetcher(MemoryStore("local")) as fetcher:
+        with ParallelFetcher(stores()) as fetcher:
             wins, exc, books = run_race(fetcher, 2, 1, legs, hedge)
         assert exc is None and [c.i for c, *_ in wins] == [1]
         assert (books.n_failovers, books.n_hedges, books.hedge_wins) == (1, 0, 0)
@@ -204,7 +209,7 @@ class TestHedgedRace:
         legs = Legs([OK, OK, OK], gates={0: first, 1: hedge_gate},
                     hooks={1: first.set})
         hedge = HedgePolicy(min_threshold_s=0.001, max_hedges=1)
-        with ParallelFetcher(MemoryStore("local")) as fetcher:
+        with ParallelFetcher(stores()) as fetcher:
             wins, exc, books = run_race(fetcher, 3, 1, legs, hedge)
             assert exc is None and [c.i for c, *_ in wins] == [0]
             assert (books.n_hedges, books.hedge_wins) == (1, 0)
@@ -216,7 +221,7 @@ class TestHedgedRace:
         gate = threading.Event()
         legs = Legs([OK, OK, OK], gates={1: gate})
         hedge = HedgePolicy(min_threshold_s=0.001, max_hedges=1)
-        with ParallelFetcher(MemoryStore("local")) as fetcher:
+        with ParallelFetcher(stores()) as fetcher:
             wins, exc, books = run_race(fetcher, 3, 2, legs, hedge, n_data=2)
             assert exc is None
             assert sorted(c.i for c, *_ in wins) == [0, 2]
@@ -238,7 +243,7 @@ class TestHedgedRace:
         health = self.ewmas(cloud=60.0, local=1e-6)
         cands = [Cand(0, "cloud"), Cand(1, "local")]
         timer = threading.Timer(0.2, gate.set)
-        with ParallelFetcher(MemoryStore("local"), health=health) as fetcher:
+        with ParallelFetcher(stores(), health=health) as fetcher:
             timer.start()
             books = FetchInfo()
             wins = fetcher._race(cands, 1, legs, books, hedge)
@@ -254,7 +259,7 @@ class TestHedgedRace:
         hedge = HedgePolicy(multiplier=3.0, min_threshold_s=0.005, max_hedges=1)
         health = self.ewmas(cloud=60.0, local=1e-6)
         cands = [Cand(0, "cloud"), Cand(1, "local"), Cand(2, "local")]
-        with ParallelFetcher(MemoryStore("local"), health=health) as fetcher:
+        with ParallelFetcher(stores(), health=health) as fetcher:
             books = FetchInfo()
             wins = fetcher._race(cands, 2, legs, books, hedge, n_data=2)
             assert sorted(c.i for c, *_ in wins) == [1, 2]
@@ -268,7 +273,7 @@ class TestHedgedRace:
         legs = Legs([FAIL, BUG], {0: TimeoutError("slow")},
                     gates={0: gate}, hooks={1: gate.set})
         hedge = HedgePolicy(min_threshold_s=0.001, max_hedges=1)
-        with ParallelFetcher(MemoryStore("local")) as fetcher:
+        with ParallelFetcher(stores()) as fetcher:
             wins, exc, books = run_race(fetcher, 2, 1, legs, hedge)
             assert isinstance(exc, Bug)
             assert legs.running == 0  # a failed race leaves no leg behind
@@ -295,7 +300,7 @@ class TestBreakerAdmission:
         inside A's leg), so B passes "half" over for the last source."""
         cands = [Cand(0, "half"), Cand(1, "dead")]
         inner = []
-        with ParallelFetcher(MemoryStore("local"), health=self.health()) as fetcher:
+        with ParallelFetcher(stores(), health=self.health()) as fetcher:
 
             books_a, books_b = FetchInfo(), FetchInfo()
 
@@ -321,7 +326,7 @@ class TestBreakerAdmission:
         gate = threading.Event()
         cands = [Cand(0, "half"), Cand(1, "half"), Cand(2, "half"), Cand(3, "dead")]
         legs = Legs([OK] * 4, gates={0: gate}, hooks={3: gate.set})
-        with ParallelFetcher(MemoryStore("local"), health=self.health()) as fetcher:
+        with ParallelFetcher(stores(), health=self.health()) as fetcher:
             books = FetchInfo()
             wins = fetcher._race(cands, 2, legs, books, None)
             assert sorted(c.i for c, *_ in wins) == [0, 3]
@@ -339,7 +344,7 @@ class TestBreakerAdmission:
         allow = dead.allow
         # The stalled leg finishes only once the hedge has been refused.
         dead.allow = lambda: (allow(), gate.set())[0]
-        with ParallelFetcher(MemoryStore("local"), health=health) as fetcher:
+        with ParallelFetcher(stores(), health=health) as fetcher:
             books = FetchInfo()
             wins = fetcher._race(cands, 1, legs, books, hedge)
         assert [c.i for c, *_ in wins] == [0] and legs.launched == [0]
@@ -350,6 +355,6 @@ class TestBreakerAdmission:
 @pytest.mark.parametrize("exc_type", FAILOVER_ERRORS)
 def test_every_failover_error_fails_over(exc_type):
     legs = Legs([FAIL, OK], {0: failover_error(exc_type, 0)})
-    with ParallelFetcher(MemoryStore("local")) as fetcher:
+    with ParallelFetcher(stores()) as fetcher:
         wins, exc, books = run_race(fetcher, 2, 1, legs)
     assert exc is None and books.n_failovers == 1

@@ -19,7 +19,7 @@ from repro.bursting.driver import run_threaded_bursting, simulate_environment
 from repro.bursting.session import BurstingSession
 from repro.cli import OPTION_FLAGS, SERVICE_OPTION_FLAGS, build_parser, main
 from repro.runtime import ENGINES, ClusterConfig, EngineOptions, make_engine
-from repro.runtime.core import make_cluster_fetchers
+from repro.runtime.core import make_cluster_fetcher, make_cluster_fetchers
 from repro.service import BurstingService
 from repro.storage.local import MemoryStore
 from repro.storage.transfer import ParallelFetcher
@@ -106,7 +106,7 @@ DELETED = {
         lambda **kw: BurstingService(CLUSTERS, {}, **kw), "adaptive_fetch", True,
     ),
     "fetcher-autotune": (
-        lambda **kw: ParallelFetcher(MemoryStore(), **kw), "autotune", None,
+        lambda **kw: ParallelFetcher({"local": MemoryStore()}, **kw), "autotune", None,
     ),
     "simulate-adaptive_fetch": (
         lambda **kw: simulate_environment(
@@ -148,9 +148,13 @@ def test_deleted_flags_are_refused(argv, capsys):
         (run_threaded_bursting, {"batch_size", "stripe"}),
         (make_engine, set()),
         (BurstingService.__init__, set()),
+        (make_cluster_fetcher, set()),
         (make_cluster_fetchers, set()),
     ],
-    ids=["session", "driver", "make_engine", "service", "make_cluster_fetchers"],
+    ids=[
+        "session", "driver", "make_engine", "service", "make_cluster_fetcher",
+        "make_cluster_fetchers",
+    ],
 )
 def test_entry_points_declare_no_field(entry, allowed):
     named = set(inspect.signature(entry).parameters) & FIELDS

@@ -25,7 +25,7 @@ from repro.data.dataset import (
 from repro.data.formats import tokens_format
 from repro.data.generator import generate_points, generate_tokens
 from repro.data.index import DataIndex
-from repro.runtime import EngineOptions, make_engine
+from repro.runtime import EngineOptions, core, make_engine
 from repro.runtime.engine import ClusterConfig
 from repro.runtime.process_engine import ProcessEngine
 from repro.storage.cache import ChunkCache
@@ -35,6 +35,7 @@ from repro.storage.health import HedgePolicy
 from repro.storage.local import MemoryStore
 from repro.storage.retry import RetryPolicy
 from repro.storage.s3 import S3Profile, SimulatedS3Store
+from repro.storage.transfer import ParallelFetcher
 
 
 def shm_entries() -> set[str]:
@@ -286,6 +287,26 @@ class TestConfiguration:
         rr = ProcessEngine(clusters, stores, prefetch=False).run(spec, index)
         assert rr.result == wordcount_exact(toks)
         assert rr.stats.jobs_processed == len(index.chunks)
+
+    def test_a_run_builds_one_fetcher_per_cluster(self, monkeypatch):
+        """Each run builds one fetcher per cluster, over every store (a
+        cloud worker steals local chunks through it), and closes it."""
+        built = []
+
+        class Counted(ParallelFetcher):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(core, "ParallelFetcher", Counted)
+        toks = generate_tokens(6000, 150, seed=83)
+        spec = WordCountSpec()
+        stores, index, clusters = build_env(toks, spec.fmt)
+        engine = ProcessEngine(clusters, stores)
+        for n_runs in (1, 2):
+            assert engine.run(spec, index).result == wordcount_exact(toks)
+            assert len(built) == n_runs * len(clusters)
+        assert all(f._closed for f in built)
 
 
 # -- segment recycling --------------------------------------------------------

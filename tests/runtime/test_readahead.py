@@ -94,7 +94,7 @@ class Rig:
         self.entry = self.service._runs[self.handle.run_id]
         self.scheduler = self.entry.scheduler
         self.errors = self.entry.errors
-        self.fetchers = self.service._fetchers["local"]
+        self.fetcher = self.service._fetchers["local"]
         self.master = self.service._masters["local"]
         self.worker = self.service._slaves[0]
         self.thread = self.service._threads[0]
@@ -189,7 +189,7 @@ class TestWindow:
         assert rig.store.max_parked == 1
         assert (w.prefetch_hits, w.prefetch_misses, w.overlap_s) == (0, 0, 0.0)
         assert w.jobs_processed == N_JOBS
-        assert all(("readahead", "") not in f.pools._pools for f in rig.fetchers.values())
+        assert ("readahead", "") not in rig.fetcher.pools._pools
         assert rr.result == wordcount_exact(rig.tokens)
         rig.close()
 

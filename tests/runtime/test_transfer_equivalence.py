@@ -83,11 +83,10 @@ class TestCompressedEquivalence:
         # result equality can only be allclose.)
         stores_p, index_p, _ = build_env(pts, spec.fmt, frac, None)
         stores_c, index_c, clusters = build_env(pts, spec.fmt, frac, "shuffle")
-        fetch_p = {loc: ParallelFetcher(s) for loc, s in stores_p.items()}
-        fetch_c = {loc: ParallelFetcher(s) for loc, s in stores_c.items()}
+        fetch_p, fetch_c = ParallelFetcher(stores_p), ParallelFetcher(stores_c)
         for ch_p, ch_c in zip(index_p.chunks, index_c.chunks):
-            raw_p = fetch_p[ch_p.location].fetch_chunk(ch_p)
-            raw_c = fetch_c[ch_c.location].fetch_chunk(ch_c, info := FetchInfo())
+            raw_p = fetch_p.fetch_chunk(ch_p)
+            raw_c = fetch_c.fetch_chunk(ch_c, info := FetchInfo())
             assert raw_c == raw_p, f"chunk {ch_c.chunk_id} bytes differ"
             assert info.bytes_wire < info.bytes_logical
 

@@ -1,9 +1,9 @@
 """Fetch threads and fetchers belong to the service, not to the run.
 
 A ``BurstingService`` builds one ``FetchPools`` and one fetcher per
-(cluster, store) when its fleet starts, and every run fetches through
-them, so a held session's warm pass starts no thread at all: its range splits, race legs and read-aheads reuse the
-threads earlier passes started.  Race legs run on the leg pool of the
+cluster when its fleet starts, and every run fetches through them, so a
+held session's warm pass starts no thread at all: its range splits, race
+legs and read-aheads reuse the threads earlier passes started.  Race legs run on the leg pool of the
 store they read, so losers parked on one stalled store fill only that
 store's pool, and a later hedged run over other stores goes on at once.
 """
@@ -15,12 +15,17 @@ import numpy as np
 
 from repro.apps.wordcount import WordCountSpec, wordcount_exact
 from repro.bursting.session import BurstingSession
-from repro.data.dataset import replicate_dataset, stripe_dataset, write_dataset
+from repro.data.dataset import (
+    distribute_dataset,
+    replicate_dataset,
+    stripe_dataset,
+    write_dataset,
+)
 from repro.data.formats import tokens_format
 from repro.data.generator import generate_tokens
 from repro.runtime import ClusterConfig, EngineOptions
 from repro.runtime import core
-from repro.runtime.core import fetch_pools, make_cluster_fetchers
+from repro.runtime.core import fetch_pools, make_cluster_fetcher
 from repro.service import BurstingService
 from repro.storage.health import HedgePolicy
 from repro.storage.local import MemoryStore
@@ -117,7 +122,7 @@ def test_losers_parked_on_one_store_do_not_slow_a_run_on_others():
 
 def test_runs_sharing_one_pool_set_leave_nothing_behind():
     """Six threads -- three times the cores, at a 10 us switch interval --
-    each build, use and close one run's fetchers over one shared
+    each build, use and close one run's fetcher over one shared
     ``FetchPools``, racing striped and hedged fetches on its leg pools.
     No hold is lost: once the owner lets go, every pool has shut down
     and no fetch thread is left."""
@@ -136,12 +141,11 @@ def test_runs_sharing_one_pool_set_leave_nothing_behind():
     def runs():
         try:
             for _ in range(20):
-                fetchers = make_cluster_fetchers(stores, cluster, options, pools=pools)
-                handles = [fetchers["local"].fetch_chunk_async(c) for c in index.chunks]
+                fetcher = make_cluster_fetcher(stores, cluster, options, pools=pools)
+                handles = [fetcher.fetch_chunk_async(c) for c in index.chunks]
                 for h in handles:
                     h.result()
-                for f in fetchers.values():
-                    f.close()
+                fetcher.close()
         except BaseException as exc:  # reported below, on the test's thread
             errors.append(exc)
 
@@ -163,16 +167,16 @@ def test_runs_sharing_one_pool_set_leave_nothing_behind():
     wait_for(lambda: set(threading.enumerate()) <= before)
 
 
-def test_a_fleet_serving_five_runs_builds_one_fetcher_per_cluster_and_store(monkeypatch):
-    """Fetchers hold no run state: the fleet builds one per (cluster,
-    store) as it starts, five runs (two of them at once) fetch through
-    them, each run's workers book their own fetches, and shutdown closes
-    them."""
+def test_a_fleet_serving_five_runs_builds_one_fetcher_per_cluster(monkeypatch):
+    """Fetchers hold no run state: the fleet builds one per cluster, over
+    every store, as it starts, five runs (two of them at once) fetch
+    through them, each run's workers book their own fetches, and
+    shutdown closes them."""
     built = []
 
     class Counted(ParallelFetcher):
-        def __init__(self, store, *args, **kwargs):
-            super().__init__(store, *args, **kwargs)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             built.append(self)
 
     monkeypatch.setattr(core, "ParallelFetcher", Counted)
@@ -181,22 +185,20 @@ def test_a_fleet_serving_five_runs_builds_one_fetcher_per_cluster_and_store(monk
     index = write_dataset(
         tokens, tokens_format(), stores["local"], n_files=4, chunk_units=2_500
     )
+    index = distribute_dataset(index, stores, {"local": 0.5, "cloud": 0.5}, stores["local"])
     clusters = [ClusterConfig("local", "local", 2), ClusterConfig("cloud", "cloud", 1)]
     service = BurstingService(clusters, stores)
     try:
         handles = [service.submit(WordCountSpec(), index) for _ in range(2)]
         handles += [service.submit(WordCountSpec(), index) for _ in range(3)]
         results = [h.result(timeout=WAIT_S) for h in handles]
-        fetchers = service._fetchers
+        fetchers = dict(service._fetchers)
     finally:
         service.shutdown()
-    assert sorted((c, loc) for c in fetchers for loc in fetchers[c]) == sorted(
-        (c.name, loc) for c in clusters for loc in stores
-    )
-    assert sorted(f.store.location for f in built) == ["cloud", "cloud", "local", "local"]
-    assert set(built) == {f for cf in fetchers.values() for f in cf.values()}
+    assert len(built) == 2
+    assert fetchers == {"local": built[0], "cloud": built[1]}
     for rr in results:
         assert rr.result == wordcount_exact(tokens)
         assert rr.stats.cache_misses == len(index.chunks)  # one ledger per fetch
-    assert all(f.siblings == {} for f in built)  # closed at shutdown
+    assert all(f._closed for f in built)  # closed at shutdown
     assert service._fetchers == {}

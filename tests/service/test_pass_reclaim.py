@@ -5,14 +5,14 @@ reduction object, ``RunResult``, stats, fetchers, the one-shot service
 behind a ``BurstingSession`` pass -- as *cyclic* garbage, which waits for
 a generation-2 collection: the job handle held the service whose
 registry held the handle, fleet masters and slaves held the service
-that listed them, and every fetcher's sibling map held the fetcher.  On
-the process engine each fork then copied the page tables of a parent
-fat with dead passes.
+that listed them, and every fetcher's map of its run's other fetchers
+held the fetcher.  On the process engine each fork then copied the page
+tables of a parent fat with dead passes.
 
-These tests pin the three breaks: a resolved ``JobHandle`` keeps its
-final stats instead of the service, ``shutdown()`` forgets the joined
-fleet, a closed ``ParallelFetcher`` forgets its siblings.  They count
-objects and pages, never time.
+These tests pin the breaks: a resolved ``JobHandle`` keeps its final
+stats instead of the service, ``shutdown()`` forgets the joined fleet,
+and a cluster's one ``ParallelFetcher`` holds its stores, never another
+fetcher.  They count objects and pages, never time.
 """
 
 import gc

@@ -118,11 +118,8 @@ def test_striped_run_parks_six_whole_chunk_fetches_per_worker():
         assert sorted(keys[key] for _, key in parked) == sorted(
             c for w in windows for c in w for _ in range(K)
         )
-        fetchers = service._fetchers
         # Every fetcher borrows the service's pools, sized for both windows.
-        assert {
-            f.pools for cf in fetchers.values() for f in cf.values()
-        } == {service._pools}
+        assert {f.pools for f in service._fetchers.values()} == {service._pools}
         assert service._pools._widths["readahead"] == 2 * READAHEAD_MAX
         for store in gated.values():
             store.open_all()
@@ -153,7 +150,7 @@ def test_prefetch_over_large_chunks_parks_exactly_two():
     )
     try:
         handle = service.submit(WordCountSpec(), index)
-        (fetcher,) = service._fetchers["local"].values()
+        fetcher = service._fetchers["local"]
         assert fetcher.pools is service._pools
         assert fetcher.pools._widths["readahead"] == READAHEAD_MAX
         remaining = n_chunks

@@ -76,6 +76,18 @@ class TestStripedSim:
         with pytest.raises(ValueError):
             simulate_run(index, clusters, PROFILE, PARAMS, stripe=bad)
 
+    @pytest.mark.parametrize(
+        "bad, wording",
+        [((0, 2), "stripe needs k >= 1"), ((200, 100), r"exceeds GF\(256\) limit")],
+        ids=["k-zero", "wider-than-gf256"],
+    )
+    def test_invalid_stripe_rejected_in_the_validators_words(self, bad, wording):
+        """The DES checks a stripe by the rule every layer calls, so it
+        cannot model one that ``stripe_dataset`` could not write."""
+        index, clusters = setup()
+        with pytest.raises(ValueError, match=wording):
+            simulate_run(index, clusters, PROFILE, PARAMS, stripe=bad)
+
 
 class TestStripedWindow:
     """A raced stripe opens the read-ahead window without ``prefetch``,

@@ -75,7 +75,7 @@ def live_calls(monkeypatch, index, n_workers, alive, **options):
     master, scheduler = make_master("service", cluster, index, 4, **options)
     master.get_job = lambda wait=True: ClusterMaster.get_job(master, False)
     master.head._alive_workers = alive
-    slave = ServiceSlave(master.head, cluster, 0, master)
+    slave = ServiceSlave(master.head, cluster, 0, master, None)
     slave._start_fetch = lambda job: slave._window.append((job, None))
     slave._await_prefetch = lambda job, pending: b""
     slave._fetch_now = lambda job: b""

@@ -27,7 +27,7 @@ import pytest
 
 import repro.storage.transfer as transfer
 from repro.data.chunks import ChunkInfo, ChunkSource
-from repro.runtime.core import ClusterConfig, EngineOptions, make_cluster_fetchers
+from repro.runtime.core import ClusterConfig, EngineOptions, make_cluster_fetcher
 from repro.storage.codecs import encode_chunk
 from repro.storage.health import HealthRegistry, HedgePolicy
 from repro.storage.local import MemoryStore
@@ -51,24 +51,18 @@ def make_stores():
     return stores
 
 
-def make_fetchers(stores, health=None, options=EngineOptions(hedge=HEDGE)):
-    """One run's fetchers: what every engine builds per run and closes."""
+def make_fetcher(stores, health=None, options=EngineOptions(hedge=HEDGE)):
+    """One run's fetcher: what the process engine builds per run and closes."""
     cluster = ClusterConfig("c", "slow", n_workers=1, retrieval_threads=1)
-    return make_cluster_fetchers(stores, cluster, options, health=health)
-
-
-def close_all(fetchers):
-    for f in fetchers.values():
-        f.close()
-
+    return make_cluster_fetcher(stores, cluster, options, health=health)
 
 
 class TestDetachedLoser:
     def test_race_returns_with_its_loser_booked_and_parked(self):
         stores = make_stores()
-        fetchers = make_fetchers(stores)
+        fetcher = make_fetcher(stores)
         try:
-            data = fetchers["slow"].fetch_chunk(CHUNK, info := FetchInfo())
+            data = fetcher.fetch_chunk(CHUNK, info := FetchInfo())
             assert bytes(data) == PAYLOAD
             assert (info.n_hedges, info.hedge_wins) == (1, 1)
             assert info.fragments_wasted_bytes == len(PAYLOAD)
@@ -76,23 +70,23 @@ class TestDetachedLoser:
             assert stores["slow"].stats.n_detached == 1
         finally:
             stores["slow"].open_all()
-            close_all(fetchers)
+            fetcher.close()
         wait_for(lambda: stores["slow"].stats.n_detached == 0)
 
     def test_close_returns_and_the_loser_still_reports_health(self):
         stores = make_stores()
         health = HealthRegistry()
         before = set(threading.enumerate())
-        fetchers = make_fetchers(stores, health)
-        fetchers["slow"].fetch_chunk(CHUNK)
-        close_all(fetchers)  # nothing joins the parked loser
+        fetcher = make_fetcher(stores, health)
+        fetcher.fetch_chunk(CHUNK)
+        fetcher.close()  # nothing joins the parked loser
         slow = stores["slow"]
         assert slow.parked == ["obj"]
         assert health.health("slow").latency_ewma_s == 0.0
         # The detached leg keeps its store's pool and nothing else.
-        pools = fetchers["slow"].pools
+        pools = fetcher.pools
         assert set(pools._pools) == {("leg", "slow")}
-        assert all(f.siblings == {} for f in fetchers.values())
+        assert (pools._holds[""], pools._holds["slow"]) == (0, 1)
         slow.open_all()
         wait_for(lambda: slow.stats.n_detached == 0)
         assert health.health("slow").latency_ewma_s > 0.0
@@ -111,10 +105,10 @@ class TestDetachedLoser:
 
         def runs():
             for _ in range(40):
-                fetchers = make_fetchers(stores)
-                fetchers["slow"].fetch_chunk(CHUNK, info := FetchInfo())
+                fetcher = make_fetcher(stores)
+                fetcher.fetch_chunk(CHUNK, info := FetchInfo())
                 infos.append(info)
-                close_all(fetchers)
+                fetcher.close()
 
         runner = threading.Thread(target=runs, name="runs")
         runner.start()
@@ -158,14 +152,14 @@ class TestDetachedLoser:
         monkeypatch.setattr(
             transfer, "decode_chunk", lambda f: (decodes.append(1), decode(f))[1]
         )
-        fetchers = make_fetchers(stores)
+        fetcher = make_fetcher(stores)
         try:
-            data = fetchers["slow"].fetch_chunk(coded, info := FetchInfo())
+            data = fetcher.fetch_chunk(coded, info := FetchInfo())
             assert bytes(data) == PAYLOAD
             assert (info.n_hedges, info.hedge_wins, info.n_copies) == (1, 1, 1)
         finally:
             stores["slow"].open_all()
-            close_all(fetchers)
+            fetcher.close()
         wait_for(lambda: stores["slow"].stats.n_detached == 0)
         assert len(decodes) == 1
 
@@ -190,7 +184,7 @@ class TestTimedOutAttempt:
         slow.put("obj", PAYLOAD)
         before = set(threading.enumerate())
         policy = RetryPolicy(max_attempts=1, attempt_timeout_s=0.01)
-        fetcher = ParallelFetcher(slow, retry=policy)
+        fetcher = ParallelFetcher({"slow": slow}, retry=policy)
         info = FetchInfo()
         try:
             with pytest.raises(RetryExhausted):
@@ -218,12 +212,12 @@ class TestTimedOutAttempt:
         most = 0
         try:
             for _ in range(40):
-                fetchers = make_fetchers(stores, options=GUARDED)
+                fetcher = make_fetcher(stores, options=GUARDED)
                 t0 = time.monotonic()
                 with pytest.raises(RetryExhausted):
-                    fetchers["slow"].fetch_chunk(PLAIN)
+                    fetcher.fetch_chunk(PLAIN)
                 assert time.monotonic() - t0 < WAIT_S / 4
-                close_all(fetchers)
+                fetcher.close()
                 most = max(most, live_threads(before))
             assert slow.stats.n_detached == HEDGE_POOL_WIDTH
             assert slow.stats.n_abandoned == HEDGE_POOL_WIDTH
@@ -244,7 +238,7 @@ class TestTimedOutAttempt:
         policy = RetryPolicy(max_attempts=1, attempt_timeout_s=0.5)
         pools = FetchPools(0, 1)
         first, second = (
-            ParallelFetcher(slow, retry=policy, pools=pools) for _ in range(2)
+            ParallelFetcher({"slow": slow}, retry=policy, pools=pools) for _ in range(2)
         )
         errors = []
         ledgers = FetchInfo(), FetchInfo()
@@ -289,7 +283,7 @@ class TestTimedOutAttempt:
             max_attempts=3, base_delay_s=0.0, max_delay_s=0.0,
             attempt_timeout_s=0.002,
         )
-        fetchers = [ParallelFetcher(slow, retry=policy, pools=pools) for _ in range(8)]
+        fetchers = [ParallelFetcher({"slow": slow}, retry=policy, pools=pools) for _ in range(8)]
         most = []
         ledgers = []
 

@@ -7,8 +7,11 @@ kept it, a future that stored it, a closure cell -- makes the error, the
 frames and everything they reference a reference cycle that only a
 full collection frees.  Each shape here fails one fetch on a store
 whose every GET raises, with the collector saving what it finds, and
-finds no ``repro`` object among it.
+finds no ``repro`` object among it; the dropped fetcher is then freed
+by reference counting alone.
 """
+
+import weakref
 
 import pytest
 
@@ -18,7 +21,7 @@ from repro.storage.health import HealthRegistry, HedgePolicy
 from repro.storage.local import MemoryStore
 from repro.storage.retry import RetryPolicy
 from repro.storage.transfer import ParallelFetcher
-from tests.service.test_pass_reclaim import repro_garbage, saved_garbage
+from tests.service.test_pass_reclaim import collector_off, repro_garbage, saved_garbage
 
 PAYLOAD = bytes(64 * 1024)
 CHUNK = ChunkInfo(
@@ -33,19 +36,18 @@ class BrokenStore(MemoryStore):
         raise PermanentStorageError(f"{self.location}/{key}")
 
 
-def fetchers(**kw):
-    """Fetchers over two broken stores, wired as one run's siblings."""
-    out = {loc: ParallelFetcher(BrokenStore(loc), **kw) for loc in ("a", "b")}
-    for f in out.values():
-        f.store.put("obj", PAYLOAD)
-        f.siblings = out
-    return out
+def fetcher(**kw):
+    """One fetcher over two broken stores, as a cluster's over its run's."""
+    stores = {loc: BrokenStore(loc) for loc in ("a", "b")}
+    for store in stores.values():
+        store.put("obj", PAYLOAD)
+    return ParallelFetcher(stores, **kw)
 
 
 SHAPES = {
-    "split": (dict(n_threads=4, min_part_nbytes=0), lambda f: f.fetch("obj")),
+    "split": (dict(n_threads=4, min_part_nbytes=0), lambda f: f.fetch("a", "obj")),
     "retry-timeout": (
-        dict(retry=RetryPolicy(attempt_timeout_s=5.0)), lambda f: f.fetch("obj"),
+        dict(retry=RetryPolicy(attempt_timeout_s=5.0)), lambda f: f.fetch("a", "obj"),
     ),
     "replica-race": (dict(health=HealthRegistry()), lambda f: f.fetch_chunk(CHUNK)),
     "hedged-race": (
@@ -58,12 +60,15 @@ SHAPES = {
 
 @pytest.mark.parametrize("kw, fetch", SHAPES.values(), ids=SHAPES)
 def test_a_failed_fetch_leaves_no_cycle(kw, fetch):
-    run = fetchers(**kw)
+    f = fetcher(**kw)
     try:
         with saved_garbage() as garbage:
             with pytest.raises(PermanentStorageError):
-                fetch(run["a"])
+                fetch(f)
             assert repro_garbage(garbage) == {}
     finally:
-        for f in run.values():
-            f.close()
+        f.close()
+    with collector_off():  # freed by reference counting, not by a collection
+        dropped = weakref.ref(f)
+        del f
+        assert dropped() is None

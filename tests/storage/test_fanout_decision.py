@@ -23,7 +23,7 @@ from repro.runtime.core import (
     ClusterConfig,
     EngineOptions,
     account_fetch_info,
-    make_cluster_fetchers,
+    make_cluster_fetcher,
     snapshot_get_rates,
 )
 from repro.runtime.stats import ClusterStats, RunStats, WorkerStats
@@ -102,7 +102,7 @@ def gets_per_fetch(store, fetcher, n, nbytes=len(BLOB), info=None):
     counts = []
     for _ in range(n):
         before = store.stats.n_gets
-        assert fetcher.fetch("o", 0, nbytes, info) == BLOB[:nbytes]
+        assert fetcher.fetch("local", "o", 0, nbytes, info) == BLOB[:nbytes]
         counts.append(store.stats.n_gets - before)
     return counts
 
@@ -111,19 +111,19 @@ class TestDecision:
     def test_zero_latency_store_is_fetched_unsplit_once_evidence_exists(self, clock):
         store = memcpy_store(clock)
         info = FetchInfo()
-        with ParallelFetcher(store, n_threads=2) as fetcher:
+        with ParallelFetcher({"local": store}, n_threads=2) as fetcher:
             # no evidence yet: today's fan-out, retrieval_threads GETs
             assert gets_per_fetch(store, fetcher, 6, info=info) == [2, 1, 1, 1, 1, 1]
         assert (info.n_split_fetches, info.n_single_fetches) == (1, 5)
 
     def test_fanout_ceiling_is_n_threads(self, clock):
         store = memcpy_store(clock)
-        with ParallelFetcher(store, n_threads=4) as fetcher:
+        with ParallelFetcher({"local": store}, n_threads=4) as fetcher:
             assert gets_per_fetch(store, fetcher, 3) == [4, 1, 1]
 
     def test_wan_store_keeps_splitting(self, clock):
         store = wan_store(clock)
-        with ParallelFetcher(store, n_threads=2) as fetcher:
+        with ParallelFetcher({"local": store}, n_threads=2) as fetcher:
             assert gets_per_fetch(store, fetcher, 10, nbytes=1_600_000) == [2] * 10
         # 0.8 MB parts at 5 ms + 40 MB/s: 25 ms each
         assert store.stats.s_per_byte == pytest.approx(0.025 / 800_000)
@@ -131,35 +131,35 @@ class TestDecision:
     def test_latency_only_store_stops_splitting(self, clock):
         store = ModelStore(clock, latency_s=0.001)  # 1 ms, no bandwidth term
         store.put("o", BLOB)
-        with ParallelFetcher(store, n_threads=2) as fetcher:
+        with ParallelFetcher({"local": store}, n_threads=2) as fetcher:
             assert gets_per_fetch(store, fetcher, 5, nbytes=1_600_000) == [2, 1, 1, 1, 1]
 
     def test_the_threshold_is_one_switch_interval(self, clock):
         store = memcpy_store(clock)
         interval = sys.getswitchinterval()
-        with ParallelFetcher(store, n_threads=2) as fetcher:
+        with ParallelFetcher({"local": store}, n_threads=2) as fetcher:
             # splitting 2 MB two ways saves half the GET: exactly one interval
             store.stats.record_get_time(len(BLOB), 2 * interval)
-            assert fetcher._plan_parts(len(BLOB)) == 2
+            assert fetcher._plan_parts(store, len(BLOB)) == 2
             store.stats._get_rates.clear()
             store.stats.record_get_time(len(BLOB), 2 * interval * 0.99)
-            assert fetcher._plan_parts(len(BLOB)) == 1
+            assert fetcher._plan_parts(store, len(BLOB)) == 1
 
     def test_one_stall_among_eight_samples_flips_nothing(self, clock):
         store = memcpy_store(clock)
-        with ParallelFetcher(store, n_threads=2) as fetcher:
+        with ParallelFetcher({"local": store}, n_threads=2) as fetcher:
             gets_per_fetch(store, fetcher, 4)
             store.stalls.append(0.080)  # the next GET takes 80 ms: 4e-8 s/byte
             assert gets_per_fetch(store, fetcher, 8) == [1] * 8
         wan = wan_store(clock)
-        with ParallelFetcher(wan, n_threads=2) as fetcher:
+        with ParallelFetcher({"local": wan}, n_threads=2) as fetcher:
             gets_per_fetch(wan, fetcher, 2)
             wan.stalls.append(0.080)
             assert gets_per_fetch(wan, fetcher, 6) == [2] * 6
 
     def test_a_store_that_turns_slow_is_split_again(self, clock):
         store = memcpy_store(clock)
-        with ParallelFetcher(store, n_threads=2) as fetcher:
+        with ParallelFetcher({"local": store}, n_threads=2) as fetcher:
             gets_per_fetch(store, fetcher, 3)
             store.latency_s, store.bw = 0.005, 40e6  # now behind the WAN
             counts = gets_per_fetch(store, fetcher, 12)
@@ -170,9 +170,9 @@ class TestDecision:
         store = memcpy_store(clock)
         store.broken = True
         retry = RetryPolicy(max_attempts=3, base_delay_s=0.0, max_delay_s=0.0)
-        with ParallelFetcher(store, n_threads=2, retry=retry) as fetcher:
+        with ParallelFetcher({"local": store}, n_threads=2, retry=retry) as fetcher:
             with pytest.raises(RetryExhausted):
-                fetcher.fetch("o")
+                fetcher.fetch("local", "o")
             assert store.stats.s_per_byte is None
             assert store.stats.snapshot()["n_rate_samples"] == 0
             store.broken = False
@@ -181,8 +181,8 @@ class TestDecision:
 
     def test_overhead_sized_gets_leave_no_sample(self, clock):
         store = memcpy_store(clock)
-        with ParallelFetcher(store, n_threads=2, min_part_nbytes=0) as fetcher:
-            fetcher.fetch("o", 0, 4000)  # two 2000-byte GETs: all request overhead
+        with ParallelFetcher({"local": store}, n_threads=2, min_part_nbytes=0) as fetcher:
+            fetcher.fetch("local", "o", 0, 4000)  # two 2000-byte GETs: all request overhead
         assert store.stats.n_gets == 2 and store.stats.s_per_byte is None
 
     def test_fetch_frame_into_and_fetch_decide_alike(self, clock):
@@ -192,7 +192,7 @@ class TestDecision:
         )
         for make, warm in ((memcpy_store, 1), (wan_store, 2)):
             store = make(clock)
-            with ParallelFetcher(store, n_threads=2) as fetcher:
+            with ParallelFetcher({"local": store}, n_threads=2) as fetcher:
                 for expected in (2, warm, warm):
                     buf = bytearray(len(BLOB))
                     before = store.stats.n_gets
@@ -206,7 +206,7 @@ class TestDecision:
         """A new run builds new fetchers, and the suite's ``TimedStore``
         wraps the store but shares ``stats``: neither starts from nothing."""
         store = memcpy_store(clock)
-        with ParallelFetcher(store, n_threads=2) as first:
+        with ParallelFetcher({"local": store}, n_threads=2) as first:
             gets_per_fetch(store, first, 1)
 
         class Wrapper(MemoryStore):
@@ -217,9 +217,9 @@ class TestDecision:
             def get(self, key, offset=0, nbytes=None):
                 return self.inner.get(key, offset, nbytes)
 
-        with ParallelFetcher(Wrapper(store), n_threads=2) as second:
+        with ParallelFetcher({"local": Wrapper(store)}, n_threads=2) as second:
             before = store.stats.n_gets
-            assert second.fetch("o", 0, len(BLOB)) == BLOB
+            assert second.fetch("local", "o", 0, len(BLOB)) == BLOB
             assert store.stats.n_gets - before == 1
 
 
@@ -258,17 +258,17 @@ def test_the_one_fanout_rule(n_threads, min_part, nbytes, evidence, parts):
         evidence = factor * sys.getswitchinterval() / (nbytes * (1 - 1 / p))
     if evidence is not None:
         store.stats.record_get_time(MB, evidence * MB)
-    with ParallelFetcher(store, n_threads=n_threads, min_part_nbytes=min_part) as f:
-        assert f._plan_parts(nbytes) == parts
+    with ParallelFetcher({"local": store}, n_threads=n_threads, min_part_nbytes=min_part) as f:
+        assert f._plan_parts(store, nbytes) == parts
         before = store.stats.n_gets
-        assert f.fetch("o") == blob
+        assert f.fetch("local", "o") == blob
         assert store.stats.n_gets - before == parts
 
 
 class TestAccounting:
     def test_snapshot_shows_why_a_store_is_unsplit(self, clock):
         store = memcpy_store(clock)
-        with ParallelFetcher(store, n_threads=2) as fetcher:
+        with ParallelFetcher({"local": store}, n_threads=2) as fetcher:
             gets_per_fetch(store, fetcher, 3)
         snap = store.stats.snapshot()
         assert snap["n_gets"] == 4 and snap["bytes_read"] == 3 * len(BLOB)
@@ -278,7 +278,7 @@ class TestAccounting:
     def test_ledger_reports_single_vs_split(self, clock):
         store = memcpy_store(clock)
         info = FetchInfo()
-        with ParallelFetcher(store, n_threads=2) as fetcher:
+        with ParallelFetcher({"local": store}, n_threads=2) as fetcher:
             gets_per_fetch(store, fetcher, 4, info=info)
         stats = RunStats()
         stats.clusters["local"] = cstats = ClusterStats("local", "local", [WorkerStats()])
@@ -294,11 +294,12 @@ class TestAccounting:
         time minus decode, one sample per chunk; the per-GET rate samples
         are a separate record."""
         chunk = types.SimpleNamespace(
-            key="o", offset=0, nbytes=len(BLOB), codec=None, chunk_id=0
+            key="o", location="local", offset=0, nbytes=len(BLOB), codec=None,
+            chunk_id=0,
         )
         store = wan_store(clock)
         get_s = 0.005 + len(BLOB) / 40e6
-        with ParallelFetcher(store, n_threads=1) as fetcher:  # GETs on this thread
+        with ParallelFetcher({"local": store}, n_threads=1) as fetcher:  # GETs on this thread
             for _ in range(3):
                 data = fetcher.fetch_chunk(chunk, info := FetchInfo())
                 assert bytes(data) == BLOB
@@ -322,20 +323,21 @@ class TestPools:
         store.put("a", BLOB)
         store.put("b", BLOB)
         cluster = ClusterConfig("c", "local", n_workers, retrieval_threads=2)
-        (fetcher,) = make_cluster_fetchers(
+        fetcher = make_cluster_fetcher(
             {"local": store}, cluster, EngineOptions(prefetch=prefetch)
-        ).values()
+        )
         got = {}
         if prefetch:
             handles = {
                 k: fetcher.fetch_chunk_async(types.SimpleNamespace(
-                    key=k, offset=0, nbytes=len(BLOB), codec=None, chunk_id=0
+                    key=k, location="local", offset=0, nbytes=len(BLOB), codec=None,
+                    chunk_id=0,
                 ))
                 for k in "ab"
             }
             fetch = {k: h.result for k, h in handles.items()}
         else:
-            fetch = {k: (lambda k=k: fetcher.fetch(k)) for k in "ab"}
+            fetch = {k: (lambda k=k: fetcher.fetch("local", k)) for k in "ab"}
         waiters = [
             threading.Thread(target=lambda k=k: got.update({k: fetch[k]()}))
             for k in "ab"
@@ -354,8 +356,8 @@ class TestPools:
         callers = []
         get = store.get
         store.get = lambda *a: (callers.append(threading.current_thread()), get(*a))[1]
-        with ParallelFetcher(store, n_threads=3) as fetcher:
-            assert fetcher.fetch("o") == BLOB
+        with ParallelFetcher({"local": store}, n_threads=3) as fetcher:
+            assert fetcher.fetch("local", "o") == BLOB
         assert len(callers) == 3 and callers.count(threading.current_thread()) == 1
 
 
@@ -378,8 +380,8 @@ def test_bytes_are_identical_whichever_way_the_decision_goes(
     if evidence is not None:
         store.stats.record_get_time(1, evidence)  # fast: unsplit; slow: split
     info = FetchInfo()
-    with ParallelFetcher(store, n_threads=n_threads, min_part_nbytes=min_part) as f:
-        assert bytes(f.fetch("o", offset, nbytes, info)) == blob[offset:offset + nbytes]
+    with ParallelFetcher({"local": store}, n_threads=n_threads, min_part_nbytes=min_part) as f:
+        assert bytes(f.fetch("local", "o", offset, nbytes, info)) == blob[offset:offset + nbytes]
         buf = bytearray(nbytes + 3)
         chunk = ChunkInfo(
             chunk_id=0, file_id=0, key="o", location="local",

@@ -18,7 +18,7 @@ from repro.data.dataset import (
     write_dataset,
 )
 from repro.data.formats import RecordFormat
-from repro.runtime.core import ClusterConfig, EngineOptions, make_cluster_fetchers
+from repro.runtime.core import ClusterConfig, EngineOptions, make_cluster_fetcher
 from repro.storage.health import HedgePolicy
 from repro.storage.local import MemoryStore
 from repro.storage.transfer import FetchPools, legs_on_pool
@@ -70,18 +70,17 @@ def test_legs_on_pool_iff_fetch_chunk_submits_to_the_leg_pools(shape, hedge):
     index = make_index(stores, **shape)
     cluster = ClusterConfig("local", "local", n_workers=1, retrieval_threads=1)
     pools = CountingPools()
-    fetchers = make_cluster_fetchers(
+    fetcher = make_cluster_fetcher(
         stores, cluster, EngineOptions(hedge=hedge), pools=pools
     )
     try:
         for chunk in index.chunks:
             before = pools.legs
-            data = fetchers[chunk.location].fetch_chunk(chunk)
+            data = fetcher.fetch_chunk(chunk)
             assert memoryview(data).nbytes == chunk.nbytes
             submitted = pools.legs > before
             k = chunk.stripe[0] if chunk.fragments else 0
             on_pool = bool(k or chunk.replicas) and legs_on_pool(k, hedge)
             assert on_pool == submitted, (shape, chunk.chunk_id)
     finally:
-        for fetcher in fetchers.values():
-            fetcher.close()
+        fetcher.close()

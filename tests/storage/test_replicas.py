@@ -15,7 +15,7 @@ from repro.data.dataset import (
     write_dataset,
 )
 from repro.data.formats import RecordFormat
-from repro.runtime.core import ClusterConfig, EngineOptions, make_cluster_fetchers
+from repro.runtime.core import ClusterConfig, EngineOptions, make_cluster_fetcher
 from repro.storage.faults import FaultInjectingStore, FaultSpec
 from repro.storage.health import BreakerPolicy, HealthRegistry, HedgePolicy
 from repro.storage.local import MemoryStore
@@ -40,9 +40,9 @@ def make_dataset(stores, *, n=240, n_files=3, local_fraction=0.5, codec=None,
     return units, replicate_dataset(index, stores, n_replicas=n_replicas)
 
 
-def make_fetchers(stores, *, health=None, hedge=None, retry=FAST_RETRY):
+def make_fetcher(stores, *, health=None, hedge=None, retry=FAST_RETRY):
     cluster = ClusterConfig("local", "local", n_workers=1, retrieval_threads=2)
-    return make_cluster_fetchers(
+    return make_cluster_fetcher(
         stores, cluster, EngineOptions(retry=retry, hedge=hedge), health=health
     )
 
@@ -120,12 +120,12 @@ class TestReplicateDataset:
         np.testing.assert_array_equal(read_all_units(index, stores), units)
 
 
-def fetch_everything(index, fetchers):
-    """Fetch every chunk through the fetcher owning its primary store."""
+def fetch_everything(index, fetcher):
+    """Fetch every chunk through the cluster's one fetcher."""
     out = []
     for c in index.chunks:
         info = FetchInfo()
-        out.append((bytes(fetchers[c.location].fetch_chunk(c, info)), info))
+        out.append((bytes(fetcher.fetch_chunk(c, info)), info))
     return out
 
 
@@ -138,12 +138,11 @@ class TestFailover:
         stores = {"local": MemoryStore("local"), "cloud": cloud}
         units, index = make_dataset(stores)
         cloud.arm()
-        fetchers = make_fetchers(stores)
+        fetcher = make_fetcher(stores)
         try:
-            results = fetch_everything(index, fetchers)
+            results = fetch_everything(index, fetcher)
         finally:
-            for f in fetchers.values():
-                f.close()
+            fetcher.close()
         got = b"".join(d for d, _ in results)
         assert got == units.tobytes()
         cloud_chunks = [c for c in index.chunks if c.location == "cloud"]
@@ -160,15 +159,14 @@ class TestFailover:
         units, index = make_dataset(stores)
         for s in stores.values():
             s.arm()
-        fetchers = make_fetchers(stores)
+        fetcher = make_fetcher(stores)
         try:
             from repro.storage.faults import PermanentStorageError
 
             with pytest.raises(PermanentStorageError):
-                fetchers[index.chunks[0].location].fetch_chunk(index.chunks[0])
+                fetcher.fetch_chunk(index.chunks[0])
         finally:
-            for f in fetchers.values():
-                f.close()
+            fetcher.close()
 
     def test_encoded_chunks_fail_over_too(self):
         cloud = FaultInjectingStore(
@@ -178,12 +176,11 @@ class TestFailover:
         stores = {"local": MemoryStore("local"), "cloud": cloud}
         units, index = make_dataset(stores, codec="zlib")
         cloud.arm()
-        fetchers = make_fetchers(stores)
+        fetcher = make_fetcher(stores)
         try:
-            results = fetch_everything(index, fetchers)
+            results = fetch_everything(index, fetcher)
         finally:
-            for f in fetchers.values():
-                f.close()
+            fetcher.close()
         assert b"".join(d for d, _ in results) == units.tobytes()
         assert sum(i.n_failovers for _, i in results) > 0
 
@@ -197,17 +194,19 @@ class TestFailover:
         units, index = make_dataset(stores)
         cloud.arm()
         health = HealthRegistry(BreakerPolicy())
-        fetchers = make_fetchers(stores, health=health)
-        del fetchers["cloud"].siblings["local"]
+        # A map without the replicas' store: a setup bug, caught before any GET.
+        fetcher = make_fetcher({"cloud": cloud}, health=health)
         chunk = next(c for c in index.chunks if c.location == "cloud")
+        n_gets = cloud.stats.n_gets
         try:
-            with pytest.raises(LookupError, match="no fetcher") as err:
-                fetchers["cloud"].fetch_chunk(chunk)
+            with pytest.raises(LookupError, match="no store") as err:
+                fetcher.fetch_chunk(chunk)
         finally:
-            for f in fetchers.values():
-                f.close()
+            fetcher.close()
         assert not isinstance(err.value, KeyError)
         assert health.health("local").n_failures == 0
+        assert health.health("cloud").n_failures == 0
+        assert cloud.stats.n_gets == n_gets
 
 
 class TestBreakerRouting:
@@ -220,12 +219,11 @@ class TestBreakerRouting:
         units, index = make_dataset(stores)
         cloud.arm()
         health = HealthRegistry(BreakerPolicy(fail_threshold=2, recovery_s=60.0))
-        fetchers = make_fetchers(stores, health=health)
+        fetcher = make_fetcher(stores, health=health)
         try:
-            results = fetch_everything(index, fetchers)
+            results = fetch_everything(index, fetcher)
         finally:
-            for f in fetchers.values():
-                f.close()
+            fetcher.close()
         assert b"".join(d for d, _ in results) == units.tobytes()
         snap = health.snapshot()["cloud"]
         assert snap["state"] == "open"
@@ -272,12 +270,11 @@ class TestHedging:
         stores["cloud"].arm()
         hedge = HedgePolicy(multiplier=3.0, min_threshold_s=0.005, max_hedges=1)
         health = HealthRegistry()
-        fetchers = make_fetchers(stores, health=health, hedge=hedge)
+        fetcher = make_fetcher(stores, health=health, hedge=hedge)
         try:
-            results = fetch_everything(index, fetchers)
+            results = fetch_everything(index, fetcher)
         finally:
-            for f in fetchers.values():
-                f.close()
+            fetcher.close()
         assert b"".join(d for d, _ in results) == units.tobytes()
         hedges = sum(i.n_hedges for _, i in results)
         wins = sum(i.hedge_wins for _, i in results)
@@ -295,12 +292,11 @@ class TestHedging:
         stores = {"local": MemoryStore("local"), "cloud": cloud}
         units, index = make_dataset(stores)
         cloud.arm()
-        fetchers = make_fetchers(stores, hedge=HedgePolicy(min_threshold_s=0.5))
+        fetcher = make_fetcher(stores, hedge=HedgePolicy(min_threshold_s=0.5))
         try:
-            results = fetch_everything(index, fetchers)
+            results = fetch_everything(index, fetcher)
         finally:
-            for f in fetchers.values():
-                f.close()
+            fetcher.close()
         assert b"".join(d for d, _ in results) == units.tobytes()
         cloud_chunks = sum(1 for c in index.chunks if c.location == "cloud")
         hedges = sum(i.n_hedges for _, i in results)
@@ -314,15 +310,14 @@ class TestHedging:
             stores = self.stalled_stores()
             units, index = make_dataset(stores)
             stores["cloud"].arm()
-            fetchers = make_fetchers(
+            fetcher = make_fetcher(
                 stores, health=HealthRegistry() if hedge else None, hedge=hedge
             )
             try:
-                results = fetch_everything(index, fetchers)
+                results = fetch_everything(index, fetcher)
                 lat = sorted(t for _, info in results for t in info.fetch_latencies)
             finally:
-                for f in fetchers.values():
-                    f.close()
+                fetcher.close()
             return lat[int(0.95 * (len(lat) - 1))]
 
         p95_plain = run(None)
@@ -343,17 +338,16 @@ class TestHedging:
         units, index = make_dataset(stores)
         for s in stores.values():
             s.arm()
-        fetchers = make_fetchers(
+        fetcher = make_fetcher(
             stores, health=HealthRegistry(), hedge=HedgePolicy()
         )
         try:
             from repro.storage.faults import PermanentStorageError
 
             with pytest.raises(PermanentStorageError):
-                fetchers[index.chunks[0].location].fetch_chunk(index.chunks[0])
+                fetcher.fetch_chunk(index.chunks[0])
         finally:
-            for f in fetchers.values():
-                f.close()
+            fetcher.close()
 
 
 class TestSingleSourceUnchanged:
@@ -365,7 +359,7 @@ class TestSingleSourceUnchanged:
             chunk_id=0, file_id=0, key="k", location="local",
             offset=0, nbytes=64, n_units=64,
         )
-        with ParallelFetcher(store, n_threads=1, health=health) as f:
+        with ParallelFetcher({"local": store}, n_threads=1, health=health) as f:
             data = f.fetch_chunk(chunk, info := FetchInfo())
         assert bytes(data) == b"z" * 64
         assert info.n_failovers == 0

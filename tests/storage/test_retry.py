@@ -137,7 +137,7 @@ def make_faulty_fetcher(spec, *, n_threads=4, retry=FAST):
     inner = MemoryStore("cloud")
     inner.put("obj", bytes(range(256)) * 4)  # 1024 bytes
     store = FaultInjectingStore(inner, spec)
-    return ParallelFetcher(store, n_threads=n_threads, retry=retry), store
+    return ParallelFetcher({"cloud": store}, n_threads=n_threads, retry=retry), store
 
 
 class TestFetcherRetry:
@@ -147,7 +147,7 @@ class TestFetcherRetry:
         fetcher, store = make_faulty_fetcher(FaultSpec(transient_p=0.5, seed=9))
         info = FetchInfo()
         with fetcher:
-            data = fetcher.fetch("obj", 0, 1024, info)
+            data = fetcher.fetch("cloud", "obj", 0, 1024, info)
         assert data == bytes(range(256)) * 4
         assert info.n_retries > 0
         assert info.n_errors == 0
@@ -163,7 +163,7 @@ class TestFetcherRetry:
             )
             info = FetchInfo()
             with fetcher:
-                fetcher.fetch("obj", 0, 1024, info)
+                fetcher.fetch("cloud", "obj", 0, 1024, info)
             return info.n_retries, info.bytes_retried
 
         assert run() == run()
@@ -178,7 +178,7 @@ class TestFetcherRetry:
         info = FetchInfo()
         with fetcher:
             with pytest.raises(RetryExhausted):
-                fetcher.fetch("obj", 0, 1024, info)
+                fetcher.fetch("cloud", "obj", 0, 1024, info)
         # The ledger of a fetch that raised still holds every part's giveup.
         assert info.n_errors == store.stats.n_errors >= 1
         assert info.n_retries + info.n_errors == store.n_transient
@@ -188,16 +188,16 @@ class TestFetcherRetry:
         info = FetchInfo()
         with fetcher:
             with pytest.raises(PermanentStorageError):
-                fetcher.fetch("obj", 0, 1024, info)
+                fetcher.fetch("cloud", "obj", 0, 1024, info)
         assert info.n_retries == info.n_errors == 0
 
     def test_no_policy_behaves_as_before(self):
         inner = MemoryStore("cloud")
         inner.put("obj", b"x" * 64)
         store = FaultInjectingStore(inner, FaultSpec(fail_nth=(1,)))
-        with ParallelFetcher(store, n_threads=1) as fetcher:
+        with ParallelFetcher({"cloud": store}, n_threads=1) as fetcher:
             with pytest.raises(TransientStorageError):
-                fetcher.fetch("obj", 0, 64)
+                fetcher.fetch("cloud", "obj", 0, 64)
 
 
 class TestStorageStats:
@@ -230,9 +230,9 @@ class TestGuardedAttempt:
                              max_delay_s=0.0, attempt_timeout_s=0.01)
         info = FetchInfo()
         try:
-            with ParallelFetcher(store, retry=policy) as fetcher:
+            with ParallelFetcher({"cloud": store}, retry=policy) as fetcher:
                 with pytest.raises(RetryExhausted) as ei:
-                    fetcher.fetch("obj", 0, 64, info)
+                    fetcher.fetch("cloud", "obj", 0, 64, info)
             assert ei.value.attempts == 2
             assert isinstance(ei.value.last_error, TimeoutError)
             assert (info.n_retries, info.n_errors) == (1, 1)
@@ -245,8 +245,8 @@ class TestGuardedAttempt:
         store.put("obj", b"x" * 64)
         policy = RetryPolicy(max_attempts=1, attempt_timeout_s=1.0)
         info = FetchInfo()
-        with ParallelFetcher(store, retry=policy) as fetcher:
-            assert fetcher.fetch("obj", 0, 64, info) == b"x" * 64
+        with ParallelFetcher({"cloud": store}, retry=policy) as fetcher:
+            assert fetcher.fetch("cloud", "obj", 0, 64, info) == b"x" * 64
             pools = fetcher.pools
             assert set(pools._pools) == {("attempt", "cloud")}
         assert info.n_abandoned == 0
@@ -256,8 +256,8 @@ class TestGuardedAttempt:
     def test_unguarded_get_stays_on_the_calling_thread(self):
         store = MemoryStore("cloud")
         store.put("obj", b"x" * 64)
-        with ParallelFetcher(store, retry=FAST) as fetcher:
-            fetcher.fetch("obj", 0, 64)
+        with ParallelFetcher({"cloud": store}, retry=FAST) as fetcher:
+            fetcher.fetch("cloud", "obj", 0, 64)
             assert fetcher.pools._pools == {}
 
 
@@ -282,9 +282,9 @@ class TestFetcherAbandonAccounting:
                              max_delay_s=0.0, attempt_timeout_s=0.01)
         info = FetchInfo()
         try:
-            with ParallelFetcher(store, n_threads=1, retry=policy) as fetcher:
+            with ParallelFetcher({"cloud": store}, n_threads=1, retry=policy) as fetcher:
                 with pytest.raises(RetryExhausted):
-                    fetcher.fetch("obj", 0, 64, info)
+                    fetcher.fetch("cloud", "obj", 0, 64, info)
                 assert info.n_abandoned == 2  # both attempts timed out
                 assert store.stats.n_abandoned == 2
         finally:

@@ -18,7 +18,7 @@ from repro.data.dataset import (
 )
 from repro.data.formats import RecordFormat
 from repro.data.index import DataIndex
-from repro.runtime.core import ClusterConfig, EngineOptions, make_cluster_fetchers
+from repro.runtime.core import ClusterConfig, EngineOptions, make_cluster_fetcher
 from repro.storage.erasure import ErasureError
 from repro.storage.faults import FaultInjectingStore, FaultSpec
 from repro.storage.health import BreakerPolicy, HealthRegistry
@@ -73,18 +73,18 @@ def make_striped(stores, *, n=240, k=4, m=2, codec=None):
     return units, index
 
 
-def make_fetchers(stores, *, health=None, hedge=None):
+def make_fetcher(stores, *, health=None, hedge=None):
     cluster = ClusterConfig("local", "local", n_workers=1, retrieval_threads=2)
-    return make_cluster_fetchers(
+    return make_cluster_fetcher(
         stores, cluster, EngineOptions(retry=FAST_RETRY, hedge=hedge), health=health
     )
 
 
-def fetch_everything(index, fetchers):
+def fetch_everything(index, fetcher):
     out = []
     for c in index.chunks:
         info = FetchInfo()
-        out.append((bytes(fetchers[c.location].fetch_chunk(c, info)), info))
+        out.append((bytes(fetcher.fetch_chunk(c, info)), info))
     return out
 
 
@@ -181,12 +181,11 @@ class TestStripedFetch:
     def test_bit_identical_and_counters(self):
         stores = make_stores()
         units, index = make_striped(stores)
-        fetchers = make_fetchers(stores)
+        fetcher = make_fetcher(stores)
         try:
-            results = fetch_everything(index, fetchers)
+            results = fetch_everything(index, fetcher)
         finally:
-            for f in fetchers.values():
-                f.close()
+            fetcher.close()
         assert b"".join(d for d, _ in results) == units.tobytes()
         for _, info in results:
             assert info.n_fragments == 4
@@ -197,24 +196,22 @@ class TestStripedFetch:
     def test_encoded_chunks_count_decode_copy(self):
         stores = make_stores()
         units, index = make_striped(stores, codec="zlib")
-        fetchers = make_fetchers(stores)
+        fetcher = make_fetcher(stores)
         try:
-            results = fetch_everything(index, fetchers)
+            results = fetch_everything(index, fetcher)
         finally:
-            for f in fetchers.values():
-                f.close()
+            fetcher.close()
         assert b"".join(d for d, _ in results) == units.tobytes()
         assert all(i.n_copies == 2 for _, i in results)
 
     def test_m_dead_stores_masked_by_parity(self):
         stores = make_stores(dead=("spare0", "spare1"))
         units, index = make_striped(stores)
-        fetchers = make_fetchers(stores)
+        fetcher = make_fetcher(stores)
         try:
-            results = fetch_everything(index, fetchers)
+            results = fetch_everything(index, fetcher)
         finally:
-            for f in fetchers.values():
-                f.close()
+            fetcher.close()
         assert b"".join(d for d, _ in results) == units.tobytes()
         assert sum(i.n_parity_decodes for _, i in results) > 0
         assert sum(i.n_failovers for _, i in results) > 0
@@ -222,16 +219,15 @@ class TestStripedFetch:
     def test_more_than_m_dead_stores_fails(self):
         stores = make_stores(dead=("spare0", "spare1", "spare2"))
         units, index = make_striped(stores)
-        fetchers = make_fetchers(stores)
+        fetcher = make_fetcher(stores)
         try:
             from repro.storage.faults import PermanentStorageError
 
             with pytest.raises((PermanentStorageError, ErasureError)):
                 for c in index.chunks:
-                    fetchers[c.location].fetch_chunk(c)
+                    fetcher.fetch_chunk(c)
         finally:
-            for f in fetchers.values():
-                f.close()
+            fetcher.close()
 
     def test_chunk_with_too_few_fragments_rejected(self):
         stores = make_stores()
@@ -240,13 +236,12 @@ class TestStripedFetch:
         from dataclasses import replace
 
         broken = replace(c, fragments=c.fragments[:3])
-        fetchers = make_fetchers(stores)
+        fetcher = make_fetcher(stores)
         try:
             with pytest.raises(ErasureError, match="fragments"):
-                fetchers[c.location].fetch_chunk(broken)
+                fetcher.fetch_chunk(broken)
         finally:
-            for f in fetchers.values():
-                f.close()
+            fetcher.close()
 
 
 class TestBreakerStripedRouting:
@@ -254,12 +249,11 @@ class TestBreakerStripedRouting:
         stores = make_stores(dead=("spare0",))
         units, index = make_striped(stores)
         health = HealthRegistry(BreakerPolicy(fail_threshold=2, recovery_s=60.0))
-        fetchers = make_fetchers(stores, health=health)
+        fetcher = make_fetcher(stores, health=health)
         try:
-            results = fetch_everything(index, fetchers)
+            results = fetch_everything(index, fetcher)
         finally:
-            for f in fetchers.values():
-                f.close()
+            fetcher.close()
         assert b"".join(d for d, _ in results) == units.tobytes()
         snap = health.snapshot()["spare0"]
         assert snap["state"] == "open"
@@ -276,18 +270,17 @@ class TestBreakerStripedRouting:
             BreakerPolicy(fail_threshold=2, recovery_s=1.0, close_after=1),
             clock=clock,
         )
-        fetchers = make_fetchers(stores, health=health)
+        fetcher = make_fetcher(stores, health=health)
         try:
-            fetch_everything(index, fetchers)
+            fetch_everything(index, fetcher)
             assert health.snapshot()["spare0"]["state"] == "open"
             # The store heals; after the cooldown the breaker half-opens
             # and the next striped fetch's probe closes it again.
             stores["spare0"].disarm()
             clock.advance(1.5)
-            results = fetch_everything(index, fetchers)
+            results = fetch_everything(index, fetcher)
         finally:
-            for f in fetchers.values():
-                f.close()
+            fetcher.close()
         assert b"".join(d for d, _ in results) == units.tobytes()
         snap = health.snapshot()["spare0"]
         assert snap["state"] == "closed"

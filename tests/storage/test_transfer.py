@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.chunks import ChunkInfo
+from repro.runtime.core import ClusterConfig, make_cluster_fetchers
 from repro.storage.bandwidth import FakeClock
 from repro.storage.cache import ChunkCache
 from repro.storage.local import MemoryStore
@@ -53,28 +54,28 @@ class TestParallelFetcher:
         store = MemoryStore()
         data = bytes(range(256)) * 40
         store.put("o", data)
-        with ParallelFetcher(store, n_threads=4) as fetcher:
-            assert fetcher.fetch("o") == data
+        with ParallelFetcher({"local": store}, n_threads=4) as fetcher:
+            assert fetcher.fetch("local", "o") == data
 
     def test_range_fetch(self):
         store = MemoryStore()
         store.put("o", b"0123456789abcdef")
-        with ParallelFetcher(store, n_threads=3) as fetcher:
-            assert fetcher.fetch("o", 4, 8) == b"456789ab"
+        with ParallelFetcher({"local": store}, n_threads=3) as fetcher:
+            assert fetcher.fetch("local", "o", 4, 8) == b"456789ab"
 
     def test_single_thread_uses_one_get(self):
         store = MemoryStore()
         store.put("o", b"x" * 100)
-        fetcher = ParallelFetcher(store, n_threads=1)
-        fetcher.fetch("o")
+        fetcher = ParallelFetcher({"local": store}, n_threads=1)
+        fetcher.fetch("local", "o")
         assert store.stats.n_gets == 1
 
     def test_multi_thread_issues_multiple_gets(self):
         store = MemoryStore()
         store.put("o", b"x" * 100)
         # floor disabled: exercise the raw splitting machinery
-        with ParallelFetcher(store, n_threads=4, min_part_nbytes=0) as fetcher:
-            fetcher.fetch("o")
+        with ParallelFetcher({"local": store}, n_threads=4, min_part_nbytes=0) as fetcher:
+            fetcher.fetch("local", "o")
         assert store.stats.n_gets == 4
 
     def test_min_part_floor_coalesces_small_fetches(self):
@@ -82,27 +83,27 @@ class TestParallelFetcher:
         spray of sub-4KB range requests."""
         store = MemoryStore()
         store.put("o", b"x" * 1000)
-        with ParallelFetcher(store, n_threads=8) as fetcher:
-            assert fetcher.fetch("o") == b"x" * 1000
+        with ParallelFetcher({"local": store}, n_threads=8) as fetcher:
+            assert fetcher.fetch("local", "o") == b"x" * 1000
         assert store.stats.n_gets == 1
 
     def test_min_part_floor_still_splits_large_fetches(self):
         store = MemoryStore()
         store.put("o", b"x" * (64 * 1024))
-        with ParallelFetcher(store, n_threads=4) as fetcher:
-            fetcher.fetch("o")
+        with ParallelFetcher({"local": store}, n_threads=4) as fetcher:
+            fetcher.fetch("local", "o")
         assert store.stats.n_gets == 4
 
     def test_small_fetch_skips_split(self):
         store = MemoryStore()
         store.put("o", b"xy")
-        with ParallelFetcher(store, n_threads=8) as fetcher:
-            assert fetcher.fetch("o") == b"xy"
+        with ParallelFetcher({"local": store}, n_threads=8) as fetcher:
+            assert fetcher.fetch("local", "o") == b"xy"
         assert store.stats.n_gets == 1
 
     def test_invalid_threads(self):
         with pytest.raises(ValueError):
-            ParallelFetcher(MemoryStore(), n_threads=0)
+            ParallelFetcher({"local": MemoryStore()}, n_threads=0)
 
     def test_subrange_error_is_deterministic(self):
         """The *earliest* failing sub-range's error surfaces, every time."""
@@ -115,10 +116,10 @@ class TestParallelFetcher:
 
         store = FlakyStore()
         store.put("o", b"x" * 100)
-        with ParallelFetcher(store, n_threads=4, min_part_nbytes=0) as fetcher:
+        with ParallelFetcher({"local": store}, n_threads=4, min_part_nbytes=0) as fetcher:
             for _ in range(5):
                 with pytest.raises(OSError, match="part at 25 failed"):
-                    fetcher.fetch("o")
+                    fetcher.fetch("local", "o")
 
     def test_error_does_not_poison_later_fetches(self):
         class OnceBroken(MemoryStore):
@@ -133,11 +134,11 @@ class TestParallelFetcher:
 
         store = OnceBroken()
         store.put("o", b"y" * 100)
-        with ParallelFetcher(store, n_threads=4, min_part_nbytes=0) as fetcher:
+        with ParallelFetcher({"local": store}, n_threads=4, min_part_nbytes=0) as fetcher:
             with pytest.raises(OSError):
-                fetcher.fetch("o")
+                fetcher.fetch("local", "o")
             store.fail = False
-            assert fetcher.fetch("o") == b"y" * 100
+            assert fetcher.fetch("local", "o") == b"y" * 100
 
     def test_parallelism_beats_per_connection_cap(self):
         """The paper's optimization: n connections give ~n x throughput."""
@@ -148,7 +149,7 @@ class TestParallelFetcher:
         s3_serial = SimulatedS3Store(profile=profile, clock=clock)
         s3_serial.put("o", data)
         t0 = clock.now()
-        ParallelFetcher(s3_serial, n_threads=1).fetch("o")
+        ParallelFetcher({"cloud": s3_serial}, n_threads=1).fetch("cloud", "o")
         serial_time = clock.now() - t0
         assert serial_time == pytest.approx(10.0, rel=0.01)
         # FakeClock serializes concurrent sleeps, so measure parallel
@@ -159,15 +160,52 @@ class TestParallelFetcher:
         assert per_part == pytest.approx(2.5)
 
 
+class TestOneFetcherOverEveryStore:
+    """A cluster's fetcher holds the run's store map and reads every
+    source from the store at its location."""
+
+    def test_each_source_is_read_from_its_store(self):
+        stores = {loc: MemoryStore(loc) for loc in ("local", "cloud")}
+        stores["local"].put("o", b"L" * 64)
+        stores["cloud"].put("o", b"C" * 64)
+        with ParallelFetcher(stores) as fetcher:
+            assert fetcher.fetch("cloud", "o") == b"C" * 64
+            chunk = ChunkInfo(
+                chunk_id=0, file_id=0, key="o", location="local",
+                offset=0, nbytes=64, n_units=64,
+            )
+            assert bytes(fetcher.fetch_chunk(chunk)) == b"L" * 64
+        assert (stores["local"].stats.n_gets, stores["cloud"].stats.n_gets) == (1, 1)
+
+    def test_a_location_without_a_store_is_a_lookup_error(self):
+        with ParallelFetcher({"local": MemoryStore()}) as fetcher:
+            with pytest.raises(LookupError, match="no store for location 'cloud'") as err:
+                fetcher.fetch("cloud", "o")
+        assert not isinstance(err.value, KeyError)  # a KeyError would fail over
+
+    def test_the_by_location_map_holds_one_fetcher(self):
+        stores = {loc: MemoryStore(loc) for loc in ("local", "cloud")}
+        fetchers = make_cluster_fetchers(stores, ClusterConfig("c", "local", 1, 2))
+        (fetcher,) = set(fetchers.values())
+        assert list(fetchers) == ["local", "cloud"]
+        stores["cloud"].put("o", b"x" * 64 * 1024)
+        fetcher.fetch("cloud", "o")
+        pools = fetcher.pools
+        assert pools._pools
+        for f in fetchers.values():
+            f.close()  # once per location: the one release, then nothing
+        assert pools._pools == {} and pools._holds[""] == 0
+
+
 class TestCacheIntegration:
     def test_second_fetch_served_from_cache(self):
         store = MemoryStore()
         store.put("o", b"q" * 64)
         cache = ChunkCache(1024)
-        with ParallelFetcher(store, cache=cache) as fetcher:
+        with ParallelFetcher({"local": store}, cache=cache) as fetcher:
             first, second = FetchInfo(), FetchInfo()
-            data1 = fetcher.fetch("o", 0, 64, first)
-            data2 = fetcher.fetch("o", 0, 64, second)
+            data1 = fetcher.fetch("local", "o", 0, 64, first)
+            data2 = fetcher.fetch("local", "o", 0, 64, second)
         assert data1 == data2 == b"q" * 64
         assert (first.cache_hit, second.cache_hit) == (False, True)
         assert store.stats.n_gets == 1
@@ -176,17 +214,17 @@ class TestCacheIntegration:
         store = MemoryStore()
         store.put("o", b"ab" * 32)
         cache = ChunkCache(1024)
-        with ParallelFetcher(store, cache=cache) as fetcher:
-            assert fetcher.fetch("o", 0, 2) == b"ab"
-            assert fetcher.fetch("o", 2, 2) == b"ab"
+        with ParallelFetcher({"local": store}, cache=cache) as fetcher:
+            assert fetcher.fetch("local", "o", 0, 2) == b"ab"
+            assert fetcher.fetch("local", "o", 2, 2) == b"ab"
         assert store.stats.n_gets == 2
 
     def test_plain_fetch_fills_cache(self):
         store = MemoryStore()
         store.put("o", b"z" * 16)
         cache = ChunkCache(1024)
-        with ParallelFetcher(store, cache=cache) as fetcher:
-            fetcher.fetch("o", 0, 16)
+        with ParallelFetcher({"local": store}, cache=cache) as fetcher:
+            fetcher.fetch("local", "o", 0, 16)
         assert cache.contains(store.location, "o", 0, 16)
 
 
@@ -198,7 +236,7 @@ class TestFetchFrameInto:
         data = bytes(range(256)) * 4
         store.put("o", data)
         out = bytearray(512)
-        with ParallelFetcher(store, n_threads=4) as fetcher:
+        with ParallelFetcher({"local": store}, n_threads=4) as fetcher:
             frame = fetcher.fetch_frame(chunk_of("o", 512, offset=128), out, info := FetchInfo())
         assert info.cache_hit is False
         assert info.bytes_wire == 512
@@ -209,7 +247,7 @@ class TestFetchFrameInto:
         store = MemoryStore("local")
         store.put("o", b"0123456789")
         out = bytearray(4)
-        with ParallelFetcher(store, n_threads=1) as fetcher:
+        with ParallelFetcher({"local": store}, n_threads=1) as fetcher:
             frame = fetcher.fetch_frame(chunk_of("o", 4, offset=3), out, info := FetchInfo())
         assert (info.cache_hit, info.n_copies) == (False, 0)
         assert bytes(out) == bytes(frame) == b"3456"
@@ -221,9 +259,9 @@ class TestFetchFrameInto:
         data = bytes((i * 7) % 256 for i in range(4096))
         store.put("o", data)
         out = bytearray(4096)
-        with ParallelFetcher(store, n_threads=8, min_part_nbytes=0) as fetcher:
+        with ParallelFetcher({"local": store}, n_threads=8, min_part_nbytes=0) as fetcher:
             fetcher.fetch_frame(chunk_of("o", 4096), out)
-            assert bytes(out) == fetcher.fetch("o", 0, 4096)
+            assert bytes(out) == fetcher.fetch("local", "o", 0, 4096)
         assert store.stats.n_gets >= 8
 
     def test_cache_hit_copies_into_buffer(self):
@@ -231,8 +269,8 @@ class TestFetchFrameInto:
         store.put("o", b"q" * 64)
         cache = ChunkCache(1024)
         out = bytearray(64)
-        with ParallelFetcher(store, cache=cache) as fetcher:
-            fetcher.fetch("o", 0, 64)  # warm
+        with ParallelFetcher({"local": store}, cache=cache) as fetcher:
+            fetcher.fetch("local", "o", 0, 64)  # warm
             fetcher.fetch_frame(chunk_of("o", 64), out, info := FetchInfo())
         assert info.cache_hit is True
         assert info.bytes_wire == 0
@@ -254,7 +292,7 @@ class TestFetchChunkAsync:
     def test_result_and_timing(self):
         store = MemoryStore("local")
         store.put("o", b"p" * 128)
-        with ParallelFetcher(store) as fetcher:
+        with ParallelFetcher({"local": store}) as fetcher:
             handle = fetcher.fetch_chunk_async(chunk_of("o", 128))
             assert bytes(handle.result()) == b"p" * 128
             assert handle.done()
@@ -266,8 +304,8 @@ class TestFetchChunkAsync:
         store = MemoryStore("local")
         store.put("o", b"h" * 32)
         cache = ChunkCache(1024)
-        with ParallelFetcher(store, cache=cache) as fetcher:
-            fetcher.fetch("o", 0, 32)
+        with ParallelFetcher({"local": store}, cache=cache) as fetcher:
+            fetcher.fetch("local", "o", 0, 32)
             handle = fetcher.fetch_chunk_async(chunk_of("o", 32))
             assert bytes(handle.result()) == b"h" * 32
             assert handle.cache_hit is True
@@ -275,7 +313,7 @@ class TestFetchChunkAsync:
 
     def test_error_propagates_through_result(self):
         store = MemoryStore("local")  # "o" never stored
-        with ParallelFetcher(store) as fetcher:
+        with ParallelFetcher({"local": store}) as fetcher:
             handle = fetcher.fetch_chunk_async(chunk_of("o", 8))
             with pytest.raises(KeyError):
                 handle.result()
@@ -291,7 +329,7 @@ class TestFetchChunkAsync:
 
         store = SlowStore("local")
         store.put("o", b"s" * 8)
-        with ParallelFetcher(store) as fetcher:
+        with ParallelFetcher({"local": store}) as fetcher:
             handle = fetcher.fetch_chunk_async(chunk_of("o", 8))
             assert not handle.done()  # still blocked in the store
             release.set()
@@ -300,7 +338,7 @@ class TestFetchChunkAsync:
     def test_cancel_absorbs_running_fetch(self):
         store = MemoryStore("local")
         store.put("o", b"c" * 8)
-        with ParallelFetcher(store) as fetcher:
+        with ParallelFetcher({"local": store}) as fetcher:
             handle = fetcher.fetch_chunk_async(chunk_of("o", 8))
             handle.cancel()  # must not raise regardless of progress
         # close() joined the pool; the handle is settled either way.
@@ -372,7 +410,7 @@ class TestEncodedCacheCharge:
         logical_total = sum(c.nbytes for c in idx.chunks)
         assert enc_total < logical_total
         cache = ChunkCache(64 << 20)
-        with ParallelFetcher(store, cache=cache) as fetcher:
+        with ParallelFetcher({"local": store}, cache=cache) as fetcher:
             for c in idx.chunks:
                 fetcher.fetch_chunk(c)
         assert cache.current_nbytes == enc_total
@@ -380,7 +418,7 @@ class TestEncodedCacheCharge:
     def test_decode_on_hit(self):
         store, idx = self.make_index("shuffle")
         cache = ChunkCache(64 << 20)
-        with ParallelFetcher(store, cache=cache) as fetcher:
+        with ParallelFetcher({"local": store}, cache=cache) as fetcher:
             chunk = idx.chunks[0]
             data1 = fetcher.fetch_chunk(chunk, info1 := FetchInfo())
             assert not info1.cache_hit
@@ -395,7 +433,7 @@ class TestEncodedCacheCharge:
     def test_uncompressed_chunk_charges_logical_size(self):
         store, idx = self.make_index(None)
         cache = ChunkCache(64 << 20)
-        with ParallelFetcher(store, cache=cache) as fetcher:
+        with ParallelFetcher({"local": store}, cache=cache) as fetcher:
             chunk = idx.chunks[0]
             fetcher.fetch_chunk(chunk, info := FetchInfo())
         assert info.bytes_wire == chunk.nbytes
