@@ -19,7 +19,6 @@ Example::
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -30,6 +29,7 @@ from repro.data.formats import RecordFormat
 from repro.data.index import DataIndex
 from repro.runtime.core import ClusterConfig, EngineOptions, RunResult
 from repro.service import BurstingService
+from repro.service.service import HeldService
 from repro.storage.base import StorageBackend
 from repro.storage.cache import ChunkCache
 
@@ -126,14 +126,13 @@ class BurstingSession:
             batch_size=batch_size, chunk_cache=self.cache, **fields
         )
         self.passes_run = 0
-        self._open()  # validates the engine name and the options
+        self._held = HeldService(self._clusters, engine=engine, options=self.options)
+        self._held.open(stores)  # validates the engine name and the options
 
-    def _open(self) -> None:
-        self._service = BurstingService(
-            self._clusters, self.stores, engine=self.engine_name,
-            options=self.options,
-        )
-        self._shutdown = weakref.finalize(self, self._service.shutdown)
+    @property
+    def _service(self) -> BurstingService:
+        """The service the last pass ran on (or the next one will)."""
+        return self._held.service
 
     @classmethod
     def from_units(
@@ -168,19 +167,14 @@ class BurstingSession:
         exhaustion), or once ``stores`` no longer holds the stores the
         service was built from, the session opens a fresh service first.
         """
-        svc = self._service
-        lost = svc._alive_workers < sum(c.n_workers for c in self._clusters)
-        if self._shutdown.alive and (lost or self.stores != svc.stores):
-            self._shutdown()
-            self._open()
-        result = self._service.submit(spec, self.index).result()
+        result = self._held.open(self.stores).submit(spec, self.index).result()
         self.passes_run += 1
         return result
 
     def close(self) -> None:
         """Stop the session's service: its fleet, finalizer and BLAS cap.
         Idempotent; a closed session runs no more passes."""
-        self._shutdown()
+        self._held.close()
 
     def __enter__(self) -> "BurstingSession":
         return self

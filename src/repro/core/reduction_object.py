@@ -154,8 +154,10 @@ class CounterReductionObject(ReductionObject):
     far; only the used prefix is reported, pickled or merged.  Any other
     chunk (a negative id, or ids sparse in a huge range) is sorted with
     ``np.unique`` and folded into a dict held beside the array.  The
-    choice is made per chunk from its observed min/max alone, an id may
-    end up counted in both places, and ``value()`` adds the two.
+    choice is made per chunk from one ``max`` over integer ids viewed
+    unsigned (a negative id reads as huge; other dtypes take ``min`` and
+    ``max``), an id may end up counted in both places, and ``value()``
+    adds the two.
 
     Counts are integers end to end (exact up to ``int64``); the dense
     array is the object's one numpy payload, so it travels out of band
@@ -193,7 +195,12 @@ class CounterReductionObject(ReductionObject):
         """Fold a chunk of ids: add one to the count of each occurrence."""
         if ids.size == 0:
             return
-        if ids.min() >= 0 and ids.max() < ids.size:
+        if ids.dtype.kind in "iu":
+            # one pass: viewed unsigned, a negative id reads as huge
+            dense = ids.view(f"u{ids.dtype.itemsize}").max() < ids.size
+        else:
+            dense = ids.min() >= 0 and ids.max() < ids.size
+        if dense:
             # int64 input is counted where it lies; narrower or unsigned
             # ids are widened once (they are all below ids.size, so it fits)
             chunk = np.bincount(ids.astype(np.intp, copy=False))

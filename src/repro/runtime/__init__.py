@@ -24,9 +24,9 @@ from repro.runtime.stats import ClusterStats, RunStats, WorkerStats
 #: * ``threaded`` -- worker threads in one process, the fleet of a
 #:   :class:`repro.service.BurstingService`, whose worker is the
 #:   reference implementation of the head/master/slave protocol.  A
-#:   :class:`ThreadedEngine` run is one job on a one-run service; a
-#:   :class:`repro.bursting.BurstingSession` holds one service for all
-#:   its passes.
+#:   :class:`ThreadedEngine` and a :class:`repro.bursting.BurstingSession`
+#:   each hold one service for all their runs (close them, or use
+#:   ``with``, to stop its fleet).
 #: * ``process`` -- one real OS process per slave; chunk bytes cross via
 #:   shared memory, reduction objects via pickle-5 out-of-band buffers.
 #:
@@ -40,8 +40,9 @@ ENGINES = {
 
 
 def make_engine(name: str, clusters, stores, **kwargs):
-    """Construct a one-shot execution engine by name (a key of
-    :data:`ENGINES`).
+    """Construct an execution engine by name (a key of :data:`ENGINES`).
+    It runs any number of specs; ``with make_engine(...) as engine:``
+    (or ``engine.close()``) stops whatever it holds between runs.
 
     ``kwargs`` is the unified :class:`EngineOptions` surface (batch
     size, prefetch, cache, retry policy, crash plan, ...); every engine

@@ -3,9 +3,9 @@
 The paper describes a single protocol -- a head pool, per-cluster
 masters, multi-threaded slaves folding into reduction objects -- and the
 two live engines (threaded, process) are two *transports* for that
-protocol, not two protocols.  The threaded engine runs every job on a
-one-run :class:`~repro.service.BurstingService`, whose fleet worker is
-the only in-process worker loop; the process engine feeds child
+protocol, not two protocols.  The threaded engine runs every job on
+the :class:`~repro.service.BurstingService` it holds, whose fleet
+worker is the only in-process worker loop; the process engine feeds child
 processes from per-worker feeder threads.  This module holds what the
 two share:
 
@@ -342,9 +342,19 @@ class EngineBase:
         self.stores = dict(stores)
         self.options = options
 
+    def close(self) -> None:
+        """Stop what the engine holds between runs (nothing here)."""
+
+    def __enter__(self) -> "EngineBase":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
     def make_health(self) -> HealthRegistry | None:
-        """One shared health registry per run, or ``None`` when neither
-        hedging nor breakers are configured (zero overhead path)."""
+        """One shared health registry per service (a process-engine run
+        builds its own), or ``None`` when neither hedging nor breakers
+        are configured (zero overhead path)."""
         if self.options.hedge is None and self.options.breaker is None:
             return None
         return HealthRegistry(self.options.breaker)

@@ -1,5 +1,5 @@
 """Threaded execution engine: the real, working middleware, one run at a
-time.
+time on a fleet it keeps.
 
 Runs the complete head/master/slave protocol with actual data movement
 on one machine: worker threads pull jobs through their master from the
@@ -7,11 +7,13 @@ shared head scheduler, fetch chunk byte ranges (multi-threaded) from
 whichever store holds them, fold unit groups into per-worker reduction
 objects, and the head performs the final global reduction.
 
-A run is one job on a one-run :class:`~repro.service.BurstingService`:
-the engine builds the service from its clusters, stores and options,
-submits, waits for the result and shuts the service down.  This is the
-one-shot form; a :class:`~repro.bursting.BurstingSession` holds one
-service across all its passes instead.  The control plane (per-cluster
+A run is one job on the engine's :class:`~repro.service.BurstingService`,
+which it holds across runs as a :class:`~repro.bursting.BurstingSession`
+does (:class:`~repro.service.service.HeldService`): built from its
+clusters, stores and options on the first run, built afresh after a run
+that lost a worker or once :attr:`stores` changed, and shut down by
+:meth:`ThreadedEngine.close` (or ``with``, or dropping the engine), so
+a warm run starts no fleet thread.  The control plane (per-cluster
 masters refilling worker threads from the head), the worker loop
 (:class:`~repro.service.service.ServiceSlave`: synchronous fetch or a
 read-ahead window, decode/fold, stats accounting, crash injection and
@@ -40,6 +42,8 @@ for performance experiments.
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.core.api import GeneralizedReductionSpec
 from repro.data.index import DataIndex
 from repro.runtime.core import ClusterConfig, EngineBase, RunResult
@@ -48,14 +52,19 @@ __all__ = ["ClusterConfig", "RunResult", "ThreadedEngine"]
 
 
 class ThreadedEngine(EngineBase):
-    """Multi-cluster, multi-worker threaded executor."""
+    """Multi-cluster, multi-worker threaded executor over one held fleet."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        from repro.service.service import HeldService
+
+        super().__init__(*args, **kwargs)
+        self._held = HeldService(self.clusters, options=self.options)
 
     def run(self, spec: GeneralizedReductionSpec, index: DataIndex) -> RunResult:
         """Execute ``spec`` over the dataset described by ``index``."""
-        from repro.service import BurstingService
+        return self._held.open(self.stores).submit(spec, index).result()
 
-        service = BurstingService(self.clusters, self.stores, options=self.options)
-        try:
-            return service.submit(spec, index).result()
-        finally:
-            service.shutdown()
+    def close(self) -> None:
+        """Stop the engine's fleet.  Idempotent; a closed engine runs no
+        more."""
+        self._held.close()

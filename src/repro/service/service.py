@@ -35,15 +35,14 @@ serves a cluster's batch request (weighted fair-share with per-tenant
 run's own :class:`HeadScheduler` picks *which chunks* (locality,
 stealing, pushdown priority -- the paper's policy, unchanged).
 
-The threaded engine is this service with one run: it submits one job
-and shuts the service down.  A :class:`~repro.bursting.BurstingSession`
-holds one service for all its passes.  The process engine executes each run
-whole (its transport pins worker state to one spec per process), so for
-``engine="process"`` the service runs one engine per admitted run on a
-background thread (the engine itself runs one at a time, since forking
-from concurrent threads is not fork-safe) -- same submit/status/result
-API, FIFO-in-admission-order execution, chunk-level interleaving only
-on the threaded fleet.
+A :class:`~repro.bursting.BurstingSession` and the threaded engine each
+hold one service for all their runs (:class:`HeldService`).  The process
+engine executes each run whole (its transport pins worker state to one
+spec per process), so for ``engine="process"`` the service runs one
+engine per admitted run on a background thread (the engine itself runs
+one at a time, since forking from concurrent threads is not fork-safe)
+-- same submit/status/result API, FIFO-in-admission-order execution,
+chunk-level interleaving only on the threaded fleet.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ import queue
 import threading
 import time
 import traceback
+import weakref
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
@@ -90,7 +90,7 @@ from repro.storage.faults import WorkerCrash
 from repro.storage.retry import RetryExhausted
 from repro.storage.transfer import FetchInfo, FetchPools, ParallelFetcher, PrefetchHandle
 
-__all__ = ["BurstingService", "ServiceSlave"]
+__all__ = ["BurstingService", "HeldService", "ServiceSlave"]
 
 #: ``service_rows`` column -> the ``RunStats`` attribute it prints.
 _SERVICE_STATS = {
@@ -1008,3 +1008,56 @@ class BurstingService(EngineBase):
                 }
                 for name, cfg in self._tenants.items()
             }
+
+
+class HeldService:
+    """One :class:`BurstingService` kept across its owner's runs: the
+    rule a :class:`~repro.bursting.BurstingSession` and a
+    :class:`~repro.runtime.engine.ThreadedEngine` share.
+
+    :meth:`open` answers the service the next run goes to.  It builds
+    one on the first call and builds it afresh, shutting the old one
+    down, after a run that lost a worker (a crash plan, an exhausted
+    retry) or once ``stores`` is no longer the map the service was
+    built from, so every run starts with a full fleet over the live
+    stores.  :meth:`close`, or freeing the holder, shuts the service
+    down; a closed holder opens no other.
+    """
+
+    def __init__(
+        self,
+        clusters: list[ClusterConfig],
+        *,
+        engine: str = "threaded",
+        options: EngineOptions,
+    ) -> None:
+        self._build = (list(clusters), engine, options)
+        self._n_workers = sum(c.n_workers for c in clusters)
+        self.service: BurstingService | None = None
+        self._shutdown: weakref.finalize | None = None
+        self._closed = False
+
+    def open(self, stores: dict[str, StorageBackend]) -> BurstingService:
+        """The service a run over ``stores`` goes to."""
+        svc = self.service
+        if svc is not None and not self._closed and (
+            svc._alive_workers < self._n_workers or stores != svc.stores
+        ):
+            self._shutdown()
+            svc = None
+        if svc is None:
+            if self._closed:
+                raise RuntimeError("service is shut down")
+            clusters, engine, options = self._build
+            svc = self.service = BurstingService(
+                clusters, stores, engine=engine, options=options
+            )
+            self._shutdown = weakref.finalize(self, svc.shutdown)
+        return svc
+
+    def close(self) -> None:
+        """Shut the service down: its fleet, finalizer and BLAS cap.
+        Idempotent."""
+        self._closed = True
+        if self._shutdown is not None:
+            self._shutdown()

@@ -35,11 +35,13 @@ the store at that source's location.
 
 from __future__ import annotations
 
+import queue
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Mapping
@@ -232,6 +234,14 @@ def _inline(kind: str, fn: Callable, *args, at: str = "") -> Future:
         return fut
     finally:
         del fut  # the leg's error holds this frame, and the race's above it
+
+
+def _landed(race: weakref.ref, fut: Future) -> None:
+    """A race leg's done-callback: hand ``fut`` to its race's queue, if
+    the race still runs (a detached loser's has gone)."""
+    landed = race()
+    if landed is not None:
+        landed.put(fut)
 
 
 def _source_range(chunk, src) -> tuple[int, int]:
@@ -647,8 +657,12 @@ class ParallelFetcher:
         next_i = failovers = n_hedges = hedge_wins = wasted = 0
         last_exc: BaseException | None = None
         bug: BaseException | None = None
-        done: set[Future] = set()
         f: Future | None = None
+        # Legs put themselves here as they end, through a weak reference:
+        # the queue goes with the race, and a detached loser's callback
+        # then finds nothing to put to.
+        landed: queue.SimpleQueue[Future] | None = queue.SimpleQueue()
+        on_landed = partial(_landed, weakref.ref(landed))
 
         def launch(as_hedge: bool = False) -> bool:
             """Launch the next candidate the breakers admit, if any."""
@@ -665,10 +679,15 @@ class ParallelFetcher:
                             continue
                         probe = True
                 part = FetchInfo()
-                inflight[submit(
+                fut = submit(
                     "leg", self._timed, cand.location, partial(leg, cand), part,
                     at=cand.location,
-                )] = (cand, as_hedge, probe, part)
+                )
+                inflight[fut] = (cand, as_hedge, probe, part)
+                fut.add_done_callback(on_landed)
+                # An inline leg's error holds its frame, whose caller is
+                # this one: holding the future too would be a cycle.
+                del fut
                 return True
             return False
 
@@ -715,11 +734,14 @@ class ParallelFetcher:
                     timeout = hedge.threshold_s(
                         min((e for e in ewmas if e > 0.0), default=0.0)
                     )
-                done, _ = wait(inflight, timeout=timeout, return_when=FIRST_COMPLETED)
-                if not done:
+                try:
+                    f = landed.get(timeout=timeout)
+                except queue.Empty:
                     n_hedges += launch(as_hedge=True)
-                for f in done:
-                    tally(f)
+                    continue
+                tally(f)
+                while not landed.empty():  # legs that ended meanwhile
+                    tally(landed.get())
             if bug is None and len(wins) >= k:
                 return wins
             # A failed race collects its legs: none outlives it, and a
@@ -751,8 +773,7 @@ class ParallelFetcher:
             books.fragments_wasted_bytes = wasted
             books.n_breaker_skips += skips
             # A raised error's traceback holds this frame: let go of it.
-            bug = last_exc = f = None
-            done.clear()
+            bug = last_exc = f = landed = None
 
     def _fetch_striped(self, chunk, out, info: FetchInfo) -> Buffer:
         """Fastest-k-of-n fetch of an erasure-striped chunk's frame.

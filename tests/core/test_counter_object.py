@@ -1,8 +1,8 @@
 """The token-counter reduction object: count when ids are dense, sort
 otherwise, one answer either way.
 
-The dense/sort choice is made per chunk from the chunk's own min, max and
-length; these tests pin where the boundary sits, that both sides give the
+The dense/sort choice is made per chunk from the chunk's own largest id
+(integer ids viewed unsigned, so a negative one reads as huge) and length; these tests pin where the boundary sits, that both sides give the
 counts ``wordcount_exact`` gives, and the contracts the runtimes rely on
 (``merge`` reads only, pickles carry the used prefix and nothing else,
 the whole-chunk fold allocates nothing of the chunk's size).
@@ -101,6 +101,53 @@ class TestDenseOrSort:
         robj.count(sparse)
         assert robj.counts.tolist() == [1, 1, 3, 2]
         assert robj.value() == {0: 1, 1: 1, 2: 3, 3: 2, 7: 1, 200: 2}
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    @pytest.mark.parametrize("negative", [-1, "min"])
+    def test_a_negative_id_of_any_width_goes_sparse(self, dtype, negative):
+        # Viewed unsigned, -1 is the width's largest value and the width's
+        # minimum its sign bit alone: both read as far past the length.
+        low = np.iinfo(dtype).min if negative == "min" else negative
+        chunk = np.array([low, 0, 1, 1, 0, 2], dtype=dtype)
+        robj = CounterReductionObject()
+        robj.count(chunk)
+        assert len(robj.counts) == 0
+        assert robj.sparse == {int(low): 1, 0: 2, 1: 2, 2: 1}
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint32, np.uint64])
+    def test_an_id_equal_to_the_length_goes_sparse_at_any_width(self, dtype):
+        below = CounterReductionObject()
+        below.count(np.array([3, 0, 0, 1], dtype=dtype))
+        assert below.counts.tolist() == [2, 1, 0, 1] and below.sparse == {}
+        at = CounterReductionObject()
+        at.count(np.array([4, 0, 0, 1], dtype=dtype))
+        assert len(at.counts) == 0 and at.sparse == {0: 2, 1: 1, 4: 1}
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64])
+    def test_int32_uint8_and_uint64_count_exactly(self, dtype):
+        rng = np.random.default_rng(5)
+        top = min(int(np.iinfo(dtype).max), 2**62)
+        chunks = [
+            rng.integers(0, 200, 500).astype(dtype),  # dense
+            rng.integers(0, top, 50, endpoint=True).astype(dtype),  # wide
+            np.array([np.iinfo(dtype).max, 0, np.iinfo(dtype).max], dtype=dtype),
+        ]
+        robj = CounterReductionObject()
+        for chunk in chunks:
+            robj.count(chunk)
+        want: dict[int, int] = {}
+        for chunk in chunks:
+            for key in chunk.tolist():
+                want[key] = want.get(key, 0) + 1
+        assert robj.value() == want
+
+    def test_float_ids_keep_the_min_max_test(self):
+        dense = CounterReductionObject()
+        dense.count(np.array([2.0, 0.0, 2.0]))
+        assert dense.counts.tolist() == [1, 0, 2] and dense.sparse == {}
+        sparse = CounterReductionObject()
+        sparse.count(np.array([-1.0, 0.0, 0.0]))
+        assert len(sparse.counts) == 0 and sparse.sparse == {-1.0: 1, 0.0: 2}
 
     def test_value_is_python_ints_and_skips_ids_never_seen(self):
         value = counted([0, 4, 4, 2, 2], [2**40]).value()
